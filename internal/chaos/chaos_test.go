@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -284,6 +285,44 @@ func TestShadowViewIsInternallyConsistent(t *testing.T) {
 	if err := merkle.VerifyConsistency(2, shadowSTH.TreeHead.TreeSize,
 		tree.Root(), merkle.Hash(shadowSTH.TreeHead.RootHash), proof); err != nil {
 		t.Fatalf("shadow view is not internally consistent: %v", err)
+	}
+}
+
+// TestCorruptEntriesServeTamperedBytes: the honest log's entries carry
+// their canonical leaf bytes and get-entries serves those without
+// re-encoding, so a tampered struct copy must not ride out on the bytes
+// stamped on the original — on the wire every entry shows the flipped
+// bit, and the honest entries underneath are left as they were.
+func TestCorruptEntriesServeTamperedBytes(t *testing.T) {
+	cl, srv, _ := newChaosWorld(t, 4)
+	ctx := context.Background()
+	c := ctclient.New(srv.URL, nil)
+	honest, err := c.GetEntries(ctx, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.SetFault(FaultCorruptEntries)
+	corrupt, err := c.GetEntries(ctx, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(corrupt) != len(honest) {
+		t.Fatalf("corrupt view served %d entries, want %d", len(corrupt), len(honest))
+	}
+	for i, e := range corrupt {
+		if !bytes.Equal(e.Cert, tamperCert(honest[i].Cert)) {
+			t.Errorf("entry %d: served %q, want the honest certificate %q with its last bit flipped", i, e.Cert, honest[i].Cert)
+		}
+	}
+	cl.SetFault(FaultNone)
+	again, err := c.GetEntries(ctx, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range again {
+		if !bytes.Equal(e.Cert, honest[i].Cert) {
+			t.Errorf("entry %d: honest view changed after serving the corrupt one", i)
+		}
 	}
 }
 

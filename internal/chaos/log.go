@@ -460,18 +460,9 @@ func (cl *Log) handleGetEntries(w http.ResponseWriter, r *http.Request) {
 		chaosHTTPError(w, err)
 		return
 	}
-	resp := ctlog.GetEntriesResponse{Entries: make([]ctlog.LeafEntry, 0, len(entries))}
-	for _, e := range entries {
-		leaf, err := e.MerkleTreeLeaf()
-		if err != nil {
-			chaosHTTPError(w, err)
-			return
-		}
-		resp.Entries = append(resp.Entries, ctlog.LeafEntry{
-			LeafInput: base64.StdEncoding.EncodeToString(leaf),
-		})
+	if err := ctlog.WriteGetEntries(w, entries); err != nil {
+		chaosHTTPError(w, err)
 	}
-	writeChaosJSON(w, resp)
 }
 
 // shadowEntriesLocked pages the shadow history with the same clamping

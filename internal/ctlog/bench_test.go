@@ -3,6 +3,9 @@ package ctlog
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -228,6 +231,44 @@ func BenchmarkLogAddDurable(b *testing.B) {
 	}
 }
 
+const (
+	benchTileSpan     = 256
+	benchTiledEntries = 16384 // 64 sealed tiles, empty tail
+)
+
+// newTiledBenchLog builds a durable log of benchTiledEntries 1 KiB
+// certificates, all sealed into tiles of benchTileSpan, and returns it
+// open together with its directory and config, for the read benchmarks
+// to reopen under different page-cache budgets.
+func newTiledBenchLog(b *testing.B) (*Log, string, Config) {
+	clock := func() time.Time { return time.Date(2018, 4, 1, 12, 0, 0, 0, time.UTC) }
+	base := Config{
+		Name:          "bench log",
+		Signer:        sct.NewFastSigner("bench log"),
+		Clock:         clock,
+		Sync:          SyncAtSequence,
+		SnapshotEvery: -1,
+		TileSpan:      benchTileSpan,
+	}
+	dir := b.TempDir()
+	l, err := Open(dir, base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := uint64(0); i < benchTiledEntries; i++ {
+		if _, err := l.AddChain(benchCert(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := l.PublishSTH(); err != nil {
+		b.Fatal(err)
+	}
+	if got := l.TiledThrough(); got != benchTiledEntries {
+		b.Fatalf("tiled through %d, want %d", got, benchTiledEntries)
+	}
+	return l, dir, base
+}
+
 // BenchmarkLogReadTiled measures the sealed-region read path of a
 // tile-backed log: get-entries pages and inclusion proofs served from
 // immutable tile files. The hot variant runs with the default page-cache
@@ -236,37 +277,10 @@ func BenchmarkLogAddDurable(b *testing.B) {
 // operation re-reads and re-verifies tile bytes from the store — the
 // spread between the two is what the LRU cache buys.
 func BenchmarkLogReadTiled(b *testing.B) {
-	const (
-		span  = 256
-		total = 16384 // 64 sealed tiles, empty tail
-	)
-	clock := func() time.Time { return time.Date(2018, 4, 1, 12, 0, 0, 0, time.UTC) }
-	base := Config{
-		Name:          "bench log",
-		Signer:        sct.NewFastSigner("bench log"),
-		Clock:         clock,
-		Sync:          SyncAtSequence,
-		SnapshotEvery: -1,
-		TileSpan:      span,
-	}
-	dir := b.TempDir()
-	l, err := Open(dir, base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := uint64(0); i < total; i++ {
-		if _, err := l.AddChain(benchCert(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := l.PublishSTH(); err != nil {
-		b.Fatal(err)
-	}
-	if got := l.TiledThrough(); got != total {
-		b.Fatalf("tiled through %d, want %d", got, total)
-	}
+	const span, total = benchTileSpan, benchTiledEntries
+	l, dir, base := newTiledBenchLog(b)
 	leafHashes := make([]merkle.Hash, 0, total)
-	err = l.StreamEntries(0, total-1, func(e *Entry) error {
+	err := l.StreamEntries(0, total-1, func(e *Entry) error {
 		h, err := e.LeafHash()
 		if err != nil {
 			return err
@@ -317,6 +331,54 @@ func BenchmarkLogReadTiled(b *testing.B) {
 				if _, _, err := l.GetProofByHash(leafHashes[idx], size); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHandlerGetEntries measures a monitor's whole request inside
+// the process: a tile-aligned 256-entry get-entries page of 1 KiB
+// certificates through Handler().ServeHTTP into a recorder — mux, query
+// parsing, tile lookup and the wire encoding, everything but the socket.
+// hot serves every tile from the page cache, so it is the encoder's
+// cost; cold re-reads, CRC-checks and re-hashes a tile per page. Bytes
+// are response body bytes.
+func BenchmarkHandlerGetEntries(b *testing.B) {
+	l, dir, base := newTiledBenchLog(b)
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	reqs := make([]*http.Request, benchTiledEntries/benchTileSpan)
+	for i := range reqs {
+		start := i * benchTileSpan
+		reqs[i] = httptest.NewRequest("GET", fmt.Sprintf("/ct/v1/get-entries?start=%d&end=%d", start, start+benchTileSpan-1), nil)
+	}
+	for _, mode := range []struct {
+		name       string
+		cacheBytes int64
+	}{
+		{"hot", 0},
+		{"cold", -1},
+	} {
+		cfg := base
+		cfg.PageCacheBytes = mode.cacheBytes
+		l, err := Open(dir, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := l.Handler()
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, reqs[i%len(reqs)])
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+				b.SetBytes(int64(rec.Body.Len()))
 			}
 		})
 		if err := l.Close(); err != nil {

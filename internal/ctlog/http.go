@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
 
 	"ctrise/internal/merkle"
 	"ctrise/internal/sct"
@@ -56,7 +58,9 @@ type LeafEntry struct {
 	ExtraData string `json:"extra_data"`
 }
 
-// GetEntriesResponse is the get-entries response.
+// GetEntriesResponse is the get-entries response as clients decode it.
+// The server does not marshal it: WriteGetEntries emits the same bytes
+// directly from the entries' leaf encodings.
 type GetEntriesResponse struct {
 	Entries []LeafEntry `json:"entries"`
 }
@@ -111,10 +115,32 @@ func (l *Log) httpError(w http.ResponseWriter, err error) {
 	}
 }
 
+// maxAddChainBody caps an add-chain / add-pre-chain request body. The
+// largest certificate a MerkleTreeLeaf can carry is a uint24 vector, so
+// the cap is that many bytes base64-expanded plus headroom for the JSON
+// framing and add-pre-chain's 44-character issuer key hash; anything
+// longer could never be logged and is refused unread.
+const maxAddChainBody = (1<<24-1+2)/3*4 + 4096
+
+// decodeAddChain reads an add-chain / add-pre-chain body into req. On
+// failure it has already answered: 413 for a body over maxAddChainBody,
+// 400 for one that is not JSON or holds fewer than need chain elements.
+func decodeAddChain(w http.ResponseWriter, r *http.Request, req *AddChainRequest, need int) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAddChainBody)).Decode(req)
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		http.Error(w, "ctlog: request body too large", http.StatusRequestEntityTooLarge)
+		return false
+	}
+	if err != nil || len(req.Chain) < need {
+		http.Error(w, "ctlog: bad body (need "+strconv.Itoa(need)+" chain elements)", http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
 func (l *Log) handleAddChain(w http.ResponseWriter, r *http.Request) {
 	var req AddChainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Chain) == 0 {
-		http.Error(w, "ctlog: bad add-chain body", http.StatusBadRequest)
+	if !decodeAddChain(w, r, &req, 1) {
 		return
 	}
 	cert, err := base64.StdEncoding.DecodeString(req.Chain[0])
@@ -130,10 +156,10 @@ func (l *Log) handleAddChain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, sctToResponse(s))
 }
 
+// handleAddPreChain takes chain = [tbs, issuerKeyHash].
 func (l *Log) handleAddPreChain(w http.ResponseWriter, r *http.Request) {
 	var req AddChainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Chain) < 2 {
-		http.Error(w, "ctlog: bad add-pre-chain body (need [tbs, issuerKeyHash])", http.StatusBadRequest)
+	if !decodeAddChain(w, r, &req, 2) {
 		return
 	}
 	tbs, err := base64.StdEncoding.DecodeString(req.Chain[0])
@@ -188,8 +214,9 @@ func (l *Log) handleGetSTH(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (l *Log) handleGetSTHConsistency(w http.ResponseWriter, r *http.Request) {
-	first, err1 := strconv.ParseUint(r.URL.Query().Get("first"), 10, 64)
-	second, err2 := strconv.ParseUint(r.URL.Query().Get("second"), 10, 64)
+	q := r.URL.Query()
+	first, err1 := strconv.ParseUint(q.Get("first"), 10, 64)
+	second, err2 := strconv.ParseUint(q.Get("second"), 10, 64)
 	if err1 != nil || err2 != nil {
 		http.Error(w, "ctlog: bad first/second", http.StatusBadRequest)
 		return
@@ -203,13 +230,13 @@ func (l *Log) handleGetSTHConsistency(w http.ResponseWriter, r *http.Request) {
 }
 
 func (l *Log) handleGetProofByHash(w http.ResponseWriter, r *http.Request) {
-	hashB64 := r.URL.Query().Get("hash")
-	treeSize, err := strconv.ParseUint(r.URL.Query().Get("tree_size"), 10, 64)
+	q := r.URL.Query()
+	treeSize, err := strconv.ParseUint(q.Get("tree_size"), 10, 64)
 	if err != nil {
 		http.Error(w, "ctlog: bad tree_size", http.StatusBadRequest)
 		return
 	}
-	hashBytes, err := base64.StdEncoding.DecodeString(hashB64)
+	hashBytes, err := base64.StdEncoding.DecodeString(q.Get("hash"))
 	if err != nil || len(hashBytes) != merkle.HashSize {
 		http.Error(w, "ctlog: bad hash", http.StatusBadRequest)
 		return
@@ -231,29 +258,86 @@ func (l *Log) handleGetProofByHash(w http.ResponseWriter, r *http.Request) {
 // which clients are expected to page the remainder
 // (ctclient.Monitor.StreamEntries does).
 func (l *Log) handleGetEntries(w http.ResponseWriter, r *http.Request) {
-	start, err1 := strconv.ParseUint(r.URL.Query().Get("start"), 10, 64)
-	end, err2 := strconv.ParseUint(r.URL.Query().Get("end"), 10, 64)
+	q := r.URL.Query()
+	start, err1 := strconv.ParseUint(q.Get("start"), 10, 64)
+	end, err2 := strconv.ParseUint(q.Get("end"), 10, 64)
 	if err1 != nil || err2 != nil {
 		http.Error(w, "ctlog: bad start/end", http.StatusBadRequest)
 		return
 	}
 	entries, err := l.GetEntries(start, end)
+	if err == nil {
+		err = WriteGetEntries(w, entries)
+	}
 	if err != nil {
 		l.httpError(w, err)
-		return
 	}
-	resp := GetEntriesResponse{Entries: make([]LeafEntry, 0, len(entries))}
+}
+
+// The fixed pieces of a get-entries body, spelled exactly as
+// json.Encoder renders GetEntriesResponse. extra_data is always empty:
+// the log stores no chains.
+const (
+	entriesOpen  = `{"entries":[`
+	entryOpen    = `{"leaf_input":"`
+	entryClose   = `","extra_data":""}`
+	entriesClose = "]}\n"
+)
+
+// maxPooledPage is the largest page buffer pagePool keeps. A monitor's
+// usual page (256 × ~1.4 KB of base64) fits several times over; a rare
+// page of huge leaves is freed instead of pinning its buffer for good.
+const maxPooledPage = 1 << 20
+
+var pagePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteGetEntries writes entries to w as a complete get-entries
+// response: byte for byte the body json.NewEncoder(w).Encode would
+// produce for the equivalent GetEntriesResponse (entries as [], not
+// null, when there are none), with Content-Length set. It is the one
+// encoder of that wire format. Each leaf_input is the entry's stamped
+// MerkleTreeLeaf bytes where the log holds them, so a page is sized
+// exactly, base64-appended into one pooled buffer and handed to w in a
+// single Write with no per-entry allocation; entries without their own
+// stamped bytes are encoded from their fields.
+//
+// An error means an entry could not be encoded and nothing was written.
+// A failed Write is not reported: the status line is already out and
+// the connection will just break.
+func WriteGetEntries(w http.ResponseWriter, entries []*Entry) error {
+	size := len(entriesOpen) + len(entries)*(len(entryOpen)+len(entryClose)) + max(len(entries)-1, 0) + len(entriesClose)
 	for _, e := range entries {
-		leaf, err := e.MerkleTreeLeaf()
+		leaf, err := e.leafBytes()
 		if err != nil {
-			l.httpError(w, err)
-			return
+			return err
 		}
-		resp.Entries = append(resp.Entries, LeafEntry{
-			LeafInput: base64.StdEncoding.EncodeToString(leaf),
-		})
+		size += base64.StdEncoding.EncodedLen(len(leaf))
 	}
-	writeJSON(w, resp)
+	bp := pagePool.Get().(*[]byte)
+	buf := append(slices.Grow((*bp)[:0], size), entriesOpen...)
+	for i, e := range entries {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		leaf, err := e.leafBytes()
+		if err != nil {
+			return err
+		}
+		buf = append(buf, entryOpen...)
+		buf = base64.StdEncoding.AppendEncode(buf, leaf)
+		buf = append(buf, entryClose...)
+	}
+	buf = append(buf, entriesClose...)
+
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(buf)))
+	w.Write(buf)
+	if cap(buf) <= maxPooledPage {
+		*bp = buf
+		pagePool.Put(bp)
+	}
+	return nil
 }
 
 func encodeHashes(hs []merkle.Hash) []string {

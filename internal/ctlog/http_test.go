@@ -68,6 +68,33 @@ func TestHTTPAddChainErrorPaths(t *testing.T) {
 	}
 }
 
+// A submission body is capped at what the largest loggable certificate
+// needs: the largest one still goes through, anything longer is refused
+// with 413 before it is buffered, on both submission endpoints.
+func TestHTTPAddChainBodyLimit(t *testing.T) {
+	l, _ := newHTTPTestLog(t, Config{})
+	serve := func(path, body string) int {
+		rec := httptest.NewRecorder()
+		l.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return rec.Code
+	}
+	// The longest legitimate body: a uint24-max TBS plus the key hash.
+	largest := base64.StdEncoding.EncodeToString(make([]byte, 1<<24-1))
+	ikh := base64.StdEncoding.EncodeToString(make([]byte, 32))
+	if code := serve("/ct/v1/add-pre-chain", `{"chain":["`+largest+`","`+ikh+`"]}`); code != http.StatusOK {
+		t.Errorf("largest loggable precertificate: status = %d, want 200", code)
+	}
+	oversize := `{"chain":["` + strings.Repeat("A", maxAddChainBody) + `"]}`
+	for _, path := range []string{"/ct/v1/add-chain", "/ct/v1/add-pre-chain"} {
+		if code := serve(path, oversize); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status = %d, want 413", path, len(oversize), code)
+		}
+	}
+	if got := l.PendingCount(); got != 1 {
+		t.Errorf("%d entries staged, want the one that fit", got)
+	}
+}
+
 func TestHTTPGetEntriesErrorPaths(t *testing.T) {
 	l, srv := newHTTPTestLog(t, Config{})
 	if _, err := l.AddChain([]byte("one entry")); err != nil {

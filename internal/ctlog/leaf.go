@@ -38,6 +38,28 @@ type Entry struct {
 	idKey       uint64
 	leafHash    merkle.Hash
 	dupAnswered bool
+
+	// leaf is the entry's canonical MerkleTreeLeaf encoding, stamped by
+	// parseLeaf wherever the log already holds those bytes: add builds
+	// them to hash and WAL-append, and tile page-in, recovery and clients
+	// read them. Cert and Extensions alias it, so keeping it costs no
+	// second copy.
+	// It is valid only while leafOf points at this very Entry: a struct
+	// copy (how internal/chaos tampers with entries) carries the slice
+	// along but not the address, and falls back to encoding its fields.
+	leaf   []byte
+	leafOf *Entry
+}
+
+// leafBytes returns the entry's MerkleTreeLeaf encoding: the stamped
+// bytes when they are this entry's own, a fresh encoding of the fields
+// otherwise. The result may alias shared immutable state (a cached tile
+// page) and must be treated as read-only.
+func (e *Entry) leafBytes() ([]byte, error) {
+	if e.leafOf == e {
+		return e.leaf, nil
+	}
+	return e.MerkleTreeLeaf()
 }
 
 // MerkleTreeLeaf returns the RFC 6962 Section 3.4 leaf encoding:
@@ -47,6 +69,9 @@ type Entry struct {
 //	    MerkleLeafType leaf_type;     // timestamped_entry(0)
 //	    TimestampedEntry timestamped_entry;
 //	}
+//
+// It always encodes the current field values into a buffer the caller
+// owns, whatever bytes the log stamped on the entry.
 func (e *Entry) MerkleTreeLeaf() ([]byte, error) {
 	b := tlsenc.NewBuilder(64 + len(e.Cert))
 	b.AddUint8(uint8(sct.V1))
@@ -76,12 +101,23 @@ func (e *Entry) LeafHash() (merkle.Hash, error) {
 }
 
 // ParseMerkleTreeLeaf decodes a leaf_input back into an Entry (without an
-// index, which get-entries conveys positionally).
+// index, which get-entries conveys positionally). The entry's byte
+// fields alias data, which the caller must not modify afterwards.
 func ParseMerkleTreeLeaf(data []byte) (*Entry, error) {
+	var e Entry
+	if err := e.parseLeaf(data); err != nil {
+		return nil, err
+	}
+	return &e, nil
+}
+
+// parseLeaf is ParseMerkleTreeLeaf into an entry the caller allocated
+// (a tile page-in parses a whole tile into one slab). e must be zero and
+// is unusable after an error.
+func (e *Entry) parseLeaf(data []byte) error {
 	r := tlsenc.NewReader(data)
 	version := r.Uint8()
 	leafType := r.Uint8()
-	var e Entry
 	e.Timestamp = r.Uint64()
 	e.Type = sct.LogEntryType(r.Uint16())
 	switch e.Type {
@@ -92,20 +128,24 @@ func ParseMerkleTreeLeaf(data []byte) (*Entry, error) {
 		e.Cert = r.Uint24Vector()
 	default:
 		if r.Err() == nil {
-			return nil, fmt.Errorf("ctlog: unknown entry type %d", e.Type)
+			return fmt.Errorf("ctlog: unknown entry type %d", e.Type)
 		}
 	}
 	e.Extensions = r.Uint16Vector()
 	if err := r.ExpectEmpty(); err != nil {
-		return nil, fmt.Errorf("ctlog: malformed leaf: %w", err)
+		return fmt.Errorf("ctlog: malformed leaf: %w", err)
 	}
 	if version != uint8(sct.V1) {
-		return nil, fmt.Errorf("ctlog: unsupported leaf version %d", version)
+		return fmt.Errorf("ctlog: unsupported leaf version %d", version)
 	}
 	if leafType != timestampedEntryLeafType {
-		return nil, fmt.Errorf("ctlog: unsupported leaf type %d", leafType)
+		return fmt.Errorf("ctlog: unsupported leaf type %d", leafType)
 	}
-	return &e, nil
+	// The encoding has no slack (fixed version and leaf type, length-
+	// prefixed vectors, nothing trailing), so data is exactly what
+	// MerkleTreeLeaf would rebuild from the parsed fields.
+	e.leaf, e.leafOf = data, e
+	return nil
 }
 
 // SignatureEntry converts the log entry into the structure an SCT

@@ -423,17 +423,22 @@ func (l *Log) add(ce sct.CertificateEntry) (*sct.SignedCertificateTimestamp, err
 			return l.sealedDupSCT(se)
 		}
 	}
-	e := &Entry{
-		Timestamp: ts,
-		Type:      ce.Type,
-	}
+	skel := Entry{Timestamp: ts, Type: ce.Type}
 	if ce.Type == sct.PrecertLogEntryType {
-		e.IssuerKeyHash = ce.IssuerKeyHash
-		e.Cert = ce.TBS
+		skel.IssuerKeyHash = ce.IssuerKeyHash
+		skel.Cert = ce.TBS
 	} else {
-		e.Cert = ce.Cert
+		skel.Cert = ce.Cert
 	}
-	leaf, err := e.MerkleTreeLeaf()
+	leaf, err := skel.MerkleTreeLeaf()
+	if err != nil {
+		return nil, err
+	}
+	// The leaf is hashed and WAL-appended below and served as-is by
+	// get-entries, tile seals and snapshots. Parsing it back makes the
+	// staged entry own exactly that buffer — Cert a sub-slice of it, the
+	// bytes stamped — instead of the submitter's certificate plus a copy.
+	e, err := ParseMerkleTreeLeaf(leaf)
 	if err != nil {
 		return nil, err
 	}

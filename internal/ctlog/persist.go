@@ -427,12 +427,12 @@ func (l *Log) writeSnapshotLocked() error {
 		TileRoots:    l.tiles.rootsImage(),
 	}
 	for i, e := range l.entries {
-		if snap.Sequenced[i], err = e.MerkleTreeLeaf(); err != nil {
+		if snap.Sequenced[i], err = e.leafBytes(); err != nil {
 			return err
 		}
 	}
 	for i, e := range l.staged {
-		if snap.Staged[i], err = e.MerkleTreeLeaf(); err != nil {
+		if snap.Staged[i], err = e.leafBytes(); err != nil {
 			return err
 		}
 	}

@@ -132,26 +132,15 @@ const MaxRecordPayload = 16 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// recordCRC computes the checksum over the framed header and payload.
-func recordCRC(typ RecordType, payload []byte) uint32 {
-	var hdr [5]byte
-	hdr[0] = byte(typ)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	c := crc32.Update(0, crcTable, hdr[:])
-	return crc32.Update(c, crcTable, payload)
-}
-
 // AppendRecord appends one framed record to buf and returns the extended
-// slice. It is the single encoder for every durable file.
+// slice. It is the single encoder for every durable file. The checksum
+// covers the framed header and payload, read where they now sit in buf.
 func AppendRecord(buf []byte, typ RecordType, payload []byte) []byte {
-	var hdr [5]byte
-	hdr[0] = byte(typ)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	buf = append(buf, hdr[:]...)
+	start := len(buf)
+	buf = append(buf, byte(typ))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = append(buf, payload...)
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], recordCRC(typ, payload))
-	return append(buf, crc[:]...)
+	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start:], crcTable))
 }
 
 // ReadRecord decodes one record from the front of data. It returns the
@@ -174,7 +163,7 @@ func ReadRecord(data []byte) (Record, int, error) {
 	}
 	payload := data[5 : 5+n]
 	want := binary.BigEndian.Uint32(data[5+n : 5+n+4])
-	if got := recordCRC(typ, payload); got != want {
+	if got := crc32.Checksum(data[:5+n], crcTable); got != want {
 		return Record{}, 0, fmt.Errorf("%w: record checksum mismatch", ErrCorrupt)
 	}
 	return Record{Type: typ, Payload: payload}, total, nil

@@ -202,10 +202,13 @@ func (ts *tileStore) entries(tile uint64) ([]*Entry, error) {
 		if err != nil {
 			return nil, err
 		}
+		// One slab for the tile's entries, not an allocation each: the
+		// page lives and dies in the cache as a unit anyway.
+		slab := make([]Entry, len(lt.Leaves))
 		ents := make([]*Entry, len(lt.Leaves))
 		for i, leaf := range lt.Leaves {
-			e, err := ParseMerkleTreeLeaf(leaf)
-			if err != nil {
+			e := &slab[i]
+			if err := e.parseLeaf(leaf); err != nil {
 				return nil, fmt.Errorf("%w: tile %d entry %d: %v", storage.ErrCorrupt, tile, i, err)
 			}
 			e.Index = tile*ts.span + uint64(i)
@@ -393,7 +396,7 @@ func (l *Log) sealTileLocked(tile uint64) error {
 	leafHashes := make([][32]byte, span)
 	idHashes := make([][32]byte, span)
 	for i, e := range ents {
-		leaf, err := e.MerkleTreeLeaf()
+		leaf, err := e.leafBytes()
 		if err != nil {
 			return err
 		}
