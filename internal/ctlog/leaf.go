@@ -33,7 +33,9 @@ type Entry struct {
 	// as a cheap sort key, leafHash the Merkle leaf hash. dupAnswered
 	// (guarded by the log mutex) records that a resubmission was
 	// answered with this entry's SCT, pinning it against a signing-
-	// failure rollback. All are meaningless on client-parsed entries.
+	// failure rollback. All are meaningless on client-parsed entries, and
+	// unset on entries paged in from sealed tiles: sealed dedupe and proof
+	// lookups go through the tile index files, not these fields.
 	idHash      merkle.Hash
 	idKey       uint64
 	leafHash    merkle.Hash

@@ -31,8 +31,9 @@ func (s PageCacheStats) HitRate() float64 {
 }
 
 // PageCache is a byte-budget LRU over immutable tile pages. Values are
-// opaque; the caller supplies each page's loader and byte charge (the
-// on-disk file size — close enough to the parsed footprint, and stable).
+// opaque; the caller supplies each page's loader and byte charge (what
+// the page pins in RAM: the ctlog layer charges the file image plus any
+// parsed form that does not alias it).
 // A page larger than the whole budget is served but never retained, so a
 // zero (or tiny) budget degrades to a pass-through cache — every read
 // goes to disk — rather than breaking reads.

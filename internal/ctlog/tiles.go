@@ -3,6 +3,7 @@ package ctlog
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"ctrise/internal/ctlog/storage"
 	"ctrise/internal/merkle"
@@ -28,8 +29,11 @@ import (
 //  1. Write: each tile's three files are written atomically and fsynced,
 //     then read back from disk and re-verified against the in-RAM tree
 //     (the hash tile's recomputed root must equal the tree's subtree
-//     root; the leaf tile must hash to the hash tile's leaf level). A
-//     crash here leaves orphan tile files that the next seal rewrites.
+//     root; the leaf tile must hash to the hash tile's leaf level). That
+//     leaf↔hash↔root cross-check is what makes the tile trusted for the
+//     rest of the process: later leaf page-ins check CRC, framing and
+//     label only (see tileStore.entries). A crash here leaves orphan
+//     tile files that the next seal rewrites.
 //  2. Install: the tree prunes its sub-tile levels (merkle.TiledTree.Seal),
 //     the sealed entries leave the tail/dedupe/proof maps, and the tile
 //     roots + blooms register in the tileStore.
@@ -51,9 +55,9 @@ const (
 // tileStore serves sealed tiles: it implements merkle.NodeSource for the
 // tree's pruned levels and the sealed-entry read/lookup paths for the
 // log, everything flowing through one page cache. The mutable metadata
-// (tile roots, resident blooms) is guarded by its own mutex so readers
-// never touch the log's; the tile files themselves are immutable once
-// sealed.
+// (tile roots, resident blooms, cross-check flags) is guarded by its own
+// mutex so readers never touch the log's; the tile files themselves are
+// immutable once sealed.
 type tileStore struct {
 	st    *storage.Store
 	span  uint64
@@ -63,7 +67,19 @@ type tileStore struct {
 	mu     sync.RWMutex
 	roots  []merkle.Hash
 	blooms []tileBlooms
+	// checked[tile] records that this process has cross-checked the
+	// tile's leaf file against its hash tile and registered root: at the
+	// seal's read-back, or on the first leaf page-in of a tile installed
+	// by Open. It is never persisted, so every restart re-earns it.
+	checked []bool
 }
+
+// entryPinnedBytes is what one parsed entry of a cached leaf page pins
+// beside the file bytes its fields alias: its slot in the page's Entry
+// slab and in the []*Entry handed to readers. At small certificates that
+// is most of the page, and Config.PageCacheBytes is a promise about RAM,
+// so leaf pages are charged for it.
+const entryPinnedBytes = int64(unsafe.Sizeof(Entry{}) + unsafe.Sizeof((*Entry)(nil)))
 
 type tileBlooms struct {
 	id   storage.Bloom
@@ -96,7 +112,8 @@ func (ts *tileStore) rootAt(tile uint64) (merkle.Hash, bool) {
 }
 
 // register appends one sealed tile's root and blooms; tiles register in
-// order.
+// order. Its caller is the seal, whose read-back has just cross-checked
+// the tile's files, so the tile registers as checked.
 func (ts *tileStore) register(tile uint64, root merkle.Hash, id, leaf storage.Bloom) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -105,7 +122,26 @@ func (ts *tileStore) register(tile uint64, root merkle.Hash, id, leaf storage.Bl
 	}
 	ts.roots = append(ts.roots, root)
 	ts.blooms = append(ts.blooms, tileBlooms{id: id, leaf: leaf})
+	ts.checked = append(ts.checked, true)
 	return nil
+}
+
+// isChecked reports whether the tile's leaf file has passed the
+// cross-check in this process. A tile that is not registered yet (the
+// seal's read-back) is unchecked by definition.
+func (ts *tileStore) isChecked(tile uint64) bool {
+	ts.mu.RLock()
+	defer ts.mu.RUnlock()
+	return tile < uint64(len(ts.checked)) && ts.checked[tile]
+}
+
+// markChecked records a passed cross-check of a registered tile.
+func (ts *tileStore) markChecked(tile uint64) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if tile < uint64(len(ts.checked)) {
+		ts.checked[tile] = true
+	}
 }
 
 // rootsImage copies the registered tile roots for a snapshot.
@@ -123,6 +159,9 @@ func (ts *tileStore) rootsImage() [][32]byte {
 // tile's blooms from its index file. The blooms must be resident before
 // the first submission (they are the sealed half of the dedupe index),
 // so a tile whose index cannot be read or validated fails Open loudly.
+// Leaf and hash files are not opened here — Open stays O(index files) —
+// so every installed tile starts unchecked and is cross-checked by its
+// first leaf page-in.
 func (ts *tileStore) install(roots [][32]byte) error {
 	ts.mu.Lock()
 	ts.roots = make([]merkle.Hash, len(roots))
@@ -130,6 +169,7 @@ func (ts *tileStore) install(roots [][32]byte) error {
 		ts.roots[i] = merkle.Hash(r)
 	}
 	ts.blooms = make([]tileBlooms, 0, len(roots))
+	ts.checked = make([]bool, len(roots))
 	ts.mu.Unlock()
 	for tile := uint64(0); tile < uint64(len(roots)); tile++ {
 		ix, err := ts.index(tile)
@@ -145,18 +185,20 @@ func (ts *tileStore) install(roots [][32]byte) error {
 
 // load runs one tile file through the page cache: read, decode,
 // validate. IO failures wrap ErrPersistence (the 503 class — the tile
-// should exist); decode failures stay storage.ErrCorrupt.
-func (ts *tileStore) load(kind uint8, tile uint64, ext string, decode func([]byte) (any, error)) (any, error) {
+// should exist); decode failures stay storage.ErrCorrupt. The page is
+// charged its file bytes (the decoded forms alias or mirror them) plus
+// whatever decode reports the parsed page pins beyond them.
+func (ts *tileStore) load(kind uint8, tile uint64, ext string, decode func([]byte) (v any, extra int64, err error)) (any, error) {
 	return ts.cache.Get(storage.PageKey{Kind: kind, Tile: tile}, func() (any, int64, error) {
 		data, err := ts.st.ReadTile(tile, ext)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w: %v", ErrPersistence, err)
 		}
-		v, err := decode(data)
+		v, extra, err := decode(data)
 		if err != nil {
 			return nil, 0, err
 		}
-		return v, int64(len(data)), nil
+		return v, int64(len(data)) + extra, nil
 	})
 }
 
@@ -166,18 +208,18 @@ func (ts *tileStore) load(kind uint8, tile uint64, ext string, decode func([]byt
 // time extends that proof to "this is the subtree the tree committed
 // to", so every node served to a proof is covered.
 func (ts *tileStore) hashTile(tile uint64) (*storage.HashTile, error) {
-	v, err := ts.load(pageKindHash, tile, storage.TileExtHash, func(data []byte) (any, error) {
+	v, err := ts.load(pageKindHash, tile, storage.TileExtHash, func(data []byte) (any, int64, error) {
 		ht, err := storage.DecodeHashTile(data)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if ht.Tile != tile || ht.Span != ts.span {
-			return nil, fmt.Errorf("%w: tile %d.hash labeled (%d, span %d)", storage.ErrCorrupt, tile, ht.Tile, ht.Span)
+			return nil, 0, fmt.Errorf("%w: tile %d.hash labeled (%d, span %d)", storage.ErrCorrupt, tile, ht.Tile, ht.Span)
 		}
 		if want, ok := ts.rootAt(tile); ok && merkle.Hash(ht.Root()) != want {
-			return nil, fmt.Errorf("%w: tile %d root does not match the sealed tree", storage.ErrCorrupt, tile)
+			return nil, 0, fmt.Errorf("%w: tile %d root does not match the sealed tree", storage.ErrCorrupt, tile)
 		}
-		return ht, nil
+		return ht, 0, nil
 	})
 	if err != nil {
 		return nil, err
@@ -185,22 +227,37 @@ func (ts *tileStore) hashTile(tile uint64) (*storage.HashTile, error) {
 	return v.(*storage.HashTile), nil
 }
 
-// entries pages in one sealed tile's parsed entries. Each leaf is
-// cross-checked against the hash tile's leaf level, so a corrupt leaf
-// file cannot serve bytes the tree never committed to. Returned entries
-// are immutable and shared by every reader of the cached page.
+// entries pages in one sealed tile's parsed entries. Every page-in
+// checks what the leaf file can say about itself: per-record CRC32C and
+// strict framing (DecodeLeafTile), the tile/span label, and that each
+// record parses as a MerkleTreeLeaf. What only the tree can say — that
+// these are the leaves it committed to — is crossCheck, which runs when
+// this process has not checked the tile yet (the seal's read-back, or
+// the first page-in of a tile installed by Open) and not again: the
+// files are immutable, so repeating it on every cache miss would cost a
+// hash-tile page-in and a SHA-256 per leaf to learn nothing new. A
+// failed check leaves the tile unchecked, so the next read fails the
+// same way. Concurrent first touches may both check; none serves before
+// a check has passed.
+//
+// leafHash is not stamped on these entries (nothing reads it off a
+// sealed entry; LeafHash() computes from fields), so a page is the same
+// whether or not its page-in was the checking one. Returned entries are
+// immutable and shared by every reader of the cached page.
 func (ts *tileStore) entries(tile uint64) ([]*Entry, error) {
-	v, err := ts.load(pageKindLeaf, tile, storage.TileExtLeaf, func(data []byte) (any, error) {
+	v, err := ts.load(pageKindLeaf, tile, storage.TileExtLeaf, func(data []byte) (any, int64, error) {
 		lt, err := storage.DecodeLeafTile(data)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if lt.Tile != tile || lt.Span != ts.span {
-			return nil, fmt.Errorf("%w: tile %d.leaf labeled (%d, span %d)", storage.ErrCorrupt, tile, lt.Tile, lt.Span)
+			return nil, 0, fmt.Errorf("%w: tile %d.leaf labeled (%d, span %d)", storage.ErrCorrupt, tile, lt.Tile, lt.Span)
 		}
-		ht, err := ts.hashTile(tile)
-		if err != nil {
-			return nil, err
+		if !ts.isChecked(tile) {
+			if err := ts.crossCheck(lt); err != nil {
+				return nil, 0, err
+			}
+			ts.markChecked(tile)
 		}
 		// One slab for the tile's entries, not an allocation each: the
 		// page lives and dies in the cache as a unit anyway.
@@ -209,16 +266,12 @@ func (ts *tileStore) entries(tile uint64) ([]*Entry, error) {
 		for i, leaf := range lt.Leaves {
 			e := &slab[i]
 			if err := e.parseLeaf(leaf); err != nil {
-				return nil, fmt.Errorf("%w: tile %d entry %d: %v", storage.ErrCorrupt, tile, i, err)
+				return nil, 0, fmt.Errorf("%w: tile %d entry %d: %v", storage.ErrCorrupt, tile, i, err)
 			}
 			e.Index = tile*ts.span + uint64(i)
-			e.leafHash = merkle.HashLeaf(leaf)
-			if [32]byte(e.leafHash) != ht.Levels[0][i] {
-				return nil, fmt.Errorf("%w: tile %d entry %d does not hash to the sealed leaf hash", storage.ErrCorrupt, tile, i)
-			}
 			ents[i] = e
 		}
-		return ents, nil
+		return ents, int64(len(slab)) * entryPinnedBytes, nil
 	})
 	if err != nil {
 		return nil, err
@@ -226,17 +279,36 @@ func (ts *tileStore) entries(tile uint64) ([]*Entry, error) {
 	return v.([]*Entry), nil
 }
 
+// crossCheck ties a decoded leaf tile to the tree: every leaf must hash
+// to the hash tile's leaf level, and the hash tile (self-verifying, its
+// root pinned to the registered root by hashTile — or, before
+// registration, compared with the live tree by sealTileLocked) is what
+// the tree committed to. This is the check a CRC cannot make: a
+// well-framed leaf file holding the wrong leaves.
+func (ts *tileStore) crossCheck(lt *storage.LeafTile) error {
+	ht, err := ts.hashTile(lt.Tile)
+	if err != nil {
+		return err
+	}
+	for i, leaf := range lt.Leaves {
+		if [32]byte(merkle.HashLeaf(leaf)) != ht.Levels[0][i] {
+			return fmt.Errorf("%w: tile %d entry %d does not hash to the sealed leaf hash", storage.ErrCorrupt, lt.Tile, i)
+		}
+	}
+	return nil
+}
+
 // index pages in one tile's lookup index.
 func (ts *tileStore) index(tile uint64) (*storage.TileIndex, error) {
-	v, err := ts.load(pageKindIndex, tile, storage.TileExtIndex, func(data []byte) (any, error) {
+	v, err := ts.load(pageKindIndex, tile, storage.TileExtIndex, func(data []byte) (any, int64, error) {
 		ix, err := storage.DecodeTileIndex(data)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if ix.Tile != tile || ix.Span != ts.span {
-			return nil, fmt.Errorf("%w: tile %d.idx labeled (%d, span %d)", storage.ErrCorrupt, tile, ix.Tile, ix.Span)
+			return nil, 0, fmt.Errorf("%w: tile %d.idx labeled (%d, span %d)", storage.ErrCorrupt, tile, ix.Tile, ix.Span)
 		}
-		return ix, nil
+		return ix, 0, nil
 	})
 	if err != nil {
 		return nil, err
@@ -422,9 +494,10 @@ func (l *Log) sealTileLocked(tile uint64) error {
 	}
 	// Read back through the page cache — a real disk read, since sealed
 	// tiles are only ever paged in below the seal boundary — and verify
-	// what is actually durable before the tree prunes anything. The leaf
-	// page-in cross-checks every leaf against the hash tile; the root
-	// check here ties the hash tile to the tree.
+	// what is actually durable before the tree prunes anything. The tile
+	// is not registered yet, so the leaf page-in runs crossCheck (every
+	// leaf against the hash tile); the root check here ties the hash
+	// tile to the tree; register then records the tile as checked.
 	diskHT, err := l.tiles.hashTile(tile)
 	if err != nil {
 		return err

@@ -2,10 +2,15 @@ package ctlog
 
 import (
 	"bytes"
+	"encoding/base64"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -78,12 +83,14 @@ func TestTiledSealAndServe(t *testing.T) {
 	size := sth.TreeHead.TreeSize
 
 	// Tile files exist for the sealed prefix only.
+	var tileFileBytes int64
 	for tile := uint64(0); tile < 3; tile++ {
 		for _, ext := range []string{storage.TileExtLeaf, storage.TileExtHash, storage.TileExtIndex} {
-			path := filepath.Join(dir, storage.TilesDirName, fmt.Sprintf("%016x.%s", tile, ext))
-			if _, err := os.Stat(path); err != nil {
+			fi, err := os.Stat(tilePath(dir, tile, ext))
+			if err != nil {
 				t.Fatalf("sealed tile file missing: %v", err)
 			}
+			tileFileBytes += fi.Size()
 		}
 	}
 
@@ -155,8 +162,15 @@ func TestTiledSealAndServe(t *testing.T) {
 	}
 
 	// The reads above went through the page cache.
-	if s := l.CacheStats(); s.Hits == 0 || s.Misses == 0 {
+	s := l.CacheStats()
+	if s.Hits == 0 || s.Misses == 0 {
 		t.Fatalf("page cache never exercised: %+v", s)
+	}
+	// Everything fits the default budget, so all nine pages are resident,
+	// and the charge covers what a leaf page really pins: with ~30-byte
+	// leaves the parsed Entry slab is several times the file.
+	if want := tileFileBytes + 3*4*entryPinnedBytes; s.Pages != 9 || s.Used != want {
+		t.Fatalf("cache holds %d pages charged %d bytes, want 9 pages charged %d (files %d + 12 parsed entries)", s.Pages, s.Used, want, tileFileBytes)
 	}
 }
 
@@ -451,33 +465,266 @@ func TestTiledSealCrashAtEveryStage(t *testing.T) {
 	}
 }
 
-// TestTiledCorruptTileFailsReads proves tile verification actually
-// gates serving: flipping one byte of a sealed hash tile makes reads of
-// that tile fail with ErrCorrupt (never silently serve bytes the tree
-// did not commit to), while the resident tail keeps serving.
-func TestTiledCorruptTileFailsReads(t *testing.T) {
-	dir := t.TempDir()
-	l, clk := newDurableLog(t, dir, Config{TileSpan: 4, SnapshotEvery: -1, PageCacheBytes: -1})
-	defer l.Close()
-	sth := fillAndPublish(t, l, clk, "corrupt", 9)
+// tilePath is storage.Store.TilePath for a directory whose log may be
+// closed.
+func tilePath(dir string, tile uint64, ext string) string {
+	return filepath.Join(dir, storage.TilesDirName, fmt.Sprintf("%016x.%s", tile, ext))
+}
 
-	hashPath := filepath.Join(dir, storage.TilesDirName, fmt.Sprintf("%016x.%s", 0, storage.TileExtHash))
-	data, err := os.ReadFile(hashPath)
+// corruptOrServed reports whether err is what a read should return:
+// storage.ErrCorrupt when the read must fail, nil when it must serve.
+func corruptOrServed(err error, wantCorrupt bool) bool {
+	if wantCorrupt {
+		return errors.Is(err, storage.ErrCorrupt)
+	}
+	return err == nil
+}
+
+// flipTileByte flips one bit near the end of a tile file: inside the
+// last record, so the file's framing survives and its CRC does not.
+func flipTileByte(t *testing.T, dir string, tile uint64, ext string) {
+	t.Helper()
+	path := tilePath(dir, tile, ext)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)-5] ^= 0x40
-	if err := os.WriteFile(hashPath, data, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// PageCacheBytes < 0 disables retention, so this read hits the
-	// corrupted file rather than a cached page.
-	if _, err := l.GetEntries(0, 3); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("reading a corrupted tile: err=%v, want ErrCorrupt", err)
+}
+
+// forgeLeafTile rewrites a tile's leaf file as a perfectly well-formed
+// tile (canonical encoding, fresh CRCs, right label) whose first leaf
+// carries a different timestamp: what a CRC cannot see and only the
+// cross-check against the hash tile can.
+func forgeLeafTile(t *testing.T, dir string, tile uint64) {
+	t.Helper()
+	path := tilePath(dir, tile, storage.TileExtLeaf)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The resident tail is unaffected.
-	if page, err := l.GetEntries(8, sth.TreeHead.TreeSize-1); err != nil || len(page) != 1 {
-		t.Fatalf("tail read after tile corruption: %d entries, err=%v", len(page), err)
+	lt, err := storage.DecodeLeafTile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := ParseMerkleTreeLeaf(lt.Leaves[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Timestamp++
+	if lt.Leaves[0], err = e.MerkleTreeLeaf(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, storage.EncodeLeafTile(lt), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTiledCorruptTileFailsReads pins where each kind of tile corruption
+// is caught, at the Log API and through HTTP. A leaf file is CRC-,
+// framing- and label-checked on every page-in, and cross-checked against
+// the hash tile and the registered root once per tile per process (at
+// its seal, or on its first page-in after Open); the hash tile is
+// self-verifying and root-pinned on every page-in of its own, which
+// get-entries of a checked tile no longer causes. Span 4 over 9 entries
+// seals tiles 0 and 1 and leaves one entry in the resident tail; the
+// pass-through cache makes every read hit the files.
+func TestTiledCorruptTileFailsReads(t *testing.T) {
+	for _, row := range []struct {
+		name    string
+		corrupt func(t *testing.T, dir string)
+		// reopen closes the log before corrupting and reopens it after,
+		// so tile 0 is unchecked when it is read.
+		reopen bool
+		// entriesFail / proofsFail: get-entries of tile 0, and the proofs
+		// that need tile 0's hash tile, fail ErrCorrupt (500) — on every
+		// attempt. Otherwise they serve, byte-exact.
+		entriesFail, proofsFail bool
+	}{
+		{
+			name:        "leaf byte flip fails every read by CRC, even on a tile this process sealed",
+			corrupt:     func(t *testing.T, dir string) { flipTileByte(t, dir, 0, storage.TileExtLeaf) },
+			entriesFail: true,
+		},
+		{
+			name:       "hash byte flip fails proofs; get-entries of the checked tile does not read it",
+			corrupt:    func(t *testing.T, dir string) { flipTileByte(t, dir, 0, storage.TileExtHash) },
+			proofsFail: true,
+		},
+		{
+			name:        "CRC-valid wrong leaf tile fails its first page-in after open, and the retry",
+			corrupt:     func(t *testing.T, dir string) { forgeLeafTile(t, dir, 0) },
+			reopen:      true,
+			entriesFail: true,
+		},
+		{
+			name: "another tile's leaf file fails the label check",
+			corrupt: func(t *testing.T, dir string) {
+				data, err := os.ReadFile(tilePath(dir, 1, storage.TileExtLeaf))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(tilePath(dir, 0, storage.TileExtLeaf), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			entriesFail: true,
+		},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{TileSpan: 4, SnapshotEvery: -1, PageCacheBytes: -1}
+			l, clk := newDurableLog(t, dir, cfg)
+			sth := fillAndPublish(t, l, clk, "corrupt", 9)
+			size := sth.TreeHead.TreeSize
+			want := collectLeaves(t, l, size)
+			if row.reopen {
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			row.corrupt(t, dir)
+			if row.reopen {
+				l, _ = newDurableLog(t, dir, cfg)
+			}
+			defer l.Close()
+			srv := httptest.NewServer(l.Handler())
+			defer srv.Close()
+
+			// expect asserts one read's outcome at the Log API (err) and the
+			// same read's status through HTTP.
+			expect := func(what string, fail bool, err error, path string) {
+				t.Helper()
+				if !corruptOrServed(err, fail) {
+					t.Fatalf("%s: err=%v, want corrupt=%v", what, err, fail)
+				}
+				status := http.StatusOK
+				if fail {
+					status = http.StatusInternalServerError
+				}
+				if got := get(t, srv, path).StatusCode; got != status {
+					t.Fatalf("%s over HTTP: status %d, want %d", what, got, status)
+				}
+			}
+			entries := func(what string, start, end uint64, fail bool) {
+				t.Helper()
+				page, err := l.GetEntries(start, end)
+				expect(what, fail, err, fmt.Sprintf("/ct/v1/get-entries?start=%d&end=%d", start, end))
+				for i, e := range page {
+					if leaf, err := e.MerkleTreeLeaf(); err != nil || !bytes.Equal(leaf, want[start+uint64(i)]) {
+						t.Fatalf("%s: entry %d is not the submitted leaf (err=%v)", what, start+uint64(i), err)
+					}
+				}
+				if !fail && uint64(len(page)) != end-start+1 {
+					t.Fatalf("%s: %d entries, want %d", what, len(page), end-start+1)
+				}
+			}
+
+			// Twice: a failure must not be a first-read-only event (a failed
+			// cross-check never marks the tile checked; CRC and label run on
+			// every page-in), and a success must not depend on the first read.
+			for attempt := 0; attempt < 2; attempt++ {
+				entries("get-entries of tile 0", 0, 3, row.entriesFail)
+			}
+			// Proofs that resolve nodes inside tile 0 read its hash tile, not
+			// its leaf file.
+			lh := merkle.HashLeaf(want[1])
+			_, _, err := l.GetProofByHash(lh, size)
+			expect("proof by hash into tile 0", row.proofsFail, err, "/ct/v1/get-proof-by-hash?hash="+
+				url.QueryEscape(base64.StdEncoding.EncodeToString(lh[:]))+fmt.Sprintf("&tree_size=%d", size))
+			_, err = l.GetConsistencyProof(3, size)
+			expect("consistency from inside tile 0", row.proofsFail, err, fmt.Sprintf("/ct/v1/get-sth-consistency?first=3&second=%d", size))
+			// The damage is confined to its tile: the next tile and the
+			// resident tail keep serving.
+			entries("get-entries of tile 1", 4, 7, false)
+			entries("get-entries of the tail", 8, size-1, false)
+		})
+	}
+}
+
+// TestTiledPageInChecksOnce is the count ratchet for the cold read path:
+// with a pass-through cache every read is a page-in and every page-in a
+// counted miss, so the misses one GetEntries costs say exactly which
+// files it read. A tile sealed by this process costs one (the leaf
+// file) from the start; after a reopen a tile's first page-in costs two
+// (leaf + hash: the cross-check) and every later one costs one.
+func TestTiledPageInChecksOnce(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{TileSpan: 4, SnapshotEvery: -1, PageCacheBytes: -1}
+	l, clk := newDurableLog(t, dir, cfg)
+	fillAndPublish(t, l, clk, "once", 9)
+	misses := func(l *Log, start uint64) uint64 {
+		t.Helper()
+		before := l.CacheStats().Misses
+		if _, err := l.GetEntries(start, start+3); err != nil {
+			t.Fatal(err)
+		}
+		return l.CacheStats().Misses - before
+	}
+	for read := 0; read < 3; read++ {
+		for _, start := range []uint64{0, 4} {
+			if got := misses(l, start); got != 1 {
+				t.Fatalf("read %d of entries %d.. on the sealing process: %d page-ins, want 1 (leaf only)", read, start, got)
+			}
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, _ = newDurableLog(t, dir, cfg)
+	for _, start := range []uint64{0, 4} {
+		for read, want := range []uint64{2, 1, 1} {
+			if got := misses(l, start); got != want {
+				t.Fatalf("read %d of entries %d.. after reopen: %d page-ins, want %d", read, start, got, want)
+			}
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Concurrent first touches of one unchecked tile. Each reader either
+	// runs the cross-check itself or starts after another's has passed —
+	// so with a good tile everyone is served and the check runs at least
+	// once and at most once per reader; with a forged (CRC-valid, wrong)
+	// tile nobody is ever served, however the readers interleave.
+	const readers, rounds = 8, 4
+	race := func(l *Log, wantErr bool) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					if _, err := l.GetEntries(0, 3); !corruptOrServed(err, wantErr) {
+						t.Errorf("concurrent first touch: err=%v, want corrupt=%v", err, wantErr)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	l, _ = newDurableLog(t, dir, cfg)
+	before := l.CacheStats().Misses
+	race(l, false)
+	if got := l.CacheStats().Misses - before; got < readers*rounds+1 || got > readers*rounds+readers {
+		t.Fatalf("%d concurrent reads of a good tile cost %d page-ins, want %d leaf reads + 1..%d cross-checks",
+			readers*rounds, got, readers*rounds, readers)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	forgeLeafTile(t, dir, 0)
+	l, _ = newDurableLog(t, dir, cfg)
+	defer l.Close()
+	race(l, true)
+	if l.tiles.isChecked(0) {
+		t.Fatal("a failed cross-check marked the tile checked")
 	}
 }
 
