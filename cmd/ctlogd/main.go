@@ -27,6 +27,8 @@
 // served back through an LRU page cache of at most -page-cache bytes.
 // The span is a property of the on-disk state — the first start fixes
 // it, later starts with a different -tile-span keep the stored value.
+// -snapshot-every, -tile-span and -page-cache configure durable state
+// only: setting any of them without -data-dir is a usage error (exit 2).
 // On SIGINT/SIGTERM the server drains gracefully:
 // new submissions are refused with 503 + Retry-After (a failover
 // signal the multi-log frontend rides out, not a dropped connection)
@@ -51,6 +53,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -75,6 +79,11 @@ func main() {
 	flag.Parse()
 	if *interval <= 0 {
 		log.Fatal("ctlogd: -sequence must be a positive duration")
+	}
+	if err := checkDurableFlags(flag.CommandLine); err != nil {
+		fmt.Fprintf(os.Stderr, "ctlogd: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	cfg := ctlog.Config{
@@ -187,6 +196,28 @@ func main() {
 	case <-ctx.Done():
 		drainServer(seqDone)
 	}
+}
+
+// durableOnlyFlags configure on-disk state; an in-memory log has none.
+var durableOnlyFlags = []string{"snapshot-every", "tile-span", "page-cache"}
+
+// checkDurableFlags rejects durable-only flags set on the command line
+// without -data-dir: the log would run in memory and silently ignore
+// them.
+func checkDurableFlags(fs *flag.FlagSet) error {
+	if fs.Lookup("data-dir").Value.String() != "" {
+		return nil
+	}
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(durableOnlyFlags, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) > 0 {
+		return fmt.Errorf("%s set without -data-dir", strings.Join(set, ", "))
+	}
+	return nil
 }
 
 // sequencerExitDirty reports whether a RunSequencer exit error is worth

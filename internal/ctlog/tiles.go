@@ -20,20 +20,22 @@ import (
 // files, and — because the snapshot now carries the tile roots instead
 // of the sealed entries — the WAL is truncated behind the seal. RAM and
 // WAL therefore stay bounded by the mutable edge (tail + staged batch +
-// page-cache budget + ~4 bloom bytes per sealed entry), independent of
-// tree size.
+// ~4 bloom bytes per sealed entry), plus whatever pages reads and
+// dedupe lookups asked for, up to the page-cache budget — independent
+// of tree size. Sealing itself leaves nothing in the cache.
 //
 // The seal is three-phase, and the ordering is the crash-safety
 // argument:
 //
 //  1. Write: each tile's three files are written atomically and fsynced,
-//     then read back from disk and re-verified against the in-RAM tree
-//     (the hash tile's recomputed root must equal the tree's subtree
-//     root; the leaf tile must hash to the hash tile's leaf level). That
+//     then read back straight from disk — not through the page cache —
+//     and re-verified against the in-RAM tree (tileStore.verify: the
+//     hash tile's recomputed root must equal the tree's subtree root;
+//     the leaf tile must hash to the hash tile's leaf level). That
 //     leaf↔hash↔root cross-check is what makes the tile trusted for the
 //     rest of the process: later leaf page-ins check CRC, framing and
 //     label only (see tileStore.entries). A crash here leaves orphan
-//     tile files that the next seal rewrites.
+//     tile files that the next seal rewrites and re-reads.
 //  2. Install: the tree prunes its sub-tile levels (merkle.TiledTree.Seal),
 //     the sealed entries leave the tail/dedupe/proof maps, and the tile
 //     roots + blooms register in the tileStore.
@@ -54,7 +56,8 @@ const (
 
 // tileStore serves sealed tiles: it implements merkle.NodeSource for the
 // tree's pruned levels and the sealed-entry read/lookup paths for the
-// log, everything flowing through one page cache. The mutable metadata
+// log, every read and lookup flowing through one page cache (the seal's
+// verify reads around it). The mutable metadata
 // (tile roots, resident blooms, cross-check flags) is guarded by its own
 // mutex so readers never touch the log's; the tile files themselves are
 // immutable once sealed.
@@ -68,8 +71,8 @@ type tileStore struct {
 	roots  []merkle.Hash
 	blooms []tileBlooms
 	// checked[tile] records that this process has cross-checked the
-	// tile's leaf file against its hash tile and registered root: at the
-	// seal's read-back, or on the first leaf page-in of a tile installed
+	// tile's leaf file against its hash tile and registered root: in the
+	// seal's verify, or on the first leaf page-in of a tile installed
 	// by Open. It is never persisted, so every restart re-earns it.
 	checked []bool
 }
@@ -111,24 +114,26 @@ func (ts *tileStore) rootAt(tile uint64) (merkle.Hash, bool) {
 	return ts.roots[tile], true
 }
 
-// register appends one sealed tile's root and blooms; tiles register in
-// order. Its caller is the seal, whose read-back has just cross-checked
-// the tile's files, so the tile registers as checked.
-func (ts *tileStore) register(tile uint64, root merkle.Hash, id, leaf storage.Bloom) error {
+// register appends one sealed tile's root and the blooms verify read
+// from its index file; tiles register in order. Its caller is the seal,
+// whose verify has just cross-checked the tile's files as they are on
+// disk, so the tile registers as checked.
+func (ts *tileStore) register(tile uint64, root merkle.Hash, b tileBlooms) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	if uint64(len(ts.roots)) != tile {
 		return fmt.Errorf("ctlog: registering tile %d after %d tiles", tile, len(ts.roots))
 	}
 	ts.roots = append(ts.roots, root)
-	ts.blooms = append(ts.blooms, tileBlooms{id: id, leaf: leaf})
+	ts.blooms = append(ts.blooms, b)
 	ts.checked = append(ts.checked, true)
 	return nil
 }
 
 // isChecked reports whether the tile's leaf file has passed the
-// cross-check in this process. A tile that is not registered yet (the
-// seal's read-back) is unchecked by definition.
+// cross-check in this process. Only entries asks, and only about
+// registered tiles: a tile sealed by this process registers checked, a
+// tile installed by Open starts unchecked until its first leaf page-in.
 func (ts *tileStore) isChecked(tile uint64) bool {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
@@ -183,16 +188,26 @@ func (ts *tileStore) install(roots [][32]byte) error {
 	return nil
 }
 
-// load runs one tile file through the page cache: read, decode,
-// validate. IO failures wrap ErrPersistence (the 503 class — the tile
-// should exist); decode failures stay storage.ErrCorrupt. The page is
-// charged its file bytes (the decoded forms alias or mirror them) plus
-// whatever decode reports the parsed page pins beyond them.
+// read reads one tile file from disk. IO failures wrap ErrPersistence
+// (the 503 class — the tile should exist).
+func (ts *tileStore) read(tile uint64, ext string) ([]byte, error) {
+	data, err := ts.st.ReadTile(tile, ext)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrPersistence, err)
+	}
+	return data, nil
+}
+
+// load runs one tile file through the page cache: read, then decode —
+// one of the decodeX functions below, which validate as they go; their
+// failures stay storage.ErrCorrupt. The page is charged its file bytes
+// (the decoded forms alias or mirror them) plus whatever decode reports
+// the parsed page pins beyond them.
 func (ts *tileStore) load(kind uint8, tile uint64, ext string, decode func([]byte) (v any, extra int64, err error)) (any, error) {
 	return ts.cache.Get(storage.PageKey{Kind: kind, Tile: tile}, func() (any, int64, error) {
-		data, err := ts.st.ReadTile(tile, ext)
+		data, err := ts.read(tile, ext)
 		if err != nil {
-			return nil, 0, fmt.Errorf("%w: %v", ErrPersistence, err)
+			return nil, 0, err
 		}
 		v, extra, err := decode(data)
 		if err != nil {
@@ -202,24 +217,84 @@ func (ts *tileStore) load(kind uint8, tile uint64, ext string, decode func([]byt
 	})
 }
 
-// hashTile pages in one tile's Merkle levels. The decoder already proved
-// the file internally consistent (every parent recomputed from its
-// children); pinning the recomputed root to the root registered at seal
-// time extends that proof to "this is the subtree the tree committed
-// to", so every node served to a proof is covered.
+// labelErr reports a tile file whose header names another tile or span.
+func (ts *tileStore) labelErr(tile uint64, ext string, gotTile, gotSpan uint64) error {
+	if gotTile == tile && gotSpan == ts.span {
+		return nil
+	}
+	return fmt.Errorf("%w: tile %d.%s labeled (%d, span %d)", storage.ErrCorrupt, tile, ext, gotTile, gotSpan)
+}
+
+// decodeHash decodes and validates one tile's .hash file. The decoder
+// proves the file internally consistent (every parent recomputed from
+// its children); pinning the recomputed root to root — the subtree root
+// the tree committed to — extends that proof to every node the tile
+// holds.
+func (ts *tileStore) decodeHash(tile uint64, root merkle.Hash, data []byte) (*storage.HashTile, error) {
+	ht, err := storage.DecodeHashTile(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := ts.labelErr(tile, storage.TileExtHash, ht.Tile, ht.Span); err != nil {
+		return nil, err
+	}
+	if merkle.Hash(ht.Root()) != root {
+		return nil, fmt.Errorf("%w: tile %d root does not match the sealed tree", storage.ErrCorrupt, tile)
+	}
+	return ht, nil
+}
+
+// decodeLeaf decodes and validates one tile's .leaf file: per-record
+// CRC32C and strict framing (DecodeLeafTile), the tile/span label, and
+// that each record parses as a MerkleTreeLeaf. It returns the decoded
+// tile (for crossCheck) and its parsed entries, parsed into one slab —
+// not an allocation each: a page lives and dies in the cache as a unit.
+// leafHash is not stamped (nothing reads it off a sealed entry;
+// LeafHash() computes from fields).
+func (ts *tileStore) decodeLeaf(tile uint64, data []byte) (*storage.LeafTile, []*Entry, error) {
+	lt, err := storage.DecodeLeafTile(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := ts.labelErr(tile, storage.TileExtLeaf, lt.Tile, lt.Span); err != nil {
+		return nil, nil, err
+	}
+	slab := make([]Entry, len(lt.Leaves))
+	ents := make([]*Entry, len(lt.Leaves))
+	for i, leaf := range lt.Leaves {
+		e := &slab[i]
+		if err := e.parseLeaf(leaf); err != nil {
+			return nil, nil, fmt.Errorf("%w: tile %d entry %d: %v", storage.ErrCorrupt, tile, i, err)
+		}
+		e.Index = tile*ts.span + uint64(i)
+		ents[i] = e
+	}
+	return lt, ents, nil
+}
+
+// decodeIndex decodes and validates one tile's .idx file.
+func (ts *tileStore) decodeIndex(tile uint64, data []byte) (*storage.TileIndex, error) {
+	ix, err := storage.DecodeTileIndex(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := ts.labelErr(tile, storage.TileExtIndex, ix.Tile, ix.Span); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// hashTile pages in one registered tile's Merkle levels, root-pinned to
+// the root registered at seal time, so every node served to a proof is
+// covered.
 func (ts *tileStore) hashTile(tile uint64) (*storage.HashTile, error) {
+	root, ok := ts.rootAt(tile)
+	if !ok {
+		return nil, fmt.Errorf("ctlog: hash tile %d is not sealed", tile)
+	}
 	v, err := ts.load(pageKindHash, tile, storage.TileExtHash, func(data []byte) (any, int64, error) {
-		ht, err := storage.DecodeHashTile(data)
-		if err != nil {
-			return nil, 0, err
-		}
-		if ht.Tile != tile || ht.Span != ts.span {
-			return nil, 0, fmt.Errorf("%w: tile %d.hash labeled (%d, span %d)", storage.ErrCorrupt, tile, ht.Tile, ht.Span)
-		}
-		if want, ok := ts.rootAt(tile); ok && merkle.Hash(ht.Root()) != want {
-			return nil, 0, fmt.Errorf("%w: tile %d root does not match the sealed tree", storage.ErrCorrupt, tile)
-		}
-		return ht, 0, nil
+		ht, err := ts.decodeHash(tile, root, data)
+		return ht, 0, err
 	})
 	if err != nil {
 		return nil, err
@@ -227,51 +302,36 @@ func (ts *tileStore) hashTile(tile uint64) (*storage.HashTile, error) {
 	return v.(*storage.HashTile), nil
 }
 
-// entries pages in one sealed tile's parsed entries. Every page-in
-// checks what the leaf file can say about itself: per-record CRC32C and
-// strict framing (DecodeLeafTile), the tile/span label, and that each
-// record parses as a MerkleTreeLeaf. What only the tree can say — that
-// these are the leaves it committed to — is crossCheck, which runs when
-// this process has not checked the tile yet (the seal's read-back, or
-// the first page-in of a tile installed by Open) and not again: the
-// files are immutable, so repeating it on every cache miss would cost a
-// hash-tile page-in and a SHA-256 per leaf to learn nothing new. A
-// failed check leaves the tile unchecked, so the next read fails the
-// same way. Concurrent first touches may both check; none serves before
-// a check has passed.
-//
-// leafHash is not stamped on these entries (nothing reads it off a
-// sealed entry; LeafHash() computes from fields), so a page is the same
-// whether or not its page-in was the checking one. Returned entries are
-// immutable and shared by every reader of the cached page.
+// entries pages in one registered tile's parsed entries; it is never
+// asked for a tile the seal has not registered (the seal verifies
+// straight from disk). Every page-in runs decodeLeaf — what the leaf
+// file can say about itself. What only the tree can say — that these
+// are the leaves it committed to — is crossCheck, which runs on the
+// first page-in of a tile installed by Open and not again (tiles this
+// process sealed were cross-checked by verify): the files are
+// immutable, so repeating it on every cache miss would cost a hash-tile
+// page-in and a SHA-256 per leaf to learn nothing new. A failed check
+// leaves the tile unchecked, so the next read fails the same way.
+// Concurrent first touches may both check; none serves before a check
+// has passed. Returned entries are immutable and shared by every reader
+// of the cached page.
 func (ts *tileStore) entries(tile uint64) ([]*Entry, error) {
 	v, err := ts.load(pageKindLeaf, tile, storage.TileExtLeaf, func(data []byte) (any, int64, error) {
-		lt, err := storage.DecodeLeafTile(data)
+		lt, ents, err := ts.decodeLeaf(tile, data)
 		if err != nil {
 			return nil, 0, err
 		}
-		if lt.Tile != tile || lt.Span != ts.span {
-			return nil, 0, fmt.Errorf("%w: tile %d.leaf labeled (%d, span %d)", storage.ErrCorrupt, tile, lt.Tile, lt.Span)
-		}
 		if !ts.isChecked(tile) {
-			if err := ts.crossCheck(lt); err != nil {
+			ht, err := ts.hashTile(tile)
+			if err != nil {
+				return nil, 0, err
+			}
+			if err := crossCheck(lt, ht); err != nil {
 				return nil, 0, err
 			}
 			ts.markChecked(tile)
 		}
-		// One slab for the tile's entries, not an allocation each: the
-		// page lives and dies in the cache as a unit anyway.
-		slab := make([]Entry, len(lt.Leaves))
-		ents := make([]*Entry, len(lt.Leaves))
-		for i, leaf := range lt.Leaves {
-			e := &slab[i]
-			if err := e.parseLeaf(leaf); err != nil {
-				return nil, 0, fmt.Errorf("%w: tile %d entry %d: %v", storage.ErrCorrupt, tile, i, err)
-			}
-			e.Index = tile*ts.span + uint64(i)
-			ents[i] = e
-		}
-		return ents, int64(len(slab)) * entryPinnedBytes, nil
+		return ents, int64(len(ents)) * entryPinnedBytes, nil
 	})
 	if err != nil {
 		return nil, err
@@ -280,16 +340,11 @@ func (ts *tileStore) entries(tile uint64) ([]*Entry, error) {
 }
 
 // crossCheck ties a decoded leaf tile to the tree: every leaf must hash
-// to the hash tile's leaf level, and the hash tile (self-verifying, its
-// root pinned to the registered root by hashTile — or, before
-// registration, compared with the live tree by sealTileLocked) is what
-// the tree committed to. This is the check a CRC cannot make: a
-// well-framed leaf file holding the wrong leaves.
-func (ts *tileStore) crossCheck(lt *storage.LeafTile) error {
-	ht, err := ts.hashTile(lt.Tile)
-	if err != nil {
-		return err
-	}
+// to the leaf level of ht, a hash tile its decoder has already pinned
+// to the tree's root for the tile. This is the check a CRC cannot make:
+// a well-framed leaf file holding the wrong leaves. Its two callers are
+// the seal's verify and the first leaf page-in of a tile after Open.
+func crossCheck(lt *storage.LeafTile, ht *storage.HashTile) error {
 	for i, leaf := range lt.Leaves {
 		if [32]byte(merkle.HashLeaf(leaf)) != ht.Levels[0][i] {
 			return fmt.Errorf("%w: tile %d entry %d does not hash to the sealed leaf hash", storage.ErrCorrupt, lt.Tile, i)
@@ -301,19 +356,49 @@ func (ts *tileStore) crossCheck(lt *storage.LeafTile) error {
 // index pages in one tile's lookup index.
 func (ts *tileStore) index(tile uint64) (*storage.TileIndex, error) {
 	v, err := ts.load(pageKindIndex, tile, storage.TileExtIndex, func(data []byte) (any, int64, error) {
-		ix, err := storage.DecodeTileIndex(data)
-		if err != nil {
-			return nil, 0, err
-		}
-		if ix.Tile != tile || ix.Span != ts.span {
-			return nil, 0, fmt.Errorf("%w: tile %d.idx labeled (%d, span %d)", storage.ErrCorrupt, tile, ix.Tile, ix.Span)
-		}
-		return ix, 0, nil
+		ix, err := ts.decodeIndex(tile, data)
+		return ix, 0, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*storage.TileIndex), nil
+}
+
+// verify is the seal's read-back: it reads a freshly written tile's
+// three files straight from disk and checks them against root, the
+// tree's subtree root for the tile, with the same decoders a page-in
+// runs plus crossCheck — so it verifies what is durable, every time it
+// is called, and installs nothing in the page cache (a write-only log
+// does not fill its cache with pages nobody read). It returns the index
+// blooms for register.
+func (ts *tileStore) verify(tile uint64, root merkle.Hash) (tileBlooms, error) {
+	data, err := ts.read(tile, storage.TileExtHash)
+	if err != nil {
+		return tileBlooms{}, err
+	}
+	ht, err := ts.decodeHash(tile, root, data)
+	if err != nil {
+		return tileBlooms{}, err
+	}
+	if data, err = ts.read(tile, storage.TileExtLeaf); err != nil {
+		return tileBlooms{}, err
+	}
+	lt, _, err := ts.decodeLeaf(tile, data)
+	if err != nil {
+		return tileBlooms{}, err
+	}
+	if err := crossCheck(lt, ht); err != nil {
+		return tileBlooms{}, err
+	}
+	if data, err = ts.read(tile, storage.TileExtIndex); err != nil {
+		return tileBlooms{}, err
+	}
+	ix, err := ts.decodeIndex(tile, data)
+	if err != nil {
+		return tileBlooms{}, err
+	}
+	return tileBlooms{id: ix.IDBloom, leaf: ix.LeafBloom}, nil
 }
 
 // Node implements merkle.NodeSource: the hash of the perfect subtree at
@@ -459,7 +544,8 @@ func (l *Log) maybeSealLocked() error {
 	return nil
 }
 
-// sealTileLocked writes, fsyncs, re-verifies, and registers one tile.
+// sealTileLocked writes, fsyncs, re-verifies from disk, and registers
+// one tile.
 func (l *Log) sealTileLocked(tile uint64) error {
 	span := l.tiles.span
 	base := tile*span - l.tailStart
@@ -492,27 +578,16 @@ func (l *Log) sealTileLocked(tile uint64) error {
 	if err := l.store.WriteTile(tile, storage.EncodeLeafTile(lt), storage.EncodeHashTile(ht), storage.EncodeTileIndex(ix)); err != nil {
 		return fmt.Errorf("%w: %v", ErrPersistence, err)
 	}
-	// Read back through the page cache — a real disk read, since sealed
-	// tiles are only ever paged in below the seal boundary — and verify
-	// what is actually durable before the tree prunes anything. The tile
-	// is not registered yet, so the leaf page-in runs crossCheck (every
-	// leaf against the hash tile); the root check here ties the hash
-	// tile to the tree; register then records the tile as checked.
-	diskHT, err := l.tiles.hashTile(tile)
+	// Verify what is actually durable before the tree prunes anything:
+	// read the files back from disk (a retried seal re-reads the bytes it
+	// just rewrote — nothing is cached for an unregistered tile), tie the
+	// hash tile to the tree's root and every leaf to the hash tile; only
+	// then does the tile register, as checked.
+	blooms, err := l.tiles.verify(tile, want)
 	if err != nil {
 		return err
 	}
-	if merkle.Hash(diskHT.Root()) != want {
-		return fmt.Errorf("%w: tile %d read-back root differs from the live tree", storage.ErrCorrupt, tile)
-	}
-	if _, err := l.tiles.entries(tile); err != nil {
-		return err
-	}
-	diskIx, err := l.tiles.index(tile)
-	if err != nil {
-		return err
-	}
-	return l.tiles.register(tile, want, diskIx.IDBloom, diskIx.LeafBloom)
+	return l.tiles.register(tile, want, blooms)
 }
 
 // sealStage invokes the test-only seal lifecycle hook.

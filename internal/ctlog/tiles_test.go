@@ -10,6 +10,8 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -166,9 +168,10 @@ func TestTiledSealAndServe(t *testing.T) {
 	if s.Hits == 0 || s.Misses == 0 {
 		t.Fatalf("page cache never exercised: %+v", s)
 	}
-	// Everything fits the default budget, so all nine pages are resident,
-	// and the charge covers what a leaf page really pins: with ~30-byte
-	// leaves the parsed Entry slab is several times the file.
+	// Everything fits the default budget, so all nine pages the reads
+	// asked for are resident (the seals left none), and the charge covers
+	// what a leaf page really pins: with ~30-byte leaves the parsed Entry
+	// slab is several times the file.
 	if want := tileFileBytes + 3*4*entryPinnedBytes; s.Pages != 9 || s.Used != want {
 		t.Fatalf("cache holds %d pages charged %d bytes, want 9 pages charged %d (files %d + 12 parsed entries)", s.Pages, s.Used, want, tileFileBytes)
 	}
@@ -747,5 +750,197 @@ func TestTiledColdCachePassThrough(t *testing.T) {
 	}
 	if s.Hits != 0 {
 		t.Fatalf("pass-through cache reported %d hits", s.Hits)
+	}
+}
+
+// TestTiledSealCachesNothing pins that a seal's read-back leaves nothing
+// in the page cache: a write-only log seals tile after tile under the
+// default budget and the cache is never touched, and the first reads of
+// a freshly sealed tile then cost exactly the files they need.
+func TestTiledSealCachesNothing(t *testing.T) {
+	l, clk := newDurableLog(t, t.TempDir(), Config{TileSpan: 4, SnapshotEvery: -1})
+	defer l.Close()
+	// The first round seals tiles 0 and 1 at its publish, so none of its
+	// adds can probe a sealed bloom. The second round's adds probe tiles 0
+	// and 1's id blooms before sealing tiles 2 and 3; with these fixed
+	// inputs none of those probes is a bloom false positive (≈ 0.24 %
+	// each), so no dedupe lookup pages in an index and any page in the
+	// cache would be a seal's.
+	fillAndPublish(t, l, clk, "nocache-a", 9)
+	fillAndPublish(t, l, clk, "nocache-b", 7)
+	if got := l.TiledThrough(); got != 16 {
+		t.Fatalf("tiled through %d, want 16 (four tiles)", got)
+	}
+	if s := l.CacheStats(); s != (storage.PageCacheStats{}) {
+		t.Fatalf("sealing four tiles left the page cache at %+v, want it untouched", s)
+	}
+
+	misses := func(what string, read func() error) uint64 {
+		t.Helper()
+		before := l.CacheStats().Misses
+		if err := read(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return l.CacheStats().Misses - before
+	}
+	var page []*Entry
+	getTile3 := func() (err error) {
+		page, err = l.GetEntries(12, 15)
+		return err
+	}
+	// The seal checked tile 3, so its first get-entries reads the leaf
+	// file only, and its second is a hit.
+	for read, want := range []uint64{1, 0} {
+		if got := misses("get-entries of tile 3", getTile3); got != want {
+			t.Fatalf("get-entries %d of a freshly sealed tile: %d page-ins, want %d", read, got, want)
+		}
+	}
+	// A proof by hash into tile 3 reads the .idx its leaf-hash lookup
+	// searches and the .hash its audit path needs — nothing else.
+	lh, err := page[1].LeafHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := misses("proof by hash into tile 3", func() error {
+		_, _, err := l.GetProofByHash(lh, 16)
+		return err
+	}); got != 2 {
+		t.Fatalf("first proof by hash into a freshly sealed tile: %d page-ins, want 2 (.idx + .hash)", got)
+	}
+	// An inclusion proof by index into tile 1 reads its hash tile only.
+	if got := misses("inclusion proof into tile 1", func() error {
+		_, err := l.GetInclusionProof(5, 16)
+		return err
+	}); got != 1 {
+		t.Fatalf("first inclusion proof into a freshly sealed tile: %d page-ins, want 1 (.hash)", got)
+	}
+}
+
+// writeTileFixture writes one well-formed tile of distinct leaves with
+// Store.WriteTile, as a seal writes it, without registering it. It
+// returns the root a seal would verify the files against and the index
+// it wrote.
+func writeTileFixture(t *testing.T, l *Log, tile uint64, prefix string) (merkle.Hash, *storage.TileIndex) {
+	t.Helper()
+	span := l.tiles.span
+	leaves := make([][]byte, span)
+	leafHashes := make([][32]byte, span)
+	idHashes := make([][32]byte, span)
+	for i := range leaves {
+		e := Entry{Timestamp: uint64(1000 + i), Type: sct.X509LogEntryType, Cert: []byte(fmt.Sprintf("%s-%d", prefix, i))}
+		leaf, err := e.MerkleTreeLeaf()
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves[i] = leaf
+		leafHashes[i] = [32]byte(merkle.HashLeaf(leaf))
+		idHashes[i] = [32]byte(entryIdentity(sct.X509Entry(e.Cert)))
+	}
+	ht, err := storage.BuildHashTile(tile, leafHashes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := storage.BuildTileIndex(tile, tile*span, idHashes, leafHashes)
+	lt := &storage.LeafTile{Tile: tile, Span: span, Leaves: leaves}
+	if err := l.store.WriteTile(tile, storage.EncodeLeafTile(lt), storage.EncodeHashTile(ht), storage.EncodeTileIndex(ix)); err != nil {
+		t.Fatal(err)
+	}
+	return merkle.Hash(ht.Root()), ix
+}
+
+// TestTiledVerifyChecksDisk drives the seal's read-back, tileStore.verify,
+// directly on tile files written the way a seal writes them, one kind of
+// damage per row. Every row must fail with the right error class (or,
+// for the good tile, return the blooms on disk), leave the tile
+// unregistered, and leave the page cache untouched.
+func TestTiledVerifyChecksDisk(t *testing.T) {
+	copyFrom1 := func(ext string) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			data, err := os.ReadFile(tilePath(dir, 1, ext))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(tilePath(dir, 0, ext), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type row struct {
+		name     string
+		damage   func(t *testing.T, dir string) // nil: the files stay as written
+		badRoot  bool
+		want     error  // nil: verify passes
+		mentions string // a phrase the error must carry, naming the check that fired
+	}
+	rows := []row{
+		{name: "good tile"},
+		{name: "CRC-valid forged .leaf", damage: func(t *testing.T, dir string) { forgeLeafTile(t, dir, 0) },
+			want: storage.ErrCorrupt, mentions: "does not hash to the sealed leaf hash"},
+		{name: "wrong expected root", badRoot: true,
+			want: storage.ErrCorrupt, mentions: "root does not match"},
+	}
+	for _, ext := range []string{storage.TileExtLeaf, storage.TileExtHash, storage.TileExtIndex} {
+		rows = append(rows,
+			row{name: "byte flip in ." + ext, damage: func(t *testing.T, dir string) { flipTileByte(t, dir, 0, ext) },
+				want: storage.ErrCorrupt},
+			row{name: "tile 1's ." + ext + " over tile 0's", damage: copyFrom1(ext),
+				want: storage.ErrCorrupt, mentions: "labeled"},
+			row{name: "missing ." + ext, damage: func(t *testing.T, dir string) {
+				if err := os.Remove(tilePath(dir, 0, ext)); err != nil {
+					t.Fatal(err)
+				}
+			}, want: ErrPersistence},
+		)
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := newDurableLog(t, dir, Config{TileSpan: 4, SnapshotEvery: -1})
+			defer l.Close()
+			root, ix := writeTileFixture(t, l, 0, "verify-0")
+			writeTileFixture(t, l, 1, "verify-1")
+			if r.damage != nil {
+				r.damage(t, dir)
+			}
+			if r.badRoot {
+				root[0] ^= 1
+			}
+			blooms, err := l.tiles.verify(0, root)
+			switch {
+			case r.want == nil && err != nil:
+				t.Fatalf("verify of a good tile: %v", err)
+			case r.want == nil && !(reflect.DeepEqual(blooms.id, ix.IDBloom) && reflect.DeepEqual(blooms.leaf, ix.LeafBloom)):
+				t.Fatal("verify returned blooms that are not the ones on disk")
+			case r.want != nil && !errors.Is(err, r.want):
+				t.Fatalf("verify: err=%v, want %v", err, r.want)
+			case r.mentions != "" && !strings.Contains(err.Error(), r.mentions):
+				t.Fatalf("verify: err=%v, want the check that mentions %q", err, r.mentions)
+			}
+			if n := l.tiles.sealedTiles(); n != 0 {
+				t.Fatalf("verify registered %d tiles", n)
+			}
+			if s := l.CacheStats(); s != (storage.PageCacheStats{}) {
+				t.Fatalf("verify touched the page cache: %+v", s)
+			}
+		})
+	}
+}
+
+// TestTiledVerifyRetryRereadsDisk is the regression for a retried seal:
+// verify passes on a good tile, the tile's .hash file is then damaged
+// (as a failed seal's rewrite might leave it), and a second verify must
+// fail. A read-back through the page cache would have been served the
+// first call's decode and passed.
+func TestTiledVerifyRetryRereadsDisk(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := newDurableLog(t, dir, Config{TileSpan: 4, SnapshotEvery: -1})
+	defer l.Close()
+	root, _ := writeTileFixture(t, l, 0, "retry")
+	if _, err := l.tiles.verify(0, root); err != nil {
+		t.Fatal(err)
+	}
+	flipTileByte(t, dir, 0, storage.TileExtHash)
+	if _, err := l.tiles.verify(0, root); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("second verify after the .hash file changed: err=%v, want ErrCorrupt", err)
 	}
 }
