@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,23 +93,40 @@ func TestFrontendBadSCTErrorSurfaces(t *testing.T) {
 }
 
 // laggyBackend advances the virtual clock on every call, simulating a
-// backend whose responses cost lag of replay time.
+// backend whose responses cost lag of replay time. The clock is the one
+// every concurrent attempt reads its latency from, so before advancing
+// it the backend calls settle, which must return only once every
+// attempt in flight beside it has recorded its latency; otherwise the
+// lag is charged to whichever of them reads the clock after the advance.
 type laggyBackend struct {
 	delegate Backend
 	clock    *testClock
 	lag      time.Duration
+	settle   func()
 }
 
 func (b *laggyBackend) Name() string { return b.delegate.Name() }
 
 func (b *laggyBackend) AddChain(ctx context.Context, cert []byte) (*sct.SignedCertificateTimestamp, error) {
+	b.settle()
 	b.clock.Advance(b.lag)
 	return b.delegate.AddChain(ctx, cert)
 }
 
 func (b *laggyBackend) AddPreChain(ctx context.Context, ikh [32]byte, tbs []byte) (*sct.SignedCertificateTimestamp, error) {
+	b.settle()
 	b.clock.Advance(b.lag)
 	return b.delegate.AddPreChain(ctx, ikh, tbs)
+}
+
+// successes is name's success count in f's health report.
+func successes(f *Frontend, name string) uint64 {
+	for _, h := range f.Health() {
+		if h.Name == name {
+			return h.Successes
+		}
+	}
+	return 0
 }
 
 func TestFrontendCommittedWeightsShiftRouting(t *testing.T) {
@@ -116,20 +135,38 @@ func TestFrontendCommittedWeightsShiftRouting(t *testing.T) {
 	// observations entirely; after the commit, log-1's weight puts it at
 	// the back of every ranking, so it drops out of bundles while
 	// cheaper equivalents exist.
-	mk := func() (*Frontend, *testClock) {
+	//
+	// log-0 is the pool's only Google log, so every bundle needs it and
+	// it is in flight beside log-1 whenever log-1 is picked. log-0 always
+	// succeeds, so once it has recorded as many successes as there have
+	// been submissions, its attempt for the current one is finished and
+	// log-1's lag can no longer land in log-0's latency.
+	type pool struct {
+		f         *Frontend
+		submitted atomic.Uint64 // submissions started
+	}
+	mk := func() *pool {
 		clock := newTestClock()
 		specs := newLocalPool(t, clock, 4, 0)
-		specs[1].Backend = &laggyBackend{delegate: specs[1].Backend, clock: clock, lag: 20 * time.Millisecond}
+		p := &pool{}
+		settle := func() {
+			for successes(p.f, "log-0") < p.submitted.Load() {
+				runtime.Gosched()
+			}
+		}
+		specs[1].Backend = &laggyBackend{delegate: specs[1].Backend, clock: clock, lag: 20 * time.Millisecond, settle: settle}
 		f, err := New(Config{Backends: specs, Seed: 17, Clock: clock.Now})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f, clock
+		p.f = f
+		return p
 	}
-	run := func(f *Frontend, from, to uint64) [][]string {
+	run := func(p *pool, from, to uint64) [][]string {
 		var names [][]string
 		for serial := from; serial <= to; serial++ {
-			bundle, err := f.AddPreChain(context.Background(), [32]byte{11}, testTBS(t, serial, 90*24*time.Hour))
+			p.submitted.Add(1)
+			bundle, err := p.f.AddPreChain(context.Background(), [32]byte{11}, testTBS(t, serial, 90*24*time.Hour))
 			if err != nil {
 				t.Fatalf("serial %d: %v", serial, err)
 			}
@@ -138,8 +175,9 @@ func TestFrontendCommittedWeightsShiftRouting(t *testing.T) {
 		return names
 	}
 
-	f1, _ := mk()
-	before := run(f1, 1, 12)
+	p1 := mk()
+	f1 := p1.f
+	before := run(p1, 1, 12)
 	sawLaggy := false
 	for _, names := range before {
 		for _, n := range names {
@@ -161,7 +199,7 @@ func TestFrontendCommittedWeightsShiftRouting(t *testing.T) {
 			t.Fatalf("instant backend %s got weight %d", h.Name, h.Weight)
 		}
 	}
-	after := run(f1, 13, 24)
+	after := run(p1, 13, 24)
 	for i, names := range after {
 		for _, n := range names {
 			if n == "log-1" {
@@ -172,10 +210,10 @@ func TestFrontendCommittedWeightsShiftRouting(t *testing.T) {
 
 	// Determinism: an identically configured frontend replaying the same
 	// submissions with the same commit point routes identically.
-	f2, _ := mk()
-	before2 := run(f2, 1, 12)
-	f2.CommitWeights()
-	after2 := run(f2, 13, 24)
+	p2 := mk()
+	before2 := run(p2, 1, 12)
+	p2.f.CommitWeights()
+	after2 := run(p2, 13, 24)
 	if !reflect.DeepEqual(before, before2) || !reflect.DeepEqual(after, after2) {
 		t.Fatal("weight-aware routing diverged between identical replays")
 	}

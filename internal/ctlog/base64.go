@@ -1,0 +1,66 @@
+package ctlog
+
+import (
+	"encoding/base64"
+	"encoding/binary"
+	"slices"
+)
+
+const base64Alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+// base64Pairs maps a 12-bit value to its two standard-alphabet
+// characters, the first in the low byte, so a little-endian store of
+// the entry writes them in order.
+var base64Pairs = func() (t [4096]uint16) {
+	for v := range t {
+		t[v] = uint16(base64Alphabet[v>>6]) | uint16(base64Alphabet[v&63])<<8
+	}
+	return t
+}()
+
+// appendBase64 appends the standard base64 encoding of src (with '='
+// padding) to dst and returns the extended slice: byte for byte what
+// base64.StdEncoding.AppendEncode returns, at about twice its speed on
+// the kilobyte leaves of a get-entries page. The main loop encodes 24
+// bytes as four 6-byte groups, each read with one 8-byte big-endian load
+// and written as eight characters in one store; the last load reads
+// through src[25], so the loop leaves at least 2 bytes to the 3-byte
+// loop behind it.
+func appendBase64(dst, src []byte) []byte {
+	n := base64.StdEncoding.EncodedLen(len(src))
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	for len(src) >= 26 {
+		_, _ = src[25], out[31]
+		binary.LittleEndian.PutUint64(out[0:], base64Chars8(binary.BigEndian.Uint64(src[0:])))
+		binary.LittleEndian.PutUint64(out[8:], base64Chars8(binary.BigEndian.Uint64(src[6:])))
+		binary.LittleEndian.PutUint64(out[16:], base64Chars8(binary.BigEndian.Uint64(src[12:])))
+		binary.LittleEndian.PutUint64(out[24:], base64Chars8(binary.BigEndian.Uint64(src[18:])))
+		src, out = src[24:], out[32:]
+	}
+	for len(src) >= 3 {
+		v := uint(src[0])<<16 | uint(src[1])<<8 | uint(src[2])
+		binary.LittleEndian.PutUint16(out, base64Pairs[v>>12])
+		binary.LittleEndian.PutUint16(out[2:], base64Pairs[v&0xfff])
+		src, out = src[3:], out[4:]
+	}
+	switch len(src) {
+	case 2:
+		v := uint(src[0])<<16 | uint(src[1])<<8
+		binary.LittleEndian.PutUint16(out, base64Pairs[v>>12])
+		out[2], out[3] = base64Alphabet[v>>6&63], '='
+	case 1:
+		binary.LittleEndian.PutUint16(out, base64Pairs[uint(src[0])<<4])
+		out[2], out[3] = '=', '='
+	}
+	return dst[:len(dst)+n]
+}
+
+// base64Chars8 encodes the top 48 bits of v as eight characters, packed
+// for a little-endian store.
+func base64Chars8(v uint64) uint64 {
+	return uint64(base64Pairs[v>>52]) |
+		uint64(base64Pairs[v>>40&0xfff])<<16 |
+		uint64(base64Pairs[v>>28&0xfff])<<32 |
+		uint64(base64Pairs[v>>16&0xfff])<<48
+}

@@ -2,8 +2,10 @@ package ctlog
 
 import (
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -421,5 +423,38 @@ func BenchmarkHandlerGetEntries(b *testing.B) {
 		if err := l.Close(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAppendBase64 puts the get-entries kernel beside the stdlib
+// encoder it replaced, on one page's worth of leaves: 256 random
+// 1071-byte leaves appended into one reused buffer, as WriteGetEntries
+// appends them. Bytes are input bytes.
+func BenchmarkAppendBase64(b *testing.B) {
+	const leaves, leafLen = 256, 1071
+	rng := rand.New(rand.NewSource(1071))
+	page := make([][]byte, leaves)
+	for i := range page {
+		page[i] = make([]byte, leafLen)
+		rng.Read(page[i])
+	}
+	for _, enc := range []struct {
+		name string
+		fn   func(dst, src []byte) []byte
+	}{
+		{"stdlib", base64.StdEncoding.AppendEncode},
+		{"kernel", appendBase64},
+	} {
+		b.Run(enc.name, func(b *testing.B) {
+			buf := make([]byte, 0, leaves*base64.StdEncoding.EncodedLen(leafLen))
+			b.SetBytes(leaves * leafLen)
+			b.ReportAllocs()
+			for b.Loop() {
+				buf = buf[:0]
+				for _, leaf := range page {
+					buf = enc.fn(buf, leaf)
+				}
+			}
+		})
 	}
 }

@@ -297,9 +297,10 @@ var pagePool = sync.Pool{New: func() any { return new([]byte) }}
 // null, when there are none), with Content-Length set. It is the one
 // encoder of that wire format. Each leaf_input is the entry's stamped
 // MerkleTreeLeaf bytes where the log holds them, so a page is sized
-// exactly, base64-appended into one pooled buffer and handed to w in a
-// single Write with no per-entry allocation; entries without their own
-// stamped bytes are encoded from their fields.
+// exactly, base64-appended by appendBase64 (the stdlib's bytes at about
+// twice its speed) into one pooled buffer and handed to w in a single
+// Write with no per-entry allocation; entries without their own stamped
+// bytes are encoded from their fields.
 //
 // An error means an entry could not be encoded and nothing was written.
 // A failed Write is not reported: the status line is already out and
@@ -324,7 +325,7 @@ func WriteGetEntries(w http.ResponseWriter, entries []*Entry) error {
 			return err
 		}
 		buf = append(buf, entryOpen...)
-		buf = base64.StdEncoding.AppendEncode(buf, leaf)
+		buf = appendBase64(buf, leaf)
 		buf = append(buf, entryClose...)
 	}
 	buf = append(buf, entriesClose...)

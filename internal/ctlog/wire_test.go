@@ -9,7 +9,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -415,14 +418,20 @@ func FuzzGetEntriesWire(f *testing.F) {
 	})
 }
 
-// TestGetEntriesHandlerAllocs is the allocation ratchet on the read path
-// monitors scale with: a whole request through Handler().ServeHTTP —
-// mux, query parsing, recorder and its body buffer included — must stay
-// under one small constant whether the page is 256 sealed entries from a
-// hot tile or 32 from the resident tail. Anything per entry (the old
-// path cost 5 allocations each) breaks the larger page first.
-func TestGetEntriesHandlerAllocs(t *testing.T) {
-	const maxAllocs = 48
+// The allocation ratchets: a whole request through Handler().ServeHTTP —
+// mux, query or body parsing, the recorder and its body buffer included
+// — must stay under one small constant per handler. The add-chain and
+// proof ceilings sit within 10 % of the count measured on this setup,
+// so one new allocation per request fails them.
+
+// allocRuns is the runs testing.AllocsPerRun averages over; it makes one
+// more call first, as warm-up.
+const allocRuns = 50
+
+// newAllocLog returns a durable log of 256 + 32 published 1 KiB
+// certificates: one sealed tile of 256 and a resident tail of 32.
+func newAllocLog(t *testing.T) *ctlog.Log {
+	t.Helper()
 	l, err := ctlog.Open(t.TempDir(), ctlog.Config{
 		Name: "alloc log", Signer: sct.NewFastSigner("alloc log"),
 		TileSpan: 256, Sync: ctlog.SyncAtSequence,
@@ -430,7 +439,7 @@ func TestGetEntriesHandlerAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() { l.Close() })
 	cert := make([]byte, 1024)
 	for i := 0; i < 256+32; i++ {
 		cert[0], cert[1] = byte(i), byte(i>>8)
@@ -444,7 +453,49 @@ func TestGetEntriesHandlerAllocs(t *testing.T) {
 	if got := l.TiledThrough(); got != 256 {
 		t.Fatalf("sealed through %d, want 256", got)
 	}
-	h := l.Handler()
+	return l
+}
+
+// checkHandlerAllocs serves req(run) through h on every call
+// testing.AllocsPerRun makes (run 0 is its warm-up) and fails the test
+// if the last response is not a 200 with a body, or if the mean
+// allocation count exceeds maxAllocs. Under the race detector sync.Pool drops a
+// quarter of its Puts on purpose, so pooled buffers are reallocated at
+// random (up to 4 more per request on these handlers); a -race build
+// gets 6 on top of every ceiling.
+func checkHandlerAllocs(t *testing.T, what string, maxAllocs int, h http.Handler, req func(run int) *http.Request) {
+	t.Helper()
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				maxAllocs += 6
+			}
+		}
+	}
+	var run, status, n int
+	allocs := testing.AllocsPerRun(allocRuns, func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req(run))
+		run++
+		status, n = rec.Code, rec.Body.Len()
+	})
+	if status != http.StatusOK || n == 0 {
+		t.Fatalf("%s: status %d, %d body bytes", what, status, n)
+	}
+	t.Logf("%s: %.0f allocs, %d bytes", what, allocs, n)
+	if allocs > float64(maxAllocs) {
+		t.Errorf("%s: %.0f allocs per request, want ≤ %d", what, allocs, maxAllocs)
+	}
+}
+
+// TestGetEntriesHandlerAllocs is the ratchet on the read path monitors
+// scale with: the count must not depend on the page, whether 256 sealed
+// entries from a hot tile or 32 from the resident tail. Anything per
+// entry (the old path cost 5 allocations each) breaks the larger page
+// first.
+func TestGetEntriesHandlerAllocs(t *testing.T) {
+	const maxAllocs = 48 // measured 15 on both pages
+	h := newAllocLog(t).Handler()
 	for _, page := range []struct {
 		name       string
 		start, end int
@@ -453,18 +504,41 @@ func TestGetEntriesHandlerAllocs(t *testing.T) {
 		{"tail page of 32", 256, 287},
 	} {
 		req := httptest.NewRequest("GET", fmt.Sprintf("/ct/v1/get-entries?start=%d&end=%d", page.start, page.end), nil)
-		var status, n int
-		allocs := testing.AllocsPerRun(50, func() {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			status, n = rec.Code, rec.Body.Len()
-		})
-		if status != http.StatusOK || n == 0 {
-			t.Fatalf("%s: status %d, %d body bytes", page.name, status, n)
-		}
-		t.Logf("%s: %.0f allocs, %d bytes", page.name, allocs, n)
-		if allocs > maxAllocs {
-			t.Errorf("%s: %.0f allocs per request, want ≤ %d", page.name, allocs, maxAllocs)
-		}
+		checkHandlerAllocs(t, page.name, maxAllocs, h, func(int) *http.Request { return req })
 	}
+}
+
+// TestAddChainHandlerAllocs is the ratchet on the write path: an
+// add-chain of a new 1 KiB certificate, from JSON decode through SCT
+// signing, WAL append and staging to the encoded SCT.
+func TestAddChainHandlerAllocs(t *testing.T) {
+	const maxAllocs = 40 // measured 37
+	h := newAllocLog(t).Handler()
+	reqs := make([]*http.Request, allocRuns+1)
+	for i := range reqs {
+		cert := make([]byte, 1024)
+		cert[0], cert[1], cert[2] = byte(i), byte(i>>8), 0xad // unlike every preloaded cert
+		body := `{"chain":["` + base64.StdEncoding.EncodeToString(cert) + `"]}`
+		reqs[i] = httptest.NewRequest("POST", "/ct/v1/add-chain", strings.NewReader(body))
+	}
+	checkHandlerAllocs(t, "add-chain", maxAllocs, h, func(run int) *http.Request { return reqs[run] })
+}
+
+// TestProofByHashHandlerAllocs is the ratchet on the audit path: a
+// get-proof-by-hash for a leaf in a hot sealed tile at the published
+// head.
+func TestProofByHashHandlerAllocs(t *testing.T) {
+	const maxAllocs = 45 // measured 41
+	l := newAllocLog(t)
+	entries, err := l.GetEntries(100, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := entries[0].LeafHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest("GET", fmt.Sprintf("/ct/v1/get-proof-by-hash?hash=%s&tree_size=%d",
+		url.QueryEscape(base64.StdEncoding.EncodeToString(hash[:])), l.STH().TreeHead.TreeSize), nil)
+	checkHandlerAllocs(t, "proof-by-hash", maxAllocs, l.Handler(), func(int) *http.Request { return req })
 }
