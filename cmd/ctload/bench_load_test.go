@@ -88,11 +88,10 @@ func TestHarnessCompletesAllClasses(t *testing.T) {
 
 // starvationReaders is the dedicated reader set shared by the
 // starvation and idle measurements: every class rides the lock-free
-// published snapshot — get-sth and get-entries since chunked sequencing
-// landed, the proof endpoints since they moved onto the frozen
-// publishedState proof view — so the comparison below is what pins the
-// "proofs never queue behind the sequencer" property at the socket
-// level.
+// published snapshot — get-sth and get-entries from the start, the
+// proof endpoints since they moved onto the frozen publishedState proof
+// view — so the comparison below is what pins the "readers never queue
+// behind the sequencer" property at the socket level.
 var starvationReaders = []struct {
 	op load.Op
 	n  int
@@ -175,9 +174,9 @@ func measureReaders(t *testing.T, ops map[load.Op]load.OpFunc, window func()) ma
 // writer anywhere. The during/idle pair is the reader-starvation
 // headline: with proofs served from the published snapshot the two must
 // be within a small factor of each other.
-func starvationRun(t *testing.T, chunk int, entries int) (integrateMS float64, classes, idle map[string]jsonOpResult) {
+func starvationRun(t *testing.T, entries int) (integrateMS float64, classes, idle map[string]jsonOpResult) {
 	t.Helper()
-	bs, stopSeq := newBenchServer(t, ctlog.Config{SequenceChunk: chunk}, 10*time.Millisecond)
+	bs, stopSeq := newBenchServer(t, ctlog.Config{}, 10*time.Millisecond)
 	h, err := newHarness(context.Background(), bs.srv.URL, "", 8, 13, 128, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -213,10 +212,9 @@ func starvationRun(t *testing.T, chunk int, entries int) (integrateMS float64, c
 
 // TestWriteBenchLoad regenerates BENCH_load.json at the repository
 // root: per-class latency for the standard mixed workload over real
-// sockets, plus the reader-starvation comparison that motivated chunked
-// sequencing — reader p99 while a large staged batch integrates, with
-// chunking disabled versus the default chunk size, each against an
-// idle baseline over the same published tree.
+// sockets, plus the reader-starvation check — reader p99 while a large
+// staged batch integrates in one pass, against an idle baseline over the
+// same published tree.
 //
 //	UPDATE_BENCH_LOAD=1 go test -run TestWriteBenchLoad -timeout 10m ./cmd/ctload
 func TestWriteBenchLoad(t *testing.T) {
@@ -249,12 +247,9 @@ func TestWriteBenchLoad(t *testing.T) {
 	}
 	stopSeq()
 
-	// Section 2: reader p99 under large-batch integration, unchunked
-	// (the pre-chunking sequencer: whole batch under one lock hold)
-	// versus the default chunk, each paired with an idle baseline over
-	// the same full-size published tree.
-	unchunkedMS, unchunked, unchunkedIdle := starvationRun(t, -1, starveEntries)
-	chunkedMS, chunked, chunkedIdle := starvationRun(t, 0, starveEntries)
+	// Section 2: reader p99 under large-batch integration, paired with
+	// an idle baseline over the same full-size published tree.
+	integrateMS, during, idle := starvationRun(t, starveEntries)
 
 	out := map[string]any{
 		"schema":          "ctrise/bench-load/v1",
@@ -281,21 +276,13 @@ func TestWriteBenchLoad(t *testing.T) {
 			// the idle comparison is confounded by the integration hogging
 			// the core. The convoy signal is get-proof tracking get-sth
 			// (the class that has always been lock-free): before proofs
-			// moved onto the snapshot, unchunked get-proof p50 was the full
-			// integration time (~1020ms vs ~44ms for get-sth).
-			"note": "during-integration vs idle comparison is CPU-bound on single-core runners; the lock-convoy signal is get-proof parity with get-sth",
-			"unchunked": map[string]any{
-				"sequence_chunk": -1,
-				"integrate_ms":   unchunkedMS,
-				"classes":        unchunked,
-				"idle_classes":   unchunkedIdle,
-			},
-			"chunked": map[string]any{
-				"sequence_chunk": ctlog.DefaultSequenceChunk,
-				"integrate_ms":   chunkedMS,
-				"classes":        chunked,
-				"idle_classes":   chunkedIdle,
-			},
+			// moved onto the snapshot, get-proof p50 during a whole-batch
+			// integration was the full integration time (~1020ms vs ~44ms
+			// for get-sth).
+			"note":         "during-integration vs idle comparison is CPU-bound on single-core runners; the lock-convoy signal is get-proof parity with get-sth",
+			"integrate_ms": integrateMS,
+			"classes":      during,
+			"idle_classes": idle,
 		},
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
@@ -305,8 +292,6 @@ func TestWriteBenchLoad(t *testing.T) {
 	if err := os.WriteFile("../../BENCH_load.json", append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("unchunked: integrate %.0fms, proof p99 %.2fms (idle %.2fms)",
-		unchunkedMS, unchunked["get-proof"].Latency.P99MS, unchunkedIdle["get-proof"].Latency.P99MS)
-	t.Logf("chunked:   integrate %.0fms, proof p99 %.2fms (idle %.2fms)",
-		chunkedMS, chunked["get-proof"].Latency.P99MS, chunkedIdle["get-proof"].Latency.P99MS)
+	t.Logf("integrate %.0fms, proof p99 %.2fms (idle %.2fms), sth p99 %.2fms",
+		integrateMS, during["get-proof"].Latency.P99MS, idle["get-proof"].Latency.P99MS, during["get-sth"].Latency.P99MS)
 }

@@ -13,7 +13,8 @@
 // experiment with overload behaviour (the Nimbus incident). -sequence
 // sets the batch interval at which staged submissions are integrated
 // into the Merkle tree and a fresh STH published — production logs run
-// the same loop well inside their MMD.
+// the same loop well inside their MMD; a non-positive interval is a
+// usage error (exit 2).
 //
 // Without -data-dir the log is in-memory with an ephemeral ECDSA P-256
 // key generated at startup. With -data-dir the log is durable: the
@@ -75,12 +76,8 @@ func main() {
 	tileSpan := flag.Int("tile-span", 0, "entries per sealed storage tile, power of two ≥ 2 (0 = default 1024); fixed at first start, requires -data-dir")
 	pageCache := flag.Int64("page-cache", 0, "tile page-cache budget in bytes (0 = default 64 MiB, negative = uncached reads); requires -data-dir")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight submissions on shutdown (new ones get 503 + Retry-After immediately)")
-	sequenceChunk := flag.Int("sequence-chunk", 0, "entries integrated per lock hold during sequencing (0 = default 1024, negative = whole batch under one hold)")
 	flag.Parse()
-	if *interval <= 0 {
-		log.Fatal("ctlogd: -sequence must be a positive duration")
-	}
-	if err := checkDurableFlags(flag.CommandLine); err != nil {
+	if err := checkFlags(flag.CommandLine); err != nil {
 		fmt.Fprintf(os.Stderr, "ctlogd: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -93,7 +90,6 @@ func main() {
 		SnapshotEvery:     *snapshotEvery,
 		TileSpan:          *tileSpan,
 		PageCacheBytes:    *pageCache,
-		SequenceChunk:     *sequenceChunk,
 	}
 	var l *ctlog.Log
 	if *dataDir != "" {
@@ -201,10 +197,13 @@ func main() {
 // durableOnlyFlags configure on-disk state; an in-memory log has none.
 var durableOnlyFlags = []string{"snapshot-every", "tile-span", "page-cache"}
 
-// checkDurableFlags rejects durable-only flags set on the command line
-// without -data-dir: the log would run in memory and silently ignore
-// them.
-func checkDurableFlags(fs *flag.FlagSet) error {
+// checkFlags rejects a non-positive -sequence interval, and durable-only
+// flags set on the command line without -data-dir: the log would run in
+// memory and silently ignore them.
+func checkFlags(fs *flag.FlagSet) error {
+	if d := fs.Lookup("sequence").Value.(flag.Getter).Get().(time.Duration); d <= 0 {
+		return fmt.Errorf("-sequence %s is not a positive duration", d)
+	}
 	if fs.Lookup("data-dir").Value.String() != "" {
 		return nil
 	}

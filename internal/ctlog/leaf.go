@@ -31,7 +31,7 @@ type Entry struct {
 	// time so the sequencer can order and integrate the batch without
 	// rehashing: idHash is the dedupe identity, idKey its first 8 bytes
 	// as a cheap sort key, leafHash the Merkle leaf hash. dupAnswered
-	// (guarded by the log mutex) records that a resubmission was
+	// (guarded by the staging mutex) records that a resubmission was
 	// answered with this entry's SCT, pinning it against a signing-
 	// failure rollback. All are meaningless on client-parsed entries, and
 	// unset on entries paged in from sealed tiles: sealed dedupe and proof

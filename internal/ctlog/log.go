@@ -11,13 +11,15 @@
 // and integration are two phases:
 //
 //   - Stage: AddChain/AddPreChain compute the entry identity hash, the
-//     Merkle leaf hash, and the SCT signature entirely outside the log
-//     mutex — they depend only on the immutable entry bytes and the
-//     submission timestamp. The lock is held only for the dedupe lookup,
-//     the capacity check, and appending to the pending batch, so many
-//     CAs submitting to one log serialize on a few map operations, not
-//     on hashing or signing. The SCT returned to the submitter is the
-//     RFC 6962 promise: the entry will be integrated within the MMD.
+//     Merkle leaf hash, and the SCT signature entirely outside the
+//     staging mutex — they depend only on the immutable entry bytes and
+//     the submission timestamp. The mutex is held only for the dedupe
+//     lookup, the capacity check, and appending to the pending batch, so
+//     many CAs submitting to one log serialize on a few map operations,
+//     not on hashing or signing — and never on integration or tile I/O,
+//     which run under the separate sequencer lock. The SCT returned to
+//     the submitter is the RFC 6962 promise: the entry will be
+//     integrated within the MMD.
 //   - Sequence: a sequencer drains the pending batch into the Merkle
 //     tree in canonical (timestamp, identity-hash) order, making the
 //     sequenced tree a pure function of the set of accepted submissions
@@ -38,8 +40,8 @@
 // write-ahead log plus periodic full-state snapshots. The contract, in
 // the order a submission experiences it:
 //
-//   - Ack: the entry's WAL record is appended under the log mutex
-//     (file order = lock order, so a record always precedes the seal
+//   - Ack: the entry's WAL record is appended under the staging mutex
+//     (file order = staging order, so a record always precedes the seal
 //     covering it) and — under the default SyncEachSubmission policy —
 //     fsynced before the SCT is returned. An acknowledged submission
 //     survives any crash; the MMD promise is never made on volatile
@@ -74,8 +76,8 @@
 // the STH, the frozen entry prefix, a merkle.PrefixView frozen at the
 // published size (an O(log n) freeze of the tree's level caches, not a
 // copy), and the lock-free hash→index resolution all advance together,
-// so a request observes one consistent published view end to end even
-// while a chunked Sequence holds the write lock. The published head is
+// so a request observes one consistent published view end to end while
+// a batch integrates or tiles seal. The published head is
 // the horizon: tree sizes above it are rejected with the same error
 // classes as sizes above the live tree, even when the live tree already
 // covers them — proofs over unpublished state would pin the log to an
@@ -91,8 +93,6 @@
 package ctlog
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -164,16 +164,6 @@ type Config struct {
 	// Sync selects the WAL durability point for logs opened with Open.
 	// Ignored by in-memory logs. Defaults to SyncEachSubmission.
 	Sync SyncPolicy
-	// SequenceChunk bounds how many entries one sequence step integrates
-	// per hold of the log mutex. A staged batch larger than this is
-	// drained and canonically sorted once (so the tree bytes are
-	// unchanged), then integrated chunk by chunk with the mutex released
-	// in between — readers and submitters arriving mid-integration wait
-	// for at most one chunk of tree appends instead of the whole batch.
-	// 0 means the default (DefaultSequenceChunk); negative disables
-	// chunking (the whole batch integrates under one hold, the pre-chunk
-	// behaviour — useful only for measuring the difference).
-	SequenceChunk int
 	// SnapshotEvery controls full-state snapshots on durable logs: a
 	// snapshot is written at publication once at least this many entries
 	// have been sequenced since the last one (recovery then replays only
@@ -214,54 +204,63 @@ type SignedTreeHead struct {
 	Sig      sct.DigitallySigned
 }
 
-// Log is an in-memory RFC 6962 log. All methods are safe for concurrent
-// use.
+// Log is an RFC 6962 log, in memory (New) or durable (Open). All methods
+// are safe for concurrent use. Two locks split the write path; readers
+// take neither, and a submitter waits only on the staging mutex and the
+// WAL barrier.
 type Log struct {
 	cfg Config
 
-	// seqMu serializes sequencing, publication, and Close: exactly one
-	// batch integrates at a time, and nothing may publish, snapshot, or
-	// tear the log down while a chunked sequence holds a half-integrated
-	// batch outside l.mu. Always acquired before l.mu; never held by
-	// readers or submitters.
+	// seqMu, the sequencer lock, guards the fields below up to stageMu
+	// and serializes Sequence, PublishSTH (seals included) and Close. No
+	// reader or submitter takes it. Acquired before stageMu.
 	seqMu sync.Mutex
-
-	mu   sync.RWMutex
-	tree *merkle.TiledTree
+	tree  *merkle.TiledTree
 	// entries holds the resident tail of the sequenced log: entries
 	// [tailStart, tree.Size()). On durable logs, entries below tailStart
 	// live in sealed on-disk tiles (served through l.tiles); on in-memory
 	// logs tailStart is always 0 and this is the whole log.
 	entries   []*Entry
 	tailStart uint64
+	// published is the latest signed tree head; it may trail the tree by
+	// up to MMD. snapAt is the tree size at the last snapshot.
+	published SignedTreeHead
+	snapAt    uint64
+	// treeSize mirrors tree.Size() for TreeSize, which takes no lock.
+	treeSize atomic.Uint64
+
+	// stageMu, the staging mutex, is the only lock add and unstage take.
+	// It guards the fields below up to byLeafHash and orders WAL entry
+	// appends. The sequencer takes it only to swap out the batch and to
+	// snapshot (after a seal: drop the sealed identities, compact).
+	stageMu sync.Mutex
 	// staged is the pending batch: accepted submissions that have an SCT
 	// but are not yet integrated into the tree. Sequence drains it.
 	staged []*Entry
 	// dedupe maps cert-identity hash -> entry (staged or resident tail),
 	// so resubmitting the same (pre)certificate returns the original SCT
 	// (like real logs) whether or not it has been integrated yet. Sealed
-	// entries leave this map; their identities are found through the
-	// per-tile bloom + index files instead (see add and tiles.go).
+	// entries leave this map after their tile registers; their identities
+	// are found through the per-tile bloom + index files instead (see add
+	// and tiles.go).
 	dedupe map[merkle.Hash]*Entry
+	// bucket implements a token bucket for CapacityPerSecond.
+	bucketTokens float64
+	bucketAt     time.Time
+	// stats
+	rejected uint64
+
 	// byLeafHash maps Merkle leaf hash -> entry index for
 	// get-proof-by-hash, resident tail only; sealed leaf hashes resolve
 	// through the tile indexes. It is a lock-free index (see proofs.go):
-	// written under mu, read by proof serving with no lock at all.
+	// written by the sequencer, read by proof serving with no lock at all.
 	byLeafHash *leafIndex
-	// published is the latest signed tree head; it may trail the tree by
-	// up to MMD.
-	published SignedTreeHead
 	// pub snapshots the published STH together with the entry prefix it
 	// covers. Entries below a published tree size are immutable (the log
 	// is append-only and *Entry values are never rewritten), so readers
 	// holding the snapshot can walk that prefix with no lock at all —
 	// the fast path StreamEntries and GetEntries ride on.
 	pub atomic.Pointer[publishedState]
-	// bucket implements a token bucket for CapacityPerSecond.
-	bucketTokens float64
-	bucketAt     time.Time
-	// stats
-	rejected uint64
 	// retryAfterSecs is the Retry-After hint (whole seconds) for 429/503
 	// responses, derived from the running sequencer's interval; 0 means
 	// no sequencer has configured one yet and the HTTP layer falls back
@@ -269,19 +268,14 @@ type Log struct {
 	retryAfterSecs atomic.Int64
 
 	// store is the durability layer for logs opened with Open; nil for
-	// in-memory logs. snapAt is the tree size at the last snapshot.
-	store  *storage.Store
-	snapAt uint64
+	// in-memory logs.
+	store *storage.Store
 	// tiles serves sealed tiles on durable logs; nil for in-memory logs.
 	tiles *tileStore
 	// sealStageHook, when set (tests only), observes the seal lifecycle
 	// stages so crash tests can kill the process at each durability
 	// boundary.
 	sealStageHook func(stage string)
-	// seqChunkHook, when set (tests only), runs between integration
-	// chunks of a chunked sequence with no locks held, so tests can park
-	// the sequencer mid-batch and prove readers are served in the gap.
-	seqChunkHook func(done, total int)
 }
 
 // newLog validates cfg and builds an unpublished log skeleton shared by
@@ -301,9 +295,6 @@ func newLog(cfg Config) (*Log, error) {
 	}
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = 4096
-	}
-	if cfg.SequenceChunk == 0 {
-		cfg.SequenceChunk = DefaultSequenceChunk
 	}
 	if cfg.TileSpan == 0 {
 		cfg.TileSpan = DefaultTileSpan
@@ -358,306 +349,11 @@ func (l *Log) Verifier() sct.SCTVerifier { return l.cfg.Signer.Verifier() }
 // ChromeInclusionDate returns when the log joined Chrome's list.
 func (l *Log) ChromeInclusionDate() time.Time { return l.cfg.ChromeInclusionDate }
 
-// Rejected returns the number of submissions rejected due to overload.
-func (l *Log) Rejected() uint64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.rejected
-}
-
-// AddChain submits a final certificate (x509_entry) and returns its SCT.
-// The entry is staged, not yet integrated: it enters the Merkle tree at
-// the next Sequence/PublishSTH, within the MMD.
-func (l *Log) AddChain(cert []byte) (*sct.SignedCertificateTimestamp, error) {
-	return l.add(sct.X509Entry(cert))
-}
-
-// AddPreChain submits a precertificate (precert_entry: issuer key hash +
-// defanged TBS) and returns its SCT, which the CA embeds in the final
-// certificate. Like AddChain, the entry is staged for the next sequence
-// step.
-func (l *Log) AddPreChain(issuerKeyHash [32]byte, tbs []byte) (*sct.SignedCertificateTimestamp, error) {
-	return l.add(sct.PrecertEntry(issuerKeyHash, tbs))
-}
-
-// add stages one submission. The identity hash, the entry skeleton, and
-// the Merkle leaf hash are computed before the lock and the SCT is
-// signed after it: none of them depend on tree or batch state, so the
-// critical section is two map operations, the capacity check, a slice
-// append, and — on durable logs — buffering the entry's WAL record.
-// The WAL write must happen inside the lock: record order in the file
-// is the lock order, which is what guarantees an entry's record always
-// precedes the seal covering its batch. The fsync (the expensive part)
-// happens after the lock is released, before the SCT is returned, so
-// the acknowledgment is the durability point (group commit collapses
-// concurrent submitters into one fsync).
-func (l *Log) add(ce sct.CertificateEntry) (*sct.SignedCertificateTimestamp, error) {
-	now := l.cfg.Clock()
-	ts := uint64(now.UnixMilli())
-
-	// Deduplicate on the entry identity (type + content), not the leaf
-	// (which would include the new timestamp). The read-locked pre-check
-	// keeps resubmissions — the replay-flood common case — at one
-	// identity hash plus a map lookup, skipping the entry construction
-	// and leaf hashing below; the write-locked check further down
-	// remains authoritative for racing first submissions.
-	idHash := entryIdentity(ce)
-	l.mu.RLock()
-	prev, dup := l.dedupe[idHash]
-	l.mu.RUnlock()
-	if dup {
-		return l.dedupeSCT(prev)
-	}
-	// Sealed entries are no longer in the map: probe the per-tile blooms
-	// and index files, outside any lock (tile files are immutable). The
-	// count is captured first so the write-locked recheck below only has
-	// to cover tiles sealed after this point.
-	var sealedAt uint64
-	if l.tiles != nil {
-		sealedAt = l.tiles.sealedTiles()
-		se, err := l.tiles.lookupID(idHash, 0, sealedAt)
-		if err != nil {
-			return nil, err
-		}
-		if se != nil {
-			return l.sealedDupSCT(se)
-		}
-	}
-	skel := Entry{Timestamp: ts, Type: ce.Type}
-	if ce.Type == sct.PrecertLogEntryType {
-		skel.IssuerKeyHash = ce.IssuerKeyHash
-		skel.Cert = ce.TBS
-	} else {
-		skel.Cert = ce.Cert
-	}
-	leaf, err := skel.MerkleTreeLeaf()
-	if err != nil {
-		return nil, err
-	}
-	// The leaf is hashed and WAL-appended below and served as-is by
-	// get-entries, tile seals and snapshots. Parsing it back makes the
-	// staged entry own exactly that buffer — Cert a sub-slice of it, the
-	// bytes stamped — instead of the submitter's certificate plus a copy.
-	e, err := ParseMerkleTreeLeaf(leaf)
-	if err != nil {
-		return nil, err
-	}
-
-	e.idHash = idHash
-	e.idKey = idKeyOf(idHash)
-	e.leafHash = merkle.HashLeaf(leaf)
-
-	l.mu.Lock()
-	if prev, ok := l.dedupe[idHash]; ok {
-		l.mu.Unlock()
-		return l.dedupeSCT(prev)
-	}
-	if l.tiles != nil {
-		// Tiles sealed between the pre-check and here could have absorbed
-		// a racing first submission of this identity; re-probe just those.
-		// Rare (a seal must have landed in the window), so the tile IO
-		// under the write lock is acceptable.
-		if now := l.tiles.sealedTiles(); now > sealedAt {
-			se, err := l.tiles.lookupID(idHash, sealedAt, now)
-			if err != nil {
-				l.mu.Unlock()
-				return nil, err
-			}
-			if se != nil {
-				l.mu.Unlock()
-				return l.sealedDupSCT(se)
-			}
-		}
-	}
-	if !l.takeTokenLocked(now) {
-		l.rejected++
-		l.mu.Unlock()
-		return nil, ErrOverloaded
-	}
-	var walOff int64
-	if l.store != nil {
-		if walOff, err = l.store.AppendEntry(leaf); err != nil {
-			// The record may be half-written; the store is now sticky-
-			// failed so nothing appends after the torn bytes, and replay
-			// discards them. The entry is not staged — memory and the
-			// durable prefix agree that it does not exist.
-			l.mu.Unlock()
-			return nil, fmt.Errorf("%w: %v", ErrPersistence, err)
-		}
-	}
-	l.staged = append(l.staged, e)
-	l.dedupe[idHash] = e
-	l.mu.Unlock()
-
-	if l.store != nil && l.cfg.Sync == SyncEachSubmission {
-		if err := l.store.Barrier(walOff); err != nil {
-			// The entry stays staged: its record is in the file and a
-			// replay may well recover it, so memory must agree. Only the
-			// acknowledgment is withheld.
-			return nil, fmt.Errorf("%w: %v", ErrPersistence, err)
-		}
-	}
-
-	s, err := l.cfg.Signer.CreateSCT(ts, ce)
-	if err != nil {
-		l.unstage(e)
-		return nil, err
-	}
-	return s, nil
-}
-
-// dedupeSCT answers a resubmission: the SCT is re-issued over the
-// original entry's timestamp. Entry content fields are immutable once
-// staged, so reading them lock-free here is safe. The entry is marked
-// shared first (under the lock) so a concurrent signing-failure
-// rollback of the original submission cannot revoke an entry this
-// submitter is about to hold an SCT for.
-//
-// A duplicate's SCT is as strong a promise as the original's, so on a
-// durable log it must not be issued over volatile state: the original's
-// WAL record is in the file by the time the entry is visible in the
-// dedupe map (both happen under the mutex), but under SyncEachSubmission
-// it may not be fsynced yet — the duplicate could even overtake the
-// original submitter's own Barrier. Syncing here closes that window,
-// and a sticky store failure refuses the promise outright.
-func (l *Log) dedupeSCT(prev *Entry) (*sct.SignedCertificateTimestamp, error) {
-	l.mu.Lock()
-	prev.dupAnswered = true
-	l.mu.Unlock()
-	if l.store != nil {
-		if l.cfg.Sync == SyncEachSubmission {
-			if err := l.store.Sync(); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrPersistence, err)
-			}
-		} else if err := l.store.Err(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrPersistence, err)
-		}
-	}
-	return l.cfg.Signer.CreateSCT(prev.Timestamp, prev.SignatureEntry())
-}
-
-// sealedDupSCT answers a resubmission whose original lives in a sealed
-// tile: the SCT is re-issued over the original timestamp, read back from
-// the tile. No dupAnswered pinning (a sealed entry can never be
-// unstaged) and no WAL sync (the original was sequenced, published, and
-// sealed long ago — there is nothing volatile to flush).
-func (l *Log) sealedDupSCT(e *Entry) (*sct.SignedCertificateTimestamp, error) {
-	return l.cfg.Signer.CreateSCT(e.Timestamp, e.SignatureEntry())
-}
-
-// unstage rolls a staged entry back after a signing failure, so the
-// tree never integrates an entry whose submitter received no SCT: the
-// entry is removed from the pending batch and the dedupe map, and its
-// capacity token is refunded. Two races make the rollback conditional:
-// if a concurrent Sequence already drained the batch the entry is
-// integrated and stays, and if a concurrent duplicate submission was
-// answered from the dedupe map (dupAnswered) the entry must sequence —
-// that submitter holds a valid SCT and the MMD promise it carries must
-// hold.
-func (l *Log) unstage(e *Entry) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if e.dupAnswered {
-		return
-	}
-	for i := len(l.staged) - 1; i >= 0; i-- {
-		if l.staged[i] == e {
-			l.staged = append(l.staged[:i], l.staged[i+1:]...)
-			delete(l.dedupe, e.idHash)
-			if l.cfg.CapacityPerSecond > 0 && l.bucketTokens < l.cfg.CapacityPerSecond {
-				l.bucketTokens++
-			}
-			if l.store != nil {
-				// Tombstone the entry's WAL record so replay rolls it
-				// back too. No fsync of its own: consistency only
-				// matters once a seal commits the batch, and the seal's
-				// fsync covers every byte before it — including this
-				// one. A failure just sticky-fails the store.
-				l.store.AppendUnstage(e.idHash)
-			}
-			return
-		}
-	}
-}
-
-// entryIdentity hashes the content identity of a submission for dedupe.
-// The tag/key-hash/TBS parts stream directly into one digest (the same
-// SHA-256(0x00 || type || payload) value merkle.HashLeaf would produce
-// over a concatenated buffer) so the per-submission hot path allocates no
-// intermediate payload slices.
-func entryIdentity(ce sct.CertificateEntry) merkle.Hash {
-	h := sha256.New()
-	h.Write([]byte{0x00, byte(ce.Type)})
-	if ce.Type == sct.PrecertLogEntryType {
-		h.Write(ce.IssuerKeyHash[:])
-		h.Write(ce.TBS)
-	} else {
-		h.Write(ce.Cert)
-	}
-	var out merkle.Hash
-	h.Sum(out[:0])
-	return out
-}
-
-// idKeyOf extracts the cheap 8-byte sort key from an identity hash; the
-// live add path and WAL recovery both stamp it this way so the
-// canonical batch sort behaves identically on both.
-func idKeyOf(idHash merkle.Hash) uint64 {
-	return binary.BigEndian.Uint64(idHash[:8])
-}
-
-// takeTokenLocked enforces CapacityPerSecond with a token bucket refilled
-// by the virtual clock. Burst capacity equals one second of tokens.
-func (l *Log) takeTokenLocked(now time.Time) bool {
-	if l.cfg.CapacityPerSecond <= 0 {
-		return true
-	}
-	elapsed := now.Sub(l.bucketAt).Seconds()
-	if elapsed > 0 {
-		l.bucketTokens += elapsed * l.cfg.CapacityPerSecond
-		if l.bucketTokens > l.cfg.CapacityPerSecond {
-			l.bucketTokens = l.cfg.CapacityPerSecond
-		}
-		l.bucketAt = now
-	}
-	if l.bucketTokens < 1 {
-		return false
-	}
-	l.bucketTokens--
-	return true
-}
-
 // TreeSize returns the current sequenced (but possibly unpublished) tree
-// size. Staged submissions are not counted until sequenced.
+// size. Staged submissions are not counted until sequenced, nor is a
+// batch while it integrates.
 func (l *Log) TreeSize() uint64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.tree.Size()
-}
-
-// PublishSTH sequences all staged submissions and signs and publishes a
-// tree head over the resulting tree. Real logs do this periodically
-// within the MMD; experiments call it at batch boundaries of the virtual
-// clock. On durable logs the STH record is fsynced before the new head
-// becomes visible to readers, so a served STH is always recoverable.
-//
-// Sequencing runs chunked (see Sequence): a large batch integrates over
-// several lock holds, with readers served between them, and only then
-// is the head signed and published under one final hold. The sequencer
-// mutex spans both phases so no other sequence step can slip a partial
-// batch between the seal and the STH covering it.
-func (l *Log) PublishSTH() (SignedTreeHead, error) {
-	l.seqMu.Lock()
-	defer l.seqMu.Unlock()
-	if _, err := l.sequence(); err != nil {
-		return SignedTreeHead{}, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.publishLocked(); err != nil {
-		return SignedTreeHead{}, err
-	}
-	return l.published, nil
+	return l.treeSize.Load()
 }
 
 // publishedState is the immutable snapshot stored in Log.pub: the latest
@@ -680,96 +376,6 @@ type publishedState struct {
 	// and consistency proofs at any size ≤ the published head compute
 	// from it with no log lock. See proofs.go.
 	tree *merkle.TiledTree
-}
-
-// storePublishedLocked installs the published snapshot readers serve
-// from: the current STH, the append-frozen resident tail it covers, the
-// tile store, and a frozen proof view at the published size. Requires
-// l.mu and l.published to be current. The published size may trail the
-// live tree (recovery can rebuild sequenced-but-unpublished seals), but
-// never the sealed prefix — sealing only happens below a published head
-// — so the PrefixView precondition always holds.
-func (l *Log) storePublishedLocked() error {
-	view, err := l.tree.PrefixView(l.published.TreeHead.TreeSize)
-	if err != nil {
-		return err
-	}
-	n := l.published.TreeHead.TreeSize - l.tailStart
-	l.pub.Store(&publishedState{
-		sth:       l.published,
-		tail:      l.entries[:n:n],
-		tailStart: l.tailStart,
-		tiles:     l.tiles,
-		tree:      view,
-	})
-	return nil
-}
-
-func (l *Log) publishLocked() error {
-	root, err := l.tree.Root()
-	if err != nil {
-		return err
-	}
-	th := sct.TreeHead{
-		Timestamp: uint64(l.cfg.Clock().UnixMilli()),
-		TreeSize:  l.tree.Size(),
-		RootHash:  [32]byte(root),
-	}
-	sig, err := l.cfg.Signer.SignTreeHead(th)
-	if err != nil {
-		return fmt.Errorf("ctlog: signing STH: %w", err)
-	}
-	// Persist the head only when it covers new tree state. A wall-clock
-	// sequencer republishes every tick — on an idle log that is the
-	// same (size, root) under a fresh timestamp, and appending+fsyncing
-	// each one would grow the WAL without bound at zero load. Skipping
-	// them is safe: recovery serves the last persisted head (same tree,
-	// older timestamp) and the first live tick republishes fresh.
-	if ps := l.pub.Load(); l.store != nil &&
-		!(ps != nil && ps.sth.TreeHead.TreeSize == th.TreeSize && ps.sth.TreeHead.RootHash == th.RootHash) {
-		sigBytes, err := sig.Serialize()
-		if err != nil {
-			return fmt.Errorf("ctlog: serializing STH signature: %w", err)
-		}
-		if _, err := l.store.AppendSTH(storage.STHRecord{
-			Timestamp: th.Timestamp,
-			TreeSize:  th.TreeSize,
-			Root:      th.RootHash,
-			Sig:       sigBytes,
-		}); err != nil {
-			return fmt.Errorf("%w: %v", ErrPersistence, err)
-		}
-		if err := l.store.Sync(); err != nil {
-			return fmt.Errorf("%w: %v", ErrPersistence, err)
-		}
-	}
-	l.published = SignedTreeHead{TreeHead: th, Sig: sig}
-	if err := l.storePublishedLocked(); err != nil {
-		return err
-	}
-	// Seal every complete tile the new head covers: tile files are
-	// written, verified, and installed; RAM and WAL compact behind them.
-	if err := l.maybeSealLocked(); err != nil {
-		return err
-	}
-	if l.store != nil && l.cfg.SnapshotEvery > 0 && l.snapshotDueLocked() {
-		if err := l.writeSnapshotLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// snapshotDueLocked decides whether publication should write a full
-// snapshot: at least SnapshotEvery entries since the last one AND at
-// least 20% tree growth. A snapshot costs O(tree) to encode and write
-// (under the mutex — the price of a consistent image), so the growth
-// floor keeps the cadence geometric: cumulative snapshot I/O stays
-// O(total entries) instead of going quadratic as the tree outgrows a
-// fixed entry interval.
-func (l *Log) snapshotDueLocked() bool {
-	grown := l.tree.Size() - l.snapAt
-	return grown >= uint64(l.cfg.SnapshotEvery) && grown*5 >= l.tree.Size()
 }
 
 // STH returns the latest published signed tree head.

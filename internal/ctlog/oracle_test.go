@@ -340,13 +340,13 @@ func TestProofOracleDifferential(t *testing.T) {
 		par := par
 		t.Run(fmt.Sprintf("inmemory/par=%d", par), func(t *testing.T) {
 			t.Parallel()
-			l, clk := newTestLog(t, Config{SequenceChunk: 16})
+			l, clk := newTestLog(t, Config{})
 			differentialSchedule(t, l, clk, par, 1000+int64(par), 8, 40, nil)
 		})
 		t.Run(fmt.Sprintf("durable/par=%d", par), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			cfg := Config{SequenceChunk: 16, TileSpan: 4096, Sync: SyncAtSequence}
+			cfg := Config{TileSpan: 4096, Sync: SyncAtSequence}
 			l, clk := newDurableLog(t, dir, cfg)
 			reopen := func(old *Log) *Log {
 				if err := old.Close(); err != nil {
@@ -355,7 +355,7 @@ func TestProofOracleDifferential(t *testing.T) {
 				nl, err := Open(dir, Config{
 					Name: old.cfg.Name, Operator: old.cfg.Operator,
 					Signer: old.cfg.Signer, Clock: old.cfg.Clock,
-					SequenceChunk: 16, TileSpan: 4096, Sync: SyncAtSequence,
+					TileSpan: 4096, Sync: SyncAtSequence,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -368,7 +368,7 @@ func TestProofOracleDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("tiled/par=%d", par), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			cfg := Config{SequenceChunk: 16, TileSpan: 8, Sync: SyncAtSequence}
+			cfg := Config{TileSpan: 8, Sync: SyncAtSequence}
 			l, clk := newDurableLog(t, dir, cfg)
 			reopen := func(old *Log) *Log {
 				if err := old.Close(); err != nil {
@@ -377,7 +377,7 @@ func TestProofOracleDifferential(t *testing.T) {
 				nl, err := Open(dir, Config{
 					Name: old.cfg.Name, Operator: old.cfg.Operator,
 					Signer: old.cfg.Signer, Clock: old.cfg.Clock,
-					SequenceChunk: 16, TileSpan: 8, Sync: SyncAtSequence,
+					TileSpan: 8, Sync: SyncAtSequence,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -390,12 +390,21 @@ func TestProofOracleDifferential(t *testing.T) {
 	}
 }
 
-// TestProofOracleMidIntegration parks proof readers inside a chunked
-// Sequence (via seqChunkHook) and checks the full differential surface
-// against the oracle captured at the last publish: a half-integrated
-// batch must be invisible to every proof endpoint.
+// TestProofOracleMidIntegration races proof readers against a Sequence
+// integrating a large batch and checks the full differential surface,
+// over and over until the batch is in, against the oracle captured at
+// the last publish: a half-integrated batch must be invisible to every
+// proof endpoint.
 func TestProofOracleMidIntegration(t *testing.T) {
-	l, clk := newTestLog(t, Config{SequenceChunk: 8})
+	const batch = 20_000
+	clk := newClock()
+	l, err := New(Config{
+		Name: "mid-integration log", Operator: "TestOp",
+		Signer: sct.NewFastSigner("mid-integration log"), Clock: clk.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 30; i++ {
 		if _, err := l.AddChain([]byte(fmt.Sprintf("pre-%d", i))); err != nil {
@@ -408,23 +417,29 @@ func TestProofOracleMidIntegration(t *testing.T) {
 	}
 	o := oracleFromLog(t, l, l.STH().TreeHead.TreeSize)
 
-	for i := 0; i < 50; i++ {
-		if _, err := l.AddChain([]byte(fmt.Sprintf("mid-%d", i))); err != nil {
+	for i := 0; i < batch; i++ {
+		if _, err := l.AddChain([]byte(fmt.Sprintf("mid-%05d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	hooks := 0
-	l.seqChunkHook = func(done, total int) {
-		hooks++
+	seqDone := make(chan error, 1)
+	go func() {
+		_, err := l.Sequence()
+		seqDone <- err
+	}()
+	checks := 0
+	for done := false; !done; checks++ {
 		checkProofsAgainstOracle(t, l, o, 4, rng)
+		select {
+		case err := <-seqDone:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+		}
 	}
-	if _, err := l.Sequence(); err != nil {
-		t.Fatal(err)
-	}
-	l.seqChunkHook = nil
-	if hooks == 0 {
-		t.Fatal("chunk hook never fired: the batch was not integrated chunked")
-	}
+	t.Logf("%d oracle checks raced the integration of %d entries", checks, batch)
 	if _, err := l.PublishSTH(); err != nil {
 		t.Fatal(err)
 	}
@@ -433,10 +448,10 @@ func TestProofOracleMidIntegration(t *testing.T) {
 }
 
 // TestProofOracleMidSeal drives proof readers from inside every seal
-// lifecycle stage. The seal hook runs with the log's write lock held, so
-// this doubles as a structural proof that the endpoints never touch
-// l.mu: on the old RLock serving path every one of these calls would
-// self-deadlock.
+// lifecycle stage. The seal hook runs with the sequencer lock held (and,
+// from the compaction stages on, the staging mutex too), so this doubles
+// as a structural proof that the endpoints take neither lock: any call
+// that did would self-deadlock here.
 func TestProofOracleMidSeal(t *testing.T) {
 	dir := t.TempDir()
 	l, clk := newDurableLog(t, dir, Config{TileSpan: 8, Sync: SyncAtSequence})
@@ -447,7 +462,7 @@ func TestProofOracleMidSeal(t *testing.T) {
 		stages = append(stages, stage)
 		// Published state during a seal is the head publishLocked just
 		// installed; both the oracle rebuild (StreamEntries) and the proof
-		// checks run on the lock-free snapshot from under the write lock.
+		// checks run on the lock-free snapshot from inside the seal.
 		o := oracleFromLog(t, l, l.STH().TreeHead.TreeSize)
 		checkProofsAgainstOracle(t, l, o, 2, rng)
 	}
@@ -476,22 +491,20 @@ func TestProofOracleMidSeal(t *testing.T) {
 // comparing both against the oracle — including the error class when a
 // query is out of range.
 func FuzzProofEquivalence(f *testing.F) {
-	f.Add(uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), uint8(0))
-	f.Add(uint8(7), uint8(3), uint8(2), uint8(5), uint8(2), uint8(1), uint8(3))
-	f.Add(uint8(33), uint8(32), uint8(8), uint8(33), uint8(3), uint8(2), uint8(40))
-	f.Add(uint8(48), uint8(0), uint8(17), uint8(48), uint8(0), uint8(7), uint8(255))
-	f.Add(uint8(21), uint8(20), uint8(21), uint8(22), uint8(4), uint8(3), uint8(21))
-	f.Fuzz(func(t *testing.T, nEntries, index, first, second, spanSel, chunkSel, hashSel uint8) {
+	f.Add(uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint8(0))
+	f.Add(uint8(7), uint8(3), uint8(2), uint8(5), uint8(2), uint8(3))
+	f.Add(uint8(33), uint8(32), uint8(8), uint8(33), uint8(3), uint8(40))
+	f.Add(uint8(48), uint8(0), uint8(17), uint8(48), uint8(0), uint8(255))
+	f.Add(uint8(21), uint8(20), uint8(21), uint8(22), uint8(4), uint8(21))
+	f.Fuzz(func(t *testing.T, nEntries, index, first, second, spanSel, hashSel uint8) {
 		n := uint64(nEntries%48) + 1
 		span := uint64(2) << (spanSel % 4) // 2, 4, 8, 16
-		chunk := int(chunkSel%8) + 1
 		clk := newClock()
 		mk := func(open func(Config) (*Log, error)) *Log {
 			l, err := open(Config{
 				Name: "fuzz log", Operator: "FuzzOp",
 				Signer: sct.NewFastSigner("fuzz log"), Clock: clk.Now,
-				SequenceChunk: chunk, TileSpan: int(span),
-				Sync: SyncAtSequence, SnapshotEvery: -1,
+				TileSpan: int(span), Sync: SyncAtSequence, SnapshotEvery: -1,
 			})
 			if err != nil {
 				t.Fatal(err)

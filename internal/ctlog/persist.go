@@ -69,16 +69,16 @@ func Open(dir string, cfg Config) (*Log, error) {
 // store. In-memory logs close trivially. The log must not be used after
 // Close; a closed durable log refuses new submissions.
 func (l *Log) Close() error {
-	// seqMu first: a chunked sequence in flight holds a half-integrated
-	// batch outside l.mu, and a snapshot taken in one of its gaps would
-	// record the drained-but-uninstalled remainder nowhere.
+	// The sequencer lock keeps any batch from being mid-integration — in
+	// neither the staged list nor the tree — while the state is imaged;
+	// the staging mutex keeps the staged list and the WAL cursor still.
 	l.seqMu.Lock()
 	defer l.seqMu.Unlock()
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.store == nil {
 		return nil
 	}
+	l.stageMu.Lock()
+	defer l.stageMu.Unlock()
 	var firstErr error
 	if l.store.Err() == nil {
 		if err := l.store.Sync(); err != nil {
@@ -190,6 +190,7 @@ func (l *Log) recover(snap *storage.Snapshot, snapErr error) error {
 	l.entries = rec.entries
 	l.staged = rec.staged
 	l.tree = rec.tree
+	l.treeSize.Store(rec.tree.Size())
 	l.dedupe = rec.dedupe
 	l.byLeafHash = rec.byLeafHash
 	l.snapAt = rec.snapSize
@@ -251,12 +252,11 @@ func (r *recovered) stageLeaf(leaf []byte) error {
 // loudly rather than serve diverged state.
 //
 // The seal's batch is the staged PREFIX its tree size accounts for, in
-// WAL file order: record order is lock order, so every record of the
-// drained batch precedes the drain point, and submissions that raced a
-// chunked sequence (their records landed between the drain and the
+// WAL file order: record order is staging order, so every record of the
+// drained batch precedes the drain point, and submissions staged while
+// the batch integrated (their records landed between the drain and the
 // seal) belong to the NEXT batch — on the live log they stayed staged,
-// so here they must too. For the full-lock path the prefix is simply
-// everything staged, the original semantics.
+// so here they must too.
 func (r *recovered) seal(s storage.SealRecord) error {
 	if s.TreeSize < r.tree.Size() {
 		return fmt.Errorf("%w: seal claims tree size %d below replayed %d", storage.ErrCorrupt, s.TreeSize, r.tree.Size())
@@ -409,7 +409,8 @@ func (l *Log) replayWAL(r *recovered, from int64) error {
 // writeSnapshotLocked dumps the full log state — the sealed prefix as
 // tile roots, the resident tail's entries in tree order, the staged
 // batch, root, published STH, and the WAL cursor — into an
-// atomically-replaced snapshot file. Requires l.mu. Snapshot cost is
+// atomically-replaced snapshot file. Requires seqMu and stageMu (or a
+// log no other goroutine can see yet, during recovery). Snapshot cost is
 // O(tail + staged + tile count), not O(tree): the sealed entries
 // themselves live in the tiles.
 func (l *Log) writeSnapshotLocked() error {

@@ -519,6 +519,134 @@ func TestDivergedSealFailsLoudly(t *testing.T) {
 	}
 }
 
+// A seal claiming more entries than the replay has staged is corruption,
+// not a partial drain.
+func TestRecoverySealOverclaimIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := newDurableLog(t, dir, Config{})
+	if _, err := l.AddChain([]byte("only-entry")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Sequence(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, storage.SnapshotName)); err != nil {
+		t.Fatal(err)
+	}
+	// Append a forged seal claiming a larger tree than the WAL staged.
+	s, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AppendSeal(storage.SealRecord{TreeSize: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, Config{
+		Name: "Durable Test Log", Operator: "TestOp",
+		Signer: l.cfg.Signer, Clock: l.cfg.Clock,
+	})
+	if !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("overclaiming seal: err=%v, want ErrCorrupt", err)
+	}
+}
+
+// TestDurableRecoveryWithAddsRacingSequence replays a WAL in which
+// submissions raced the sequencer: staged while a large batch
+// integrated, their entry records sit between the batch's drain and its
+// seal record. Recovery must give the seal only the staged prefix its
+// tree size accounts for and leave the racers staged — exactly the live
+// log's state, down to the root.
+func TestDurableRecoveryWithAddsRacingSequence(t *testing.T) {
+	const batch = 20_000
+	dir := t.TempDir()
+	// A span above the tree size keeps everything in the WAL (no seal
+	// compacts it), so recovery replays the race record by record.
+	l, _ := newDurableLog(t, dir, Config{Sync: SyncAtSequence, SnapshotEvery: -1, TileSpan: 1 << 16})
+	for i := 0; i < batch; i++ {
+		if _, err := l.AddChain([]byte(fmt.Sprintf("batch-%05d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seqDone := make(chan error, 1)
+	go func() {
+		_, err := l.Sequence()
+		seqDone <- err
+	}()
+	for racer := 0; ; racer++ {
+		select {
+		case err := <-seqDone:
+			if err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if _, err := l.AddChain([]byte(fmt.Sprintf("racer-%05d", racer))); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		break
+	}
+	size, pending := l.TreeSize(), l.PendingCount()
+	if size < batch || pending == 0 {
+		t.Fatalf("live log: tree %d, pending %d; want ≥ %d sequenced and the late racers staged", size, pending, batch)
+	}
+	root, err := l.tree.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The race must have put entry records between the drain and the
+	// seal, or this test proved nothing.
+	data, err := os.ReadFile(filepath.Join(dir, storage.WALName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := storage.DecodeWAL(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beforeSeal := uint64(0)
+	for _, rec := range recs {
+		if rec.Type == storage.RecordSeal {
+			break
+		}
+		if rec.Type == storage.RecordEntry {
+			beforeSeal++
+		}
+	}
+	if beforeSeal <= size {
+		t.Fatalf("no racer landed between the drain and the seal (%d entry records before a seal of %d)", beforeSeal, size)
+	}
+	// Drop the Close-time snapshot so recovery must replay the WAL.
+	if err := os.Remove(filepath.Join(dir, storage.SnapshotName)); err != nil {
+		t.Fatal(err)
+	}
+
+	r, _ := newDurableLog(t, dir, Config{})
+	defer r.Close()
+	if got := r.TreeSize(); got != size {
+		t.Fatalf("recovered tree size %d, want %d", got, size)
+	}
+	if got := r.PendingCount(); got != pending {
+		t.Fatalf("recovered pending %d, want %d", got, pending)
+	}
+	if got, err := r.tree.Root(); err != nil || got != root {
+		t.Fatalf("recovered root %s (err %v), want %s", got, err, root)
+	}
+	if n, err := r.Sequence(); err != nil || n != pending {
+		t.Fatalf("sequencing recovered racers: n=%d err=%v, want %d", n, err, pending)
+	}
+}
+
 // TestIdleRepublishDoesNotGrowWAL pins the idle-log property: a
 // wall-clock sequencer republishing an unchanged tree appends nothing
 // durable (otherwise an idle ctlogd's WAL grows without bound), while a

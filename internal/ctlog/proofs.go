@@ -11,7 +11,7 @@ import (
 // proof-by-hash at a published tree size are pure functions of the
 // immutable published prefix, so — like get-sth and get-entries before
 // them — they are served entirely from the publishedState snapshot and
-// never touch the log mutex. The pieces:
+// touch neither of the log's locks. The pieces:
 //
 //   - publishedState.tree is a merkle PrefixView frozen at the published
 //     size when publishLocked installs the snapshot: an O(log n) freeze
@@ -23,22 +23,22 @@ import (
 //     head, so the HTTP status surface is unchanged.
 //   - byLeafHash, the hash → index lookup behind get-proof-by-hash, is a
 //     leafIndex (sync.Map) instead of a mutex-guarded map: the sequencer
-//     inserts under the write lock as before, readers resolve hashes
-//     with an atomic lookup. Sealed hashes leave the map only after
-//     their tile registers in the tileStore (maybeSealLocked's install
-//     phase runs after sealTileLocked), so a reader that misses the map
-//     always finds the hash through the per-tile blooms — there is no
-//     window where a published leaf resolves nowhere.
+//     inserts under its own lock, readers resolve hashes with an atomic
+//     lookup. Sealed hashes leave the map only after their tile
+//     registers in the tileStore (sealTilesLocked's install phase runs
+//     after sealTileLocked), so a reader that misses the map always
+//     finds the hash through the per-tile blooms — there is no window
+//     where a published leaf resolves nowhere.
 //
 // A proof reader therefore observes one consistent published view end
-// to end even while a chunked Sequence holds the write lock between its
-// integration bursts — the RWMutex writer-preference convoy that made
-// proof p99 track the whole batch integration is structurally gone.
+// to end while a batch integrates or tiles seal, and never queues
+// behind either.
 
 // leafIndex maps Merkle leaf hash → entry index for the resident
-// (unsealed) sequenced range. Writes happen under the log mutex (the
-// sequencer integrating a batch, the seal install pruning behind the
-// tiles, recovery before the log is visible); reads are lock-free.
+// (unsealed) sequenced range. Writes happen under the sequencer lock
+// (the sequencer integrating a batch, the seal install pruning behind
+// the tiles) or before the log is visible (recovery); reads are
+// lock-free.
 // Indices are immutable once assigned, so a racing read can never
 // observe a wrong value — only a hash's presence moves, and only from
 // this map into the sealed tiles' index files.

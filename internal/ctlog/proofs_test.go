@@ -11,14 +11,14 @@ import (
 )
 
 // Tests for the lock-free proof serving path: the structural zero-mutex
-// property, the convoy regression (proof latency during a large chunked
+// property, the convoy regression (proof latency during a large
 // integration stays at idle levels), and the error surface over the
 // published snapshot.
 
 // TestProofServingHoldsNoLogMutex is the structural assertion behind
-// "lock-free": every proof endpoint must complete while the log's write
-// lock is HELD by the test. On the old RLock serving path each call
-// deadlocks here and the watchdog fires. Run over both an in-memory log
+// "lock-free": every proof endpoint must complete while both of the
+// log's locks are HELD by the test. An endpoint that took either would
+// deadlock here and the watchdog fires. Run over both an in-memory log
 // and a durable tiled one (whose proof-by-hash path additionally walks
 // the tile blooms and index files).
 func TestProofServingHoldsNoLogMutex(t *testing.T) {
@@ -47,8 +47,8 @@ func TestProofServingHoldsNoLogMutex(t *testing.T) {
 		// acquires either, it blocks until the watchdog kills the test.
 		l.seqMu.Lock()
 		defer l.seqMu.Unlock()
-		l.mu.Lock()
-		defer l.mu.Unlock()
+		l.stageMu.Lock()
+		defer l.stageMu.Unlock()
 
 		done := make(chan struct{})
 		go func() {
@@ -92,10 +92,10 @@ func TestProofServingHoldsNoLogMutex(t *testing.T) {
 }
 
 // TestProofServingLockFree is the convoy regression: proof requests
-// issued while a large staged batch integrates chunk by chunk must be
-// answered at idle latency, not queued behind the sequencer's
-// back-to-back write-lock holds (the RWMutex writer-preference convoy
-// that motivated serving proofs from the published snapshot). The bound
+// issued while a large staged batch integrates must be answered at idle
+// latency, not queued behind the sequencer (the RWMutex
+// writer-preference convoy that motivated serving proofs from the
+// published snapshot). The bound
 // is deliberately loose — a generous multiple of the measured idle
 // latency with an absolute floor — so scheduler noise cannot flake it,
 // while the pre-fix behaviour (proof latency tracking whole-batch

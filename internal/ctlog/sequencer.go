@@ -11,20 +11,15 @@ import (
 	"ctrise/internal/ctlog/storage"
 	"ctrise/internal/drain"
 	"ctrise/internal/merkle"
+	"ctrise/internal/sct"
 )
 
 // The sequencer is the second phase of the stage → sequence lifecycle
 // (see the package comment): it drains the pending batch AddChain and
 // AddPreChain built up and integrates it into the Merkle tree. Staging
-// and sequencing communicate only through Log.mu, so submitters keep
-// staging while a sequence step runs — they block only for the duration
-// of one integration chunk, not for any hashing or signing.
-
-// DefaultSequenceChunk is the per-lock-hold integration chunk used when
-// Config.SequenceChunk is 0: large enough that chunking overhead is
-// noise, small enough that a reader arriving mid-integration waits for
-// at most ~a millisecond of tree appends instead of the whole batch.
-const DefaultSequenceChunk = 1024
+// and sequencing meet only at the batch swap under the staging mutex,
+// so submitters keep staging while a batch integrates — they never wait
+// on tree appends, hashing or signing.
 
 // ErrDrainIncomplete wraps the publish error when RunSequencer's final
 // drain on cancellation fails: acknowledged submissions are left staged
@@ -48,81 +43,41 @@ var ErrDrainIncomplete = errors.New("ctlog: shutdown drain left entries staged")
 // come out identical. This is what lets the timeline replay fan
 // submissions out freely and still prove byte-identical trees.
 //
-// A batch larger than Config.SequenceChunk is integrated incrementally:
-// the whole batch is drained and sorted up front (fixing the canonical
-// order and the seal boundary), but the tree appends take and release
-// the log mutex every chunk, so readers and submitters arriving
-// mid-integration wait for at most one chunk of appends instead of the
-// whole batch. Readers between chunks observe exactly the last
-// published state — STHs, get-entries, and proofs all serve the
-// published snapshot, which only moves at PublishSTH — so chunking is
-// invisible to RFC semantics and to the byte-identical determinism
-// suites; it only bounds reader latency.
-//
-// On durable logs each sequence step appends and fsyncs a single seal
-// record after the last chunk — the snapshot cursor marking the whole
-// batch boundary — so recovery re-sorts exactly the same batches and
-// reconstructs byte-identical tree state. Submissions that raced a
-// chunked sequence appended their WAL records after the drain point and
-// before the seal; recovery assigns the seal only its own batch (the
-// staged prefix its tree size accounts for) and leaves the rest staged,
-// exactly as the live log did. A persistence error leaves the batch
-// integrated in memory but unsealed on disk: recovery sees those
-// entries as still staged, which is a consistent earlier state, and the
-// sticky store failure prevents any later STH from being written over
-// the unsealed tree.
+// The batch is swapped out under the staging mutex and integrated under
+// the sequencer lock alone, so neither readers nor submitters wait on
+// it. On durable logs each step then appends and fsyncs one seal record
+// marking the batch boundary, so recovery re-sorts exactly the same
+// batches. Submissions staged meanwhile write their WAL records between
+// the swap and the seal; recovery gives the seal only the staged prefix
+// its tree size accounts for and leaves them staged, as the live log
+// did. A persistence error leaves the batch integrated in memory but
+// unsealed on disk: recovery sees those entries as still staged, a
+// consistent earlier state, and the sticky store failure prevents any
+// later STH from being written over the unsealed tree.
 func (l *Log) Sequence() (int, error) {
 	l.seqMu.Lock()
 	defer l.seqMu.Unlock()
 	return l.sequence()
 }
 
-// sequence drains and integrates the pending batch. Requires l.seqMu
-// (one sequencer at a time: the mutex is what makes releasing l.mu
-// between chunks safe — no second drain, publish, snapshot, or Close
-// can interleave with a half-integrated batch).
+// sequence drains and integrates the pending batch. Requires seqMu.
 func (l *Log) sequence() (int, error) {
-	chunk := l.cfg.SequenceChunk
-	l.mu.Lock()
-	if chunk < 0 || len(l.staged) <= chunk {
-		// Small batch (or chunking disabled): integrate and seal under
-		// one hold, the original fast path.
-		defer l.mu.Unlock()
-		return l.sequenceLocked()
-	}
+	l.stageMu.Lock()
 	batch := l.staged
 	l.staged = nil
-	l.mu.Unlock()
-	sortBatch(batch)
-	for done := 0; done < len(batch); {
-		n := min(chunk, len(batch)-done)
-		l.mu.Lock()
-		integrateBatch(batch[done:done+n], l.tree, &l.entries, l.byLeafHash)
-		l.mu.Unlock()
-		done += n
-		if h := l.seqChunkHook; h != nil && done < len(batch) {
-			h(done, len(batch))
-		}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(batch), l.sealLocked()
-}
-
-func (l *Log) sequenceLocked() (int, error) {
-	if len(l.staged) == 0 {
+	l.stageMu.Unlock()
+	if len(batch) == 0 {
 		return 0, nil
 	}
-	batch := l.staged
-	l.staged = nil
 	sortBatch(batch)
 	integrateBatch(batch, l.tree, &l.entries, l.byLeafHash)
-	return len(batch), l.sealLocked()
+	l.treeSize.Store(l.tree.Size())
+	return len(batch), l.appendSealLocked()
 }
 
-// sealLocked appends and fsyncs the seal record fixing the batch
-// boundary just integrated. Requires l.mu; no-op on in-memory logs.
-func (l *Log) sealLocked() error {
+// appendSealLocked appends and fsyncs the seal record fixing the batch
+// boundary just integrated. Requires seqMu; no-op on in-memory logs.
+func (l *Log) appendSealLocked() error {
 	if l.store == nil {
 		return nil
 	}
@@ -140,6 +95,124 @@ func (l *Log) sealLocked() error {
 		return fmt.Errorf("%w: %v", ErrPersistence, err)
 	}
 	return nil
+}
+
+// PublishSTH sequences all staged submissions and signs and publishes a
+// tree head over the resulting tree. Real logs do this periodically
+// within the MMD; experiments call it at batch boundaries of the virtual
+// clock. On durable logs the STH record is fsynced before the new head
+// becomes visible to readers, so a served STH is always recoverable.
+// The sequencer lock spans the whole step, so no other sequence step can
+// slip a batch between the seal and the STH covering it; submitters keep
+// staging throughout.
+func (l *Log) PublishSTH() (SignedTreeHead, error) {
+	l.seqMu.Lock()
+	defer l.seqMu.Unlock()
+	if _, err := l.sequence(); err != nil {
+		return SignedTreeHead{}, err
+	}
+	if err := l.publishLocked(); err != nil {
+		return SignedTreeHead{}, err
+	}
+	return l.published, nil
+}
+
+// storePublishedLocked installs the published snapshot readers serve
+// from: the current STH, the append-frozen resident tail it covers, the
+// tile store, and a frozen proof view at the published size. Requires
+// seqMu and l.published to be current. The published size may trail the
+// live tree (recovery can rebuild sequenced-but-unpublished seals), but
+// never the sealed prefix — sealing only happens below a published head
+// — so the PrefixView precondition always holds.
+func (l *Log) storePublishedLocked() error {
+	view, err := l.tree.PrefixView(l.published.TreeHead.TreeSize)
+	if err != nil {
+		return err
+	}
+	n := l.published.TreeHead.TreeSize - l.tailStart
+	l.pub.Store(&publishedState{
+		sth:       l.published,
+		tail:      l.entries[:n:n],
+		tailStart: l.tailStart,
+		tiles:     l.tiles,
+		tree:      view,
+	})
+	return nil
+}
+
+func (l *Log) publishLocked() error {
+	root, err := l.tree.Root()
+	if err != nil {
+		return err
+	}
+	th := sct.TreeHead{
+		Timestamp: uint64(l.cfg.Clock().UnixMilli()),
+		TreeSize:  l.tree.Size(),
+		RootHash:  [32]byte(root),
+	}
+	sig, err := l.cfg.Signer.SignTreeHead(th)
+	if err != nil {
+		return fmt.Errorf("ctlog: signing STH: %w", err)
+	}
+	// Persist the head only when it covers new tree state. A wall-clock
+	// sequencer republishes every tick — on an idle log that is the
+	// same (size, root) under a fresh timestamp, and appending+fsyncing
+	// each one would grow the WAL without bound at zero load. Skipping
+	// them is safe: recovery serves the last persisted head (same tree,
+	// older timestamp) and the first live tick republishes fresh.
+	if ps := l.pub.Load(); l.store != nil &&
+		!(ps != nil && ps.sth.TreeHead.TreeSize == th.TreeSize && ps.sth.TreeHead.RootHash == th.RootHash) {
+		sigBytes, err := sig.Serialize()
+		if err != nil {
+			return fmt.Errorf("ctlog: serializing STH signature: %w", err)
+		}
+		if _, err := l.store.AppendSTH(storage.STHRecord{
+			Timestamp: th.Timestamp,
+			TreeSize:  th.TreeSize,
+			Root:      th.RootHash,
+			Sig:       sigBytes,
+		}); err != nil {
+			return fmt.Errorf("%w: %v", ErrPersistence, err)
+		}
+		if err := l.store.Sync(); err != nil {
+			return fmt.Errorf("%w: %v", ErrPersistence, err)
+		}
+	}
+	l.published = SignedTreeHead{TreeHead: th, Sig: sig}
+	if err := l.storePublishedLocked(); err != nil {
+		return err
+	}
+	// Seal every complete tile the new head covers, from the immutable
+	// published prefix and with no staging lock held: submitters keep
+	// staging while tile files are written and verified.
+	sealed, err := l.sealTilesLocked()
+	if err != nil {
+		return err
+	}
+	if l.store == nil || (len(sealed) == 0 && !l.snapshotDueLocked()) {
+		return nil
+	}
+	// A snapshot images the staged batch at the current WAL offset, so
+	// entry appends must stop while it is taken — and, after a seal,
+	// through the WAL reset and re-anchor that follow it.
+	l.stageMu.Lock()
+	defer l.stageMu.Unlock()
+	if len(sealed) == 0 {
+		return l.writeSnapshotLocked()
+	}
+	return l.compactLocked(sealed)
+}
+
+// snapshotDueLocked decides whether publication should write a full
+// snapshot: at least SnapshotEvery entries since the last one AND at
+// least 20% tree growth. A snapshot costs O(tail + staged) to encode and
+// write (under the staging mutex — the price of a consistent image), so
+// the growth floor keeps the cadence geometric: cumulative snapshot I/O
+// stays O(total entries) instead of going quadratic as the tree outgrows
+// a fixed entry interval. Negative SnapshotEvery disables it.
+func (l *Log) snapshotDueLocked() bool {
+	grown := l.tree.Size() - l.snapAt
+	return l.cfg.SnapshotEvery > 0 && grown >= uint64(l.cfg.SnapshotEvery) && grown*5 >= l.tree.Size()
 }
 
 // integrateBatch appends an already-ordered batch to the sequenced
@@ -182,10 +255,10 @@ func sortBatch(batch []*Entry) {
 }
 
 // PendingCount reports how many accepted submissions are staged but not
-// yet sequenced.
+// yet sequenced (a batch Sequence has swapped out no longer counts).
 func (l *Log) PendingCount() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
+	l.stageMu.Lock()
+	defer l.stageMu.Unlock()
 	return len(l.staged)
 }
 

@@ -299,18 +299,16 @@ func TestRunSequencerRetriesTransientPublishFailure(t *testing.T) {
 // submissions are already refused, so the loop must exit and surface the
 // persistence error instead of spinning on a dead store.
 func TestRunSequencerExitsOnStickyStoreFailure(t *testing.T) {
-	l, _ := newDurableLog(t, t.TempDir(), Config{SequenceChunk: 2})
+	l, _ := newDurableLog(t, t.TempDir(), Config{})
 	for i := 0; i < 6; i++ {
 		if _, err := l.AddChain([]byte(fmt.Sprintf("sticky-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Kill the store mid-sequence: the seal after the last chunk fails,
-	// and the failure is sticky (a closed store refuses all writes).
-	var once sync.Once
-	l.seqChunkHook = func(done, total int) {
-		once.Do(func() { l.store.Close() })
-	}
+	// Kill the store before the first tick: that tick's seal record
+	// fails, and the failure is sticky (a closed store refuses all
+	// writes).
+	l.store.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)

@@ -1,0 +1,287 @@
+package ctlog
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"time"
+
+	"ctrise/internal/merkle"
+	"ctrise/internal/sct"
+)
+
+// Staging is the first phase of the stage → sequence lifecycle (see the
+// package comment): a submission gets its SCT and joins the pending
+// batch under the staging mutex, which — with the WAL barrier — is all a
+// submitter ever waits on.
+
+// Rejected returns the number of submissions rejected due to overload.
+func (l *Log) Rejected() uint64 {
+	l.stageMu.Lock()
+	defer l.stageMu.Unlock()
+	return l.rejected
+}
+
+// AddChain submits a final certificate (x509_entry) and returns its SCT.
+// The entry is staged, not yet integrated: it enters the Merkle tree at
+// the next Sequence/PublishSTH, within the MMD.
+func (l *Log) AddChain(cert []byte) (*sct.SignedCertificateTimestamp, error) {
+	return l.add(sct.X509Entry(cert))
+}
+
+// AddPreChain submits a precertificate (precert_entry: issuer key hash +
+// defanged TBS) and returns its SCT, which the CA embeds in the final
+// certificate. Like AddChain, the entry is staged for the next sequence
+// step.
+func (l *Log) AddPreChain(issuerKeyHash [32]byte, tbs []byte) (*sct.SignedCertificateTimestamp, error) {
+	return l.add(sct.PrecertEntry(issuerKeyHash, tbs))
+}
+
+// add stages one submission. The identity hash, the entry skeleton, and
+// the Merkle leaf hash are computed before the lock and the SCT is
+// signed after it: none of them depend on tree or batch state, so the
+// critical section is two map operations, the capacity check, a slice
+// append, and — on durable logs — buffering the entry's WAL record.
+// The WAL write must happen inside the lock: record order in the file
+// is the lock order, which is what guarantees an entry's record always
+// precedes the seal covering its batch. The fsync (the expensive part)
+// happens after the lock is released, before the SCT is returned, so
+// the acknowledgment is the durability point (group commit collapses
+// concurrent submitters into one fsync).
+func (l *Log) add(ce sct.CertificateEntry) (*sct.SignedCertificateTimestamp, error) {
+	now := l.cfg.Clock()
+	ts := uint64(now.UnixMilli())
+
+	// Deduplicate on the entry identity (type + content), not the leaf
+	// (which would include the new timestamp). The pre-check keeps
+	// resubmissions — the replay-flood common case — at one identity hash
+	// plus a map lookup, skipping the entry construction and leaf hashing
+	// below; the check further down remains authoritative for racing
+	// first submissions.
+	idHash := entryIdentity(ce)
+	l.stageMu.Lock()
+	prev, dup := l.dedupe[idHash]
+	l.stageMu.Unlock()
+	if dup {
+		return l.dedupeSCT(prev)
+	}
+	// Sealed entries are no longer in the map: probe the per-tile blooms
+	// and index files, outside any lock (tile files are immutable). The
+	// count is captured first so the locked recheck below only has to
+	// cover tiles sealed after this point.
+	var sealedAt uint64
+	if l.tiles != nil {
+		sealedAt = l.tiles.sealedTiles()
+		se, err := l.tiles.lookupID(idHash, 0, sealedAt)
+		if err != nil {
+			return nil, err
+		}
+		if se != nil {
+			return l.sealedDupSCT(se)
+		}
+	}
+	skel := Entry{Timestamp: ts, Type: ce.Type}
+	if ce.Type == sct.PrecertLogEntryType {
+		skel.IssuerKeyHash = ce.IssuerKeyHash
+		skel.Cert = ce.TBS
+	} else {
+		skel.Cert = ce.Cert
+	}
+	leaf, err := skel.MerkleTreeLeaf()
+	if err != nil {
+		return nil, err
+	}
+	// The leaf is hashed and WAL-appended below and served as-is by
+	// get-entries, tile seals and snapshots. Parsing it back makes the
+	// staged entry own exactly that buffer — Cert a sub-slice of it, the
+	// bytes stamped — instead of the submitter's certificate plus a copy.
+	e, err := ParseMerkleTreeLeaf(leaf)
+	if err != nil {
+		return nil, err
+	}
+
+	e.idHash = idHash
+	e.idKey = idKeyOf(idHash)
+	e.leafHash = merkle.HashLeaf(leaf)
+
+	l.stageMu.Lock()
+	if prev, ok := l.dedupe[idHash]; ok {
+		l.stageMu.Unlock()
+		return l.dedupeSCT(prev)
+	}
+	if l.tiles != nil {
+		// Tiles sealed between the pre-check and here could have absorbed
+		// a racing first submission of this identity; re-probe just those
+		// (identities leave the map only after their tile registered, so
+		// the count taken here covers them). Rare (a seal must have landed
+		// in the window), so the tile IO under the lock is acceptable.
+		if now := l.tiles.sealedTiles(); now > sealedAt {
+			se, err := l.tiles.lookupID(idHash, sealedAt, now)
+			if err != nil {
+				l.stageMu.Unlock()
+				return nil, err
+			}
+			if se != nil {
+				l.stageMu.Unlock()
+				return l.sealedDupSCT(se)
+			}
+		}
+	}
+	if !l.takeTokenLocked(now) {
+		l.rejected++
+		l.stageMu.Unlock()
+		return nil, ErrOverloaded
+	}
+	var walOff int64
+	if l.store != nil {
+		if walOff, err = l.store.AppendEntry(leaf); err != nil {
+			// The record may be half-written; the store is now sticky-
+			// failed so nothing appends after the torn bytes, and replay
+			// discards them. The entry is not staged — memory and the
+			// durable prefix agree that it does not exist.
+			l.stageMu.Unlock()
+			return nil, fmt.Errorf("%w: %v", ErrPersistence, err)
+		}
+	}
+	l.staged = append(l.staged, e)
+	l.dedupe[idHash] = e
+	l.stageMu.Unlock()
+
+	if l.store != nil && l.cfg.Sync == SyncEachSubmission {
+		if err := l.store.Barrier(walOff); err != nil {
+			// The entry stays staged: its record is in the file and a
+			// replay may well recover it, so memory must agree. Only the
+			// acknowledgment is withheld.
+			return nil, fmt.Errorf("%w: %v", ErrPersistence, err)
+		}
+	}
+
+	s, err := l.cfg.Signer.CreateSCT(ts, ce)
+	if err != nil {
+		l.unstage(e)
+		return nil, err
+	}
+	return s, nil
+}
+
+// dedupeSCT answers a resubmission: the SCT is re-issued over the
+// original entry's timestamp. Entry content fields are immutable once
+// staged, so reading them lock-free here is safe. The entry is marked
+// shared first (under the staging mutex) so a concurrent signing-failure
+// rollback of the original submission cannot revoke an entry this
+// submitter is about to hold an SCT for.
+//
+// A duplicate's SCT is as strong a promise as the original's, so on a
+// durable log it must not be issued over volatile state: the original's
+// WAL record is in the file by the time the entry is visible in the
+// dedupe map (both happen under the staging mutex), but under
+// SyncEachSubmission it may not be fsynced yet — the duplicate could
+// even overtake the original submitter's own Barrier. Syncing here
+// closes that window, and a sticky store failure refuses the promise
+// outright.
+func (l *Log) dedupeSCT(prev *Entry) (*sct.SignedCertificateTimestamp, error) {
+	l.stageMu.Lock()
+	prev.dupAnswered = true
+	l.stageMu.Unlock()
+	if l.store != nil {
+		if l.cfg.Sync == SyncEachSubmission {
+			if err := l.store.Sync(); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrPersistence, err)
+			}
+		} else if err := l.store.Err(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrPersistence, err)
+		}
+	}
+	return l.cfg.Signer.CreateSCT(prev.Timestamp, prev.SignatureEntry())
+}
+
+// sealedDupSCT answers a resubmission whose original lives in a sealed
+// tile: the SCT is re-issued over the original timestamp, read back from
+// the tile. No dupAnswered pinning (a sealed entry can never be
+// unstaged) and no WAL sync (the original was sequenced, published, and
+// sealed long ago — there is nothing volatile to flush).
+func (l *Log) sealedDupSCT(e *Entry) (*sct.SignedCertificateTimestamp, error) {
+	return l.cfg.Signer.CreateSCT(e.Timestamp, e.SignatureEntry())
+}
+
+// unstage rolls a staged entry back after a signing failure, so the
+// tree never integrates an entry whose submitter received no SCT: the
+// entry is removed from the pending batch and the dedupe map, and its
+// capacity token is refunded. Two races make the rollback conditional:
+// if a concurrent Sequence already drained the batch the entry is
+// integrated and stays, and if a concurrent duplicate submission was
+// answered from the dedupe map (dupAnswered) the entry must sequence —
+// that submitter holds a valid SCT and the MMD promise it carries must
+// hold.
+func (l *Log) unstage(e *Entry) {
+	l.stageMu.Lock()
+	defer l.stageMu.Unlock()
+	if e.dupAnswered {
+		return
+	}
+	for i := len(l.staged) - 1; i >= 0; i-- {
+		if l.staged[i] == e {
+			l.staged = append(l.staged[:i], l.staged[i+1:]...)
+			delete(l.dedupe, e.idHash)
+			if l.cfg.CapacityPerSecond > 0 && l.bucketTokens < l.cfg.CapacityPerSecond {
+				l.bucketTokens++
+			}
+			if l.store != nil {
+				// Tombstone the entry's WAL record so replay rolls it
+				// back too. No fsync of its own: consistency only
+				// matters once a seal commits the batch, and the seal's
+				// fsync covers every byte before it — including this
+				// one. A failure just sticky-fails the store.
+				l.store.AppendUnstage(e.idHash)
+			}
+			return
+		}
+	}
+}
+
+// entryIdentity hashes the content identity of a submission for dedupe.
+// The tag/key-hash/TBS parts stream directly into one digest (the same
+// SHA-256(0x00 || type || payload) value merkle.HashLeaf would produce
+// over a concatenated buffer) so the per-submission hot path allocates no
+// intermediate payload slices.
+func entryIdentity(ce sct.CertificateEntry) merkle.Hash {
+	h := sha256.New()
+	h.Write([]byte{0x00, byte(ce.Type)})
+	if ce.Type == sct.PrecertLogEntryType {
+		h.Write(ce.IssuerKeyHash[:])
+		h.Write(ce.TBS)
+	} else {
+		h.Write(ce.Cert)
+	}
+	var out merkle.Hash
+	h.Sum(out[:0])
+	return out
+}
+
+// idKeyOf extracts the cheap 8-byte sort key from an identity hash; the
+// live add path and WAL recovery both stamp it this way so the
+// canonical batch sort behaves identically on both.
+func idKeyOf(idHash merkle.Hash) uint64 {
+	return binary.BigEndian.Uint64(idHash[:8])
+}
+
+// takeTokenLocked enforces CapacityPerSecond with a token bucket refilled
+// by the virtual clock. Burst capacity equals one second of tokens.
+func (l *Log) takeTokenLocked(now time.Time) bool {
+	if l.cfg.CapacityPerSecond <= 0 {
+		return true
+	}
+	elapsed := now.Sub(l.bucketAt).Seconds()
+	if elapsed > 0 {
+		l.bucketTokens += elapsed * l.cfg.CapacityPerSecond
+		if l.bucketTokens > l.cfg.CapacityPerSecond {
+			l.bucketTokens = l.cfg.CapacityPerSecond
+		}
+		l.bucketAt = now
+	}
+	if l.bucketTokens < 1 {
+		return false
+	}
+	l.bucketTokens--
+	return true
+}

@@ -17,14 +17,17 @@ var ErrLocked = errors.New("storage: state directory locked by another process")
 // WALName is the write-ahead log's file name inside a store directory.
 const WALName = "wal.log"
 
-// wal is the append side of the write-ahead log. Appends are serialized
-// by the caller (the CT log appends only under its own mutex, which is
-// what guarantees entry records land before the seal that covers them);
+// wal is the append side of the write-ahead log. Appends may come from
+// several goroutines (the CT log's submitters and its sequencer); record
+// order across them is the caller's business (the log appends a batch's
+// entry records before draining it, so they land before its seal).
 // Barrier is safe to call concurrently from many acked submitters and
 // implements group commit: one fsync satisfies every barrier at or below
 // the synced offset.
 type wal struct {
-	f *os.File
+	// mu serializes appends and truncation.
+	mu sync.Mutex
+	f  *os.File
 	// writeOff is the file offset after the last buffered append.
 	writeOff atomic.Int64
 	// synced is the offset known durable (covered by an fsync).
@@ -119,8 +122,9 @@ func openWAL(dir string) (*wal, error) {
 }
 
 // append frames and writes one record, returning the offset after it.
-// Not safe for concurrent use (the log's mutex serializes callers).
 func (w *wal) append(typ RecordType, payload []byte) (int64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	buf := AppendRecord(nil, typ, payload)
 	if _, err := w.f.Write(buf); err != nil {
 		return w.writeOff.Load(), fmt.Errorf("storage: WAL append: %w", err)
@@ -165,6 +169,8 @@ func (w *wal) barrier(off int64) error {
 // file length, leaving a snapshot whose offset splits a stale record —
 // an ErrCorrupt refusal on what was a perfectly recoverable crash.
 func (w *wal) truncateTo(off int64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if err := w.f.Truncate(off); err != nil {
 		return fmt.Errorf("storage: truncating WAL to %d: %w", off, err)
 	}

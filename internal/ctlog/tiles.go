@@ -36,16 +36,18 @@ import (
 //     rest of the process: later leaf page-ins check CRC, framing and
 //     label only (see tileStore.entries). A crash here leaves orphan
 //     tile files that the next seal rewrites and re-reads.
-//  2. Install: the tree prunes its sub-tile levels (merkle.TiledTree.Seal),
-//     the sealed entries leave the tail/dedupe/proof maps, and the tile
-//     roots + blooms register in the tileStore.
-//  3. Compact: a snapshot carrying the tile roots and the now-short tail
-//     is written at the current WAL offset, the WAL is truncated to its
-//     header (fsynced), and a second snapshot re-anchors the cursor at
-//     the truncated offset. A crash between the truncate and the second
-//     snapshot is the existing adopt-snapshot recovery path: the first
-//     snapshot's cursor lies beyond the WAL end, so recovery adopts it
-//     and re-anchors, exactly as it does for mid-file WAL corruption.
+//  2. Install: the tile roots + blooms register in the tileStore, the
+//     tree prunes its sub-tile levels (merkle.TiledTree.Seal), and the
+//     sealed entries leave the tail and the proof map.
+//  3. Compact (the only phase under the staging mutex): the sealed
+//     identities leave the dedupe map, a snapshot carrying the tile
+//     roots and the now-short tail is written at the current WAL offset,
+//     the WAL is truncated to its header (fsynced), and a second
+//     snapshot re-anchors the cursor at the truncated offset. A crash
+//     between the truncate and the second snapshot is the existing
+//     adopt-snapshot recovery path: the first snapshot's cursor lies
+//     beyond the WAL end, so recovery adopts it and re-anchors, exactly
+//     as it does for mid-file WAL corruption.
 
 // Page-cache kinds for the three tile file types.
 const (
@@ -474,42 +476,38 @@ func (ts *tileStore) lookupLeafIndex(h merkle.Hash) (uint64, bool, error) {
 	return 0, false, nil
 }
 
-// maybeSealLocked seals every complete tile covered by the just-published
-// STH and compacts the WAL behind it. Called from publishLocked (with
-// l.mu held) after the published state is installed; sealing never
-// changes tree bytes, only where they live, so trajectories stay
-// byte-identical to an in-memory run. Errors surface as the publish
-// error and leave RAM consistent: either nothing was installed (tile
-// write/verify failed — orphan files on disk, rewritten by the next
-// seal) or the seal is fully installed in RAM and only the compaction
-// snapshot failed (the sticky store failure stops further writes; a
-// restart recovers the pre-seal state from the intact WAL).
-func (l *Log) maybeSealLocked() error {
+// sealTilesLocked seals every complete tile covered by the just-published
+// STH — write and install, with seqMu held and the staging mutex free —
+// and returns the entries it moved out of the resident tail. Sealing
+// never changes tree bytes, only where they live, so trajectories stay
+// byte-identical to an in-memory run. An error installs nothing (orphan
+// tile files on disk are rewritten by the next seal).
+func (l *Log) sealTilesLocked() ([]*Entry, error) {
 	if l.tiles == nil {
-		return nil
+		return nil, nil
 	}
 	span := l.tiles.span
 	target := l.published.TreeHead.TreeSize / span * span
 	if target <= l.tailStart {
-		return nil
+		return nil, nil
 	}
 	first := l.tailStart / span
 	for tile := first; tile*span < target; tile++ {
 		if err := l.sealTileLocked(tile); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	l.sealStage("tiles-written")
 	// Install: prune the tree below the tile level, drop the sealed
-	// entries from the tail and the RAM-resident lookup maps. Readers
-	// holding the published view keep the old tail slice alive until the
-	// next publish; new lookups go through the tiles.
+	// entries from the tail and the proof map. Readers holding the
+	// published view keep the old tail slice alive until the next
+	// publish; new lookups go through the tiles.
 	if err := l.tree.Seal(target); err != nil {
-		return fmt.Errorf("%w: %v", storage.ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %v", storage.ErrCorrupt, err)
 	}
 	n := target - l.tailStart
-	for _, e := range l.entries[:n] {
-		delete(l.dedupe, e.idHash)
+	sealed := l.entries[:n]
+	for _, e := range sealed {
 		// The leafIndex delete runs only after the entry's tile registered
 		// in sealTileLocked above, so a lock-free proof reader that misses
 		// the map is guaranteed to find the hash through the tile blooms.
@@ -523,12 +521,21 @@ func (l *Log) maybeSealLocked() error {
 	// where its entries live changed; the fresh proof view delegates the
 	// newly sealed range to the tiles instead of the pruned RAM levels.
 	if err := l.storePublishedLocked(); err != nil {
-		return err
+		return nil, err
 	}
-	// Compact: snapshot (tile roots + short tail) at the current WAL
-	// offset, truncate the WAL, re-anchor the snapshot at the truncated
-	// offset. See the package comment above for the crash analysis of
-	// each window.
+	return sealed, nil
+}
+
+// compactLocked is the seal's third phase (see the top of this file),
+// under both locks. The sealed identities leave the dedupe map only now,
+// after their tiles registered, so add's locked re-probe of newly sealed
+// tiles stays sound. An error leaves the seal installed in RAM; the
+// sticky store failure stops further writes, and a restart recovers the
+// pre-seal state from the intact WAL.
+func (l *Log) compactLocked(sealed []*Entry) error {
+	for _, e := range sealed {
+		delete(l.dedupe, e.idHash)
+	}
 	if err := l.writeSnapshotLocked(); err != nil {
 		return err
 	}
@@ -606,9 +613,8 @@ func (l *Log) CacheStats() storage.PageCacheStats {
 	return l.tiles.cache.Stats()
 }
 
-// TiledThrough reports how many entries live in sealed tiles.
+// TiledThrough reports how many entries live in sealed tiles, as of the
+// published state.
 func (l *Log) TiledThrough() uint64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.tailStart
+	return l.pub.Load().tailStart
 }

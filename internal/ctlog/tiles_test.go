@@ -3,6 +3,7 @@ package ctlog
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -313,8 +315,8 @@ func TestTiledDedupeAcrossSealAndReopen(t *testing.T) {
 		t.Fatalf("tiledThrough %d, want 8", l.TiledThrough())
 	}
 	if inRAM := func() bool {
-		l.mu.RLock()
-		defer l.mu.RUnlock()
+		l.stageMu.Lock()
+		defer l.stageMu.Unlock()
 		_, ok := l.dedupe[entryIdentity(sct.X509Entry(target))]
 		return ok
 	}(); inRAM {
@@ -349,6 +351,236 @@ func TestTiledDedupeAcrossSealAndReopen(t *testing.T) {
 	if n := l2.PendingCount(); n != 0 {
 		t.Fatalf("post-reopen duplicate staged a new entry (%d pending)", n)
 	}
+}
+
+// TestTiledParkedSealBlocksNoOne parks a seal at "tiles-written" — tile
+// files durable and registered, nothing installed yet — on a log that
+// fsyncs every submission, and requires every submitter and reader path
+// to finish while it is parked: add-chain with a new identity and with a
+// duplicate of a sealing entry, get-sth, get-entries and
+// get-proof-by-hash, all through the HTTP handler. A seal writes and
+// verifies its tiles under the sequencer lock alone, so none of them may
+// wait on it.
+func TestTiledParkedSealBlocksNoOne(t *testing.T) {
+	l, clk := newDurableLog(t, t.TempDir(), Config{TileSpan: 8})
+	defer l.Close()
+	var origTS uint64
+	for i := 0; i < 10; i++ {
+		s, err := l.AddChain([]byte(fmt.Sprintf("parked-%02d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 {
+			origTS = s.Timestamp
+		}
+		clk.Advance(time.Second)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	releaseSeal := sync.OnceFunc(func() { close(release) })
+	defer releaseSeal() // before Close, which waits for the seal
+	l.sealStageHook = func(stage string) {
+		if stage == "tiles-written" {
+			close(parked)
+			<-release
+		}
+	}
+	pubDone := make(chan error, 1)
+	go func() {
+		_, err := l.PublishSTH()
+		pubDone <- err
+	}()
+	<-parked
+
+	h := l.Handler()
+	serve := func(method, target, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		return rec
+	}
+	chain := func(cert string) string {
+		return fmt.Sprintf(`{"chain":[%q]}`, base64.StdEncoding.EncodeToString([]byte(cert)))
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if rec := serve("POST", "/ct/v1/add-chain", chain("parked-new")); rec.Code != http.StatusOK {
+			t.Errorf("add-chain, new identity: %d %s", rec.Code, rec.Body)
+		}
+		var dup AddChainResponse
+		rec := serve("POST", "/ct/v1/add-chain", chain("parked-02"))
+		if err := json.Unmarshal(rec.Body.Bytes(), &dup); rec.Code != http.StatusOK || err != nil || dup.Timestamp != origTS {
+			t.Errorf("add-chain, duplicate of a sealing entry: %d (%v), timestamp %d, want %d", rec.Code, err, dup.Timestamp, origTS)
+		}
+		var sth GetSTHResponse
+		rec = serve("GET", "/ct/v1/get-sth", "")
+		if err := json.Unmarshal(rec.Body.Bytes(), &sth); rec.Code != http.StatusOK || err != nil || sth.TreeSize != 10 {
+			t.Errorf("get-sth: %d (%v), tree size %d, want the head being sealed (10)", rec.Code, err, sth.TreeSize)
+		}
+		if rec := serve("GET", "/ct/v1/get-entries?start=0&end=9", ""); rec.Code != http.StatusOK {
+			t.Errorf("get-entries: %d %s", rec.Code, rec.Body)
+		}
+		ents, err := l.GetEntries(2, 2)
+		if err != nil {
+			t.Errorf("GetEntries: %v", err)
+			return
+		}
+		lh, err := ents[0].LeafHash()
+		if err != nil {
+			t.Errorf("LeafHash: %v", err)
+			return
+		}
+		q := "/ct/v1/get-proof-by-hash?tree_size=10&hash=" + url.QueryEscape(base64.StdEncoding.EncodeToString(lh[:]))
+		if rec := serve("GET", q, ""); rec.Code != http.StatusOK {
+			t.Errorf("get-proof-by-hash: %d %s", rec.Code, rec.Body)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a submitter or reader waited on a parked seal")
+	}
+	select {
+	case err := <-pubDone:
+		t.Fatalf("the seal finished while parked (err=%v)", err)
+	default:
+	}
+
+	releaseSeal()
+	if err := <-pubDone; err != nil {
+		t.Fatal(err)
+	}
+	l.sealStageHook = nil
+	if got := l.TiledThrough(); got != 8 {
+		t.Fatalf("tiled through %d after the seal, want 8", got)
+	}
+	// The submission accepted mid-seal sequences normally; the duplicate
+	// staged nothing.
+	if sth, err := l.PublishSTH(); err != nil || sth.TreeHead.TreeSize != 11 {
+		t.Fatalf("next publish: size %d (err %v), want 11", sth.TreeHead.TreeSize, err)
+	}
+}
+
+// TestTiledDedupeAcrossConcurrentSeal resubmits already-sequenced
+// identities from several goroutines while the sequencer seals them into
+// tiles — registering each tile, then, under the staging mutex, dropping
+// its identities from the dedupe map. Wherever a duplicate lands in that
+// sequence it must be answered with the original SCT timestamp, and no
+// identity may ever be staged twice: the log ends with exactly one entry
+// per identity, before and after a reopen. CI runs it with -race
+// -count=5.
+func TestTiledDedupeAcrossConcurrentSeal(t *testing.T) {
+	const (
+		rounds       = 12
+		perRound     = 20 // not a multiple of the span: tails straddle tiles
+		resubmitters = 4
+	)
+	dir := t.TempDir()
+	l, clk := newDurableLog(t, dir, Config{TileSpan: 8, Sync: SyncAtSequence})
+	// answered counts duplicates answered; inWindow, those answered
+	// between a seal's tiles registering and its compaction finishing.
+	// The sleep widens that window.
+	var answered, inWindow atomic.Int64
+	var atRegister int64
+	l.sealStageHook = func(stage string) {
+		switch stage {
+		case "tiles-written":
+			atRegister = answered.Load()
+			time.Sleep(time.Millisecond)
+		case "snapshot-anchored":
+			inWindow.Add(answered.Load() - atRegister)
+		}
+	}
+	var certs []string
+	orig := map[string]uint64{}
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < perRound; i++ {
+			cert := fmt.Sprintf("dedupe-race-%02d-%02d", round, i)
+			s, err := l.AddChain([]byte(cert))
+			if err != nil {
+				t.Fatal(err)
+			}
+			certs = append(certs, cert)
+			orig[cert] = s.Timestamp
+			clk.Advance(time.Second)
+		}
+		if _, err := l.Sequence(); err != nil {
+			t.Fatal(err)
+		}
+		// A duplicate wrongly staged from here on would carry a fresh
+		// timestamp. The resubmitters keep cycling through every identity
+		// until the publish — and the seal inside it — has returned.
+		clk.Advance(time.Hour)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < resubmitters; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for {
+					for i := range certs {
+						cert := certs[(i+g*len(certs)/resubmitters)%len(certs)]
+						s, err := l.AddChain([]byte(cert))
+						if err != nil {
+							t.Errorf("resubmitting %s: %v", cert, err)
+							return
+						}
+						if s.Timestamp != orig[cert] {
+							t.Errorf("resubmitted %s answered with timestamp %d, want the original %d", cert, s.Timestamp, orig[cert])
+							return
+						}
+						answered.Add(1)
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}(g)
+		}
+		_, err := l.PublishSTH()
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+		if n := l.PendingCount(); n != 0 {
+			t.Fatalf("round %d: duplicates staged %d new entries", round, n)
+		}
+	}
+	l.sealStageHook = nil
+	check := func(l *Log) {
+		t.Helper()
+		size := uint64(len(certs))
+		if got := l.STH().TreeHead.TreeSize; got != size || l.TreeSize() != size || l.PendingCount() != 0 {
+			t.Fatalf("published %d, tree %d, pending %d; want exactly one entry per identity (%d)", got, l.TreeSize(), l.PendingCount(), size)
+		}
+		seen := map[string]bool{}
+		for _, leaf := range collectLeaves(t, l, size) {
+			e, err := ParseMerkleTreeLeaf(leaf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seen[string(e.Cert)] {
+				t.Fatalf("identity %s sequenced twice", e.Cert)
+			}
+			seen[string(e.Cert)] = true
+		}
+	}
+	check(l)
+	t.Logf("%d duplicates answered, %d of them while a seal registered and installed", answered.Load(), inWindow.Load())
+	if inWindow.Load() == 0 {
+		t.Fatal("no duplicate was answered inside a seal: the race never ran")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, _ := newDurableLog(t, dir, Config{TileSpan: 8})
+	defer l2.Close()
+	check(l2)
 }
 
 // TestTiledWALBounded is the acceptance check for the open PR 4 item:

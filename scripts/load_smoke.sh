@@ -7,8 +7,8 @@
 # harness-level failures — once under the default mix and once under a
 # proof-heavy mix that hammers the lock-free proof snapshot — and that
 # the committed BENCH_load.json is well-formed (schema, per-class
-# quantiles, the chunked-vs-unchunked reader-starvation comparison, and
-# the idle baselines). Run from the repository root:
+# quantiles, the reader-starvation run during a whole-batch integration,
+# and its idle baseline). Run from the repository root:
 #
 #	./scripts/load_smoke.sh
 set -euo pipefail
@@ -101,18 +101,15 @@ import json
 bench = json.load(open("BENCH_load.json"))
 assert bench["schema"] == "ctrise/bench-load/v1", bench["schema"]
 assert "regenerate_with" in bench
-for section in ("unchunked", "chunked"):
-    s = bench["reader_starvation"][section]
-    assert s["integrate_ms"] > 0
-    for group in ("classes", "idle_classes"):
-        for cls, c in s[group].items():
-            assert c["requests"] > 0, f"{section}/{group}/{cls}: zero requests"
-            assert c["latency"]["p99_ms"] > 0, f"{section}/{group}/{cls}: empty histogram"
+s = bench["reader_starvation"]
+assert s["integrate_ms"] > 0
+for group in ("classes", "idle_classes"):
+    for cls, c in s[group].items():
+        assert c["requests"] > 0, f"{group}/{cls}: zero requests"
+        assert c["latency"]["p99_ms"] > 0, f"{group}/{cls}: empty histogram"
 for cls, c in bench["workload"]["classes"].items():
     assert c["requests"] > 0, f"workload/{cls}: zero requests"
-chunked = bench["reader_starvation"]["chunked"]
-print("BENCH_load.json well-formed: unchunked proof p99 %.1fms vs chunked %.1fms (idle %.1fms)"
-      % (bench["reader_starvation"]["unchunked"]["classes"]["get-proof"]["latency"]["p99_ms"],
-         chunked["classes"]["get-proof"]["latency"]["p99_ms"],
-         chunked["idle_classes"]["get-proof"]["latency"]["p99_ms"]))
+print("BENCH_load.json well-formed: %.0fms integration, proof p99 %.1fms during vs %.1fms idle"
+      % (s["integrate_ms"], s["classes"]["get-proof"]["latency"]["p99_ms"],
+         s["idle_classes"]["get-proof"]["latency"]["p99_ms"]))
 EOF
