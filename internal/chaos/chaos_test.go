@@ -3,10 +3,15 @@ package chaos
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -358,4 +363,85 @@ func TestChaosLogHonestByDefault(t *testing.T) {
 	if got := cl.Honest().TreeSize(); got != 4 {
 		t.Fatalf("honest tree size after passthrough submit = %d, want 4", got)
 	}
+}
+
+// TestShadowViewWireIdentical: forged responses go through the same
+// ct/v1 writers as honest ones, so their bodies are byte for byte what
+// json.NewEncoder writes for the response structs built from the shadow
+// tree — get-sth, get-sth-consistency for every first ≤ second (an
+// empty proof is [], not null), get-proof-by-hash for every leaf at
+// every size (a 1-leaf tree's empty path included) — and the
+// bad-signature fault's head carries its tampered signature.
+func TestShadowViewWireIdentical(t *testing.T) {
+	cl, _, _ := newChaosWorld(t, 5)
+	cl.SetFault(FaultFork)
+	h := cl.Handler()
+	check := func(what, target string, want any) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), buf.Bytes()) {
+			t.Fatalf("%s: status %d, body\n%s\nwant\n%s", what, rec.Code, rec.Body, buf.Bytes())
+		}
+		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(buf.Len()) {
+			t.Fatalf("%s: Content-Length %q, want %d", what, got, buf.Len())
+		}
+	}
+	b64 := base64.StdEncoding.EncodeToString
+	hashes := func(hs []merkle.Hash) []string {
+		out := make([]string, len(hs))
+		for i, h := range hs {
+			out[i] = b64(h[:])
+		}
+		return out
+	}
+	sthResponse := func(sth ctlog.SignedTreeHead) ctlog.GetSTHResponse {
+		sig, err := sth.Sig.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctlog.GetSTHResponse{TreeSize: sth.TreeHead.TreeSize, Timestamp: sth.TreeHead.Timestamp,
+			SHA256RootHash: b64(sth.TreeHead.RootHash[:]), TreeHeadSignature: b64(sig)}
+	}
+
+	cl.mu.Lock()
+	shadow, err := cl.shadowSTHLocked()
+	cl.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("shadow get-sth", "/ct/v1/get-sth", sthResponse(shadow))
+	size := shadow.TreeHead.TreeSize
+	for first := uint64(1); first <= size; first++ {
+		for second := first; second <= size; second++ {
+			proof, err := cl.shadow.tree.ConsistencyProof(first, second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("shadow consistency %d → %d", first, second),
+				fmt.Sprintf("/ct/v1/get-sth-consistency?first=%d&second=%d", first, second),
+				ctlog.GetSTHConsistencyResponse{Consistency: hashes(proof)})
+		}
+	}
+	for lh, index := range cl.shadow.byLeafHash {
+		for ts := index + 1; ts <= size; ts++ {
+			path, err := cl.shadow.tree.InclusionProof(index, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("shadow proof of leaf %d at size %d", index, ts),
+				fmt.Sprintf("/ct/v1/get-proof-by-hash?hash=%s&tree_size=%d", url.QueryEscape(b64(lh[:])), ts),
+				ctlog.GetProofByHashResponse{LeafIndex: index, AuditPath: hashes(path)})
+		}
+	}
+
+	cl.SetFault(FaultBadSignature)
+	bad := cl.Honest().STH()
+	bad.Sig.Signature = bytes.Clone(bad.Sig.Signature)
+	bad.Sig.Signature[0] ^= 0x01
+	check("bad-signature get-sth", "/ct/v1/get-sth", sthResponse(bad))
 }

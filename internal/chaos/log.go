@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -338,17 +337,9 @@ func (cl *Log) handleGetSTH(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	sig, err := sth.Sig.Serialize()
-	if err != nil {
+	if err := ctlog.WriteGetSTH(w, sth); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
 	}
-	writeChaosJSON(w, ctlog.GetSTHResponse{
-		TreeSize:          sth.TreeHead.TreeSize,
-		Timestamp:         sth.TreeHead.Timestamp,
-		SHA256RootHash:    base64.StdEncoding.EncodeToString(sth.TreeHead.RootHash[:]),
-		TreeHeadSignature: base64.StdEncoding.EncodeToString(sig),
-	})
 }
 
 func (cl *Log) handleGetSTHConsistency(w http.ResponseWriter, r *http.Request) {
@@ -374,7 +365,7 @@ func (cl *Log) handleGetSTHConsistency(w http.ResponseWriter, r *http.Request) {
 		chaosHTTPError(w, err)
 		return
 	}
-	writeChaosJSON(w, ctlog.GetSTHConsistencyResponse{Consistency: encodeChaosHashes(proof)})
+	ctlog.WriteGetSTHConsistency(w, proof)
 }
 
 func (cl *Log) handleGetProofByHash(w http.ResponseWriter, r *http.Request) {
@@ -414,7 +405,7 @@ func (cl *Log) handleGetProofByHash(w http.ResponseWriter, r *http.Request) {
 		chaosHTTPError(w, err)
 		return
 	}
-	writeChaosJSON(w, ctlog.GetProofByHashResponse{LeafIndex: index, AuditPath: encodeChaosHashes(proof)})
+	ctlog.WriteGetProofByHash(w, index, proof)
 }
 
 // maxShadowGetEntries mirrors the honest log's default page cap.
@@ -494,17 +485,4 @@ func chaosHTTPError(w http.ResponseWriter, err error) {
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-func writeChaosJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func encodeChaosHashes(hs []merkle.Hash) []string {
-	out := make([]string, len(hs))
-	for i, h := range hs {
-		out[i] = base64.StdEncoding.EncodeToString(h[:])
-	}
-	return out
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -422,6 +423,42 @@ func BenchmarkHandlerGetEntries(b *testing.B) {
 		})
 		if err := l.Close(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHandlerProofByHash measures an auditor's whole request inside
+// the process: get-proof-by-hash at the head for leaves spread over all
+// 64 sealed tiles, through Handler().ServeHTTP into a recorder, with the
+// page cache hot — mux, query parsing, the leaf-bloom probe over every
+// tile, one index search, the audit path and the wire encoding.
+func BenchmarkHandlerProofByHash(b *testing.B) {
+	l, _, _ := newTiledBenchLog(b)
+	defer l.Close()
+	size := l.STH().TreeHead.TreeSize
+	reqs := make([]*http.Request, 0, benchTiledEntries/61+1)
+	err := l.StreamEntries(0, benchTiledEntries-1, func(e *Entry) error {
+		if e.Index%61 != 0 {
+			return nil
+		}
+		h, err := e.LeafHash()
+		if err != nil {
+			return err
+		}
+		reqs = append(reqs, httptest.NewRequest("GET", fmt.Sprintf("/ct/v1/get-proof-by-hash?hash=%s&tree_size=%d",
+			url.QueryEscape(base64.StdEncoding.EncodeToString(h[:])), size), nil))
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := l.Handler()
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, reqs[i%len(reqs)])
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	}
 }

@@ -14,7 +14,10 @@ import (
 )
 
 // JSON wire types for the ct/v1 API (RFC 6962 Section 4). Field names
-// match the RFC exactly so third-party clients interoperate.
+// match the RFC exactly so third-party clients interoperate. The server
+// decodes AddChainRequest and marshals none of the responses: the Write*
+// functions below emit each one's json.Encoder bytes directly, and the
+// response types stay as what clients decode.
 
 // AddChainRequest is the body of add-chain and add-pre-chain. For
 // add-pre-chain in this implementation, chain[0] is the defanged TBS and
@@ -58,9 +61,7 @@ type LeafEntry struct {
 	ExtraData string `json:"extra_data"`
 }
 
-// GetEntriesResponse is the get-entries response as clients decode it.
-// The server does not marshal it: WriteGetEntries emits the same bytes
-// directly from the entries' leaf encodings.
+// GetEntriesResponse is the get-entries response.
 type GetEntriesResponse struct {
 	Entries []LeafEntry `json:"entries"`
 }
@@ -75,14 +76,6 @@ func (l *Log) Handler() http.Handler {
 	mux.HandleFunc("GET /ct/v1/get-proof-by-hash", l.handleGetProofByHash)
 	mux.HandleFunc("GET /ct/v1/get-entries", l.handleGetEntries)
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Too late for a status change; the connection will just break.
-		return
-	}
 }
 
 // httpError maps a log error onto its ct/v1 status. The 429/503
@@ -149,11 +142,12 @@ func (l *Log) handleAddChain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s, err := l.AddChain(cert)
+	if err == nil {
+		err = WriteSCT(w, s)
+	}
 	if err != nil {
 		l.httpError(w, err)
-		return
 	}
-	writeJSON(w, sctToResponse(s))
 }
 
 // handleAddPreChain takes chain = [tbs, issuerKeyHash].
@@ -175,42 +169,18 @@ func (l *Log) handleAddPreChain(w http.ResponseWriter, r *http.Request) {
 	var ikh [32]byte
 	copy(ikh[:], ikhBytes)
 	s, err := l.AddPreChain(ikh, tbs)
+	if err == nil {
+		err = WriteSCT(w, s)
+	}
 	if err != nil {
 		l.httpError(w, err)
-		return
-	}
-	writeJSON(w, sctToResponse(s))
-}
-
-func sctToResponse(s *sct.SignedCertificateTimestamp) AddChainResponse {
-	sig, err := s.Signature.Serialize()
-	if err != nil {
-		// The signature was produced locally and always fits; a failure
-		// here indicates memory corruption, so fail loudly.
-		panic(err)
-	}
-	return AddChainResponse{
-		SCTVersion: uint8(s.SCTVersion),
-		ID:         base64.StdEncoding.EncodeToString(s.LogID[:]),
-		Timestamp:  s.Timestamp,
-		Extensions: base64.StdEncoding.EncodeToString(s.Extensions),
-		Signature:  base64.StdEncoding.EncodeToString(sig),
 	}
 }
 
 func (l *Log) handleGetSTH(w http.ResponseWriter, _ *http.Request) {
-	sth := l.STH()
-	sig, err := sth.Sig.Serialize()
-	if err != nil {
+	if err := WriteGetSTH(w, l.STH()); err != nil {
 		l.httpError(w, err)
-		return
 	}
-	writeJSON(w, GetSTHResponse{
-		TreeSize:          sth.TreeHead.TreeSize,
-		Timestamp:         sth.TreeHead.Timestamp,
-		SHA256RootHash:    base64.StdEncoding.EncodeToString(sth.TreeHead.RootHash[:]),
-		TreeHeadSignature: base64.StdEncoding.EncodeToString(sig),
-	})
 }
 
 func (l *Log) handleGetSTHConsistency(w http.ResponseWriter, r *http.Request) {
@@ -226,7 +196,7 @@ func (l *Log) handleGetSTHConsistency(w http.ResponseWriter, r *http.Request) {
 		l.httpError(w, err)
 		return
 	}
-	writeJSON(w, GetSTHConsistencyResponse{Consistency: encodeHashes(proof)})
+	WriteGetSTHConsistency(w, proof)
 }
 
 func (l *Log) handleGetProofByHash(w http.ResponseWriter, r *http.Request) {
@@ -248,7 +218,7 @@ func (l *Log) handleGetProofByHash(w http.ResponseWriter, r *http.Request) {
 		l.httpError(w, err)
 		return
 	}
-	writeJSON(w, GetProofByHashResponse{LeafIndex: index, AuditPath: encodeHashes(proof)})
+	WriteGetProofByHash(w, index, proof)
 }
 
 // handleGetEntries serves get-entries. Like production logs, an
@@ -328,12 +298,7 @@ func WriteGetEntries(w http.ResponseWriter, entries []*Entry) error {
 		buf = appendBase64(buf, leaf)
 		buf = append(buf, entryClose...)
 	}
-	buf = append(buf, entriesClose...)
-
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(buf)))
-	w.Write(buf)
+	writeBody(w, append(buf, entriesClose...))
 	if cap(buf) <= maxPooledPage {
 		*bp = buf
 		pagePool.Put(bp)
@@ -341,10 +306,119 @@ func WriteGetEntries(w http.ResponseWriter, entries []*Entry) error {
 	return nil
 }
 
-func encodeHashes(hs []merkle.Hash) []string {
-	out := make([]string, len(hs))
-	for i, h := range hs {
-		out[i] = base64.StdEncoding.EncodeToString(h[:])
+// The other ct/v1 bodies are a few hundred bytes to a few kilobytes, so
+// each writer below makes one buffer of an upper bound on its size
+// rather than taking a pagePool buffer: a small body put back there
+// would make the next get-entries page regrow it. Each is byte for byte
+// what json.NewEncoder(w).Encode writes for the response struct named in
+// its comment: constant fragments, numbers by strconv.AppendUint, every
+// byte field a quoted appendBase64 string, then writeBody.
+
+// bodyFrame bounds the constant fragments of any one small body, and
+// maxUintLen is the longest decimal uint64.
+const bodyFrame, maxUintLen = 96, 20
+
+// WriteGetSTH writes sth as a complete get-sth response
+// (GetSTHResponse). An error means the signature could not be serialized
+// and nothing was written.
+func WriteGetSTH(w http.ResponseWriter, sth SignedTreeHead) error {
+	sig, err := sth.Sig.Serialize()
+	if err != nil {
+		return err
 	}
-	return out
+	buf := make([]byte, 0, bodyFrame+2*maxUintLen+quotedLen(merkle.HashSize)+quotedLen(len(sig)))
+	buf = append(buf, `{"tree_size":`...)
+	buf = strconv.AppendUint(buf, sth.TreeHead.TreeSize, 10)
+	buf = append(buf, `,"timestamp":`...)
+	buf = strconv.AppendUint(buf, sth.TreeHead.Timestamp, 10)
+	buf = append(buf, `,"sha256_root_hash":`...)
+	buf = appendQuoted(buf, sth.TreeHead.RootHash[:])
+	buf = append(buf, `,"tree_head_signature":`...)
+	buf = appendQuoted(buf, sig)
+	writeBody(w, append(buf, "}\n"...))
+	return nil
+}
+
+// WriteGetSTHConsistency writes proof as a complete get-sth-consistency
+// response (GetSTHConsistencyResponse; an empty proof is [], not null).
+func WriteGetSTHConsistency(w http.ResponseWriter, proof []merkle.Hash) {
+	buf := make([]byte, 0, bodyFrame+hashesLen(len(proof)))
+	buf = append(buf, `{"consistency":`...)
+	buf = appendHashes(buf, proof)
+	writeBody(w, append(buf, "}\n"...))
+}
+
+// WriteGetProofByHash writes a leaf's index and audit path as a complete
+// get-proof-by-hash response (GetProofByHashResponse; an empty path —
+// a tree of one leaf — is [], not null).
+func WriteGetProofByHash(w http.ResponseWriter, index uint64, path []merkle.Hash) {
+	buf := make([]byte, 0, bodyFrame+maxUintLen+hashesLen(len(path)))
+	buf = append(buf, `{"leaf_index":`...)
+	buf = strconv.AppendUint(buf, index, 10)
+	buf = append(buf, `,"audit_path":`...)
+	buf = appendHashes(buf, path)
+	writeBody(w, append(buf, "}\n"...))
+}
+
+// WriteSCT writes s as a complete add-chain / add-pre-chain response
+// (AddChainResponse). An error means the signature could not be
+// serialized and nothing was written.
+func WriteSCT(w http.ResponseWriter, s *sct.SignedCertificateTimestamp) error {
+	sig, err := s.Signature.Serialize()
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 0, bodyFrame+2*maxUintLen+quotedLen(len(s.LogID))+quotedLen(len(s.Extensions))+quotedLen(len(sig)))
+	buf = append(buf, `{"sct_version":`...)
+	buf = strconv.AppendUint(buf, uint64(s.SCTVersion), 10)
+	buf = append(buf, `,"id":`...)
+	buf = appendQuoted(buf, s.LogID[:])
+	buf = append(buf, `,"timestamp":`...)
+	buf = strconv.AppendUint(buf, s.Timestamp, 10)
+	buf = append(buf, `,"extensions":`...)
+	buf = appendQuoted(buf, s.Extensions)
+	buf = append(buf, `,"signature":`...)
+	buf = appendQuoted(buf, sig)
+	writeBody(w, append(buf, "}\n"...))
+	return nil
+}
+
+// writeBody sends a complete JSON body with its Content-Length, in one
+// Write. A failed Write is not reported: the status line is already out
+// and the connection will just break.
+func writeBody(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+}
+
+// appendQuoted appends b's standard base64 as a JSON string. The base64
+// alphabet needs no JSON escaping.
+func appendQuoted(buf, b []byte) []byte {
+	buf = append(buf, '"')
+	buf = appendBase64(buf, b)
+	return append(buf, '"')
+}
+
+// quotedLen is how many bytes appendQuoted appends for n bytes.
+func quotedLen(n int) int {
+	return base64.StdEncoding.EncodedLen(n) + 2
+}
+
+// appendHashes appends hs as a JSON array of quoted base64 strings.
+func appendHashes(buf []byte, hs []merkle.Hash) []byte {
+	buf = append(buf, '[')
+	for i, h := range hs {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendQuoted(buf, h[:])
+	}
+	return append(buf, ']')
+}
+
+// hashesLen bounds what appendHashes appends for n hashes.
+func hashesLen(n int) int {
+	return 2 + n*(quotedLen(merkle.HashSize)+1)
 }

@@ -367,9 +367,10 @@ func EncodeTileIndex(ix *TileIndex) []byte {
 	return out
 }
 
-// DecodeTileIndex parses and validates an index tile image: both blooms,
-// both sorted row arrays (span rows each, order verified), no trailing
-// bytes.
+// DecodeTileIndex parses and validates an index tile image: both blooms
+// (each of NewBloom(span)'s K and size, the one shape SlicedBlooms
+// holds), both sorted row arrays (span rows each, order verified), no
+// trailing bytes.
 func DecodeTileIndex(data []byte) (*TileIndex, error) {
 	tile, span, off, err := decodeTileHeader(data, TileIndexMagic)
 	if err != nil {
@@ -399,7 +400,7 @@ func DecodeTileIndex(data []byte) (*TileIndex, error) {
 		if err != nil {
 			return nil, err
 		}
-		if *part.bloom, err = decodeBloom(part.which, rec.Payload); err != nil {
+		if *part.bloom, err = decodeBloom(part.which, span, rec.Payload); err != nil {
 			return nil, err
 		}
 		if rec, err = next(RecordTileRows); err != nil {
@@ -425,20 +426,35 @@ type Bloom struct {
 	Bits []byte
 }
 
-// NewBloom returns an empty bloom sized for n keys: the bit count is the
-// next power of two ≥ 16n (so probe masking is a single AND), K = 4.
-func NewBloom(n int) Bloom {
+// bloomK is the hash count of every bloom NewBloom makes.
+const bloomK = 4
+
+// bloomBits is the bit count of NewBloom(n): the next power of two
+// ≥ 16n (so probe masking is a single AND), at least 64.
+func bloomBits(n int) int {
 	m := uint64(64)
 	for m < uint64(n)*16 {
 		m *= 2
 	}
-	return Bloom{K: 4, Bits: make([]byte, m/8)}
+	return int(m)
+}
+
+// NewBloom returns an empty bloom sized for n keys: bloomBits(n) bits,
+// K = 4.
+func NewBloom(n int) Bloom {
+	return Bloom{K: bloomK, Bits: make([]byte, bloomBits(n)/8)}
 }
 
 func (b Bloom) positions(h [32]byte) [8]uint32 {
+	return bloomPositions(h, b.K, len(b.Bits)*8)
+}
+
+// bloomPositions returns the k bit positions h sets in a bloom of nbits
+// bits (a power of two).
+func bloomPositions(h [32]byte, k, nbits int) [8]uint32 {
 	var pos [8]uint32
-	mask := uint32(len(b.Bits)*8 - 1)
-	for i := 0; i < b.K && i < 8; i++ {
+	mask := uint32(nbits - 1)
+	for i := 0; i < k && i < 8; i++ {
 		pos[i] = binary.BigEndian.Uint32(h[4*i:]) & mask
 	}
 	return pos
@@ -467,6 +483,74 @@ func (b Bloom) Test(h [32]byte) bool {
 	return true
 }
 
+// SlicedBlooms holds one bloom of a kind for every sealed tile, all of
+// NewBloom(span)'s shape, transposed in blocks of 64 tiles: word p of
+// block b has bit t set when tile 64b+t's bloom has bit p set. A probe
+// ANDs the K words at a hash's positions in each block, so it costs K
+// loads per 64 tiles where testing each tile's Bloom costs up to K per
+// tile. The bits are the same ones the tiles' blooms hold; only the last
+// block is allocated whole before its tiles arrive.
+type SlicedBlooms struct {
+	k, nbits int
+	n        uint64     // tiles added
+	blocks   [][]uint64 // nbits words each
+}
+
+// NewSlicedBlooms returns an empty set for the blooms of tiles of span
+// entries.
+func NewSlicedBlooms(span int) *SlicedBlooms {
+	return &SlicedBlooms{k: bloomK, nbits: bloomBits(span)}
+}
+
+// Add appends tile's bloom. Tiles arrive in order, and the bloom has the
+// set's shape (DecodeTileIndex guarantees it for every bloom read from
+// disk); anything else is a bug in the caller, and Add panics.
+func (s *SlicedBlooms) Add(tile uint64, b Bloom) {
+	if tile != s.n || b.K != s.k || len(b.Bits)*8 != s.nbits {
+		panic(fmt.Sprintf("storage: adding tile %d (k=%d, %d bits) to %d tiles of k=%d, %d bits", tile, b.K, len(b.Bits)*8, s.n, s.k, s.nbits))
+	}
+	if tile%64 == 0 {
+		s.blocks = append(s.blocks, make([]uint64, s.nbits))
+	}
+	words, bit := s.blocks[tile/64], uint64(1)<<(tile%64)
+	for i, c := range b.Bits {
+		for ; c != 0; c &= c - 1 {
+			words[8*i+bits.TrailingZeros8(c)] |= bit
+		}
+	}
+	s.n++
+}
+
+// Probe returns, in ascending order, the tiles in [from, to) whose bloom
+// may hold h: exactly those whose Bloom.Test(h) is true. to is clamped
+// to the tiles added.
+func (s *SlicedBlooms) Probe(h [32]byte, from, to uint64) []uint64 {
+	to = min(to, s.n)
+	if from >= to {
+		return nil
+	}
+	pos := bloomPositions(h, s.k, s.nbits)
+	first, last := from/64, (to-1)/64
+	var hits []uint64
+	for b := first; b <= last; b++ {
+		words := s.blocks[b]
+		m := ^uint64(0)
+		for _, p := range pos[:s.k] {
+			m &= words[p]
+		}
+		if b == first {
+			m &= ^uint64(0) << (from % 64)
+		}
+		if b == last {
+			m &= ^uint64(0) >> (63 - (to-1)%64)
+		}
+		for ; m != 0; m &= m - 1 {
+			hits = append(hits, 64*b+uint64(bits.TrailingZeros64(m)))
+		}
+	}
+	return hits
+}
+
 func encodeBloom(which byte, b Bloom) []byte {
 	out := make([]byte, 2, 2+len(b.Bits))
 	out[0] = which
@@ -474,22 +558,18 @@ func encodeBloom(which byte, b Bloom) []byte {
 	return append(out, b.Bits...)
 }
 
-func decodeBloom(which byte, payload []byte) (Bloom, error) {
+// decodeBloom decodes one bloom of a tile of span entries. It must have
+// NewBloom(span)'s K and size: the one shape SlicedBlooms holds.
+func decodeBloom(which byte, span uint64, payload []byte) (Bloom, error) {
 	if len(payload) < 2 {
 		return Bloom{}, fmt.Errorf("%w: short bloom payload", ErrCorrupt)
 	}
 	if payload[0] != which {
 		return Bloom{}, fmt.Errorf("%w: bloom labeled %d, want %d", ErrCorrupt, payload[0], which)
 	}
-	k := int(payload[1])
-	bits := payload[2:]
-	if k < 1 || k > 8 {
-		return Bloom{}, fmt.Errorf("%w: bloom k=%d outside [1,8]", ErrCorrupt, k)
+	k, bits := int(payload[1]), payload[2:]
+	if want := bloomBits(int(span)); k != bloomK || len(bits)*8 != want {
+		return Bloom{}, fmt.Errorf("%w: bloom has k=%d and %d bits, want k=%d and %d for span %d", ErrCorrupt, k, len(bits)*8, bloomK, want, span)
 	}
-	if n := len(bits); n == 0 || n&(n-1) != 0 {
-		return Bloom{}, fmt.Errorf("%w: bloom bit array of %d bytes is not a power of two", ErrCorrupt, n)
-	}
-	out := Bloom{K: k, Bits: make([]byte, len(bits))}
-	copy(out.Bits, bits)
-	return out, nil
+	return Bloom{K: k, Bits: bytes.Clone(bits)}, nil
 }

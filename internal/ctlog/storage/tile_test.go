@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ctrise/internal/merkle"
@@ -128,6 +131,22 @@ func TestTileIndexSearchAndValidation(t *testing.T) {
 	if _, err := DecodeTileIndex(EncodeTileIndex(&broken)); err == nil {
 		t.Fatal("unsorted index rows decoded")
 	}
+
+	// Every bloom must have NewBloom(span)'s shape, the one SlicedBlooms
+	// holds: a well-framed index whose bloom has another K or size is
+	// corrupt.
+	for name, reshape := range map[string]func(*TileIndex){
+		"id bloom k=3":          func(ix *TileIndex) { ix.IDBloom.K = 3 },
+		"leaf bloom k=5":        func(ix *TileIndex) { ix.LeafBloom.K = 5 },
+		"id bloom twice sized":  func(ix *TileIndex) { ix.IDBloom = NewBloom(2 * span) },
+		"leaf bloom half sized": func(ix *TileIndex) { ix.LeafBloom = NewBloom(span / 2) },
+	} {
+		bad := *ix
+		reshape(&bad)
+		if _, err := DecodeTileIndex(EncodeTileIndex(&bad)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err=%v, want ErrCorrupt", name, err)
+		}
+	}
 }
 
 func TestBloomSizing(t *testing.T) {
@@ -156,6 +175,113 @@ func TestBloomSizing(t *testing.T) {
 	}
 	if fp > 10*n*15/1000 {
 		t.Fatalf("%d false positives in %d probes", fp, 10*n)
+	}
+}
+
+// randomHash draws a uniform 32-byte hash.
+func randomHash(rng *rand.Rand) (h [32]byte) {
+	for i := 0; i < 32; i += 8 {
+		binary.LittleEndian.PutUint64(h[i:], rng.Uint64())
+	}
+	return h
+}
+
+// probeEachTile is the reference SlicedBlooms.Probe must equal: a
+// Bloom.Test per tile of [from, to).
+func probeEachTile(blooms []Bloom, h [32]byte, from, to uint64) []uint64 {
+	var hits []uint64
+	for tile := from; tile < min(to, uint64(len(blooms))); tile++ {
+		if blooms[tile].Test(h) {
+			hits = append(hits, tile)
+		}
+	}
+	return hits
+}
+
+// TestSlicedBloomsProbeMatchesTest holds Probe to the per-tile Bloom.Test
+// loop over 200 random blooms — empty ones, sparse ones and ones filled
+// past their sizing, so probes hit often — on ranges that start and end
+// at and around the 64-tile block edges, past the last tile, and empty
+// or inverted, at every tile count from 0 to 200.
+func TestSlicedBloomsProbeMatchesTest(t *testing.T) {
+	const span, tiles = 4, 200
+	rng := rand.New(rand.NewSource(27))
+	var keys [][32]byte
+	blooms := make([]Bloom, tiles)
+	for i := range blooms {
+		blooms[i] = NewBloom(span)
+		for n := rng.Intn(3) * rng.Intn(8); n > 0; n-- {
+			keys = append(keys, randomHash(rng))
+			blooms[i].Add(keys[len(keys)-1])
+		}
+	}
+	edges := []uint64{0, 1, 62, 63, 64, 65, 100, 127, 128, 129, 191, 192, 199, 200, 1000}
+	s := NewSlicedBlooms(span)
+	var probes, hits int
+	for n := 0; n <= tiles; n++ {
+		for q := 0; q < 8; q++ {
+			h := randomHash(rng)
+			if q%2 == 0 && len(keys) > 0 {
+				h = keys[rng.Intn(len(keys))]
+			}
+			ranges := [][2]uint64{{0, ^uint64(0)}, {uint64(rng.Intn(tiles + 1)), uint64(rng.Intn(tiles + 1))}}
+			for _, from := range edges {
+				for _, to := range edges {
+					ranges = append(ranges, [2]uint64{from, to})
+				}
+			}
+			for _, r := range ranges {
+				want := probeEachTile(blooms[:n], h, r[0], r[1])
+				if got := s.Probe(h, r[0], r[1]); !slices.Equal(got, want) {
+					t.Fatalf("%d tiles, probe [%d, %d): got %v, want %v", n, r[0], r[1], got, want)
+				}
+				probes++
+				hits += len(want)
+			}
+		}
+		if n < tiles {
+			s.Add(uint64(n), blooms[n])
+		}
+	}
+	if hits < probes/8 {
+		t.Fatalf("%d hits in %d probes: the comparison is too sparse", hits, probes)
+	}
+}
+
+// BenchmarkSealedProbe probes every sealed tile's leaf bloom for one hash
+// held by one tile, the lookup a get-proof-by-hash makes: a Bloom.Test
+// per tile against one SlicedBlooms probe, at span 1024 (1024 keys per
+// tile).
+func BenchmarkSealedProbe(b *testing.B) {
+	const span = 1024
+	for _, tiles := range []int{64, 1024, 8192} {
+		rng := rand.New(rand.NewSource(int64(tiles)))
+		blooms := make([]Bloom, tiles)
+		for i := range blooms {
+			blooms[i] = NewBloom(span)
+			for k := 0; k < span; k++ {
+				blooms[i].Add(randomHash(rng))
+			}
+		}
+		keys := make([][32]byte, 256)
+		for i := range keys {
+			keys[i] = randomHash(rng)
+			blooms[rng.Intn(tiles)].Add(keys[i])
+		}
+		s := NewSlicedBlooms(span)
+		for i, bl := range blooms {
+			s.Add(uint64(i), bl)
+		}
+		b.Run(fmt.Sprintf("tiles=%d/per-tile", tiles), func(b *testing.B) {
+			for i := 0; b.Loop(); i++ {
+				probeEachTile(blooms, keys[i%len(keys)], 0, ^uint64(0))
+			}
+		})
+		b.Run(fmt.Sprintf("tiles=%d/sliced", tiles), func(b *testing.B) {
+			for i := 0; b.Loop(); i++ {
+				s.Probe(keys[i%len(keys)], 0, ^uint64(0))
+			}
+		})
 	}
 }
 

@@ -15,14 +15,21 @@ import (
 // Merkle subtree hashes, and a bloom-fronted lookup index per tile — see
 // storage/tile.go for the formats) and evicted from RAM. From then on
 // get-entries, get-proof-by-hash, and get-consistency are served from
-// the tiles through a byte-budget LRU page cache, the dedupe check for
-// sealed entries goes through per-tile blooms + binary-searched index
-// files, and — because the snapshot now carries the tile roots instead
-// of the sealed entries — the WAL is truncated behind the seal. RAM and
-// WAL therefore stay bounded by the mutable edge (tail + staged batch +
-// ~4 bloom bytes per sealed entry), plus whatever pages reads and
-// dedupe lookups asked for, up to the page-cache budget — independent
-// of tree size. Sealing itself leaves nothing in the cache.
+// the tiles through a byte-budget LRU page cache, the dedupe check and
+// the leaf-hash lookup for sealed entries go through per-tile blooms +
+// binary-searched index files, and — because the snapshot now carries
+// the tile roots instead of the sealed entries — the WAL is truncated
+// behind the seal. RAM and WAL therefore stay bounded by the mutable
+// edge (tail + staged batch + ~4 bloom bytes per sealed entry), plus
+// whatever pages reads and dedupe lookups asked for, up to the
+// page-cache budget — independent of tree size. Sealing itself leaves
+// nothing in the cache.
+//
+// The resident blooms are bit-sliced (storage.SlicedBlooms): the same
+// bloom bytes the index files hold, transposed in blocks of 64 tiles, so
+// probing every sealed tile for one hash costs K word loads per 64 tiles
+// rather than a bloom test per tile. What still grows with tile count is
+// the bloom false positives (≈ 0.0024 index lookups per tile probed).
 //
 // The seal is three-phase, and the ordering is the crash-safety
 // argument:
@@ -69,9 +76,12 @@ type tileStore struct {
 	tlvl  uint // log2(span)
 	cache *storage.PageCache
 
-	mu     sync.RWMutex
-	roots  []merkle.Hash
-	blooms []tileBlooms
+	mu    sync.RWMutex
+	roots []merkle.Hash
+	// ids and leaves hold every registered tile's identity-hash and
+	// leaf-hash blooms, bit-sliced so a probe over all sealed tiles costs
+	// K word loads per 64 tiles.
+	ids, leaves *storage.SlicedBlooms
 	// checked[tile] records that this process has cross-checked the
 	// tile's leaf file against its hash tile and registered root: in the
 	// seal's verify, or on the first leaf page-in of a tile installed
@@ -86,17 +96,15 @@ type tileStore struct {
 // so leaf pages are charged for it.
 const entryPinnedBytes = int64(unsafe.Sizeof(Entry{}) + unsafe.Sizeof((*Entry)(nil)))
 
-type tileBlooms struct {
-	id   storage.Bloom
-	leaf storage.Bloom
-}
-
 func newTileStore(st *storage.Store, span uint64, cacheBytes int64) *tileStore {
 	tlvl := uint(0)
 	for s := span; s > 1; s >>= 1 {
 		tlvl++
 	}
-	return &tileStore{st: st, span: span, tlvl: tlvl, cache: storage.NewPageCache(cacheBytes)}
+	return &tileStore{
+		st: st, span: span, tlvl: tlvl, cache: storage.NewPageCache(cacheBytes),
+		ids: storage.NewSlicedBlooms(int(span)), leaves: storage.NewSlicedBlooms(int(span)),
+	}
 }
 
 // sealedTiles returns the number of registered sealed tiles.
@@ -116,18 +124,19 @@ func (ts *tileStore) rootAt(tile uint64) (merkle.Hash, bool) {
 	return ts.roots[tile], true
 }
 
-// register appends one sealed tile's root and the blooms verify read
-// from its index file; tiles register in order. Its caller is the seal,
-// whose verify has just cross-checked the tile's files as they are on
-// disk, so the tile registers as checked.
-func (ts *tileStore) register(tile uint64, root merkle.Hash, b tileBlooms) error {
+// register appends one sealed tile's root and the blooms of the index
+// verify read from disk; tiles register in order. Its caller is the
+// seal, whose verify has just cross-checked the tile's files as they are
+// on disk, so the tile registers as checked.
+func (ts *tileStore) register(tile uint64, root merkle.Hash, ix *storage.TileIndex) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	if uint64(len(ts.roots)) != tile {
 		return fmt.Errorf("ctlog: registering tile %d after %d tiles", tile, len(ts.roots))
 	}
 	ts.roots = append(ts.roots, root)
-	ts.blooms = append(ts.blooms, b)
+	ts.ids.Add(tile, ix.IDBloom)
+	ts.leaves.Add(tile, ix.LeafBloom)
 	ts.checked = append(ts.checked, true)
 	return nil
 }
@@ -175,7 +184,7 @@ func (ts *tileStore) install(roots [][32]byte) error {
 	for i, r := range roots {
 		ts.roots[i] = merkle.Hash(r)
 	}
-	ts.blooms = make([]tileBlooms, 0, len(roots))
+	ts.ids, ts.leaves = storage.NewSlicedBlooms(int(ts.span)), storage.NewSlicedBlooms(int(ts.span))
 	ts.checked = make([]bool, len(roots))
 	ts.mu.Unlock()
 	for tile := uint64(0); tile < uint64(len(roots)); tile++ {
@@ -184,7 +193,8 @@ func (ts *tileStore) install(roots [][32]byte) error {
 			return fmt.Errorf("loading sealed tile %d index: %w", tile, err)
 		}
 		ts.mu.Lock()
-		ts.blooms = append(ts.blooms, tileBlooms{id: ix.IDBloom, leaf: ix.LeafBloom})
+		ts.ids.Add(tile, ix.IDBloom)
+		ts.leaves.Add(tile, ix.LeafBloom)
 		ts.mu.Unlock()
 	}
 	return nil
@@ -372,35 +382,31 @@ func (ts *tileStore) index(tile uint64) (*storage.TileIndex, error) {
 // tree's subtree root for the tile, with the same decoders a page-in
 // runs plus crossCheck — so it verifies what is durable, every time it
 // is called, and installs nothing in the page cache (a write-only log
-// does not fill its cache with pages nobody read). It returns the index
-// blooms for register.
-func (ts *tileStore) verify(tile uint64, root merkle.Hash) (tileBlooms, error) {
+// does not fill its cache with pages nobody read). It returns the
+// decoded index, whose blooms register slices in.
+func (ts *tileStore) verify(tile uint64, root merkle.Hash) (*storage.TileIndex, error) {
 	data, err := ts.read(tile, storage.TileExtHash)
 	if err != nil {
-		return tileBlooms{}, err
+		return nil, err
 	}
 	ht, err := ts.decodeHash(tile, root, data)
 	if err != nil {
-		return tileBlooms{}, err
+		return nil, err
 	}
 	if data, err = ts.read(tile, storage.TileExtLeaf); err != nil {
-		return tileBlooms{}, err
+		return nil, err
 	}
 	lt, _, err := ts.decodeLeaf(tile, data)
 	if err != nil {
-		return tileBlooms{}, err
+		return nil, err
 	}
 	if err := crossCheck(lt, ht); err != nil {
-		return tileBlooms{}, err
+		return nil, err
 	}
 	if data, err = ts.read(tile, storage.TileExtIndex); err != nil {
-		return tileBlooms{}, err
+		return nil, err
 	}
-	ix, err := ts.decodeIndex(tile, data)
-	if err != nil {
-		return tileBlooms{}, err
-	}
-	return tileBlooms{id: ix.IDBloom, leaf: ix.LeafBloom}, nil
+	return ts.decodeIndex(tile, data)
 }
 
 // Node implements merkle.NodeSource: the hash of the perfect subtree at
@@ -422,20 +428,10 @@ func (ts *tileStore) Node(level int, index uint64) (merkle.Hash, error) {
 func (ts *tileStore) probe(h merkle.Hash, which int, from, to uint64) []uint64 {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
-	if to > uint64(len(ts.blooms)) {
-		to = uint64(len(ts.blooms))
+	if which == storage.TileIndexLeaf {
+		return ts.leaves.Probe([32]byte(h), from, to)
 	}
-	var hits []uint64
-	for tile := from; tile < to; tile++ {
-		b := ts.blooms[tile].id
-		if which == storage.TileIndexLeaf {
-			b = ts.blooms[tile].leaf
-		}
-		if b.Test([32]byte(h)) {
-			hits = append(hits, tile)
-		}
-	}
-	return hits
+	return ts.ids.Probe([32]byte(h), from, to)
 }
 
 // lookupID searches sealed tiles [from, to) for an entry with the given
@@ -590,11 +586,11 @@ func (l *Log) sealTileLocked(tile uint64) error {
 	// just rewrote — nothing is cached for an unregistered tile), tie the
 	// hash tile to the tree's root and every leaf to the hash tile; only
 	// then does the tile register, as checked.
-	blooms, err := l.tiles.verify(tile, want)
+	vix, err := l.tiles.verify(tile, want)
 	if err != nil {
 		return err
 	}
-	return l.tiles.register(tile, want, blooms)
+	return l.tiles.register(tile, want, vix)
 }
 
 // sealStage invokes the test-only seal lifecycle hook.

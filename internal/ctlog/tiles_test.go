@@ -758,6 +758,29 @@ func forgeLeafTile(t *testing.T, dir string, tile uint64) {
 	}
 }
 
+// reshapeIndexBloom rewrites a tile's index file with its identity bloom
+// rebuilt 64 times larger, every key still in it: canonical encoding,
+// fresh CRCs, right label — a file only the bloom shape check rejects.
+func reshapeIndexBloom(t *testing.T, dir string, tile uint64) {
+	t.Helper()
+	path := tilePath(dir, tile, storage.TileExtIndex)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := storage.DecodeTileIndex(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.IDBloom = storage.NewBloom(64 * int(ix.Span))
+	for _, r := range ix.ID {
+		ix.IDBloom.Add(r.Hash)
+	}
+	if err := os.WriteFile(path, storage.EncodeTileIndex(ix), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTiledCorruptTileFailsReads pins where each kind of tile corruption
 // is caught, at the Log API and through HTTP. A leaf file is CRC-,
 // framing- and label-checked on every page-in, and cross-checked against
@@ -1110,6 +1133,8 @@ func TestTiledVerifyChecksDisk(t *testing.T) {
 			want: storage.ErrCorrupt, mentions: "does not hash to the sealed leaf hash"},
 		{name: "wrong expected root", badRoot: true,
 			want: storage.ErrCorrupt, mentions: "root does not match"},
+		{name: "CRC-valid .idx with a misshapen bloom", damage: func(t *testing.T, dir string) { reshapeIndexBloom(t, dir, 0) },
+			want: storage.ErrCorrupt, mentions: "bloom has k="},
 	}
 	for _, ext := range []string{storage.TileExtLeaf, storage.TileExtHash, storage.TileExtIndex} {
 		rows = append(rows,
@@ -1137,11 +1162,11 @@ func TestTiledVerifyChecksDisk(t *testing.T) {
 			if r.badRoot {
 				root[0] ^= 1
 			}
-			blooms, err := l.tiles.verify(0, root)
+			got, err := l.tiles.verify(0, root)
 			switch {
 			case r.want == nil && err != nil:
 				t.Fatalf("verify of a good tile: %v", err)
-			case r.want == nil && !(reflect.DeepEqual(blooms.id, ix.IDBloom) && reflect.DeepEqual(blooms.leaf, ix.LeafBloom)):
+			case r.want == nil && !(reflect.DeepEqual(got.IDBloom, ix.IDBloom) && reflect.DeepEqual(got.LeafBloom, ix.LeafBloom)):
 				t.Fatal("verify returned blooms that are not the ones on disk")
 			case r.want != nil && !errors.Is(err, r.want):
 				t.Fatalf("verify: err=%v, want %v", err, r.want)
@@ -1174,5 +1199,134 @@ func TestTiledVerifyRetryRereadsDisk(t *testing.T) {
 	flipTileByte(t, dir, 0, storage.TileExtHash)
 	if _, err := l.tiles.verify(0, root); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("second verify after the .hash file changed: err=%v, want ErrCorrupt", err)
+	}
+}
+
+// TestTiledAcrossBloomBlocks drives a span-2 log to 160 sealed tiles, so
+// its bit-sliced blooms fill two 64-tile blocks and start a third, and
+// checks every lookup that probes them at the block edges: resubmitting
+// the identities of tiles 0, 63, 64, 65 and the last answers with the
+// original timestamps, and get-proof-by-hash finds and proves the same
+// leaves — before and after a reopen. One seal is parked after it
+// registered tiles 60–69, across the edge at 64: the add path's locked
+// re-probe of [sealedAt, now) must find exactly the identities of those
+// tiles, and a duplicate submitted meanwhile keeps its timestamp. A
+// CRC-valid index with a misshapen bloom then fails the next Open.
+func TestTiledAcrossBloomBlocks(t *testing.T) {
+	const span, tiles, parkFrom, parkTo = 2, 160, 60, 70
+	dir := t.TempDir()
+	cfg := Config{TileSpan: span, SnapshotEvery: -1, Sync: SyncAtSequence}
+	l, clk := newDurableLog(t, dir, cfg)
+	certOf := func(i int) []byte { return []byte(fmt.Sprintf("block-edge-%04d", i)) }
+	var orig []uint64 // SCT timestamp of entry i
+	add := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			s, err := l.AddChain(certOf(len(orig)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			orig = append(orig, s.Timestamp)
+			clk.Advance(time.Second)
+		}
+	}
+	add(parkFrom * span)
+	if _, err := l.PublishSTH(); err != nil {
+		t.Fatal(err)
+	}
+
+	add((parkTo - parkFrom) * span)
+	parked, release := make(chan struct{}), make(chan struct{})
+	releaseSeal := sync.OnceFunc(func() { close(release) })
+	defer releaseSeal() // before Close, which waits for the seal
+	l.sealStageHook = func(stage string) {
+		if stage == "tiles-written" {
+			close(parked)
+			<-release
+		}
+	}
+	pubDone := make(chan error, 1)
+	go func() {
+		_, err := l.PublishSTH()
+		pubDone <- err
+	}()
+	<-parked
+	now := l.tiles.sealedTiles()
+	if now != parkTo {
+		t.Fatalf("%d tiles registered at the parked seal, want %d", now, parkTo)
+	}
+	for i := range orig {
+		se, err := l.tiles.lookupID(entryIdentity(sct.X509Entry(certOf(i))), parkFrom, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inRange := i/span >= parkFrom; (se != nil) != inRange || (se != nil && se.Index != uint64(i)) {
+			t.Fatalf("re-probe of tiles [%d, %d) for entry %d (tile %d): got %+v", parkFrom, now, i, i/span, se)
+		}
+	}
+	if s, err := l.AddChain(certOf(64 * span)); err != nil || s.Timestamp != orig[64*span] {
+		t.Fatalf("duplicate of tile 64 during its seal: %v, want timestamp %d", err, orig[64*span])
+	}
+	releaseSeal()
+	if err := <-pubDone; err != nil {
+		t.Fatal(err)
+	}
+	l.sealStageHook = nil
+
+	add((tiles-parkTo)*span + 1) // and one entry in the resident tail
+	if _, err := l.PublishSTH(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.TiledThrough(); got != tiles*span {
+		t.Fatalf("tiled through %d, want %d", got, tiles*span)
+	}
+	check := func(l *Log, clk *virtualClock) {
+		t.Helper()
+		clk.Advance(time.Hour)
+		sth := l.STH()
+		for _, tile := range []int{0, 63, 64, 65, tiles - 1} {
+			for i := tile * span; i < (tile+1)*span; i++ {
+				s, err := l.AddChain(certOf(i))
+				if err != nil || s.Timestamp != orig[i] {
+					t.Fatalf("resubmitting entry %d (tile %d): %v, timestamp %d, want %d", i, tile, err, s.Timestamp, orig[i])
+				}
+				ents, err := l.GetEntries(uint64(i), uint64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				lh, err := ents[0].LeafHash()
+				if err != nil {
+					t.Fatal(err)
+				}
+				idx, proof, err := l.GetProofByHash(lh, sth.TreeHead.TreeSize)
+				if err != nil || idx != uint64(i) {
+					t.Fatalf("proof by hash for entry %d (tile %d): index %d, %v", i, tile, idx, err)
+				}
+				if err := verifyInclusionForTest(lh, idx, sth, proof); err != nil {
+					t.Fatalf("entry %d: %v", i, err)
+				}
+			}
+		}
+		if n := l.PendingCount(); n != 0 {
+			t.Fatalf("resubmissions staged %d new entries", n)
+		}
+	}
+	check(l, clk)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, clk = newDurableLog(t, dir, cfg)
+	check(l, clk)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reshapeIndexBloom(t, dir, 64)
+	cfg.Signer, cfg.Clock = sct.NewFastSigner("durable-test-log"), newClock().Now
+	if l, err := Open(dir, cfg); !errors.Is(err, storage.ErrCorrupt) {
+		if err == nil {
+			l.Close()
+		}
+		t.Fatalf("Open over a misshapen index bloom: err=%v, want ErrCorrupt", err)
 	}
 }
