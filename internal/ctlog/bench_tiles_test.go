@@ -20,19 +20,13 @@ import (
 //
 //	UPDATE_BENCH_TILES=1 go test -run TestWriteBenchTiles -timeout 30m ./internal/ctlog
 //
-// The artifact records, at a quarter, half, and one million entries:
-//
-//   - steady-state heap (runtime.ReadMemStats after GC) of a tile-backed
-//     log reopened from disk versus the same log held fully in memory —
-//     the tiled number is bounded by the page-cache budget plus ~4 bloom
-//     bytes per sealed entry, independent of tree size, while the
-//     in-memory number grows linearly;
-//   - read latency (get-entries page, inclusion proof, consistency
-//     proof) for the in-memory log and for the tiled log with the page
-//     cache cold (disabled) and hot (warmed at a budget that holds the
-//     working set);
-//   - page-cache hit/miss/eviction counters for the hot run and for a
-//     uniform random scan at the small steady-state budget.
+// The artifact records, at a quarter, half, and one million entries,
+// the steady-state heap (runtime.ReadMemStats after GC) of a tile-backed
+// log reopened from disk versus the same log held fully in memory — the
+// tiled number is bounded by the page-cache budget plus ~4 bloom bytes
+// per sealed entry, independent of tree size, while the in-memory number
+// grows linearly. Read latency and page-cache behaviour are the
+// benchmark's crawl and audit workloads and BenchmarkLogReadTiled.
 func TestWriteBenchTiles(t *testing.T) {
 	if os.Getenv("UPDATE_BENCH_TILES") != "1" {
 		t.Skip("set UPDATE_BENCH_TILES=1 to regenerate BENCH_tiles.json")
@@ -43,8 +37,6 @@ func TestWriteBenchTiles(t *testing.T) {
 		totalEntries  = 1 << 20
 		chunk         = 1 << 16 // publish (and seal) cadence while growing
 		heapCacheB    = 8 << 20
-		hotCacheB     = int64(512 << 20)
-		latencyOps    = 100
 		workloadPages = 256
 	)
 	sizes := []uint64{1 << 18, 1 << 19, totalEntries}
@@ -88,17 +80,6 @@ func TestWriteBenchTiles(t *testing.T) {
 		}
 	}
 
-	type cacheJSON struct {
-		Hits      uint64  `json:"hits"`
-		Misses    uint64  `json:"misses"`
-		Evictions uint64  `json:"evictions"`
-		HitRate   float64 `json:"hit_rate"`
-	}
-	cachify := func(l *Log) cacheJSON {
-		s := l.CacheStats()
-		return cacheJSON{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, HitRate: s.HitRate()}
-	}
-
 	type heapPoint struct {
 		Entries    uint64 `json:"entries"`
 		TiledBytes uint64 `json:"tiled_bytes"`
@@ -127,7 +108,6 @@ func TestWriteBenchTiles(t *testing.T) {
 
 	// --- Tiled log: grow on disk, measure reopened steady state. ---
 	dir := t.TempDir()
-	var uniformCache cacheJSON
 	{
 		l, err := Open(dir, base)
 		if err != nil {
@@ -152,9 +132,6 @@ func TestWriteBenchTiles(t *testing.T) {
 			if h := heapNow(); h > baseline {
 				heap[size].TiledBytes = h - baseline
 			}
-			if size == totalEntries {
-				uniformCache = cachify(l)
-			}
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
@@ -165,50 +142,6 @@ func TestWriteBenchTiles(t *testing.T) {
 	}
 
 	// --- In-memory log: same content, everything resident. ---
-	type latencyTriple struct {
-		InMem     int64 `json:"inmem"`
-		TiledCold int64 `json:"tiled_cold"`
-		TiledHot  int64 `json:"tiled_hot"`
-	}
-	var entriesLat, inclusionLat, consistencyLat latencyTriple
-
-	// measure times one read mix at the full size and returns per-op
-	// nanoseconds for (get-entries page, inclusion proof, consistency
-	// proof). The index sequence is deterministic, so cold and hot runs
-	// touch identical tiles.
-	measure := func(l *Log) (int64, int64, int64) {
-		t.Helper()
-		size := l.TreeSize()
-		rng := rand.New(rand.NewSource(42))
-		starts := make([]uint64, latencyOps)
-		for i := range starts {
-			starts[i] = (rng.Uint64() % size) &^ (span - 1)
-		}
-		t0 := time.Now()
-		for _, s := range starts {
-			if _, err := l.GetEntries(s, s+span-1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		dEntries := time.Since(t0)
-		t0 = time.Now()
-		for _, s := range starts {
-			if _, err := l.GetInclusionProof(s+rng.Uint64()%span, size); err != nil {
-				t.Fatal(err)
-			}
-		}
-		dInclusion := time.Since(t0)
-		t0 = time.Now()
-		for range starts {
-			if _, err := l.GetConsistencyProof(1+rng.Uint64()%(size-1), size); err != nil {
-				t.Fatal(err)
-			}
-		}
-		dConsistency := time.Since(t0)
-		per := func(d time.Duration) int64 { return d.Nanoseconds() / latencyOps }
-		return per(dEntries), per(dInclusion), per(dConsistency)
-	}
-
 	{
 		l, err := New(base)
 		if err != nil {
@@ -225,34 +158,6 @@ func TestWriteBenchTiles(t *testing.T) {
 				heap[size].InMemBytes = h - baseline
 			}
 		}
-		entriesLat.InMem, inclusionLat.InMem, consistencyLat.InMem = measure(l)
-	}
-
-	// --- Tiled latency: cold (cache disabled) and hot (warmed). ---
-	var hotCache cacheJSON
-	{
-		cfg := base
-		cfg.PageCacheBytes = -1
-		l, err := Open(dir, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		entriesLat.TiledCold, inclusionLat.TiledCold, consistencyLat.TiledCold = measure(l)
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		cfg.PageCacheBytes = hotCacheB
-		l, err = Open(dir, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		measure(l) // warm: pages the deterministic working set in
-		entriesLat.TiledHot, inclusionLat.TiledHot, consistencyLat.TiledHot = measure(l)
-		hotCache = cachify(l)
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	heapPoints := make([]heapPoint, 0, len(sizes))
@@ -263,23 +168,12 @@ func TestWriteBenchTiles(t *testing.T) {
 		Schema string `json:"schema"`
 		Regen  string `json:"regenerate_with"`
 		Config struct {
-			Entries            uint64 `json:"entries"`
-			TileSpan           int    `json:"tile_span"`
-			CertBytes          int    `json:"cert_bytes"`
-			SteadyCacheBytes   int64  `json:"steady_state_page_cache_bytes"`
-			HotCacheBytes      int64  `json:"hot_page_cache_bytes"`
-			LatencyOpsPerPoint int    `json:"latency_ops_per_point"`
+			Entries          uint64 `json:"entries"`
+			TileSpan         int    `json:"tile_span"`
+			CertBytes        int    `json:"cert_bytes"`
+			SteadyCacheBytes int64  `json:"steady_state_page_cache_bytes"`
 		} `json:"config"`
-		Heap      []heapPoint `json:"heap_steady_state"`
-		LatencyNS struct {
-			GetEntriesPage   latencyTriple `json:"get_entries_page"`
-			InclusionProof   latencyTriple `json:"inclusion_proof"`
-			ConsistencyProof latencyTriple `json:"consistency_proof"`
-		} `json:"latency_ns"`
-		PageCache struct {
-			Hot          cacheJSON `json:"hot_run"`
-			UniformSmall cacheJSON `json:"uniform_random_at_steady_budget"`
-		} `json:"page_cache"`
+		Heap []heapPoint `json:"heap_steady_state"`
 	}{}
 	artifact.Schema = "ctrise/bench-tiles/v1"
 	artifact.Regen = "UPDATE_BENCH_TILES=1 go test -run TestWriteBenchTiles -timeout 30m ./internal/ctlog"
@@ -287,14 +181,7 @@ func TestWriteBenchTiles(t *testing.T) {
 	artifact.Config.TileSpan = span
 	artifact.Config.CertBytes = 1024
 	artifact.Config.SteadyCacheBytes = heapCacheB
-	artifact.Config.HotCacheBytes = hotCacheB
-	artifact.Config.LatencyOpsPerPoint = latencyOps
 	artifact.Heap = heapPoints
-	artifact.LatencyNS.GetEntriesPage = entriesLat
-	artifact.LatencyNS.InclusionProof = inclusionLat
-	artifact.LatencyNS.ConsistencyProof = consistencyLat
-	artifact.PageCache.Hot = hotCache
-	artifact.PageCache.UniformSmall = uniformCache
 
 	out, err := json.MarshalIndent(artifact, "", "  ")
 	if err != nil {

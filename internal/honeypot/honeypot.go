@@ -124,16 +124,6 @@ func (h *Honeypot) Deploy(label string) (*Subdomain, error) {
 	return sub, nil
 }
 
-// SubIndexByFQDN resolves a honeypot name to its index, or -1.
-func (h *Honeypot) SubIndexByFQDN(fqdn string) int {
-	for i, s := range h.Subs {
-		if s.FQDN == fqdn {
-			return i
-		}
-	}
-	return -1
-}
-
 // RecordDNS ingests a DNS observation.
 func (h *Honeypot) RecordDNS(ev DNSEvent) { h.dnsEvents = append(h.dnsEvents, ev) }
 

@@ -1,15 +1,9 @@
-// Package load is a closed-loop HTTP load harness for the CT stack: a
-// workload mix over the ct/v1 operations, driven over real sockets by a
-// configurable number of connections, with HDR-style latency histograms
-// per operation class. cmd/ctload wires it to ctclient against a live
-// ctlogd or ctfront; the ecosystem benchmarks embed it against
-// in-process servers. The package itself knows nothing about CT wire
-// formats — operations are injected as closures — so it stays reusable
-// and its tests stay dependency-free.
+// Package load holds the latency histogram the benchmark (bench/)
+// records client-observed request latencies into: HDR-style log buckets,
+// one histogram per worker and operation class, merged after the run.
 package load
 
 import (
-	"fmt"
 	"math/bits"
 	"time"
 )
@@ -29,7 +23,7 @@ const (
 // Histogram is an HDR-style latency histogram: log-bucketed with 64
 // sub-buckets per octave, so quantiles are accurate to ~1.6% at any
 // magnitude while recording stays two array ops. Not safe for
-// concurrent use — the load driver keeps one per worker per operation
+// concurrent use — the benchmark keeps one per worker per operation
 // and merges at the end, which also keeps the hot path allocation- and
 // contention-free.
 type Histogram struct {
@@ -133,8 +127,8 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.max
 }
 
-// Merge folds other into h. The driver uses it to combine per-worker
-// histograms after the run.
+// Merge folds other into h, combining per-worker histograms after a
+// run.
 func (h *Histogram) Merge(other *Histogram) {
 	if other.n == 0 {
 		return
@@ -150,37 +144,4 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.n += other.n
 	h.sum += other.sum
-}
-
-// Summary is the fixed quantile set reported everywhere: the load
-// harness's human output, BENCH_load.json, and the CI smoke all read
-// the same struct.
-type Summary struct {
-	Count  uint64  `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	P999MS float64 `json:"p999_ms"`
-	MaxMS  float64 `json:"max_ms"`
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// Summarize extracts the standard quantile set.
-func (h *Histogram) Summarize() Summary {
-	return Summary{
-		Count:  h.n,
-		MeanMS: ms(h.Mean()),
-		P50MS:  ms(h.Quantile(0.50)),
-		P99MS:  ms(h.Quantile(0.99)),
-		P999MS: ms(h.Quantile(0.999)),
-		MaxMS:  ms(h.Max()),
-	}
-}
-
-// String renders the summary for terminal output.
-func (h *Histogram) String() string {
-	s := h.Summarize()
-	return fmt.Sprintf("n=%d mean=%.2fms p50=%.2fms p99=%.2fms p999=%.2fms max=%.2fms",
-		s.Count, s.MeanMS, s.P50MS, s.P99MS, s.P999MS, s.MaxMS)
 }
