@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ctrise/internal/certs"
+	"ctrise/internal/ctlog"
 	"ctrise/internal/ecosystem"
 	"ctrise/internal/experiments"
 	"ctrise/internal/honeypot"
@@ -300,13 +301,20 @@ func BenchmarkTable4(b *testing.B) {
 	}
 }
 
-// --- Ablations (design choices called out in DESIGN.md §5) ---
+// --- Ablations (each pits a production design choice against the naive
+// alternative it replaced) ---
 
 // BenchmarkAblationMerkleCache compares inclusion-proof generation with
-// the level cache (production path) against naive recursive rehashing.
+// the level cache against naive recursive rehashing. The "cached" arm
+// runs the production tree: an unsealed merkle.TiledTree at the log's
+// default tile span, the same type and shape an in-memory ctlog serves
+// proofs from.
 func BenchmarkAblationMerkleCache(b *testing.B) {
 	const size = 1 << 14
-	tree := merkle.New()
+	tree, err := merkle.NewTiled(ctlog.DefaultTileSpan, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	leaves := make([][]byte, size)
 	for i := range leaves {
 		leaves[i] = []byte(fmt.Sprintf("leaf-%d", i))

@@ -53,6 +53,7 @@ func TestParseBackend(t *testing.T) {
 
 	for _, row := range []struct {
 		v      string
+		name   string // subtest name when v holds a generated key or path; "" = v
 		google bool
 		logID  *sct.LogID // nil = no verifier ("none")
 		want   string     // "" = accepted; otherwise a substring of the error
@@ -61,8 +62,8 @@ func TestParseBackend(t *testing.T) {
 		{v: "log-a,OpA,http://a,google,fast", google: true, logID: &fastID},
 		{v: "log-a,OpA,http://a,none"},
 		{v: "log-a,OpA,http://a,fast", logID: &fastID},
-		{v: "log-a,OpA,http://a,pubkey:" + base64.StdEncoding.EncodeToString(pkix), logID: &keyID},
-		{v: "log-a, OpA ,http://a,keyfile:" + keyFile + ",google", google: true, logID: &keyID},
+		{v: "log-a,OpA,http://a,pubkey:" + base64.StdEncoding.EncodeToString(pkix), name: "log-a,OpA,http://a,pubkey:SPKI", logID: &keyID},
+		{v: "log-a, OpA ,http://a,keyfile:" + keyFile + ",google", name: "log-a, OpA ,http://a,keyfile:KEYFILE,google", google: true, logID: &keyID},
 		{v: "log-a,OpA,http://a,google,fast,google", want: `want name,operator,url,KEYSPEC[,google]`},
 		{v: "log-a,OpA,http://a,google,google", want: `duplicate "google"`},
 		{v: "log-a,OpA,http://a,fast,none", want: "duplicate KEYSPEC"},
@@ -73,7 +74,11 @@ func TestParseBackend(t *testing.T) {
 		{v: "log-a, ,http://a,fast", want: "empty field"},
 		{v: "log-a,OpA,,fast", want: "empty field"},
 	} {
-		t.Run(row.v, func(t *testing.T) {
+		name := row.name
+		if name == "" {
+			name = row.v
+		}
+		t.Run(name, func(t *testing.T) {
 			spec, err := parseBackend(row.v)
 			if row.want != "" {
 				if err == nil || !strings.Contains(err.Error(), row.want) {

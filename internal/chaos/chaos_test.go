@@ -279,7 +279,10 @@ func TestShadowViewIsInternallyConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries2 := entries[:2]
-	tree := merkle.New()
+	tree, err := merkle.NewTiled(ctlog.DefaultTileSpan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range entries2 {
 		lh, err := e.LeafHash()
 		if err != nil {
@@ -287,8 +290,12 @@ func TestShadowViewIsInternallyConsistent(t *testing.T) {
 		}
 		tree.AppendLeafHash(lh)
 	}
+	root2, err := tree.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := merkle.VerifyConsistency(2, shadowSTH.TreeHead.TreeSize,
-		tree.Root(), merkle.Hash(shadowSTH.TreeHead.RootHash), proof); err != nil {
+		root2, merkle.Hash(shadowSTH.TreeHead.RootHash), proof); err != nil {
 		t.Fatalf("shadow view is not internally consistent: %v", err)
 	}
 }

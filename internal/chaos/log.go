@@ -196,7 +196,7 @@ func (cl *Log) recordLocked(sth ctlog.SignedTreeHead) {
 // shadowView is the forked history: honest published entries with
 // entry 0 tampered, re-integrated into a second Merkle tree.
 type shadowView struct {
-	tree       *merkle.Tree
+	tree       *merkle.TiledTree
 	entries    []*ctlog.Entry
 	byLeafHash map[merkle.Hash]uint64
 }
@@ -208,7 +208,11 @@ type shadowView struct {
 // from 1 on.
 func (cl *Log) syncShadowLocked() error {
 	if cl.shadow.tree == nil {
-		cl.shadow.tree = merkle.New()
+		tree, err := merkle.NewTiled(ctlog.DefaultTileSpan, nil)
+		if err != nil {
+			return err
+		}
+		cl.shadow.tree = tree
 		cl.shadow.byLeafHash = make(map[merkle.Hash]uint64)
 	}
 	size := cl.honest.STH().TreeHead.TreeSize
@@ -254,10 +258,14 @@ func (cl *Log) shadowSTHLocked() (ctlog.SignedTreeHead, error) {
 	if err := cl.syncShadowLocked(); err != nil {
 		return ctlog.SignedTreeHead{}, err
 	}
+	root, err := cl.shadow.tree.Root()
+	if err != nil {
+		return ctlog.SignedTreeHead{}, err
+	}
 	th := sct.TreeHead{
 		Timestamp: uint64(cl.clock().UnixMilli()),
 		TreeSize:  cl.shadow.tree.Size(),
-		RootHash:  [32]byte(cl.shadow.tree.Root()),
+		RootHash:  [32]byte(root),
 	}
 	sig, err := cl.signer.SignTreeHead(th)
 	if err != nil {

@@ -28,17 +28,21 @@ type mutexLog struct {
 	clock  func() time.Time
 
 	mu         sync.Mutex
-	tree       *merkle.Tree
+	tree       *merkle.TiledTree
 	entries    []*Entry
 	dedupe     map[merkle.Hash]uint64
 	byLeafHash map[merkle.Hash]uint64
 }
 
-func newMutexLog(signer sct.LogSigner, clock func() time.Time) *mutexLog {
+func newMutexLog(tb testing.TB, signer sct.LogSigner, clock func() time.Time) *mutexLog {
+	tree, err := merkle.NewTiled(DefaultTileSpan, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	return &mutexLog{
 		signer:     signer,
 		clock:      clock,
-		tree:       merkle.New(),
+		tree:       tree,
 		dedupe:     make(map[merkle.Hash]uint64),
 		byLeafHash: make(map[merkle.Hash]uint64),
 	}
@@ -144,7 +148,7 @@ func BenchmarkLogAdd(b *testing.B) {
 			})
 			b.Run("single-mutex", func(b *testing.B) {
 				b.ReportAllocs()
-				l := newMutexLog(sg.mk(), clock)
+				l := newMutexLog(b, sg.mk(), clock)
 				var next atomic.Uint64
 				b.RunParallel(func(pb *testing.PB) {
 					for pb.Next() {

@@ -55,11 +55,18 @@ func TestHashTileBuildVerifyAndCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The tile root must equal the reference tree's subtree root.
-	ref := merkle.New()
+	ref, err := merkle.NewTiled(span, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, l := range leaves {
 		ref.AppendData(l)
 	}
-	if want := ref.Root(); ht.Root() != [32]byte(want) {
+	want, err := ref.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ht.Root() != [32]byte(want) {
 		t.Fatal("hash tile root differs from reference merkle root")
 	}
 	enc := EncodeHashTile(ht)

@@ -3,9 +3,13 @@
 // append-only sequence, audit (inclusion) proofs, and consistency proofs
 // between two tree sizes, together with the corresponding verifiers.
 //
-// A Tree stores every appended leaf hash plus a cache of perfect-subtree
-// roots, so appends are amortized O(1) and proofs are O(log n) lookups
-// rather than O(n) rehashing. The hashing scheme is domain-separated:
+// TiledTree is the package's one tree. It caches every perfect-subtree
+// root, so appends are amortized O(1) and proofs are O(log n) lookups
+// rather than O(n) rehashing. A TiledTree that is never sealed
+// (NewTiled(span, nil)) keeps every leaf and node in RAM; sealing a
+// span-aligned prefix moves that prefix's sub-tile nodes out to a
+// NodeSource, typically on-disk tile files. The hashing scheme is
+// domain-separated:
 //
 //	MTH(leaf)     = SHA-256(0x00 || leaf)
 //	MTH(l, r)     = SHA-256(0x01 || l || r)
@@ -70,175 +74,9 @@ func EmptyRoot() Hash {
 	return sha256.Sum256(nil)
 }
 
-// Tree is an in-memory append-only Merkle tree. It retains all leaf
-// hashes; interior hashes of perfect subtrees are cached in levels so that
-// root and proof computation touch O(log n) nodes. Tree is not safe for
-// concurrent use; callers serialize access (the CT log wraps it in a
-// mutex).
-type Tree struct {
-	// leaves[i] is the leaf hash of entry i.
-	leaves []Hash
-	// levels[h] holds hashes of perfect subtrees of size 2^h, left to
-	// right. levels[0] aliases the conceptual leaf level but is stored
-	// separately from leaves to keep the append logic uniform.
-	levels [][]Hash
-}
-
-// New returns an empty tree.
-func New() *Tree { return &Tree{} }
-
-// Size returns the number of leaves.
-func (t *Tree) Size() uint64 { return uint64(len(t.leaves)) }
-
-// LeafHash returns the stored hash of leaf i.
-func (t *Tree) LeafHash(i uint64) (Hash, error) {
-	if i >= t.Size() {
-		return Hash{}, fmt.Errorf("%w: index %d, size %d", ErrIndexOutOfRange, i, t.Size())
-	}
-	return t.leaves[i], nil
-}
-
-// AppendData hashes data as a leaf and appends it, returning the leaf index.
-func (t *Tree) AppendData(data []byte) uint64 {
-	return t.AppendLeafHash(HashLeaf(data))
-}
-
-// AppendLeafHash appends a precomputed leaf hash, returning the leaf index.
-func (t *Tree) AppendLeafHash(h Hash) uint64 {
-	idx := uint64(len(t.leaves))
-	t.leaves = append(t.leaves, h)
-	// Carry-propagate into the level cache, like binary increment: when a
-	// level holds an even count of nodes the rightmost pair collapses into
-	// the next level.
-	cur := h
-	for lvl := 0; ; lvl++ {
-		if lvl == len(t.levels) {
-			t.levels = append(t.levels, nil)
-		}
-		t.levels[lvl] = append(t.levels[lvl], cur)
-		if len(t.levels[lvl])%2 != 0 {
-			break
-		}
-		n := len(t.levels[lvl])
-		cur = HashChildren(t.levels[lvl][n-2], t.levels[lvl][n-1])
-	}
-	return idx
-}
-
-// Root returns the root hash over all leaves. For the empty tree this is
-// EmptyRoot().
-func (t *Tree) Root() Hash {
-	root, err := t.RootAt(t.Size())
-	if err != nil {
-		// RootAt only fails for size > Size(); unreachable here.
-		panic(err)
-	}
-	return root
-}
-
-// RootAt returns the root hash of the tree comprising the first n leaves.
-func (t *Tree) RootAt(n uint64) (Hash, error) {
-	if n > t.Size() {
-		return Hash{}, fmt.Errorf("%w: size %d, have %d", ErrSizeOutOfRange, n, t.Size())
-	}
-	if n == 0 {
-		return EmptyRoot(), nil
-	}
-	return t.subtreeRoot(0, n), nil
-}
-
-// subtreeRoot computes MTH over leaves [lo, hi). hi > lo.
-// It uses the level cache when [lo, hi) is a perfect aligned subtree and
-// otherwise recurses per the RFC 6962 split: the largest power of two
-// strictly less than the range size.
-func (t *Tree) subtreeRoot(lo, hi uint64) Hash {
-	n := hi - lo
-	if n == 1 {
-		return t.leaves[lo]
-	}
-	if n&(n-1) == 0 && lo%n == 0 {
-		// Perfect subtree aligned on its size: cached.
-		lvl := bits.TrailingZeros64(n)
-		if lvl < len(t.levels) {
-			idx := lo >> uint(lvl)
-			if idx < uint64(len(t.levels[lvl])) {
-				return t.levels[lvl][idx]
-			}
-		}
-	}
-	k := splitPoint(n)
-	return HashChildren(t.subtreeRoot(lo, lo+k), t.subtreeRoot(lo+k, hi))
-}
-
 // splitPoint returns the largest power of two strictly less than n (n ≥ 2).
 func splitPoint(n uint64) uint64 {
 	return 1 << (63 - bits.LeadingZeros64(n-1))
-}
-
-// InclusionProof returns the audit path for leaf index i in the tree of
-// size n (RFC 6962 Section 2.1.1). The path lists sibling hashes from the
-// leaf to the root.
-func (t *Tree) InclusionProof(i, n uint64) ([]Hash, error) {
-	if n > t.Size() {
-		return nil, fmt.Errorf("%w: size %d, have %d", ErrSizeOutOfRange, n, t.Size())
-	}
-	if i >= n {
-		return nil, fmt.Errorf("%w: index %d, size %d", ErrIndexOutOfRange, i, n)
-	}
-	return t.path(i, 0, n), nil
-}
-
-// path computes PATH(i, [lo, hi)) per RFC 6962.
-func (t *Tree) path(i, lo, hi uint64) []Hash {
-	n := hi - lo
-	if n == 1 {
-		return nil
-	}
-	k := splitPoint(n)
-	if i-lo < k {
-		p := t.path(i, lo, lo+k)
-		return append(p, t.subtreeRoot(lo+k, hi))
-	}
-	p := t.path(i, lo+k, hi)
-	return append(p, t.subtreeRoot(lo, lo+k))
-}
-
-// ConsistencyProof returns the proof that the tree of size m is a prefix
-// of the tree of size n (RFC 6962 Section 2.1.2). Requires 0 < m ≤ n ≤ Size.
-func (t *Tree) ConsistencyProof(m, n uint64) ([]Hash, error) {
-	if n > t.Size() {
-		return nil, fmt.Errorf("%w: size %d, have %d", ErrSizeOutOfRange, n, t.Size())
-	}
-	if m == 0 {
-		return nil, fmt.Errorf("%w: consistency from size 0", ErrEmptyRange)
-	}
-	if m > n {
-		return nil, fmt.Errorf("%w: m=%d > n=%d", ErrSizeOutOfRange, m, n)
-	}
-	if m == n {
-		return nil, nil
-	}
-	return t.subProof(m, 0, n, true), nil
-}
-
-// subProof computes SUBPROOF(m, [lo, hi), b) per RFC 6962 Section 2.1.2.
-// b records whether the subtree covered by the recursion is a complete
-// subtree of the old (size-m) tree.
-func (t *Tree) subProof(m, lo, hi uint64, b bool) []Hash {
-	n := hi - lo
-	if m == n {
-		if b {
-			return nil
-		}
-		return []Hash{t.subtreeRoot(lo, hi)}
-	}
-	k := splitPoint(n)
-	if m <= k {
-		p := t.subProof(m, lo, lo+k, b)
-		return append(p, t.subtreeRoot(lo+k, hi))
-	}
-	p := t.subProof(m-k, lo+k, hi, false)
-	return append(p, t.subtreeRoot(lo, lo+k))
 }
 
 // innerProofSize returns the number of audit-path nodes that lie in the

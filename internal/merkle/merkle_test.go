@@ -3,6 +3,7 @@ package merkle
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -33,18 +34,93 @@ var rfcRoots = []string{
 	"5dc9da79a70659a9ad559cb701ded9a2ab9d823aad2f4960cfe370eff4604328",
 }
 
-func buildRFC(t *testing.T, n int) *Tree {
-	t.Helper()
-	tr := New()
-	for i := 0; i < n; i++ {
-		tr.AppendData(rfcLeaves[i])
+// newUnsealed returns an empty tree that is never sealed: the in-memory
+// tree.
+func newUnsealed(tb testing.TB) *TiledTree {
+	tb.Helper()
+	tr, err := NewTiled(1024, nil)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return tr
 }
 
+func mustRoot(tb testing.TB, tr *TiledTree) Hash {
+	tb.Helper()
+	root, err := tr.Root()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return root
+}
+
+// rfcShape is one way to hold the rfcLeaves: a tree that is never sealed,
+// or one that seals the longest span-aligned prefix after every append
+// and serves the pruned nodes from the reference tree.
+type rfcShape struct {
+	name string
+	span uint64
+	seal bool
+}
+
+var rfcShapes = []rfcShape{
+	{name: "unsealed", span: 8},
+	{name: "sealed-span=2", span: 2, seal: true},
+	{name: "sealed-span=4", span: 4, seal: true},
+}
+
+// buildRFC returns an unsealed tree over the first n rfcLeaves.
+func buildRFC(t *testing.T, n int) *TiledTree {
+	t.Helper()
+	return rfcShapes[0].build(t, n)
+}
+
+// build returns a tree of this shape over the first n rfcLeaves.
+func (s rfcShape) build(t *testing.T, n int) *TiledTree {
+	t.Helper()
+	var src NodeSource
+	if s.seal {
+		src = &treeSource{ref: newRef(rfcLeaves)}
+	}
+	tr, err := NewTiled(s.span, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		s.append(t, tr, rfcLeaves[i])
+	}
+	return tr
+}
+
+func (s rfcShape) append(t *testing.T, tr *TiledTree, data []byte) {
+	t.Helper()
+	tr.AppendData(data)
+	if s.seal {
+		if err := tr.Seal(tr.Size() / s.span * s.span); err != nil {
+			t.Fatalf("Seal at size %d: %v", tr.Size(), err)
+		}
+	}
+}
+
+// errorTrees returns the three trees the error-class tests run on, each
+// over the first n rfcLeaves (n < 8): unsealed, sealed at span 2, and a
+// PrefixView at n of a span-2 tree sealed below n and grown past it.
+func errorTrees(t *testing.T, n int) map[string]*TiledTree {
+	t.Helper()
+	span2 := rfcShape{span: 2, seal: true}
+	sealed := span2.build(t, n)
+	live := span2.build(t, n)
+	live.AppendData(rfcLeaves[n])
+	view, err := live.PrefixView(uint64(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*TiledTree{"unsealed": buildRFC(t, n), "sealed": sealed, "view": view}
+}
+
 func TestEmptyRoot(t *testing.T) {
 	want := sha256.Sum256(nil)
-	if got := New().Root(); got != Hash(want) {
+	if got := mustRoot(t, newUnsealed(t)); got != Hash(want) {
 		t.Fatalf("empty root = %s", got)
 	}
 	if got := EmptyRoot(); got != Hash(want) {
@@ -53,30 +129,33 @@ func TestEmptyRoot(t *testing.T) {
 }
 
 func TestRFC6962Roots(t *testing.T) {
-	tr := New()
-	for i, leaf := range rfcLeaves {
-		tr.AppendData(leaf)
-		want, err := hex.DecodeString(rfcRoots[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := tr.Root()
-		if hex.EncodeToString(got[:]) != rfcRoots[i] {
-			t.Errorf("size %d: root = %x, want %x", i+1, got, want)
-		}
+	for _, s := range rfcShapes {
+		t.Run(s.name, func(t *testing.T) {
+			tr := s.build(t, 0)
+			for i, leaf := range rfcLeaves {
+				s.append(t, tr, leaf)
+				if got := mustRoot(t, tr); hex.EncodeToString(got[:]) != rfcRoots[i] {
+					t.Errorf("size %d: root = %s, want %s", i+1, got, rfcRoots[i])
+				}
+			}
+		})
 	}
 }
 
 func TestRootAtMatchesIncremental(t *testing.T) {
-	tr := buildRFC(t, 8)
-	for n := 1; n <= 8; n++ {
-		got, err := tr.RootAt(uint64(n))
-		if err != nil {
-			t.Fatalf("RootAt(%d): %v", n, err)
-		}
-		if hex.EncodeToString(got[:]) != rfcRoots[n-1] {
-			t.Errorf("RootAt(%d) = %s, want %s", n, got, rfcRoots[n-1])
-		}
+	for _, s := range rfcShapes {
+		t.Run(s.name, func(t *testing.T) {
+			tr := s.build(t, 8)
+			for n := 1; n <= 8; n++ {
+				got, err := tr.RootAt(uint64(n))
+				if err != nil {
+					t.Fatalf("RootAt(%d): %v", n, err)
+				}
+				if hex.EncodeToString(got[:]) != rfcRoots[n-1] {
+					t.Errorf("RootAt(%d) = %s, want %s", n, got, rfcRoots[n-1])
+				}
+			}
+		})
 	}
 }
 
@@ -92,9 +171,10 @@ func TestRootAtZero(t *testing.T) {
 }
 
 func TestRootAtOutOfRange(t *testing.T) {
-	tr := buildRFC(t, 3)
-	if _, err := tr.RootAt(4); err == nil {
-		t.Fatal("expected error for RootAt past size")
+	for name, tr := range errorTrees(t, 3) {
+		if _, err := tr.RootAt(4); !errors.Is(err, ErrSizeOutOfRange) {
+			t.Errorf("%s: RootAt past size: err=%v, want ErrSizeOutOfRange", name, err)
+		}
 	}
 }
 
@@ -122,7 +202,7 @@ func TestInclusionProofAllPairs(t *testing.T) {
 
 func TestInclusionProofRejectsWrongLeaf(t *testing.T) {
 	tr := buildRFC(t, 8)
-	root := tr.Root()
+	root := mustRoot(t, tr)
 	proof, err := tr.InclusionProof(2, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +215,7 @@ func TestInclusionProofRejectsWrongLeaf(t *testing.T) {
 
 func TestInclusionProofRejectsWrongIndex(t *testing.T) {
 	tr := buildRFC(t, 8)
-	root := tr.Root()
+	root := mustRoot(t, tr)
 	proof, err := tr.InclusionProof(2, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +228,7 @@ func TestInclusionProofRejectsWrongIndex(t *testing.T) {
 
 func TestInclusionProofRejectsTamperedProof(t *testing.T) {
 	tr := buildRFC(t, 8)
-	root := tr.Root()
+	root := mustRoot(t, tr)
 	proof, err := tr.InclusionProof(5, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -160,24 +240,30 @@ func TestInclusionProofRejectsTamperedProof(t *testing.T) {
 }
 
 func TestInclusionProofErrors(t *testing.T) {
-	tr := buildRFC(t, 4)
-	if _, err := tr.InclusionProof(4, 4); err == nil {
-		t.Error("index == size should fail")
-	}
-	if _, err := tr.InclusionProof(0, 5); err == nil {
-		t.Error("size > tree should fail")
-	}
-	if _, err := VerifyInclusionSized(t, tr); err == nil {
-		_ = err
-	}
-}
-
-// VerifyInclusionSized is a helper exercising the proof-length check.
-func VerifyInclusionSized(t *testing.T, tr *Tree) (Hash, error) {
-	t.Helper()
 	leaf := HashLeaf(rfcLeaves[0])
-	// Proof of wrong length must be rejected.
-	return RootFromInclusionProof(leaf, 0, 4, []Hash{{}})
+	for name, tr := range errorTrees(t, 4) {
+		if _, err := tr.InclusionProof(4, 4); !errors.Is(err, ErrIndexOutOfRange) {
+			t.Errorf("%s: index == size: err=%v, want ErrIndexOutOfRange", name, err)
+		}
+		if _, err := tr.InclusionProof(0, 5); !errors.Is(err, ErrSizeOutOfRange) {
+			t.Errorf("%s: size > tree: err=%v, want ErrSizeOutOfRange", name, err)
+		}
+		proof, err := tr.InclusionProof(0, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := RootFromInclusionProof(leaf, 0, 4, proof); err != nil {
+			t.Fatalf("%s: valid proof rejected: %v", name, err)
+		}
+		// The proof-length check, one node short and one node long.
+		if _, err := RootFromInclusionProof(leaf, 0, 4, proof[:len(proof)-1]); !errors.Is(err, ErrProofInvalid) {
+			t.Errorf("%s: proof one node short: err=%v, want ErrProofInvalid", name, err)
+		}
+		long := append(append([]Hash(nil), proof...), Hash{})
+		if _, err := RootFromInclusionProof(leaf, 0, 4, long); !errors.Is(err, ErrProofInvalid) {
+			t.Errorf("%s: proof one node long: err=%v, want ErrProofInvalid", name, err)
+		}
+	}
 }
 
 func TestConsistencyAllPairs(t *testing.T) {
@@ -200,15 +286,12 @@ func TestConsistencyAllPairs(t *testing.T) {
 func TestConsistencyRejectsForkedTree(t *testing.T) {
 	tr := buildRFC(t, 8)
 	// A forked tree shares the first 4 leaves, then diverges.
-	forked := New()
-	for i := 0; i < 4; i++ {
-		forked.AppendData(rfcLeaves[i])
-	}
+	forked := buildRFC(t, 4)
 	for i := 4; i < 8; i++ {
 		forked.AppendData([]byte(fmt.Sprintf("divergent-%d", i)))
 	}
 	root1, _ := tr.RootAt(6) // not a prefix of forked at size 6
-	root2 := forked.Root()
+	root2 := mustRoot(t, forked)
 	proof, err := forked.ConsistencyProof(6, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -234,24 +317,25 @@ func TestConsistencyEqualSizes(t *testing.T) {
 }
 
 func TestConsistencyErrors(t *testing.T) {
-	tr := buildRFC(t, 4)
-	if _, err := tr.ConsistencyProof(0, 4); err == nil {
-		t.Error("m=0 should fail")
+	for name, tr := range errorTrees(t, 4) {
+		if _, err := tr.ConsistencyProof(0, 4); !errors.Is(err, ErrEmptyRange) {
+			t.Errorf("%s: m=0: err=%v, want ErrEmptyRange", name, err)
+		}
+		if _, err := tr.ConsistencyProof(3, 5); !errors.Is(err, ErrSizeOutOfRange) {
+			t.Errorf("%s: n > size: err=%v, want ErrSizeOutOfRange", name, err)
+		}
+		if _, err := tr.ConsistencyProof(4, 3); !errors.Is(err, ErrSizeOutOfRange) {
+			t.Errorf("%s: m > n: err=%v, want ErrSizeOutOfRange", name, err)
+		}
 	}
-	if _, err := tr.ConsistencyProof(3, 5); err == nil {
-		t.Error("n > size should fail")
+	if err := VerifyConsistency(3, 2, Hash{}, Hash{}, nil); !errors.Is(err, ErrSizeOutOfRange) {
+		t.Errorf("verify with m > n: err=%v, want ErrSizeOutOfRange", err)
 	}
-	if _, err := tr.ConsistencyProof(4, 3); err == nil {
-		t.Error("m > n should fail")
+	if err := VerifyConsistency(2, 2, Hash{1}, Hash{2}, nil); !errors.Is(err, ErrProofInvalid) {
+		t.Errorf("equal sizes different roots: err=%v, want ErrProofInvalid", err)
 	}
-	if err := VerifyConsistency(3, 2, Hash{}, Hash{}, nil); err == nil {
-		t.Error("verify with m > n should fail")
-	}
-	if err := VerifyConsistency(2, 2, Hash{1}, Hash{2}, nil); err == nil {
-		t.Error("equal sizes different roots should fail")
-	}
-	if err := VerifyConsistency(0, 2, EmptyRoot(), Hash{2}, []Hash{{}}); err == nil {
-		t.Error("nonempty proof from empty tree should fail")
+	if err := VerifyConsistency(0, 2, EmptyRoot(), Hash{2}, []Hash{{}}); !errors.Is(err, ErrProofInvalid) {
+		t.Errorf("nonempty proof from empty tree: err=%v, want ErrProofInvalid", err)
 	}
 	if err := VerifyConsistency(0, 2, EmptyRoot(), Hash{2}, nil); err != nil {
 		t.Errorf("empty tree consistency: %v", err)
@@ -259,20 +343,22 @@ func TestConsistencyErrors(t *testing.T) {
 }
 
 func TestLeafHash(t *testing.T) {
-	tr := New()
-	idx := tr.AppendData([]byte("hello"))
-	if idx != 0 {
+	if idx := newUnsealed(t).AppendData([]byte("hello")); idx != 0 {
 		t.Fatalf("first index = %d", idx)
 	}
-	got, err := tr.LeafHash(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != HashLeaf([]byte("hello")) {
-		t.Fatal("leaf hash mismatch")
-	}
-	if _, err := tr.LeafHash(1); err == nil {
-		t.Fatal("out-of-range leaf hash should fail")
+	for name, tr := range errorTrees(t, 3) {
+		for i := uint64(0); i < 3; i++ {
+			got, err := tr.LeafHash(i)
+			if err != nil {
+				t.Fatalf("%s: LeafHash(%d): %v", name, i, err)
+			}
+			if got != HashLeaf(rfcLeaves[i]) {
+				t.Fatalf("%s: LeafHash(%d) mismatch", name, i)
+			}
+		}
+		if _, err := tr.LeafHash(3); !errors.Is(err, ErrIndexOutOfRange) {
+			t.Errorf("%s: out-of-range leaf hash: err=%v, want ErrIndexOutOfRange", name, err)
+		}
 	}
 }
 
@@ -302,14 +388,14 @@ func TestPropertyInclusionRandomTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 30; iter++ {
 		n := 1 + rng.Intn(200)
-		tr := New()
+		tr := newUnsealed(t)
 		data := make([][]byte, n)
 		for i := range data {
 			data[i] = make([]byte, rng.Intn(50))
 			rng.Read(data[i])
 			tr.AppendData(data[i])
 		}
-		root := tr.Root()
+		root := mustRoot(t, tr)
 		i := uint64(rng.Intn(n))
 		proof, err := tr.InclusionProof(i, uint64(n))
 		if err != nil {
@@ -331,7 +417,7 @@ func TestPropertyConsistencyRandomTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 30; iter++ {
 		n := 2 + rng.Intn(300)
-		tr := New()
+		tr := newUnsealed(t)
 		for i := 0; i < n; i++ {
 			buf := make([]byte, 8+rng.Intn(16))
 			rng.Read(buf)
@@ -351,31 +437,17 @@ func TestPropertyConsistencyRandomTrees(t *testing.T) {
 }
 
 // Property (quick): appending data then recomputing the root from scratch
-// matches the cached computation.
+// with the reference tree matches the cached computation.
 func TestQuickRootMatchesNaive(t *testing.T) {
-	naive := func(leaves [][]byte) Hash {
-		var rec func(lo, hi int) Hash
-		rec = func(lo, hi int) Hash {
-			if hi-lo == 1 {
-				return HashLeaf(leaves[lo])
-			}
-			k := int(splitPoint(uint64(hi - lo)))
-			return HashChildren(rec(lo, lo+k), rec(lo+k, hi))
-		}
-		if len(leaves) == 0 {
-			return EmptyRoot()
-		}
-		return rec(0, len(leaves))
-	}
 	f := func(raw [][]byte) bool {
 		if len(raw) > 64 {
 			raw = raw[:64]
 		}
-		tr := New()
+		tr := newUnsealed(t)
 		for _, l := range raw {
 			tr.AppendData(l)
 		}
-		return tr.Root() == naive(raw)
+		return mustRoot(t, tr) == newRef(raw).root(uint64(len(raw)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -383,7 +455,7 @@ func TestQuickRootMatchesNaive(t *testing.T) {
 }
 
 func BenchmarkAppend(b *testing.B) {
-	tr := New()
+	tr := newUnsealed(b)
 	leaf := []byte("benchmark leaf data: some certificate bytes")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -392,7 +464,7 @@ func BenchmarkAppend(b *testing.B) {
 }
 
 func BenchmarkInclusionProof(b *testing.B) {
-	tr := New()
+	tr := newUnsealed(b)
 	for i := 0; i < 1<<16; i++ {
 		tr.AppendData([]byte{byte(i), byte(i >> 8)})
 	}

@@ -15,18 +15,22 @@ type NodeSource interface {
 	Node(level int, index uint64) (Hash, error)
 }
 
-// TiledTree is an append-only Merkle tree whose bottom levels are
-// prunable. It hashes identically to Tree — same carry-propagated level
-// cache, same RFC 6962 split recursion — but leaves and interior nodes
-// below the tile level (log2 of the configured span) can be evicted from
-// RAM once their span-aligned prefix is sealed, after which they are
-// served by the NodeSource. Levels at or above the tile level (the
-// "spine", one node per span leaves and up) always stay resident, so a
-// sealed tree holds O(n/span + log n) hashes in RAM.
+// TiledTree is an append-only RFC 6962 Merkle tree whose bottom levels
+// are prunable. Appends carry-propagate into a cache of perfect-subtree
+// roots, one slice per level; roots and proofs follow the RFC's split
+// recursion and read cached nodes wherever a subtree is perfect and
+// aligned. Leaves and interior nodes below the tile level (log2 of the
+// configured span) can be evicted from RAM once their span-aligned
+// prefix is sealed, after which they are served by the NodeSource.
+// Levels at or above the tile level (the "spine", one node per span
+// leaves and up) always stay resident, so a sealed tree holds
+// O(n/span + log n) hashes in RAM.
 //
-// A TiledTree that is never sealed behaves exactly like Tree, so the
-// same type backs both in-memory and durable logs and their trajectories
-// stay byte-identical. TiledTree is not safe for concurrent use.
+// A TiledTree that is never sealed needs no NodeSource and keeps every
+// node in RAM. Sealing changes where nodes live, never what they hash
+// to, so the same type backs in-memory and durable logs and their
+// trajectories stay byte-identical. TiledTree is not safe for concurrent
+// use.
 type TiledTree struct {
 	span uint64 // leaves per tile; power of two ≥ 2
 	tlvl int    // log2(span): first level that is never pruned
@@ -136,7 +140,8 @@ func (t *TiledTree) AppendData(data []byte) uint64 {
 }
 
 // AppendLeafHash appends a precomputed leaf hash, returning the leaf
-// index. The carry propagation is identical to Tree's; because sealed is
+// index. Like a binary increment, a node at an odd position completes a
+// pair whose parent carries into the next level; because sealed is
 // always span-aligned, a carry below the tile level never needs a pruned
 // sibling.
 func (t *TiledTree) AppendLeafHash(h Hash) uint64 {
@@ -294,8 +299,10 @@ func (t *TiledTree) RootAt(n uint64) (Hash, error) {
 	return t.subtreeRoot(0, n)
 }
 
-// subtreeRoot computes MTH over leaves [lo, hi), hi > lo, mirroring
-// Tree.subtreeRoot with NodeSource-aware lookups.
+// subtreeRoot computes MTH over leaves [lo, hi), hi > lo. A perfect
+// subtree aligned on its size is one node lookup (RAM or NodeSource);
+// anything else recurses per the RFC 6962 split: the largest power of
+// two strictly less than the range size.
 func (t *TiledTree) subtreeRoot(lo, hi uint64) (Hash, error) {
 	n := hi - lo
 	if n == 1 {

@@ -6,57 +6,52 @@ import (
 	"testing"
 )
 
-// treeSource serves pruned nodes out of a fully materialized reference
-// Tree — the test stand-in for the on-disk tile files. It counts lookups
+// treeSource serves pruned nodes by computing them from the reference
+// tree — the test stand-in for the on-disk tile files. It counts lookups
 // so tests can prove the sealed region is actually served from the
 // source rather than from RAM.
 type treeSource struct {
-	ref     *Tree
+	ref     refTree
 	lookups int
 }
 
 func (s *treeSource) Node(level int, index uint64) (Hash, error) {
 	s.lookups++
-	if level >= len(s.ref.levels) || index >= uint64(len(s.ref.levels[level])) {
+	lo, hi := index<<uint(level), (index+1)<<uint(level)
+	if hi > uint64(len(s.ref)) {
 		return Hash{}, fmt.Errorf("treeSource: no node at level %d index %d", level, index)
 	}
-	return s.ref.levels[level][index], nil
+	return s.ref.mth(lo, hi), nil
 }
 
 func testLeaf(i int) []byte {
 	return []byte(fmt.Sprintf("leaf-%d", i))
 }
 
-// buildRef returns a reference Tree over n test leaves.
-func buildRef(n int) *Tree {
-	ref := New()
-	for i := 0; i < n; i++ {
-		ref.AppendData(testLeaf(i))
+// buildRef returns the reference tree over n test leaves.
+func buildRef(n int) refTree {
+	leaves := make([][]byte, n)
+	for i := range leaves {
+		leaves[i] = testLeaf(i)
 	}
-	return ref
+	return newRef(leaves)
 }
 
 // requireSameProofs asserts that the tiled tree serves byte-identical
 // roots, inclusion proofs, and consistency proofs to the reference tree
 // at tree size n.
-func requireSameProofs(t *testing.T, ref *Tree, tt *TiledTree, n uint64) {
+func requireSameProofs(t *testing.T, ref refTree, tt *TiledTree, n uint64) {
 	t.Helper()
-	wantRoot, err := ref.RootAt(n)
-	if err != nil {
-		t.Fatalf("ref.RootAt(%d): %v", n, err)
-	}
+	wantRoot := ref.root(n)
 	gotRoot, err := tt.RootAt(n)
 	if err != nil {
 		t.Fatalf("tiled.RootAt(%d): %v", n, err)
 	}
 	if gotRoot != wantRoot {
-		t.Fatalf("RootAt(%d): tiled %s != tree %s", n, gotRoot, wantRoot)
+		t.Fatalf("RootAt(%d): tiled %s != reference %s", n, gotRoot, wantRoot)
 	}
 	for i := uint64(0); i < n; i++ {
-		want, err := ref.InclusionProof(i, n)
-		if err != nil {
-			t.Fatalf("ref.InclusionProof(%d, %d): %v", i, n, err)
-		}
+		want := ref.path(i, 0, n)
 		got, err := tt.InclusionProof(i, n)
 		if err != nil {
 			t.Fatalf("tiled.InclusionProof(%d, %d): %v", i, n, err)
@@ -78,9 +73,9 @@ func requireSameProofs(t *testing.T, ref *Tree, tt *TiledTree, n uint64) {
 		}
 	}
 	for m := uint64(1); m <= n; m++ {
-		want, err := ref.ConsistencyProof(m, n)
-		if err != nil {
-			t.Fatalf("ref.ConsistencyProof(%d, %d): %v", m, n, err)
+		var want []Hash
+		if m < n {
+			want = ref.subproof(m, 0, n, true)
 		}
 		got, err := tt.ConsistencyProof(m, n)
 		if err != nil {
@@ -94,16 +89,15 @@ func requireSameProofs(t *testing.T, ref *Tree, tt *TiledTree, n uint64) {
 				t.Fatalf("ConsistencyProof(%d, %d)[%d] differs", m, n, j)
 			}
 		}
-		oldRoot, _ := ref.RootAt(m)
-		if err := VerifyConsistency(m, n, oldRoot, wantRoot, got); err != nil {
+		if err := VerifyConsistency(m, n, ref.root(m), wantRoot, got); err != nil {
 			t.Fatalf("tiled consistency (%d, %d) does not verify: %v", m, n, err)
 		}
 	}
 }
 
-// TestTiledUnsealedMatchesTree: a TiledTree that is never sealed is
-// byte-for-byte equivalent to Tree — the property that lets the same
-// type back in-memory logs.
+// TestTiledUnsealedMatchesTree: a TiledTree that is never sealed — the
+// in-memory tree — is byte-for-byte equivalent to the RFC 6962 reference
+// tree.
 func TestTiledUnsealedMatchesTree(t *testing.T) {
 	const n = 67
 	ref := buildRef(n)
@@ -112,8 +106,7 @@ func TestTiledUnsealedMatchesTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		want, _ := ref.LeafHash(uint64(i))
-		if got := tt.AppendLeafHash(want); got != uint64(i) {
+		if got := tt.AppendLeafHash(ref[i]); got != uint64(i) {
 			t.Fatalf("AppendLeafHash returned index %d, want %d", got, i)
 		}
 	}
@@ -122,14 +115,14 @@ func TestTiledUnsealedMatchesTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root != ref.Root() {
-		t.Fatal("Root differs from Tree")
+	if root != ref.root(n) {
+		t.Fatal("Root differs from the reference tree")
 	}
 }
 
 // TestTiledSealedMatchesTree: sealing at every reachable boundary while
-// appending must not change any root or proof, across several spans and
-// both aligned and ragged final sizes.
+// appending must not change any root or proof against the reference
+// tree, across several spans and both aligned and ragged final sizes.
 func TestTiledSealedMatchesTree(t *testing.T) {
 	const n = 73
 	ref := buildRef(n)
@@ -141,8 +134,7 @@ func TestTiledSealedMatchesTree(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := uint64(0); i < n; i++ {
-				lh, _ := ref.LeafHash(i)
-				tt.AppendLeafHash(lh)
+				tt.AppendLeafHash(ref[i])
 				// Seal the longest aligned prefix after every append —
 				// the most adversarial schedule.
 				if err := tt.Seal(tt.Size() / span * span); err != nil {
@@ -162,7 +154,7 @@ func TestTiledSealedMatchesTree(t *testing.T) {
 				if err != nil {
 					t.Fatalf("TileRoot(%d): %v", tile, err)
 				}
-				if want := ref.subtreeRoot(tile*span, (tile+1)*span); got != want {
+				if want := ref.mth(tile*span, (tile+1)*span); got != want {
 					t.Fatalf("TileRoot(%d) differs from reference", tile)
 				}
 			}
@@ -184,7 +176,7 @@ func TestTiledAppendSealedTile(t *testing.T) {
 	}
 	tiles := uint64(n) / span
 	for tile := uint64(0); tile < tiles; tile++ {
-		root := ref.subtreeRoot(tile*span, (tile+1)*span)
+		root := ref.mth(tile*span, (tile+1)*span)
 		if err := tt.AppendSealedTile(root); err != nil {
 			t.Fatalf("AppendSealedTile(%d): %v", tile, err)
 		}
@@ -193,8 +185,7 @@ func TestTiledAppendSealedTile(t *testing.T) {
 		t.Fatalf("size/sealed = %d/%d, want %d", tt.Size(), tt.Sealed(), tiles*span)
 	}
 	for i := tiles * span; i < n; i++ {
-		lh, _ := ref.LeafHash(i)
-		tt.AppendLeafHash(lh)
+		tt.AppendLeafHash(ref[i])
 	}
 	requireSameProofs(t, ref, tt, n)
 
@@ -255,8 +246,7 @@ func TestTiledSourceErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < n; i++ {
-		lh, _ := ref.LeafHash(i)
-		tt.AppendLeafHash(lh)
+		tt.AppendLeafHash(ref[i])
 	}
 	if err := tt.Seal(n); err != nil {
 		t.Fatal(err)
@@ -296,8 +286,7 @@ func TestPrefixViewMatchesLiveTree(t *testing.T) {
 	}
 	// Grow to 52, sealing the longest aligned prefix as a log would.
 	for i := uint64(0); i < 52; i++ {
-		lh, _ := ref.LeafHash(i)
-		tt.AppendLeafHash(lh)
+		tt.AppendLeafHash(ref[i])
 	}
 	if err := tt.Seal(48); err != nil {
 		t.Fatal(err)
@@ -314,8 +303,7 @@ func TestPrefixViewMatchesLiveTree(t *testing.T) {
 	// Mutate the live tree well past the captured views: more appends,
 	// another seal (which prunes and replaces level slices).
 	for i := uint64(52); i < n; i++ {
-		lh, _ := ref.LeafHash(i)
-		tt.AppendLeafHash(lh)
+		tt.AppendLeafHash(ref[i])
 	}
 	if err := tt.Seal(64); err != nil {
 		t.Fatal(err)
@@ -346,8 +334,7 @@ func TestPrefixViewBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 20; i++ {
-		lh, _ := ref.LeafHash(i)
-		tt.AppendLeafHash(lh)
+		tt.AppendLeafHash(ref[i])
 	}
 	if err := tt.Seal(16); err != nil {
 		t.Fatal(err)

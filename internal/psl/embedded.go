@@ -4,8 +4,8 @@ package psl
 // every suffix the paper's analyses reference (Sections 4 and 5), the
 // high-volume gTLDs/ccTLDs the synthetic Internet population uses, and
 // representative wildcard/exception rules so the full matching semantics
-// stay exercised. The substitution (subset instead of the ~9k-rule full
-// list) is documented in DESIGN.md; the matcher accepts any full list.
+// stay exercised. It stands in for the ~9k-rule full list, which Parse
+// accepts unchanged.
 const embeddedList = `
 // ---- generic TLDs ----
 com
