@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	ctlogd [-addr 127.0.0.1:8764] [-name "Dev Log"] [-capacity N]
-//	       [-sequence 1s] [-data-dir DIR] [-snapshot-every N]
-//	       [-tile-span N] [-page-cache BYTES] [-drain-timeout 10s]
+//	ctlogd -data-dir DIR [-addr 127.0.0.1:8764] [-name "Dev Log"]
+//	       [-capacity N] [-sequence 1s] [-tile-span N]
+//	       [-page-cache BYTES] [-drain-timeout 10s]
 //
 // The ct/v1 endpoints (add-chain, add-pre-chain, get-sth,
 // get-sth-consistency, get-proof-by-hash, get-entries) are served under
@@ -16,26 +16,25 @@
 // the same loop well inside their MMD; a non-positive interval is a
 // usage error (exit 2).
 //
-// Without -data-dir the log is in-memory with an ephemeral ECDSA P-256
-// key generated at startup. With -data-dir the log is durable: the
-// signing key is created once and persisted in DIR/key.der, every
-// accepted submission is fsynced to a write-ahead log before its SCT is
-// returned, and sequencing/publication checkpoints are fsynced so a
-// killed and restarted ctlogd serves the same STH and entries it served
-// before the crash. Durable logs keep RAM and WAL bounded at any tree
+// -data-dir is required (without it ctlogd exits 2): an SCT is a promise
+// to merge the entry within the MMD, and a log that forgot its entries
+// and its key on restart could not keep it. The log is durable: the
+// ECDSA P-256 signing key is created once and persisted in DIR/key.der,
+// every accepted submission is fsynced to a write-ahead log before its
+// SCT is returned, and sequencing/publication checkpoints are fsynced so
+// a killed and restarted ctlogd serves the same STH and entries it
+// served before the crash. Durable logs keep RAM and WAL bounded at any tree
 // size: published entries are sealed into immutable tile files of
 // -tile-span entries each (the WAL is truncated behind the seal) and
 // served back through an LRU page cache of at most -page-cache bytes.
 // The span is a property of the on-disk state — the first start fixes
 // it, later starts with a different -tile-span keep the stored value.
-// -snapshot-every, -tile-span and -page-cache configure durable state
-// only: setting any of them without -data-dir is a usage error (exit 2).
 // On SIGINT/SIGTERM the server drains gracefully:
 // new submissions are refused with 503 + Retry-After (a failover
 // signal the multi-log frontend rides out, not a dropped connection)
 // while in-flight ones finish — bounded by -drain-timeout — then the
 // sequencer's final sequence+publish lands and a full snapshot is
-// written so the next start recovers without replaying the whole WAL.
+// written so the next start recovers without replaying the WAL tail.
 // Reads (get-sth, get-entries, proofs) stay served throughout the
 // drain so monitors can watch the restart.
 package main
@@ -54,8 +53,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"slices"
-	"strings"
 	"syscall"
 	"time"
 
@@ -71,10 +68,9 @@ func main() {
 	operator := flag.String("operator", "ctrise", "log operator")
 	capacity := flag.Float64("capacity", 0, "max submissions/second (0 = unlimited)")
 	interval := flag.Duration("sequence", time.Second, "sequencer batch interval (integrate staged entries + publish STH; must be positive)")
-	dataDir := flag.String("data-dir", "", "durable state directory (WAL + snapshots + signing key); empty = in-memory")
-	snapshotEvery := flag.Int("snapshot-every", 0, "full snapshot after this many newly sequenced entries (0 = default 4096, negative = only at shutdown); requires -data-dir")
-	tileSpan := flag.Int("tile-span", 0, "entries per sealed storage tile, power of two ≥ 2 (0 = default 1024); fixed at first start, requires -data-dir")
-	pageCache := flag.Int64("page-cache", 0, "tile page-cache budget in bytes (0 = default 64 MiB, negative = uncached reads); requires -data-dir")
+	dataDir := flag.String("data-dir", "", "durable state directory (WAL + snapshot + tiles + signing key); required")
+	tileSpan := flag.Int("tile-span", 0, "entries per sealed storage tile, power of two ≥ 2 (0 = default 1024); fixed at first start")
+	pageCache := flag.Int64("page-cache", 0, "tile page-cache budget in bytes (0 = default 64 MiB, negative = uncached reads)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight submissions on shutdown (new ones get 503 + Retry-After immediately)")
 	flag.Parse()
 	if err := checkFlags(flag.CommandLine); err != nil {
@@ -83,33 +79,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := ctlog.Config{
+	signer, err := loadOrCreateSigner(*dataDir)
+	if err != nil {
+		log.Fatalf("log key: %v", err)
+	}
+	l, err := ctlog.Open(*dataDir, ctlog.Config{
 		Name:              *name,
 		Operator:          *operator,
+		Signer:            signer,
 		CapacityPerSecond: *capacity,
-		SnapshotEvery:     *snapshotEvery,
 		TileSpan:          *tileSpan,
 		PageCacheBytes:    *pageCache,
-	}
-	var l *ctlog.Log
-	if *dataDir != "" {
-		signer, err := loadOrCreateSigner(*dataDir)
-		if err != nil {
-			log.Fatalf("log key: %v", err)
-		}
-		cfg.Signer = signer
-		if l, err = ctlog.Open(*dataDir, cfg); err != nil {
-			log.Fatalf("opening durable log: %v", err)
-		}
-	} else {
-		signer, err := sct.NewSigner(nil)
-		if err != nil {
-			log.Fatalf("generating log key: %v", err)
-		}
-		cfg.Signer = signer
-		if l, err = ctlog.New(cfg); err != nil {
-			log.Fatalf("creating log: %v", err)
-		}
+	})
+	if err != nil {
+		log.Fatalf("opening durable log: %v", err)
 	}
 
 	// The sequencer ticker integrates staged submissions and publishes
@@ -142,12 +125,8 @@ func main() {
 		httpDone <- server.ListenAndServe()
 	}()
 
-	mode := "in-memory"
-	if *dataDir != "" {
-		mode = "durable in " + *dataDir
-	}
-	fmt.Fprintf(os.Stderr, "ctlogd: %s listening on http://%s (log id %s, sequencing every %s, %s)\n",
-		*name, *addr, l.LogID(), *interval, mode)
+	fmt.Fprintf(os.Stderr, "ctlogd: %s listening on http://%s (log id %s, sequencing every %s, durable in %s)\n",
+		*name, *addr, l.LogID(), *interval, *dataDir)
 
 	// Drain in order: refuse new submissions (503 + Retry-After) while
 	// in-flight ones finish, then stop the listener, let the sequencer's
@@ -183,7 +162,7 @@ func main() {
 		}
 		if err != nil && sequencerExitDirty(err) {
 			// Canceled, but the final drain failed: acknowledged
-			// submissions are still staged (durably, with -data-dir).
+			// submissions are still staged (durably, in the WAL).
 			log.Printf("ctlogd: final sequence: %v", err)
 		}
 		// Canceled: the signal landed and the sequencer's exit won the
@@ -194,27 +173,14 @@ func main() {
 	}
 }
 
-// durableOnlyFlags configure on-disk state; an in-memory log has none.
-var durableOnlyFlags = []string{"snapshot-every", "tile-span", "page-cache"}
-
-// checkFlags rejects a non-positive -sequence interval, and durable-only
-// flags set on the command line without -data-dir: the log would run in
-// memory and silently ignore them.
+// checkFlags rejects a non-positive -sequence interval and a missing
+// -data-dir.
 func checkFlags(fs *flag.FlagSet) error {
 	if d := fs.Lookup("sequence").Value.(flag.Getter).Get().(time.Duration); d <= 0 {
 		return fmt.Errorf("-sequence %s is not a positive duration", d)
 	}
-	if fs.Lookup("data-dir").Value.String() != "" {
-		return nil
-	}
-	var set []string
-	fs.Visit(func(f *flag.Flag) {
-		if slices.Contains(durableOnlyFlags, f.Name) {
-			set = append(set, "-"+f.Name)
-		}
-	})
-	if len(set) > 0 {
-		return fmt.Errorf("%s set without -data-dir", strings.Join(set, ", "))
+	if fs.Lookup("data-dir").Value.String() == "" {
+		return errors.New("-data-dir is required")
 	}
 	return nil
 }

@@ -47,12 +47,13 @@ func TestParseLogSpec(t *testing.T) {
 	const mmd = 90 * time.Minute
 	for _, row := range []struct {
 		v             string
+		name          string        // subtest name when v holds a generated key or path; "" = v
 		signer, other sct.LogSigner // accepted rows: the matching key and a stranger's
 		want          string        // "" = accepted; otherwise a substring of the error
 	}{
 		{v: "log-a,http://a,fast", signer: sct.NewFastSigner("log-a"), other: sct.NewFastSigner("log-b")},
-		{v: "log-a,http://a,pubkey:" + base64.StdEncoding.EncodeToString(pkix), signer: ecdsaSigner, other: otherECDSA},
-		{v: "log-a,http://a,keyfile:" + keyFile, signer: ecdsaSigner, other: otherECDSA},
+		{v: "log-a,http://a,pubkey:" + base64.StdEncoding.EncodeToString(pkix), name: "log-a,http://a,pubkey:SPKI", signer: ecdsaSigner, other: otherECDSA},
+		{v: "log-a,http://a,keyfile:" + keyFile, name: "log-a,http://a,keyfile:KEYFILE", signer: ecdsaSigner, other: otherECDSA},
 		{v: "log-a,http://a,fastest", want: `unknown KEYSPEC "fastest"`},
 		{v: "log-a,http://a,none", want: `unknown KEYSPEC "none"`},
 		{v: "log-a,http://a", want: `want "name,url,KEYSPEC"`},
@@ -61,7 +62,11 @@ func TestParseLogSpec(t *testing.T) {
 		{v: "log-a,http://a,", want: `want "name,url,KEYSPEC"`},
 		{v: "log-a,http://a,fast,extra", want: `unknown KEYSPEC "fast,extra"`},
 	} {
-		t.Run(row.v, func(t *testing.T) {
+		name := row.name
+		if name == "" {
+			name = row.v
+		}
+		t.Run(name, func(t *testing.T) {
 			lc, err := parseLogSpec(row.v, mmd)
 			if row.want != "" {
 				if err == nil || !strings.Contains(err.Error(), row.want) {

@@ -450,7 +450,6 @@ func TestMonitorStreamEntriesOverTiledLog(t *testing.T) {
 			Clock:         func() time.Time { return now },
 			TileSpan:      4,
 			MaxGetEntries: 100,
-			SnapshotEvery: -1,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -199,7 +199,6 @@ func BenchmarkLogAddDurable(b *testing.B) {
 				Clock:  clock,
 				Sync:   mode.sync,
 				// No mid-run snapshots: the cost under test is the WAL.
-				SnapshotEvery: -1,
 			}
 			var (
 				l   *Log
@@ -250,12 +249,11 @@ const (
 func newTiledBenchLog(b *testing.B) (*Log, string, Config) {
 	clock := func() time.Time { return time.Date(2018, 4, 1, 12, 0, 0, 0, time.UTC) }
 	base := Config{
-		Name:          "bench log",
-		Signer:        sct.NewFastSigner("bench log"),
-		Clock:         clock,
-		Sync:          SyncAtSequence,
-		SnapshotEvery: -1,
-		TileSpan:      benchTileSpan,
+		Name:     "bench log",
+		Signer:   sct.NewFastSigner("bench log"),
+		Clock:    clock,
+		Sync:     SyncAtSequence,
+		TileSpan: benchTileSpan,
 	}
 	dir := b.TempDir()
 	l, err := Open(dir, base)

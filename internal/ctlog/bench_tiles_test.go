@@ -46,7 +46,6 @@ func TestWriteBenchTiles(t *testing.T) {
 		Signer:         sct.NewFastSigner("bench tiles log"),
 		Clock:          clock,
 		Sync:           SyncAtSequence,
-		SnapshotEvery:  -1,
 		TileSpan:       span,
 		PageCacheBytes: heapCacheB,
 	}

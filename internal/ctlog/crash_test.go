@@ -2,6 +2,7 @@ package ctlog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,9 +36,10 @@ import (
 // log.
 
 // crashWorkload drives a deterministic mixed workload against l,
-// returning every published STH (in order) and the leaf bytes of every
-// accepted submission.
-func crashWorkload(t *testing.T, l *Log, clk *virtualClock) (sths []SignedTreeHead, accepted map[string]bool) {
+// returning the log it ended on, every published STH (in order) and the
+// leaf bytes of every accepted submission. A non-nil reopen replaces the
+// log after round 2 (9 of 15 entries sequenced and published).
+func crashWorkload(t *testing.T, l *Log, clk *virtualClock, reopen func(*Log) *Log) (final *Log, sths []SignedTreeHead, accepted map[string]bool) {
 	t.Helper()
 	accepted = make(map[string]bool)
 	record := func() {
@@ -85,6 +87,9 @@ func crashWorkload(t *testing.T, l *Log, clk *virtualClock) (sths []SignedTreeHe
 			record()
 		}
 		clk.Advance(6 * time.Hour)
+		if reopen != nil && round == 2 {
+			l = reopen(l)
+		}
 	}
 	// Final publish so the oracle observes the complete sequenced tree
 	// through the published snapshot (crash points still cover every
@@ -93,7 +98,7 @@ func crashWorkload(t *testing.T, l *Log, clk *virtualClock) (sths []SignedTreeHe
 		t.Fatal(err)
 	}
 	record()
-	return sths, accepted
+	return l, sths, accepted
 }
 
 // crashOracle is the prefix-consistency checker built from the
@@ -179,15 +184,31 @@ func (o *crashOracle) checkRecovered(t *testing.T, label string, l *Log) {
 	}
 }
 
-// buildCrashImage runs the workload in a scratch dir with Close skipped
-// (files as the OS saw them mid-run, no final snapshot) and returns the
-// WAL image, the oracle, the optional snapshot image, and any sealed
-// tile files (relative name -> contents).
-func buildCrashImage(t *testing.T, cfg Config) (wal []byte, snap []byte, tiles map[string][]byte, oracle *crashOracle) {
+// buildCrashImage runs the workload in a scratch dir with the final
+// Close skipped (files as the OS saw them mid-run, no final snapshot)
+// and returns the WAL image, the oracle, the optional snapshot image,
+// and any sealed tile files (relative name -> contents). With reopenMid
+// the log is closed and reopened once mid-workload: Close writes the
+// snapshot, and the rest of the workload appends a real WAL tail after
+// its cursor.
+func buildCrashImage(t *testing.T, cfg Config, reopenMid bool) (wal []byte, snap []byte, tiles map[string][]byte, oracle *crashOracle) {
 	t.Helper()
 	dir := t.TempDir()
 	l, clk := newDurableLog(t, dir, cfg)
-	sths, accepted := crashWorkload(t, l, clk)
+	var reopen func(*Log) *Log
+	if reopenMid {
+		reopen = func(old *Log) *Log {
+			if err := old.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l, err := Open(dir, old.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		}
+	}
+	l, sths, accepted := crashWorkload(t, l, clk, reopen)
 	oracle = newCrashOracle(t, l, sths, accepted)
 	// Simulate the kill: abandon the log without Close. Same-process
 	// reads of the WAL see every written byte regardless of fsync.
@@ -248,32 +269,42 @@ func openCrashed(t *testing.T, wal, snap []byte, tiles map[string][]byte) (*Log,
 // (full replay) and with a mid-run snapshot plus tail.
 func TestCrashRecoveryAtEveryByteOffset(t *testing.T) {
 	cases := []struct {
-		name     string
-		cfg      Config
-		withSnap bool
+		name      string
+		cfg       Config
+		reopenMid bool
+		withSnap  bool
 	}{
-		{"walOnly", Config{SnapshotEvery: -1}, false},
-		// SnapshotEvery 7 lands the only snapshot mid-run (cursor at
-		// entry 9 of 15, real WAL tail after it): cuts above the cursor
-		// exercise snapshot+tail replay, cuts below exercise the
-		// adopt-snapshot path (WAL prefix ends under the cursor).
-		{"snapshotPlusTail", Config{SnapshotEvery: 7}, true},
+		{"walOnly", Config{}, false, false},
+		// One close and reopen mid-run lands the only snapshot mid-WAL
+		// (cursor at entry 9 of 15, real WAL tail after it): cuts above
+		// the cursor exercise snapshot+tail replay, cuts below exercise
+		// the adopt-snapshot path (WAL prefix ends under the cursor).
+		{"snapshotPlusTail", Config{}, true, true},
 		// Span 4 forces several seal+truncate cycles mid-workload: the
 		// final WAL is a short post-compaction tail, the snapshot carries
 		// tile roots, and most of the tree lives in tile files. Every cut
 		// of that WAL must recover through the tiles (including cuts below
 		// the seal's re-anchored cursor, which adopt the snapshot).
-		{"tiledSpan4", Config{SnapshotEvery: -1, TileSpan: 4}, true},
+		{"tiledSpan4", Config{TileSpan: 4}, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wal, snap, tiles, oracle := buildCrashImage(t, tc.cfg)
+			wal, snap, tiles, oracle := buildCrashImage(t, tc.cfg, tc.reopenMid)
 			if tc.withSnap && snap == nil {
 				t.Fatal("workload produced no snapshot")
 			}
 			if !tc.withSnap {
 				snap = nil
 			}
+			var cursor, snapTree uint64
+			if snap != nil {
+				s, err := storage.DecodeSnapshot(snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cursor, snapTree = s.WALOffset, s.TreeSize()
+			}
+			adopted := 0
 			for cut := 0; cut <= len(wal); cut++ {
 				l, err := openCrashed(t, wal[:cut], snap, tiles)
 				if err != nil {
@@ -285,8 +316,20 @@ func TestCrashRecoveryAtEveryByteOffset(t *testing.T) {
 					}
 					continue
 				}
+				if uint64(cut) < cursor {
+					// Adopted, not rebuilt from the shorter WAL prefix:
+					// the snapshot's tree must survive.
+					if l.TreeSize() < snapTree {
+						t.Fatalf("cut %d below the snapshot cursor rolled the tree back to %d entries, the snapshot holds %d", cut, l.TreeSize(), snapTree)
+					}
+					adopted++
+				}
 				oracle.checkRecovered(t, fmt.Sprintf("cut %d", cut), l)
 				l.Close()
+			}
+			t.Logf("%d of the %d cuts below the snapshot cursor opened", adopted, cursor)
+			if tc.reopenMid && adopted == 0 {
+				t.Fatal("no cut below the snapshot cursor opened: the adopt-snapshot path went unexercised")
 			}
 		})
 	}
@@ -297,7 +340,7 @@ func TestCrashRecoveryAtEveryByteOffset(t *testing.T) {
 // or land prefix-consistent — never serve a diverged STH.
 func TestCrashRecoveryWithByteCorruption(t *testing.T) {
 	t.Run("walOnly", func(t *testing.T) {
-		wal, _, _, oracle := buildCrashImage(t, Config{SnapshotEvery: -1})
+		wal, _, _, oracle := buildCrashImage(t, Config{}, false)
 		mut := make([]byte, len(wal))
 		for i := 0; i < len(wal); i++ {
 			copy(mut, wal)
@@ -314,7 +357,7 @@ func TestCrashRecoveryWithByteCorruption(t *testing.T) {
 	// snapshot and tiles intact. Recovery leans on the snapshot here, so
 	// most flips adopt it; none may serve a diverged head.
 	t.Run("tiledSpan4", func(t *testing.T) {
-		wal, snap, tiles, oracle := buildCrashImage(t, Config{SnapshotEvery: -1, TileSpan: 4})
+		wal, snap, tiles, oracle := buildCrashImage(t, Config{TileSpan: 4}, false)
 		mut := make([]byte, len(wal))
 		for i := 0; i < len(wal); i++ {
 			copy(mut, wal)
@@ -327,13 +370,33 @@ func TestCrashRecoveryWithByteCorruption(t *testing.T) {
 			l.Close()
 		}
 	})
+	// Tiled, snapshot damaged: flip every byte of the snapshot with the
+	// WAL and tiles intact. Every seal reset the WAL, so the snapshot is
+	// the only record of the sealed prefix and the tail: each flip must
+	// fail Open with ErrCorrupt. The crash oracle would accept a silently
+	// empty log, so it is not the check here.
+	t.Run("tiledSnapshot", func(t *testing.T) {
+		wal, snap, tiles, _ := buildCrashImage(t, Config{TileSpan: 4}, false)
+		mut := make([]byte, len(snap))
+		for i := 0; i < len(snap); i++ {
+			copy(mut, snap)
+			mut[i] ^= 0xFF
+			l, err := openCrashed(t, wal, mut, tiles)
+			if !errors.Is(err, storage.ErrCorrupt) {
+				if l != nil {
+					l.Close()
+				}
+				t.Fatalf("flip %d of %d: err=%v, want ErrCorrupt", i, len(snap), err)
+			}
+		}
+	})
 }
 
 // TestCrashRecoveryWithTrailingGarbage appends random-ish garbage after
 // a valid WAL (a crash mid-append over recycled disk blocks) and makes
 // sure recovery discards it and appends continue cleanly after reopen.
 func TestCrashRecoveryWithTrailingGarbage(t *testing.T) {
-	wal, _, _, oracle := buildCrashImage(t, Config{SnapshotEvery: -1})
+	wal, _, _, oracle := buildCrashImage(t, Config{}, false)
 	for _, garbage := range [][]byte{
 		{0x00}, {0xFF}, bytes.Repeat([]byte{0xA5}, 37),
 		storage.AppendRecord(nil, storage.RecordEntry, []byte("ghost"))[:7],

@@ -37,8 +37,9 @@
 //
 // New builds an in-memory log; Open builds a durable one over a state
 // directory (internal/ctlog/storage): an append-only, checksummed
-// write-ahead log plus periodic full-state snapshots. The contract, in
-// the order a submission experiences it:
+// write-ahead log plus one full-state snapshot, sealed tiles, and a
+// seal-time WAL reset. The contract, in the order a submission
+// experiences it:
 //
 //   - Ack: the entry's WAL record is appended under the staging mutex
 //     (file order = staging order, so a record always precedes the seal
@@ -53,17 +54,20 @@
 //   - PublishSTH: the signed head is appended and fsynced before
 //     readers can observe it, so a served STH is always recoverable —
 //     with its original signature bytes.
-//   - Snapshot: at publication (every Config.SnapshotEvery sequenced
-//     entries) and on Close, the full state — sequenced entries, staged
-//     batch, root, STH, dedupe index (implied by the entries), WAL
-//     cursor — is written atomically so recovery replays only the tail.
+//   - Snapshot: at every tile seal (around the WAL reset behind it), on
+//     Close, and after an adopt-snapshot recovery, the full state — tile
+//     roots, resident tail, staged batch, root, STH, dedupe index
+//     (implied by the entries), WAL cursor — is written atomically so
+//     recovery replays only the tail. There is no other trigger.
 //
 // Open replays snapshot+tail to byte-identical state, verifying every
 // seal and STH against the rebuilt tree; a torn WAL tail is discarded
 // (crash debris — those submitters were never acked), a corrupt
-// snapshot falls back to full WAL replay, and any semantic divergence
-// fails loudly with storage.ErrCorrupt rather than serve a tree head
-// the durable history cannot reproduce. Duplicates submitted before and
+// snapshot falls back to a genesis WAL replay only before the first
+// seal (every seal resets the WAL, so after it the snapshot is the only
+// record of the tail and Open fails with storage.ErrCorrupt), and any
+// semantic divergence fails loudly with storage.ErrCorrupt rather than
+// serve a tree head the durable history cannot reproduce. Duplicates submitted before and
 // after a restart get the original SCT either way, because the dedupe
 // index (staged entries included) is part of the recovered state.
 //
@@ -164,13 +168,6 @@ type Config struct {
 	// Sync selects the WAL durability point for logs opened with Open.
 	// Ignored by in-memory logs. Defaults to SyncEachSubmission.
 	Sync SyncPolicy
-	// SnapshotEvery controls full-state snapshots on durable logs: a
-	// snapshot is written at publication once at least this many entries
-	// have been sequenced since the last one (recovery then replays only
-	// the WAL tail). 0 means the default (4096); negative disables
-	// periodic snapshots (one is still written on Close). Ignored by
-	// in-memory logs.
-	SnapshotEvery int
 	// TileSpan is the number of entries per sealed storage tile on durable
 	// logs: once a span-aligned prefix of the tree is covered by a
 	// published STH it is sealed into immutable tile files and evicted
@@ -223,9 +220,8 @@ type Log struct {
 	entries   []*Entry
 	tailStart uint64
 	// published is the latest signed tree head; it may trail the tree by
-	// up to MMD. snapAt is the tree size at the last snapshot.
+	// up to MMD.
 	published SignedTreeHead
-	snapAt    uint64
 	// treeSize mirrors tree.Size() for TreeSize, which takes no lock.
 	treeSize atomic.Uint64
 
@@ -292,9 +288,6 @@ func newLog(cfg Config) (*Log, error) {
 	}
 	if cfg.MaxGetEntries <= 0 {
 		cfg.MaxGetEntries = 1000
-	}
-	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = 4096
 	}
 	if cfg.TileSpan == 0 {
 		cfg.TileSpan = DefaultTileSpan

@@ -504,7 +504,7 @@ func FuzzProofEquivalence(f *testing.F) {
 			l, err := open(Config{
 				Name: "fuzz log", Operator: "FuzzOp",
 				Signer: sct.NewFastSigner("fuzz log"), Clock: clk.Now,
-				TileSpan: int(span), Sync: SyncAtSequence, SnapshotEvery: -1,
+				TileSpan: int(span), Sync: SyncAtSequence,
 			})
 			if err != nil {
 				t.Fatal(err)

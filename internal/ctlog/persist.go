@@ -18,8 +18,10 @@ import (
 // divergence and Open fails loudly with ErrCorrupt rather than serve a
 // tree head the durable history does not support. A torn WAL tail (a
 // crash mid-append) is discarded, which recovers the last consistent
-// prefix; a corrupt snapshot falls back to a full replay of the WAL,
-// which is never compacted.
+// prefix. A corrupt snapshot falls back to a genesis replay of the WAL
+// only while the WAL still starts at genesis, i.e. before the first
+// seal; every seal resets the WAL behind its tiles, so after it a
+// corrupt snapshot fails Open with storage.ErrCorrupt.
 //
 // The durability contract, in submission order:
 //
@@ -31,8 +33,8 @@ import (
 //     is durable before the tree state is observable.
 //   - PublishSTH fsyncs the signed tree head before readers see it, so
 //     a served STH is always recoverable.
-//   - Periodically (Config.SnapshotEvery) and on Close, a full snapshot
-//     is written atomically so recovery replays only the WAL tail.
+//   - At every tile seal and on Close, a full snapshot is written
+//     atomically so recovery replays only the WAL tail.
 func Open(dir string, cfg Config) (*Log, error) {
 	l, err := newLog(cfg)
 	if err != nil {
@@ -104,7 +106,6 @@ type recovered struct {
 	dedupe     map[merkle.Hash]*Entry
 	byLeafHash *leafIndex
 	sth        *SignedTreeHead
-	snapSize   uint64
 	// tiledThrough and tileRoots come from the snapshot: the sealed
 	// prefix is NOT replayed entry by entry — the tree is rebuilt by
 	// appending each recorded tile root to the spine (zero tile reads).
@@ -154,11 +155,13 @@ func (l *Log) recover(snap *storage.Snapshot, snapErr error) error {
 			}
 		}
 		snapUnusable = rec == nil
-		// Any other failure falls through to a full replay: the WAL below
-		// the last seal-compaction is never discarded without a verified
-		// snapshot covering it, so genesis replay can reconstruct
+		// Any other failure falls through to a replay from WAL offset 0.
+		// Before the first seal that is a genesis replay, which rebuilds
 		// everything the snapshot could — and if the snapshot disagreed
 		// with the WAL, the WAL (the fsync-ordered record of truth) wins.
+		// After a seal the WAL starts at the reset: its seal and STH
+		// records cannot replay over an empty tree, and a WAL with none
+		// is caught below, so Open fails with ErrCorrupt either way.
 	}
 	if rec == nil {
 		var err error
@@ -170,11 +173,11 @@ func (l *Log) recover(snap *storage.Snapshot, snapErr error) error {
 		}
 		// A corrupt snapshot over a WAL that replays no STH is NOT a
 		// fresh log: every never-reset WAL carries at least the genesis
-		// STH record, so its absence means the WAL was reset by an
-		// adopt-snapshot recovery (the snapshot is the ONLY copy of the
-		// sequenced tree — possibly plus a few post-adoption staged
-		// entries) or lost its whole prefix. Starting over from what
-		// little the WAL holds would silently vaporize acked
+		// STH record, so its absence means the WAL was reset by a seal
+		// or an adopt-snapshot recovery (the snapshot is the ONLY copy
+		// of the sequenced tree — possibly plus a few staged entries
+		// after the reset) or lost its whole prefix. Starting over from
+		// what little the WAL holds would silently vaporize acked
 		// submissions; fail loudly and leave the files for forensics.
 		if snapUnusable && rec.sth == nil {
 			return fmt.Errorf("%w: snapshot present but unusable (%v) and WAL holds no published history to rebuild from", storage.ErrCorrupt, snapErr)
@@ -193,7 +196,6 @@ func (l *Log) recover(snap *storage.Snapshot, snapErr error) error {
 	l.treeSize.Store(rec.tree.Size())
 	l.dedupe = rec.dedupe
 	l.byLeafHash = rec.byLeafHash
-	l.snapAt = rec.snapSize
 	l.tailStart = rec.tiledThrough
 	if rec.tiledThrough > 0 {
 		// Register the sealed tiles: roots from the snapshot, blooms read
@@ -372,7 +374,6 @@ func (r *recovered) loadSnapshot(l *Log, snap *storage.Snapshot) error {
 	if err := r.applySTH(l, snap.STH); err != nil {
 		return err
 	}
-	r.snapSize = snap.TreeSize()
 	return nil
 }
 
@@ -450,6 +451,5 @@ func (l *Log) writeSnapshotLocked() error {
 	if err := l.store.WriteSnapshot(snap); err != nil {
 		return fmt.Errorf("%w: %v", ErrPersistence, err)
 	}
-	l.snapAt = l.tree.Size()
 	return nil
 }

@@ -119,10 +119,10 @@ func TestOpenFreshPublishesGenesis(t *testing.T) {
 // publish, more staging — closes, reopens, and requires byte-identical
 // state, proofs included.
 func TestReopenRoundTrip(t *testing.T) {
-	for _, every := range []int{1, 3, -1} {
-		t.Run(fmt.Sprintf("snapshotEvery=%d", every), func(t *testing.T) {
+	for _, span := range []int{DefaultTileSpan, 4} {
+		t.Run(fmt.Sprintf("span=%d", span), func(t *testing.T) {
 			dir := t.TempDir()
-			l, clk := newDurableLog(t, dir, Config{SnapshotEvery: every})
+			l, clk := newDurableLog(t, dir, Config{TileSpan: span})
 			var ikh [32]byte
 			ikh[0] = 7
 			for day := 0; day < 3; day++ {
@@ -148,31 +148,33 @@ func TestReopenRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			l2, _ := newDurableLog(t, dir, Config{SnapshotEvery: every})
+			l2, _ := newDurableLog(t, dir, Config{TileSpan: span})
 			defer l2.Close()
 			sameLogState(t, l, l2)
 
-			// Proof paths work over the recovered tree.
+			// Proof paths work over the recovered tree, sealed tiles
+			// included. Stream, not page: paging clamps at tile
+			// boundaries on a tiled log.
 			sth := l2.STH()
-			entries, err := l2.GetEntries(0, sth.TreeHead.TreeSize-1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
+			err := l2.StreamEntries(0, sth.TreeHead.TreeSize-1, func(e *Entry) error {
 				lh, err := e.LeafHash()
 				if err != nil {
-					t.Fatal(err)
+					return err
 				}
 				idx, proof, err := l2.GetProofByHash(lh, sth.TreeHead.TreeSize)
 				if err != nil {
-					t.Fatalf("proof for entry %d: %v", e.Index, err)
+					return fmt.Errorf("proof for entry %d: %v", e.Index, err)
 				}
 				if idx != e.Index {
-					t.Fatalf("index %d, want %d", idx, e.Index)
+					return fmt.Errorf("index %d, want %d", idx, e.Index)
 				}
-				if err := verifyInclusionForTest(lh, idx, sth, proof); err != nil {
-					t.Fatal(err)
-				}
+				return verifyInclusionForTest(lh, idx, sth, proof)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if span == 4 && l2.TiledThrough() == 0 {
+				t.Fatal("span 4 sealed no tile: the tiled reopen went unexercised")
 			}
 		})
 	}
@@ -336,7 +338,7 @@ func TestOpenRejectsWrongKey(t *testing.T) {
 // fatal: the uncompacted WAL rebuilds the full state.
 func TestCorruptSnapshotFallsBackToWAL(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := newDurableLog(t, dir, Config{SnapshotEvery: 1})
+	l, _ := newDurableLog(t, dir, Config{})
 	for i := 0; i < 6; i++ {
 		if _, err := l.AddChain([]byte(fmt.Sprintf("cert-%d", i))); err != nil {
 			t.Fatal(err)
@@ -474,7 +476,7 @@ func TestCorruptSnapshotWithEmptyWALFailsLoudly(t *testing.T) {
 // what CRCs catch.
 func TestDivergedSealFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := newDurableLog(t, dir, Config{SnapshotEvery: -1})
+	l, _ := newDurableLog(t, dir, Config{})
 	if _, err := l.AddChain([]byte("original cert")); err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +569,7 @@ func TestDurableRecoveryWithAddsRacingSequence(t *testing.T) {
 	dir := t.TempDir()
 	// A span above the tree size keeps everything in the WAL (no seal
 	// compacts it), so recovery replays the race record by record.
-	l, _ := newDurableLog(t, dir, Config{Sync: SyncAtSequence, SnapshotEvery: -1, TileSpan: 1 << 16})
+	l, _ := newDurableLog(t, dir, Config{Sync: SyncAtSequence, TileSpan: 1 << 16})
 	for i := 0; i < batch; i++ {
 		if _, err := l.AddChain([]byte(fmt.Sprintf("batch-%05d", i))); err != nil {
 			t.Fatal(err)

@@ -189,30 +189,15 @@ func (l *Log) publishLocked() error {
 	if err != nil {
 		return err
 	}
-	if l.store == nil || (len(sealed) == 0 && !l.snapshotDueLocked()) {
+	if len(sealed) == 0 {
 		return nil
 	}
-	// A snapshot images the staged batch at the current WAL offset, so
-	// entry appends must stop while it is taken — and, after a seal,
-	// through the WAL reset and re-anchor that follow it.
+	// Compaction images the staged batch at the current WAL offset, so
+	// entry appends must stop through the snapshot, the WAL reset and the
+	// re-anchor that follow a seal.
 	l.stageMu.Lock()
 	defer l.stageMu.Unlock()
-	if len(sealed) == 0 {
-		return l.writeSnapshotLocked()
-	}
 	return l.compactLocked(sealed)
-}
-
-// snapshotDueLocked decides whether publication should write a full
-// snapshot: at least SnapshotEvery entries since the last one AND at
-// least 20% tree growth. A snapshot costs O(tail + staged) to encode and
-// write (under the staging mutex — the price of a consistent image), so
-// the growth floor keeps the cadence geometric: cumulative snapshot I/O
-// stays O(total entries) instead of going quadratic as the tree outgrows
-// a fixed entry interval. Negative SnapshotEvery disables it.
-func (l *Log) snapshotDueLocked() bool {
-	grown := l.tree.Size() - l.snapAt
-	return l.cfg.SnapshotEvery > 0 && grown >= uint64(l.cfg.SnapshotEvery) && grown*5 >= l.tree.Size()
 }
 
 // integrateBatch appends an already-ordered batch to the sequenced

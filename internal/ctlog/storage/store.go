@@ -193,9 +193,9 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 
 // LoadSnapshot reads and validates the snapshot file. It returns
 // (nil, nil) when no snapshot exists and ErrCorrupt when one exists but
-// fails validation — the caller decides whether to fall back to a full
-// WAL replay (the WAL is never compacted, so genesis replay is always
-// available).
+// fails validation. The caller decides what to fall back to: a WAL that
+// was never reset still replays from genesis, one reset behind a seal
+// does not.
 func (s *Store) LoadSnapshot() (*Snapshot, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, SnapshotName))
 	if os.IsNotExist(err) {

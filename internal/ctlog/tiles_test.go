@@ -71,7 +71,7 @@ func collectLeaves(t *testing.T, l *Log, size uint64) [][]byte {
 // hash for sealed and resident entries, and consistency across the seal.
 func TestTiledSealAndServe(t *testing.T) {
 	dir := t.TempDir()
-	l, clk := newDurableLog(t, dir, Config{TileSpan: 4, SnapshotEvery: -1})
+	l, clk := newDurableLog(t, dir, Config{TileSpan: 4})
 	defer l.Close()
 
 	var heads []SignedTreeHead
@@ -589,7 +589,7 @@ func TestTiledDedupeAcrossConcurrentSeal(t *testing.T) {
 // at any log size.
 func TestTiledWALBounded(t *testing.T) {
 	dir := t.TempDir()
-	l, clk := newDurableLog(t, dir, Config{TileSpan: 8, SnapshotEvery: -1})
+	l, clk := newDurableLog(t, dir, Config{TileSpan: 8})
 	defer l.Close()
 	walPath := filepath.Join(dir, storage.WALName)
 	var maxWAL int64
@@ -620,7 +620,7 @@ func TestTiledWALBounded(t *testing.T) {
 // snapshot, snapshot before truncate, re-anchor after truncate.
 func TestTiledSealCrashAtEveryStage(t *testing.T) {
 	dir := t.TempDir()
-	l, clk := newDurableLog(t, dir, Config{TileSpan: 4, SnapshotEvery: -1})
+	l, clk := newDurableLog(t, dir, Config{TileSpan: 4})
 
 	type image struct {
 		files map[string][]byte // relative path -> contents
@@ -834,7 +834,7 @@ func TestTiledCorruptTileFailsReads(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := Config{TileSpan: 4, SnapshotEvery: -1, PageCacheBytes: -1}
+			cfg := Config{TileSpan: 4, PageCacheBytes: -1}
 			l, clk := newDurableLog(t, dir, cfg)
 			sth := fillAndPublish(t, l, clk, "corrupt", 9)
 			size := sth.TreeHead.TreeSize
@@ -911,7 +911,7 @@ func TestTiledCorruptTileFailsReads(t *testing.T) {
 // (leaf + hash: the cross-check) and every later one costs one.
 func TestTiledPageInChecksOnce(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{TileSpan: 4, SnapshotEvery: -1, PageCacheBytes: -1}
+	cfg := Config{TileSpan: 4, PageCacheBytes: -1}
 	l, clk := newDurableLog(t, dir, cfg)
 	fillAndPublish(t, l, clk, "once", 9)
 	misses := func(l *Log, start uint64) uint64 {
@@ -991,7 +991,7 @@ func TestTiledPageInChecksOnce(t *testing.T) {
 // cache retains nothing.
 func TestTiledColdCachePassThrough(t *testing.T) {
 	dir := t.TempDir()
-	l, clk := newDurableLog(t, dir, Config{TileSpan: 4, SnapshotEvery: -1, PageCacheBytes: -1})
+	l, clk := newDurableLog(t, dir, Config{TileSpan: 4, PageCacheBytes: -1})
 	defer l.Close()
 	fillAndPublish(t, l, clk, "cold", 8)
 	for i := 0; i < 3; i++ {
@@ -1013,7 +1013,7 @@ func TestTiledColdCachePassThrough(t *testing.T) {
 // default budget and the cache is never touched, and the first reads of
 // a freshly sealed tile then cost exactly the files they need.
 func TestTiledSealCachesNothing(t *testing.T) {
-	l, clk := newDurableLog(t, t.TempDir(), Config{TileSpan: 4, SnapshotEvery: -1})
+	l, clk := newDurableLog(t, t.TempDir(), Config{TileSpan: 4})
 	defer l.Close()
 	// The first round seals tiles 0 and 1 at its publish, so none of its
 	// adds can probe a sealed bloom. The second round's adds probe tiles 0
@@ -1152,7 +1152,7 @@ func TestTiledVerifyChecksDisk(t *testing.T) {
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			dir := t.TempDir()
-			l, _ := newDurableLog(t, dir, Config{TileSpan: 4, SnapshotEvery: -1})
+			l, _ := newDurableLog(t, dir, Config{TileSpan: 4})
 			defer l.Close()
 			root, ix := writeTileFixture(t, l, 0, "verify-0")
 			writeTileFixture(t, l, 1, "verify-1")
@@ -1190,7 +1190,7 @@ func TestTiledVerifyChecksDisk(t *testing.T) {
 // first call's decode and passed.
 func TestTiledVerifyRetryRereadsDisk(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := newDurableLog(t, dir, Config{TileSpan: 4, SnapshotEvery: -1})
+	l, _ := newDurableLog(t, dir, Config{TileSpan: 4})
 	defer l.Close()
 	root, _ := writeTileFixture(t, l, 0, "retry")
 	if _, err := l.tiles.verify(0, root); err != nil {
@@ -1215,7 +1215,7 @@ func TestTiledVerifyRetryRereadsDisk(t *testing.T) {
 func TestTiledAcrossBloomBlocks(t *testing.T) {
 	const span, tiles, parkFrom, parkTo = 2, 160, 60, 70
 	dir := t.TempDir()
-	cfg := Config{TileSpan: span, SnapshotEvery: -1, Sync: SyncAtSequence}
+	cfg := Config{TileSpan: span, Sync: SyncAtSequence}
 	l, clk := newDurableLog(t, dir, cfg)
 	certOf := func(i int) []byte { return []byte(fmt.Sprintf("block-edge-%04d", i)) }
 	var orig []uint64 // SCT timestamp of entry i

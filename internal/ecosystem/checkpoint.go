@@ -256,11 +256,10 @@ func (w *World) HarvestLogsResumable(ctx context.Context, heatFrom, heatTo time.
 			totalSeen += chunkEnd - next + 1
 			next = chunkEnd + 1
 			cursors[name] = next
-			// Geometric cadence, like ctlog's snapshotDueLocked: a
-			// checkpoint rewrites the whole harvest state, so requiring
-			// ≥20% new work since the last one keeps cumulative
-			// checkpoint I/O proportional to the crawl instead of
-			// quadratic in it.
+			// Geometric cadence: a checkpoint rewrites the whole
+			// harvest state, so requiring ≥20% new work since the last
+			// one keeps cumulative checkpoint I/O proportional to the
+			// crawl instead of quadratic in it.
 			if sinceCheckpoint >= checkpointEvery && sinceCheckpoint*5 >= totalSeen {
 				if err := checkpoint(); err != nil {
 					return nil, err
