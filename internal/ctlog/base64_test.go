@@ -37,26 +37,32 @@ func checkAppendBase64(t *testing.T, what string, dst, src []byte) {
 	}
 }
 
-// TestAppendBase64 is the kernel's identity test: every length through
-// 200 (every tail the 3-byte loop and padding can leave), and every
-// length within a few bytes of a multiple of 24 up to 8 KiB (the
-// 24-byte loop's exit, its 26-byte guard and the tail behind it), each
-// filled with random bytes, all 0x00 and all 0xFF, appended into a dst
-// with no spare capacity, one with exactly enough and one behind a
-// prefix.
-func TestAppendBase64(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
+// base64GuardLengths is every length through 200 (every tail the 3-byte
+// loop and padding can leave), and every length from 2 below to 6 above
+// a multiple of 24 up to 8 KiB: the pure-Go 24-byte loop's exit and its
+// 26-byte guard, and the AVX2 kernel's 28-byte guard, where its block
+// count steps.
+func base64GuardLengths() []int {
 	var lengths []int
 	for n := 0; n <= 200; n++ {
 		lengths = append(lengths, n)
 	}
-	for k := 9; 24*k+3 <= 8<<10; k++ {
-		for n := 24*k - 2; n <= 24*k+3; n++ {
+	for k := 9; 24*k+6 <= 8<<10; k++ {
+		for n := 24*k - 2; n <= 24*k+6; n++ {
 			lengths = append(lengths, n)
 		}
 	}
+	return lengths
+}
+
+// TestAppendBase64 is the kernel's identity test: every guard length,
+// filled with random bytes, all 0x00 and all 0xFF, appended into a dst
+// with no spare capacity, one with exactly enough and one behind a
+// prefix. Run it with -tags purego too, for the pure-Go loops alone.
+func TestAppendBase64(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
 	prefix := []byte(`{"leaf_input":"`)
-	for _, n := range lengths {
+	for _, n := range base64GuardLengths() {
 		enc := base64.StdEncoding.EncodedLen(n)
 		for _, fill := range []string{"random", "0x00", "0xff"} {
 			src := make([]byte, n)

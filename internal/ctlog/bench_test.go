@@ -468,7 +468,9 @@ func BenchmarkHandlerProofByHash(b *testing.B) {
 // BenchmarkAppendBase64 puts the get-entries kernel beside the stdlib
 // encoder it replaced, on one page's worth of leaves: 256 random
 // 1071-byte leaves appended into one reused buffer, as WriteGetEntries
-// appends them. Bytes are input bytes.
+// appends them. Bytes are input bytes. On an AVX2 CPU appendBase64 runs
+// the AVX2 kernel, about ten times the stdlib's speed; -tags purego
+// measures the pure-Go loops alone, about two and a half times.
 func BenchmarkAppendBase64(b *testing.B) {
 	const leaves, leafLen = 256, 1071
 	rng := rand.New(rand.NewSource(1071))

@@ -222,11 +222,12 @@ func (l *Log) handleGetProofByHash(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGetEntries serves get-entries. Like production logs, an
-// oversized [start, end] range is not an error and not served whole:
-// GetEntries clamps it to Config.MaxGetEntries (and to the published
-// tree size) and the response carries the resulting partial page, from
-// which clients are expected to page the remainder
-// (ctclient.Monitor.StreamEntries does).
+// oversized [start, end] range is not an error and not served whole: it
+// is clamped as GetEntries clamps it (to Config.MaxGetEntries, the
+// published tree size and a sealed page's tile) and the response carries
+// the resulting partial page, from which clients are expected to page
+// the remainder (ctclient.Monitor.StreamEntries does). A sealed page is
+// encoded straight from the cached leaf bytes, parsing no entry.
 func (l *Log) handleGetEntries(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	start, err1 := strconv.ParseUint(q.Get("start"), 10, 64)
@@ -235,9 +236,13 @@ func (l *Log) handleGetEntries(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "ctlog: bad start/end", http.StatusBadRequest)
 		return
 	}
-	entries, err := l.GetEntries(start, end)
+	leaves, tail, err := l.pub.Load().leafRange(start, end, uint64(l.cfg.MaxGetEntries))
 	if err == nil {
-		err = WriteGetEntries(w, entries)
+		if tail != nil {
+			err = WriteGetEntries(w, tail)
+		} else {
+			writeLeaves(w, leaves)
+		}
 	}
 	if err != nil {
 		l.httpError(w, err)
@@ -264,35 +269,43 @@ var pagePool = sync.Pool{New: func() any { return new([]byte) }}
 // WriteGetEntries writes entries to w as a complete get-entries
 // response: byte for byte the body json.NewEncoder(w).Encode would
 // produce for the equivalent GetEntriesResponse (entries as [], not
-// null, when there are none), with Content-Length set. It is the one
-// encoder of that wire format. Each leaf_input is the entry's stamped
-// MerkleTreeLeaf bytes where the log holds them, so a page is sized
-// exactly, base64-appended by appendBase64 (the stdlib's bytes at about
-// twice its speed) into one pooled buffer and handed to w in a single
-// Write with no per-entry allocation; entries without their own stamped
-// bytes are encoded from their fields.
+// null, when there are none), with Content-Length set. Each leaf_input
+// is the entry's stamped MerkleTreeLeaf bytes where the log holds them;
+// entries without their own stamped bytes are encoded from their
+// fields. The leaves are collected once, then written by writeLeaves,
+// the one encoder of that wire format (the handler hands it a sealed
+// page's cached leaves directly).
 //
 // An error means an entry could not be encoded and nothing was written.
-// A failed Write is not reported: the status line is already out and
-// the connection will just break.
 func WriteGetEntries(w http.ResponseWriter, entries []*Entry) error {
-	size := len(entriesOpen) + len(entries)*(len(entryOpen)+len(entryClose)) + max(len(entries)-1, 0) + len(entriesClose)
-	for _, e := range entries {
+	leaves := make([][]byte, len(entries))
+	for i, e := range entries {
 		leaf, err := e.leafBytes()
 		if err != nil {
 			return err
 		}
+		leaves[i] = leaf
+	}
+	writeLeaves(w, leaves)
+	return nil
+}
+
+// writeLeaves writes leaves as a complete get-entries response, each
+// leaf a leaf_input. The page is sized exactly, base64-appended by
+// appendBase64 (AVX2 where the CPU has it) into one pooled buffer and
+// handed to w in a single Write with no per-entry allocation. A failed
+// Write is not reported: the status line is already out and the
+// connection will just break.
+func writeLeaves(w http.ResponseWriter, leaves [][]byte) {
+	size := len(entriesOpen) + len(leaves)*(len(entryOpen)+len(entryClose)) + max(len(leaves)-1, 0) + len(entriesClose)
+	for _, leaf := range leaves {
 		size += base64.StdEncoding.EncodedLen(len(leaf))
 	}
 	bp := pagePool.Get().(*[]byte)
 	buf := append(slices.Grow((*bp)[:0], size), entriesOpen...)
-	for i, e := range entries {
+	for i, leaf := range leaves {
 		if i > 0 {
 			buf = append(buf, ',')
-		}
-		leaf, err := e.leafBytes()
-		if err != nil {
-			return err
 		}
 		buf = append(buf, entryOpen...)
 		buf = appendBase64(buf, leaf)
@@ -303,7 +316,6 @@ func WriteGetEntries(w http.ResponseWriter, entries []*Entry) error {
 		*bp = buf
 		pagePool.Put(bp)
 	}
-	return nil
 }
 
 // The other ct/v1 bodies are a few hundred bytes to a few kilobytes, so

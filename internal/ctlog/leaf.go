@@ -34,7 +34,7 @@ type Entry struct {
 	// (guarded by the staging mutex) records that a resubmission was
 	// answered with this entry's SCT, pinning it against a signing-
 	// failure rollback. All are meaningless on client-parsed entries, and
-	// unset on entries paged in from sealed tiles: sealed dedupe and proof
+	// unset on entries read from sealed tiles: sealed dedupe and proof
 	// lookups go through the tile index files, not these fields.
 	idHash      merkle.Hash
 	idKey       uint64
@@ -43,7 +43,7 @@ type Entry struct {
 
 	// leaf is the entry's canonical MerkleTreeLeaf encoding, stamped by
 	// parseLeaf wherever the log already holds those bytes: add builds
-	// them to hash and WAL-append, and tile page-in, recovery and clients
+	// them to hash and WAL-append, and sealed reads, recovery and clients
 	// read them. Cert and Extensions alias it, so keeping it costs no
 	// second copy.
 	// It is valid only while leafOf points at this very Entry: a struct
@@ -114,7 +114,7 @@ func ParseMerkleTreeLeaf(data []byte) (*Entry, error) {
 }
 
 // parseLeaf is ParseMerkleTreeLeaf into an entry the caller allocated
-// (a tile page-in parses a whole tile into one slab). e must be zero and
+// (parseLeaves parses a sealed read into one slab). e must be zero and
 // is unusable after an error.
 func (e *Entry) parseLeaf(data []byte) error {
 	r := tlsenc.NewReader(data)

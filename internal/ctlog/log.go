@@ -178,7 +178,9 @@ type Config struct {
 	// resident and never seal — tree bytes are identical either way).
 	TileSpan int
 	// PageCacheBytes bounds the RAM the tile page cache may hold (decoded
-	// tile pages, LRU-evicted). 0 means the default (64 MiB); negative
+	// tile pages, LRU-evicted). A leaf page is charged its file image,
+	// which its leaves alias, plus one slice header per leaf; a hash or
+	// index page its file bytes. 0 means the default (64 MiB); negative
 	// disables retention entirely (every sealed-tile read pages in from
 	// disk — useful for cold-cache measurement). Ignored by in-memory
 	// logs.
@@ -376,85 +378,103 @@ func (l *Log) STH() SignedTreeHead {
 	return l.pub.Load().sth
 }
 
-// GetEntries returns entries [start, end] (inclusive, like the RFC API),
-// truncated to MaxGetEntries and to the published tree size. Ranges in
-// the resident tail are served lock-free from the published snapshot;
-// ranges in the sealed prefix are served from the tile page cache, and —
-// like production tile-backed logs — the page is additionally clamped at
-// the end of the tile containing start, so one call touches at most one
-// tile. Callers page on from where the response stopped (ctclient does),
-// so the short page is invisible above the wire. The returned slice
-// aliases immutable published state and must be treated as read-only.
-func (l *Log) GetEntries(start, end uint64) ([]*Entry, error) {
-	ps := l.pub.Load()
+// leafRange clamps [start, end] (inclusive) to what one read of ps
+// serves — the published tree size, at most limit entries, and, in the
+// sealed prefix, the end of start's tile, so a read touches at most one
+// leaf page — and returns the clamped range, which always begins at
+// start. A sealed range comes back as its MerkleTreeLeaf bytes, aliasing
+// the tile's cached file image; a range in the resident tail as its
+// entries. Exactly one of the two is non-empty, and both alias
+// immutable shared state. start's tile is complete (tailStart is
+// tile-aligned), so the tile clamp never clips below a valid page.
+func (ps *publishedState) leafRange(start, end, limit uint64) (leaves [][]byte, tail []*Entry, err error) {
 	size := ps.sth.TreeHead.TreeSize
 	if start > end || start >= size {
-		return nil, fmt.Errorf("%w: start=%d end=%d size=%d", ErrBadRange, start, end, size)
+		return nil, nil, fmt.Errorf("%w: start=%d end=%d size=%d", ErrBadRange, start, end, size)
 	}
-	if end >= size {
-		end = size - 1
-	}
-	if n := end - start + 1; n > uint64(l.cfg.MaxGetEntries) {
-		end = start + uint64(l.cfg.MaxGetEntries) - 1
+	end = min(end, size-1)
+	if end-start >= limit {
+		end = start + limit - 1
 	}
 	if start >= ps.tailStart {
 		i, j := start-ps.tailStart, end-ps.tailStart
-		return ps.tail[i : j+1 : j+1], nil
+		return nil, ps.tail[i : j+1 : j+1], nil
 	}
-	// Sealed prefix. start's tile is complete (tailStart is tile-aligned),
-	// so clamping at its boundary never clips below a valid page.
-	tile := start / ps.tiles.span
-	if last := (tile+1)*ps.tiles.span - 1; end > last {
-		end = last
-	}
-	ents, err := ps.tiles.entries(tile)
+	span := ps.tiles.span
+	tile, base := start/span, start/span*span
+	end = min(end, base+span-1)
+	lt, err := ps.tiles.leafTile(tile)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	base := tile * ps.tiles.span
-	return ents[start-base : end-base+1 : end-base+1], nil
+	return lt.Leaves[start-base : end-base+1 : end-base+1], nil, nil
+}
+
+// parseLeaves parses sealed leaves into entries first, first+1, … — one
+// Entry slab for the lot, not an allocation each. The entries' byte
+// fields alias the leaves. leafHash is not stamped (nothing reads it off
+// a sealed entry; LeafHash() computes from fields). The leaves passed
+// decodeLeaf's parse at page-in, so an error here means a bug.
+func parseLeaves(first uint64, leaves [][]byte) ([]*Entry, error) {
+	slab := make([]Entry, len(leaves))
+	ents := make([]*Entry, len(leaves))
+	for i, leaf := range leaves {
+		e := &slab[i]
+		if err := e.parseLeaf(leaf); err != nil {
+			return nil, fmt.Errorf("%w: entry %d: %v", storage.ErrCorrupt, first+uint64(i), err)
+		}
+		e.Index = first + uint64(i)
+		ents[i] = e
+	}
+	return ents, nil
+}
+
+// GetEntries returns entries [start, end] (inclusive, like the RFC API),
+// truncated to MaxGetEntries and to the published tree size. Ranges in
+// the resident tail are served lock-free from the published snapshot and
+// alias it, so the slice must be treated as read-only. Ranges in the
+// sealed prefix are parsed from the tile page cache into entries of the
+// caller's own, and — like production tile-backed logs — the page is
+// additionally clamped at the end of the tile containing start, so one
+// call touches at most one tile. Callers page on from where the response
+// stopped (ctclient does), so the short page is invisible above the
+// wire.
+func (l *Log) GetEntries(start, end uint64) ([]*Entry, error) {
+	leaves, tail, err := l.pub.Load().leafRange(start, end, uint64(l.cfg.MaxGetEntries))
+	if err != nil || tail != nil {
+		return tail, err
+	}
+	return parseLeaves(start, leaves)
 }
 
 // StreamEntries calls fn for every entry in [start, end] (inclusive),
-// clipped to the published tree size, and stops at fn's first error.
-// Unlike paging through GetEntries it allocates no per-batch slices and
-// never takes the log mutex: the published prefix is immutable, so the
-// walk runs on the lock-free snapshot even while writers append — the
-// sealed part tile by tile through the page cache, the resident tail
-// directly. It is the bulk-iteration substrate for harvest-scale crawls.
+// clipped to the published tree size, and stops at fn's first error. It
+// never takes a log lock: the published prefix is immutable, so the walk
+// runs on the lock-free snapshot even while writers append — the sealed
+// part tile by tile through the page cache, each tile's range parsed
+// into one slab, the resident tail directly. It is the bulk-iteration
+// substrate for harvest-scale crawls.
 func (l *Log) StreamEntries(start, end uint64, fn func(*Entry) error) error {
 	ps := l.pub.Load()
 	size := ps.sth.TreeHead.TreeSize
-	if start > end || start >= size {
-		return fmt.Errorf("%w: start=%d end=%d size=%d", ErrBadRange, start, end, size)
-	}
-	if end >= size {
-		end = size - 1
-	}
-	for start <= end {
-		if start >= ps.tailStart {
-			for _, e := range ps.tail[start-ps.tailStart : end-ps.tailStart+1] {
-				if err := fn(e); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// Sealed prefix: walk tile by tile so at most one decoded tile
-		// page is pinned at a time.
-		tile := start / ps.tiles.span
-		base := tile * ps.tiles.span
-		stop := min(end, base+ps.tiles.span-1)
-		ents, err := ps.tiles.entries(tile)
+	for {
+		leaves, ents, err := ps.leafRange(start, end, size)
 		if err != nil {
 			return err
 		}
-		for _, e := range ents[start-base : stop-base+1] {
+		if ents == nil {
+			if ents, err = parseLeaves(start, leaves); err != nil {
+				return err
+			}
+		}
+		for _, e := range ents {
 			if err := fn(e); err != nil {
 				return err
 			}
 		}
-		start = stop + 1
+		start += uint64(len(ents))
+		if start > end || start >= size {
+			return nil
+		}
 	}
-	return nil
 }

@@ -2,8 +2,8 @@ package ctlog
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
-	"unsafe"
 
 	"ctrise/internal/ctlog/storage"
 	"ctrise/internal/merkle"
@@ -23,7 +23,10 @@ import (
 // edge (tail + staged batch + ~4 bloom bytes per sealed entry), plus
 // whatever pages reads and dedupe lookups asked for, up to the
 // page-cache budget — independent of tree size. Sealing itself leaves
-// nothing in the cache.
+// nothing in the cache. A cached leaf page is the validated file image,
+// not parsed entries: get-entries base64-encodes its leaves straight
+// from it, and readers that want *Entry values parse only the ones they
+// return.
 //
 // The resident blooms are bit-sliced (storage.SlicedBlooms): the same
 // bloom bytes the index files hold, transposed in blocks of 64 tiles, so
@@ -40,9 +43,9 @@ import (
 //     hash tile's recomputed root must equal the tree's subtree root;
 //     the leaf tile must hash to the hash tile's leaf level). That
 //     leaf↔hash↔root cross-check is what makes the tile trusted for the
-//     rest of the process: later leaf page-ins check CRC, framing and
-//     label only (see tileStore.entries). A crash here leaves orphan
-//     tile files that the next seal rewrites and re-reads.
+//     rest of the process: later leaf page-ins check CRC, framing, label
+//     and leaf syntax only (see tileStore.leafTile). A crash here leaves
+//     orphan tile files that the next seal rewrites and re-reads.
 //  2. Install: the tile roots + blooms register in the tileStore, the
 //     tree prunes its sub-tile levels (merkle.TiledTree.Seal), and the
 //     sealed entries leave the tail and the proof map.
@@ -89,12 +92,11 @@ type tileStore struct {
 	checked []bool
 }
 
-// entryPinnedBytes is what one parsed entry of a cached leaf page pins
-// beside the file bytes its fields alias: its slot in the page's Entry
-// slab and in the []*Entry handed to readers. At small certificates that
-// is most of the page, and Config.PageCacheBytes is a promise about RAM,
-// so leaf pages are charged for it.
-const entryPinnedBytes = int64(unsafe.Sizeof(Entry{}) + unsafe.Sizeof((*Entry)(nil)))
+// leafHeaderBytes is what a cached leaf page pins per leaf beside the
+// file image its leaves alias: one []byte header (pointer, length,
+// capacity). Config.PageCacheBytes is a promise about RAM, so leaf pages
+// are charged for it.
+const leafHeaderBytes = 3 * bits.UintSize / 8
 
 func newTileStore(st *storage.Store, span uint64, cacheBytes int64) *tileStore {
 	tlvl := uint(0)
@@ -258,30 +260,26 @@ func (ts *tileStore) decodeHash(tile uint64, root merkle.Hash, data []byte) (*st
 
 // decodeLeaf decodes and validates one tile's .leaf file: per-record
 // CRC32C and strict framing (DecodeLeafTile), the tile/span label, and
-// that each record parses as a MerkleTreeLeaf. It returns the decoded
-// tile (for crossCheck) and its parsed entries, parsed into one slab —
-// not an allocation each: a page lives and dies in the cache as a unit.
-// leafHash is not stamped (nothing reads it off a sealed entry;
-// LeafHash() computes from fields).
-func (ts *tileStore) decodeLeaf(tile uint64, data []byte) (*storage.LeafTile, []*Entry, error) {
+// that each record parses as a MerkleTreeLeaf. The parse goes into one
+// throwaway Entry: a page keeps the leaves as file bytes, and readers
+// parse only the entries they return (parseLeaves), so a leaf that
+// passed here parses there too.
+func (ts *tileStore) decodeLeaf(tile uint64, data []byte) (*storage.LeafTile, error) {
 	lt, err := storage.DecodeLeafTile(data)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := ts.labelErr(tile, storage.TileExtLeaf, lt.Tile, lt.Span); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	slab := make([]Entry, len(lt.Leaves))
-	ents := make([]*Entry, len(lt.Leaves))
+	var e Entry
 	for i, leaf := range lt.Leaves {
-		e := &slab[i]
+		e = Entry{}
 		if err := e.parseLeaf(leaf); err != nil {
-			return nil, nil, fmt.Errorf("%w: tile %d entry %d: %v", storage.ErrCorrupt, tile, i, err)
+			return nil, fmt.Errorf("%w: tile %d entry %d: %v", storage.ErrCorrupt, tile, i, err)
 		}
-		e.Index = tile*ts.span + uint64(i)
-		ents[i] = e
 	}
-	return lt, ents, nil
+	return lt, nil
 }
 
 // decodeIndex decodes and validates one tile's .idx file.
@@ -314,22 +312,24 @@ func (ts *tileStore) hashTile(tile uint64) (*storage.HashTile, error) {
 	return v.(*storage.HashTile), nil
 }
 
-// entries pages in one registered tile's parsed entries; it is never
-// asked for a tile the seal has not registered (the seal verifies
-// straight from disk). Every page-in runs decodeLeaf — what the leaf
-// file can say about itself. What only the tree can say — that these
-// are the leaves it committed to — is crossCheck, which runs on the
-// first page-in of a tile installed by Open and not again (tiles this
-// process sealed were cross-checked by verify): the files are
-// immutable, so repeating it on every cache miss would cost a hash-tile
-// page-in and a SHA-256 per leaf to learn nothing new. A failed check
-// leaves the tile unchecked, so the next read fails the same way.
-// Concurrent first touches may both check; none serves before a check
-// has passed. Returned entries are immutable and shared by every reader
-// of the cached page.
-func (ts *tileStore) entries(tile uint64) ([]*Entry, error) {
+// leafTile pages in one registered tile's leaves; it is never asked for
+// a tile the seal has not registered (the seal verifies straight from
+// disk). The cached page is the decoded tile, whose leaves alias the
+// file image: no parsed entries are kept, and the page is charged the
+// file bytes plus one slice header per leaf. Every page-in runs
+// decodeLeaf — what the leaf file can say about itself. What only the
+// tree can say — that these are the leaves it committed to — is
+// crossCheck, which runs on the first page-in of a tile installed by
+// Open and not again (tiles this process sealed were cross-checked by
+// verify): the files are immutable, so repeating it on every cache miss
+// would cost a hash-tile page-in and a SHA-256 per leaf to learn nothing
+// new. A failed check leaves the tile unchecked, so the next read fails
+// the same way. Concurrent first touches may both check; none serves
+// before a check has passed. The returned tile is immutable and shared
+// by every reader of the cached page.
+func (ts *tileStore) leafTile(tile uint64) (*storage.LeafTile, error) {
 	v, err := ts.load(pageKindLeaf, tile, storage.TileExtLeaf, func(data []byte) (any, int64, error) {
-		lt, ents, err := ts.decodeLeaf(tile, data)
+		lt, err := ts.decodeLeaf(tile, data)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -343,12 +343,12 @@ func (ts *tileStore) entries(tile uint64) ([]*Entry, error) {
 			}
 			ts.markChecked(tile)
 		}
-		return ents, int64(len(ents)) * entryPinnedBytes, nil
+		return lt, int64(len(lt.Leaves)) * leafHeaderBytes, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.([]*Entry), nil
+	return v.(*storage.LeafTile), nil
 }
 
 // crossCheck ties a decoded leaf tile to the tree: every leaf must hash
@@ -396,7 +396,7 @@ func (ts *tileStore) verify(tile uint64, root merkle.Hash) (*storage.TileIndex, 
 	if data, err = ts.read(tile, storage.TileExtLeaf); err != nil {
 		return nil, err
 	}
-	lt, _, err := ts.decodeLeaf(tile, data)
+	lt, err := ts.decodeLeaf(tile, data)
 	if err != nil {
 		return nil, err
 	}
@@ -436,8 +436,10 @@ func (ts *tileStore) probe(h merkle.Hash, which int, from, to uint64) []uint64 {
 
 // lookupID searches sealed tiles [from, to) for an entry with the given
 // identity hash: bloom probe first, then the binary-searched index file
-// of each candidate, then the entry itself from its leaf tile. Returns
-// nil when not present.
+// of each candidate, then the entry itself, parsed from its leaf tile's
+// page. Returns nil when not present. It reads the page directly rather
+// than through publishedState.leafRange: the seal-race re-probe asks
+// about tiles registered before the published state routes to them.
 func (ts *tileStore) lookupID(h merkle.Hash, from, to uint64) (*Entry, error) {
 	for _, tile := range ts.probe(h, storage.TileIndexID, from, to) {
 		ix, err := ts.index(tile)
@@ -448,11 +450,15 @@ func (ts *tileStore) lookupID(h merkle.Hash, from, to uint64) (*Entry, error) {
 		if !ok {
 			continue // bloom false positive
 		}
-		ents, err := ts.entries(idx / ts.span)
+		lt, err := ts.leafTile(idx / ts.span)
 		if err != nil {
 			return nil, err
 		}
-		return ents[idx%ts.span], nil
+		ents, err := parseLeaves(idx, lt.Leaves[idx%ts.span:][:1])
+		if err != nil {
+			return nil, err
+		}
+		return ents[0], nil
 	}
 	return nil, nil
 }

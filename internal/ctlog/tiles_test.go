@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -17,6 +18,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ctrise/internal/ctlog/storage"
 	"ctrise/internal/merkle"
@@ -172,10 +174,121 @@ func TestTiledSealAndServe(t *testing.T) {
 	}
 	// Everything fits the default budget, so all nine pages the reads
 	// asked for are resident (the seals left none), and the charge covers
-	// what a leaf page really pins: with ~30-byte leaves the parsed Entry
-	// slab is several times the file.
-	if want := tileFileBytes + 3*4*entryPinnedBytes; s.Pages != 9 || s.Used != want {
-		t.Fatalf("cache holds %d pages charged %d bytes, want 9 pages charged %d (files %d + 12 parsed entries)", s.Pages, s.Used, want, tileFileBytes)
+	// what a leaf page really pins: its file image, which the leaves
+	// alias, and one slice header per leaf. No parsed entry is cached.
+	if want := tileFileBytes + 3*4*int64(unsafe.Sizeof([]byte(nil))); s.Pages != 9 || s.Used != want {
+		t.Fatalf("cache holds %d pages charged %d bytes, want 9 pages charged %d (files %d + 12 leaf slice headers)", s.Pages, s.Used, want, tileFileBytes)
+	}
+}
+
+// TestTiledReadViewsAgree holds the log's two read views of a page to
+// one answer. The handler encodes a sealed page straight from the cached
+// leaf bytes; GetEntries parses them into entries of the caller's own.
+// Over random ranges of a span-4 log with sealed tiles and a resident
+// tail, including ranges that start in the last sealed tile and reach
+// into the tail, the handler's body must equal WriteGetEntries of
+// GetEntries byte for byte; sealed entries must equal the entries the
+// log held before their seal, field for field, with Index set; and two
+// calls on one range must not share entries.
+func TestTiledReadViewsAgree(t *testing.T) {
+	l, clk := newDurableLog(t, t.TempDir(), Config{TileSpan: 4, MaxGetEntries: 7})
+	defer l.Close()
+	// The seal hook runs inside PublishSTH, on this goroutine, with the
+	// tiles written and the tail not yet pruned.
+	preSeal := map[uint64]Entry{}
+	l.sealStageHook = func(stage string) {
+		if stage == "tiles-written" {
+			for _, e := range l.entries {
+				preSeal[e.Index] = *e
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(33))
+	var ikh [32]byte
+	for round := 0; round < 12; round++ {
+		for i, n := 0, 1+rng.Intn(5); i < n; i++ {
+			cert := make([]byte, 1+rng.Intn(200))
+			rng.Read(cert)
+			var err error
+			if i%3 == 2 {
+				rng.Read(ikh[:])
+				_, err = l.AddPreChain(ikh, cert)
+			} else {
+				_, err = l.AddChain(cert)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(time.Second)
+		}
+		if _, err := l.PublishSTH(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.sealStageHook = nil
+	size, sealed := l.STH().TreeHead.TreeSize, l.TiledThrough()
+	if sealed < 8 || size == sealed {
+		t.Fatalf("want several sealed tiles and a tail, got %d sealed of %d", sealed, size)
+	}
+
+	h := l.Handler()
+	var kinds struct{ sealed, tail, crossing int }
+	for trial := 0; trial < 300; trial++ {
+		start := uint64(rng.Int63n(int64(size)))
+		if trial%4 == 0 {
+			start = sealed - 1 - uint64(rng.Intn(4))
+		}
+		end := start + uint64(rng.Intn(10))
+		what := fmt.Sprintf("[%d, %d] of %d (%d sealed)", start, end, size, sealed)
+		switch {
+		case start >= sealed:
+			kinds.tail++
+		case end >= sealed:
+			kinds.crossing++
+		default:
+			kinds.sealed++
+		}
+
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/ct/v1/get-entries?start=%d&end=%d", start, end), nil))
+		ents, err := l.GetEntries(start, end)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		want := httptest.NewRecorder()
+		if err := WriteGetEntries(want, ents); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("%s: handler answered %d with\n%.200s\nwant\n%.200s", what, rec.Code, rec.Body, want.Body)
+		}
+		if start >= sealed {
+			continue
+		}
+
+		for i, e := range ents {
+			idx := start + uint64(i)
+			p, ok := preSeal[idx]
+			if !ok {
+				t.Fatalf("%s: entry %d was sealed without the hook seeing it", what, idx)
+			}
+			if e.Index != idx || e.Timestamp != p.Timestamp || e.Type != p.Type || !bytes.Equal(e.Cert, p.Cert) ||
+				e.IssuerKeyHash != p.IssuerKeyHash || !bytes.Equal(e.Extensions, p.Extensions) {
+				t.Fatalf("%s: entry %d reads back as %+v, sealed as %+v", what, idx, *e, p)
+			}
+		}
+		again, err := l.GetEntries(start, end)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for i := range ents {
+			if again[i] == ents[i] {
+				t.Fatalf("%s: two calls share entry %d", what, ents[i].Index)
+			}
+		}
+	}
+	if kinds.sealed == 0 || kinds.tail == 0 || kinds.crossing == 0 {
+		t.Fatalf("ranges missed a kind: %+v", kinds)
 	}
 }
 
