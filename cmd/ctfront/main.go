@@ -54,7 +54,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -81,9 +80,9 @@ func main() {
 	retryPause := flag.Duration("retry-pause", 250*time.Millisecond, "pause between submission passes")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent submissions; excess shed with 503 (0 = unbounded)")
 	globalRate := flag.Float64("global-rate", 0, "global submissions/second admitted; excess shed with 429 (0 = unlimited)")
-	globalBurst := flag.Float64("global-burst", 0, "global token-bucket burst (0 = same as -global-rate)")
+	globalBurst := flag.Float64("global-burst", 0, "global token-bucket burst (0 = max(-global-rate, 1))")
 	clientRate := flag.Float64("client-rate", 0, "per-client submissions/second admitted; excess shed with 429 (0 = unlimited)")
-	clientBurst := flag.Float64("client-burst", 0, "per-client token-bucket burst (0 = same as -client-rate)")
+	clientBurst := flag.Float64("client-burst", 0, "per-client token-bucket burst (0 = max(-client-rate, 1))")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed and drain responses")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight submissions on shutdown")
 	weightInterval := flag.Duration("weight-interval", time.Minute, "how often observed backend performance is committed into routing weights (0 = never)")
@@ -150,15 +149,7 @@ func main() {
 		log.Fatalf("ctfront: %v", err)
 	case <-ctx.Done():
 		log.Printf("ctfront: signal received, draining")
-		front.BeginDrain()
-		waitCtx, cancelWait := context.WithTimeout(context.Background(), *drainTimeout)
-		if err := front.DrainWait(waitCtx); err != nil {
-			log.Printf("ctfront: drain timeout: submissions still in flight")
-		}
-		cancelWait()
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := server.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		if err := front.Shutdown(server, *drainTimeout); err != nil {
 			log.Fatalf("ctfront: shutdown: %v", err)
 		}
 		log.Printf("ctfront: shut down cleanly")

@@ -10,7 +10,9 @@
 // The ct/v1 endpoints (add-chain, add-pre-chain, get-sth,
 // get-sth-consistency, get-proof-by-hash, get-entries) are served under
 // the given address. -capacity rate-limits submissions per second to
-// experiment with overload behaviour (the Nimbus incident). -sequence
+// experiment with overload behaviour (the Nimbus incident); fractional
+// rates work (0.5 admits one submission every 2s), and refusals are
+// 429 + Retry-After of the -sequence interval. -sequence
 // sets the batch interval at which staged submissions are integrated
 // into the Merkle tree and a fresh STH published — production logs run
 // the same loop well inside their MMD; a non-positive interval is a
@@ -66,7 +68,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8764", "listen address")
 	name := flag.String("name", "Dev Log", "log display name")
 	operator := flag.String("operator", "ctrise", "log operator")
-	capacity := flag.Float64("capacity", 0, "max submissions/second (0 = unlimited)")
+	capacity := flag.Float64("capacity", 0, "max submissions/second, fractional rates included (0.5 = one every 2s; 0 = unlimited)")
 	interval := flag.Duration("sequence", time.Second, "sequencer batch interval (integrate staged entries + publish STH; must be positive)")
 	dataDir := flag.String("data-dir", "", "durable state directory (WAL + snapshot + tiles + signing key); required")
 	tileSpan := flag.Int("tile-span", 0, "entries per sealed storage tile, power of two ≥ 2 (0 = default 1024); fixed at first start")
@@ -118,7 +120,7 @@ func main() {
 	// mid-handshake" into a protocol: add-chain/add-pre-chain answer
 	// 503 + Retry-After while the requests already accepted run to
 	// completion; reads stay available so monitors watch the restart.
-	gate := drain.NewGate(mux, nil, time.Second)
+	gate := drain.NewGate(mux, time.Second)
 	server := &http.Server{Addr: *addr, Handler: gate}
 	httpDone := make(chan error, 1)
 	go func() {
@@ -133,15 +135,9 @@ func main() {
 	// final publish land, and snapshot + close the store. seqDone is
 	// nil when the sequencer's exit was already consumed by the select.
 	drainServer := func(seqDone <-chan error) {
-		gate.BeginDrain()
-		waitCtx, cancelWait := context.WithTimeout(context.Background(), *drainTimeout)
-		if err := gate.Wait(waitCtx); err != nil {
-			log.Printf("ctlogd: drain timeout: %d submission(s) still in flight", gate.Inflight())
+		if err := gate.Shutdown(server, *drainTimeout); err != nil {
+			log.Printf("ctlogd: shutdown: %v", err)
 		}
-		cancelWait()
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		server.Shutdown(shutCtx)
 		if seqDone != nil {
 			if err := <-seqDone; err != nil && sequencerExitDirty(err) {
 				log.Printf("ctlogd: final sequence: %v", err)

@@ -3,6 +3,8 @@ package ctfront
 import (
 	"sync"
 	"time"
+
+	"ctrise/internal/drain"
 )
 
 // admission is the frontend's HTTP-side admission controller: a global
@@ -17,36 +19,13 @@ type admission struct {
 	sem chan struct{} // nil = unbounded in-flight
 
 	mu      sync.Mutex
-	global  bucket
-	clients map[string]*bucket
+	global  *drain.Bucket // nil = no global rate limit
+	clients map[string]*drain.Bucket
 
 	admitted     uint64
 	shedInflight uint64
 	shedGlobal   uint64
 	shedClient   uint64
-}
-
-// bucket is a token bucket refilled by elapsed clock time.
-type bucket struct {
-	tokens float64
-	last   time.Time
-}
-
-// take refills by the time elapsed since the last draw and consumes one
-// token if available.
-func (b *bucket) take(now time.Time, rate, burst float64) bool {
-	if elapsed := now.Sub(b.last).Seconds(); elapsed > 0 {
-		b.tokens += elapsed * rate
-	}
-	b.last = now
-	if b.tokens > burst {
-		b.tokens = burst
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
 }
 
 // maxClientBuckets caps the per-client map; beyond it, idle (full)
@@ -64,24 +43,14 @@ const (
 )
 
 func newAdmission(cfg *Config) *admission {
-	a := &admission{cfg: cfg, clients: make(map[string]*bucket)}
+	a := &admission{cfg: cfg, clients: make(map[string]*drain.Bucket)}
 	if cfg.MaxInflight > 0 {
 		a.sem = make(chan struct{}, cfg.MaxInflight)
 	}
 	if cfg.GlobalRate > 0 {
-		a.global.tokens = a.burst(cfg.GlobalRate, cfg.GlobalBurst)
+		a.global = drain.NewBucket(cfg.GlobalRate, cfg.GlobalBurst)
 	}
 	return a
-}
-
-func (a *admission) burst(rate, burst float64) float64 {
-	if burst > 0 {
-		return burst
-	}
-	if rate < 1 {
-		return 1
-	}
-	return rate
 }
 
 // admit runs the admission checks for one submission from client (the
@@ -90,7 +59,7 @@ func (a *admission) burst(rate, burst float64) float64 {
 func (a *admission) admit(client string) (verdict, func()) {
 	now := a.cfg.Clock()
 	a.mu.Lock()
-	if a.cfg.GlobalRate > 0 && !a.global.take(now, a.cfg.GlobalRate, a.burst(a.cfg.GlobalRate, a.cfg.GlobalBurst)) {
+	if a.global != nil && !a.global.Take(now) {
 		a.shedGlobal++
 		a.mu.Unlock()
 		return shedGlobalRate, nil
@@ -99,10 +68,10 @@ func (a *admission) admit(client string) (verdict, func()) {
 		b := a.clients[client]
 		if b == nil {
 			a.evictIdleLocked(now)
-			b = &bucket{tokens: a.burst(a.cfg.ClientRate, a.cfg.ClientBurst), last: now}
+			b = drain.NewBucket(a.cfg.ClientRate, a.cfg.ClientBurst)
 			a.clients[client] = b
 		}
-		if !b.take(now, a.cfg.ClientRate, a.burst(a.cfg.ClientRate, a.cfg.ClientBurst)) {
+		if !b.Take(now) {
 			a.shedClient++
 			a.mu.Unlock()
 			return shedClientRate, nil
@@ -138,9 +107,8 @@ func (a *admission) evictIdleLocked(now time.Time) {
 	if len(a.clients) < maxClientBuckets {
 		return
 	}
-	burst := a.burst(a.cfg.ClientRate, a.cfg.ClientBurst)
 	for host, b := range a.clients {
-		if elapsed := now.Sub(b.last).Seconds(); b.tokens+elapsed*a.cfg.ClientRate >= burst {
+		if b.Full(now) {
 			delete(a.clients, host)
 		}
 	}

@@ -201,7 +201,7 @@ type Config struct {
 	// GlobalRate/GlobalBurst form the pool-wide submission token
 	// bucket (tokens per second / bucket depth). Exceeding it is 429 +
 	// Retry-After. GlobalRate 0 disables; GlobalBurst defaults to
-	// GlobalRate.
+	// max(GlobalRate, 1).
 	GlobalRate  float64
 	GlobalBurst float64
 	// ClientRate/ClientBurst form the per-client (remote host) token
@@ -209,7 +209,7 @@ type Config struct {
 	ClientRate  float64
 	ClientBurst float64
 	// RetryAfter is the hint sent with every shed/throttled/drained
-	// response. Defaults to 1s.
+	// response, in whole seconds rounded up; anything below 1s sends 1.
 	RetryAfter time.Duration
 }
 

@@ -1,13 +1,11 @@
 package ctfront
 
 import (
-	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
-	"strconv"
 	"time"
 
 	"ctrise/internal/ctlog"
@@ -69,7 +67,7 @@ func (f *Frontend) Handler() http.Handler {
 		mux.HandleFunc("POST /ctfront/v1/add-pre-chain", f.withAdmission(f.handleAddPreChain))
 		mux.HandleFunc("GET /ctfront/v1/health", f.handleHealth)
 		mux.HandleFunc("GET /metrics", f.handleMetrics)
-		f.gate = drain.NewGate(mux, nil, f.retryAfter())
+		f.gate = drain.NewGate(mux, f.cfg.RetryAfter)
 		f.handler = f.gate
 	})
 	return f.handler
@@ -89,17 +87,11 @@ func (f *Frontend) drainGate() *drain.Gate {
 // are not gated.
 func (f *Frontend) BeginDrain() { f.drainGate().BeginDrain() }
 
-// DrainWait blocks until every HTTP submission admitted before
-// BeginDrain has finished, or ctx expires.
-func (f *Frontend) DrainWait(ctx context.Context) error { return f.drainGate().Wait(ctx) }
-
-// retryAfter is the backoff hint attached to every shed, throttled, or
-// drained response.
-func (f *Frontend) retryAfter() time.Duration {
-	if f.cfg.RetryAfter > 0 {
-		return f.cfg.RetryAfter
-	}
-	return time.Second
+// Shutdown drains srv, which serves Handler: new HTTP submissions are
+// refused, the admitted ones get up to timeout to finish, then srv
+// shuts down (see drain.Gate.Shutdown).
+func (f *Frontend) Shutdown(srv *http.Server, timeout time.Duration) error {
+	return f.drainGate().Shutdown(srv, timeout)
 }
 
 // withAdmission applies the admission controller to one submission
@@ -125,8 +117,7 @@ func (f *Frontend) withAdmission(h http.HandlerFunc) http.HandlerFunc {
 
 // refuse sheds a request with the frontend's Retry-After hint.
 func (f *Frontend) refuse(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Retry-After", strconv.Itoa(drain.RetryAfterSeconds(f.retryAfter())))
-	http.Error(w, msg, code)
+	drain.Refuse(w, code, msg, f.cfg.RetryAfter)
 }
 
 // clientHost extracts the per-client rate-limit key: the remote host
@@ -245,8 +236,7 @@ func (f *Frontend) httpError(w http.ResponseWriter, err error) {
 		// The pool cannot currently produce a compliant set — a capacity
 		// condition, not a caller error. Retry-After tells well-behaved
 		// clients when to try again instead of hot-looping.
-		w.Header().Set("Retry-After", strconv.Itoa(drain.RetryAfterSeconds(f.retryAfter())))
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		f.refuse(w, http.StatusServiceUnavailable, err.Error())
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}

@@ -105,7 +105,7 @@ func (r *restartableLog) start() {
 		seqDone <- l.RunSequencer(ctx, 2*time.Millisecond)
 	}()
 	r.log, r.cancel, r.seqDone = l, cancel, seqDone
-	r.gate = drain.NewGate(l.Handler(), nil, time.Second)
+	r.gate = drain.NewGate(l.Handler(), time.Second)
 	r.swap.set(r.gate)
 }
 

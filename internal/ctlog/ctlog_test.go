@@ -310,6 +310,27 @@ func TestCapacityOverload(t *testing.T) {
 	}
 }
 
+// TestCapacityBelowOnePerSecond pins fractional capacities: the bucket
+// holds one whole token however slow the rate, so a 0.5/s log admits
+// one submission every two seconds instead of refusing them all.
+func TestCapacityBelowOnePerSecond(t *testing.T) {
+	l, clk := newTestLog(t, Config{CapacityPerSecond: 0.5})
+	if _, err := l.AddChain([]byte("a")); err != nil {
+		t.Fatalf("first add: %v", err)
+	}
+	clk.Advance(time.Second)
+	if _, err := l.AddChain([]byte("b")); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("add 1s later: err = %v, want ErrOverloaded", err)
+	}
+	clk.Advance(time.Second)
+	if _, err := l.AddChain([]byte("b")); err != nil {
+		t.Fatalf("add 2s after the first: %v", err)
+	}
+	if l.Rejected() != 1 {
+		t.Fatalf("rejected = %d, want 1", l.Rejected())
+	}
+}
+
 func TestLeafRoundTrip(t *testing.T) {
 	e := &Entry{
 		Timestamp: 1523664000000,

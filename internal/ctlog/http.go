@@ -8,7 +8,9 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"time"
 
+	"ctrise/internal/drain"
 	"ctrise/internal/merkle"
 	"ctrise/internal/sct"
 )
@@ -79,8 +81,8 @@ func (l *Log) Handler() http.Handler {
 }
 
 // httpError maps a log error onto its ct/v1 status. The 429/503
-// Retry-After hint is the log's RetryAfterSeconds: the running
-// sequencer's interval rounded up to whole seconds (floor 1s), because
+// Retry-After hint is the running sequencer's interval, rounded up to
+// whole seconds (floor 1s) by drain.Refuse, because
 // the next sequencing cycle is when refused capacity — a refilled token
 // bucket, a drained backlog — is most likely to exist again. A
 // hardcoded 1s here made every well-behaved client probe a
@@ -88,8 +90,7 @@ func (l *Log) Handler() http.Handler {
 func (l *Log) httpError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", strconv.Itoa(l.RetryAfterSeconds()))
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
+		drain.Refuse(w, http.StatusTooManyRequests, err.Error(), time.Duration(l.seqInterval.Load()))
 	case errors.Is(err, ErrNotFound):
 		http.Error(w, err.Error(), http.StatusNotFound)
 	case errors.Is(err, ErrBadRange), errors.Is(err, merkle.ErrSizeOutOfRange),
@@ -101,8 +102,7 @@ func (l *Log) httpError(w http.ResponseWriter, err error) {
 		// submitters this is the log's capacity to accept, not a protocol
 		// error on their side — and Retry-After tells them to probe again
 		// rather than hot-loop while the operator intervenes.
-		w.Header().Set("Retry-After", strconv.Itoa(l.RetryAfterSeconds()))
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		drain.Refuse(w, http.StatusServiceUnavailable, err.Error(), time.Duration(l.seqInterval.Load()))
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}

@@ -104,6 +104,7 @@ import (
 	"time"
 
 	"ctrise/internal/ctlog/storage"
+	"ctrise/internal/drain"
 	"ctrise/internal/merkle"
 	"ctrise/internal/sct"
 )
@@ -155,15 +156,14 @@ type Config struct {
 	// Clock supplies the log's notion of now. Defaults to time.Now.
 	// Experiments install a virtual clock.
 	Clock func() time.Time
-	// MMD is the maximum merge delay. Entries are guaranteed to be
-	// integrated into a published STH within MMD of their SCT timestamp.
-	// Defaults to 24h.
-	MMD time.Duration
 	// MaxGetEntries caps the number of entries returned by one get-entries
 	// call, like production logs do. Defaults to 1000.
 	MaxGetEntries int
 	// CapacityPerSecond, if positive, limits sustained submissions per
-	// second; excess submissions fail with ErrOverloaded.
+	// second with a token bucket holding max(CapacityPerSecond, 1)
+	// tokens, so fractional rates admit one submission per
+	// 1/CapacityPerSecond seconds; excess submissions fail with
+	// ErrOverloaded.
 	CapacityPerSecond float64
 	// Sync selects the WAL durability point for logs opened with Open.
 	// Ignored by in-memory logs. Defaults to SyncEachSubmission.
@@ -242,9 +242,8 @@ type Log struct {
 	// are found through the per-tile bloom + index files instead (see add
 	// and tiles.go).
 	dedupe map[merkle.Hash]*Entry
-	// bucket implements a token bucket for CapacityPerSecond.
-	bucketTokens float64
-	bucketAt     time.Time
+	// bucket enforces CapacityPerSecond; nil when unlimited.
+	bucket *drain.Bucket
 	// stats
 	rejected uint64
 
@@ -259,11 +258,10 @@ type Log struct {
 	// holding the snapshot can walk that prefix with no lock at all —
 	// the fast path StreamEntries and GetEntries ride on.
 	pub atomic.Pointer[publishedState]
-	// retryAfterSecs is the Retry-After hint (whole seconds) for 429/503
-	// responses, derived from the running sequencer's interval; 0 means
-	// no sequencer has configured one yet and the HTTP layer falls back
-	// to 1s. See RetryAfterSeconds.
-	retryAfterSecs atomic.Int64
+	// seqInterval is the running sequencer's interval (a time.Duration),
+	// the Retry-After hint on 429/503 responses; 0 until RunSequencer
+	// starts, which drain.Refuse renders as 1s.
+	seqInterval atomic.Int64
 
 	// store is the durability layer for logs opened with Open; nil for
 	// in-memory logs.
@@ -284,9 +282,6 @@ func newLog(cfg Config) (*Log, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
-	}
-	if cfg.MMD <= 0 {
-		cfg.MMD = 24 * time.Hour
 	}
 	if cfg.MaxGetEntries <= 0 {
 		cfg.MaxGetEntries = 1000
@@ -312,8 +307,9 @@ func newLog(cfg Config) (*Log, error) {
 		dedupe:     make(map[merkle.Hash]*Entry),
 		byLeafHash: &leafIndex{},
 	}
-	l.bucketAt = cfg.Clock()
-	l.bucketTokens = cfg.CapacityPerSecond
+	if cfg.CapacityPerSecond > 0 {
+		l.bucket = drain.NewBucket(cfg.CapacityPerSecond, 0)
+	}
 	return l, nil
 }
 

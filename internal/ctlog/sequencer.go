@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ctrise/internal/ctlog/storage"
-	"ctrise/internal/drain"
 	"ctrise/internal/merkle"
 	"ctrise/internal/sct"
 )
@@ -247,24 +246,12 @@ func (l *Log) PendingCount() int {
 	return len(l.staged)
 }
 
-// RetryAfterSeconds is the whole-seconds backoff hint the log's HTTP
-// layer sends with 429/503 responses: the configured sequencer interval
-// rounded up (floor 1s), because "one sequencing cycle from now" is
-// when refused capacity is most likely to exist again. Before any
-// RunSequencer configures an interval it is 1.
-func (l *Log) RetryAfterSeconds() int {
-	if s := l.retryAfterSecs.Load(); s > 0 {
-		return int(s)
-	}
-	return 1
-}
-
 // RunSequencer sequences and publishes on a wall-clock ticker until ctx
 // is done — the production mode, where the interval is chosen well
 // inside the MMD. A non-positive interval is rejected (there is no
 // "sequence continuously" mode; pick a small interval instead). The
 // interval also becomes the Retry-After hint on 429/503 responses (see
-// RetryAfterSeconds).
+// httpError).
 //
 // A failed tick does not kill the loop: transient failures — a one-off
 // fsync error on a non-sticky path, a hiccuping signer — retry on the
@@ -284,7 +271,7 @@ func (l *Log) RunSequencer(ctx context.Context, interval time.Duration) error {
 	if interval <= 0 {
 		return errors.New("ctlog: sequencer interval must be positive")
 	}
-	l.retryAfterSecs.Store(int64(drain.RetryAfterSeconds(interval)))
+	l.seqInterval.Store(int64(interval))
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {

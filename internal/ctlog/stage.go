@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"ctrise/internal/merkle"
 	"ctrise/internal/sct"
@@ -127,7 +126,7 @@ func (l *Log) add(ce sct.CertificateEntry) (*sct.SignedCertificateTimestamp, err
 			}
 		}
 	}
-	if !l.takeTokenLocked(now) {
+	if l.bucket != nil && !l.bucket.Take(now) {
 		l.rejected++
 		l.stageMu.Unlock()
 		return nil, ErrOverloaded
@@ -223,8 +222,8 @@ func (l *Log) unstage(e *Entry) {
 		if l.staged[i] == e {
 			l.staged = append(l.staged[:i], l.staged[i+1:]...)
 			delete(l.dedupe, e.idHash)
-			if l.cfg.CapacityPerSecond > 0 && l.bucketTokens < l.cfg.CapacityPerSecond {
-				l.bucketTokens++
+			if l.bucket != nil {
+				l.bucket.Refund()
 			}
 			if l.store != nil {
 				// Tombstone the entry's WAL record so replay rolls it
@@ -263,25 +262,4 @@ func entryIdentity(ce sct.CertificateEntry) merkle.Hash {
 // canonical batch sort behaves identically on both.
 func idKeyOf(idHash merkle.Hash) uint64 {
 	return binary.BigEndian.Uint64(idHash[:8])
-}
-
-// takeTokenLocked enforces CapacityPerSecond with a token bucket refilled
-// by the virtual clock. Burst capacity equals one second of tokens.
-func (l *Log) takeTokenLocked(now time.Time) bool {
-	if l.cfg.CapacityPerSecond <= 0 {
-		return true
-	}
-	elapsed := now.Sub(l.bucketAt).Seconds()
-	if elapsed > 0 {
-		l.bucketTokens += elapsed * l.cfg.CapacityPerSecond
-		if l.bucketTokens > l.cfg.CapacityPerSecond {
-			l.bucketTokens = l.cfg.CapacityPerSecond
-		}
-		l.bucketAt = now
-	}
-	if l.bucketTokens < 1 {
-		return false
-	}
-	l.bucketTokens--
-	return true
 }

@@ -1,6 +1,8 @@
-// Package drain implements the graceful-drain protocol shared by the
-// repo's HTTP servers (cmd/ctlogd, cmd/ctfront): on SIGTERM a server
-// stops admitting new mutating work with 503 + Retry-After — a signal
+// Package drain is the admission layer shared by the repo's HTTP
+// servers (cmd/ctlogd, cmd/ctfront) and the log's capacity limit: one
+// token bucket (Bucket), one refusal (Refuse: 429/503 + Retry-After)
+// and the graceful-drain protocol (Gate). On SIGTERM a server stops
+// admitting new mutating work with 503 + Retry-After — a signal
 // well-behaved CT submitters turn into failover, not an error — while
 // the requests already in flight run to completion. Only once the gate
 // reports idle does the listener shut down, so a rolling restart never
@@ -9,23 +11,82 @@ package drain
 
 import (
 	"context"
+	"log"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 )
 
+// Bucket is a token bucket refilled by elapsed clock time. It starts
+// full and refills only when now moves forward: a clock stepping back
+// neither refills nor moves the refill anchor, so a virtual clock can
+// drive it as well as the wall clock. It is not safe for concurrent
+// use; callers hold their own lock.
+type Bucket struct {
+	rate, burst float64
+	tokens      float64
+	at          time.Time // refill anchor; the zero time before first use
+}
+
+// NewBucket returns a full bucket refilled at rate tokens per second
+// and holding at most burst. A burst <= 0 means max(rate, 1): one
+// second of tokens, but never less than the one token a Take needs.
+func NewBucket(rate, burst float64) *Bucket {
+	if burst <= 0 {
+		burst = max(rate, 1)
+	}
+	return &Bucket{rate: rate, burst: burst, tokens: burst}
+}
+
+func (b *Bucket) refill(now time.Time) {
+	if now.After(b.at) {
+		b.tokens = min(b.burst, b.tokens+now.Sub(b.at).Seconds()*b.rate)
+		b.at = now
+	}
+}
+
+// Take consumes one token if the bucket holds one at now.
+func (b *Bucket) Take(now time.Time) bool {
+	b.refill(now)
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
+}
+
+// Refund returns one token, never filling the bucket past its burst.
+func (b *Bucket) Refund() { b.tokens = min(b.burst, b.tokens+1) }
+
+// Full reports whether the bucket has refilled to its burst by now: its
+// owner has been idle long enough that dropping the bucket loses
+// nothing.
+func (b *Bucket) Full(now time.Time) bool {
+	b.refill(now)
+	return b.tokens >= b.burst
+}
+
+// Refuse answers a request the server will not serve now — 429 for a
+// rate limit, 503 for a capacity or drain refusal — with a Retry-After
+// of hint in whole seconds, rounded up and at least 1 (the header has
+// no sub-second form, and 0 would invite an immediate hot-loop retry).
+// Every 429/503 the repo's servers send goes through it, so
+// well-behaved clients back off instead of hot-looping.
+func Refuse(w http.ResponseWriter, code int, msg string, hint time.Duration) {
+	secs := max(1, int((hint+time.Second-1)/time.Second))
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	http.Error(w, msg, code)
+}
+
 // Gate wraps an http.Handler with the drain protocol. Before BeginDrain
-// it forwards every request, counting the gated ones (mutating methods
-// by default); after BeginDrain gated requests are refused with
-// 503 + Retry-After while the in-flight ones finish. The zero Gate is
-// not usable; construct with NewGate.
+// it forwards every request, counting the mutating (non-GET/HEAD)
+// ones; after BeginDrain those are refused with 503 + Retry-After while
+// the in-flight ones finish. Reads (health, metrics, get-sth) stay
+// available throughout so operators and monitors can watch the drain
+// progress. The zero Gate is not usable; construct with NewGate.
 type Gate struct {
 	next http.Handler
-	// gated decides which requests the drain refuses; reads (health,
-	// metrics, get-sth) stay available throughout so operators and
-	// monitors can watch the drain progress.
-	gated func(*http.Request) bool
 	// retryAfter is the hint sent with drain refusals.
 	retryAfter time.Duration
 
@@ -36,25 +97,15 @@ type Gate struct {
 	refused  uint64
 }
 
-// NewGate wraps next. gated selects the requests the drain refuses; nil
-// gates every non-GET/HEAD request (the ct/v1 and ctfront mutating
-// surface). retryAfter is the Retry-After hint on refusals; <= 0
-// defaults to 1s.
-func NewGate(next http.Handler, gated func(*http.Request) bool, retryAfter time.Duration) *Gate {
-	if gated == nil {
-		gated = func(r *http.Request) bool {
-			return r.Method != http.MethodGet && r.Method != http.MethodHead
-		}
-	}
-	if retryAfter <= 0 {
-		retryAfter = time.Second
-	}
-	return &Gate{next: next, gated: gated, retryAfter: retryAfter}
+// NewGate wraps next. retryAfter is the Retry-After hint on refusals
+// (see Refuse for its rounding).
+func NewGate(next http.Handler, retryAfter time.Duration) *Gate {
+	return &Gate{next: next, retryAfter: retryAfter}
 }
 
 // ServeHTTP forwards or refuses according to the drain state.
 func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if !g.gated(r) {
+	if r.Method == http.MethodGet || r.Method == http.MethodHead {
 		g.next.ServeHTTP(w, r)
 		return
 	}
@@ -62,8 +113,7 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if g.draining {
 		g.refused++
 		g.mu.Unlock()
-		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds(g.retryAfter)))
-		http.Error(w, "draining: retry against another backend", http.StatusServiceUnavailable)
+		Refuse(w, http.StatusServiceUnavailable, "draining: retry against another backend", g.retryAfter)
 		return
 	}
 	g.inflight++
@@ -133,14 +183,22 @@ func (g *Gate) Inflight() int {
 	return g.inflight
 }
 
-// RetryAfterSeconds renders a Retry-After hint: whole seconds, at least
-// 1 (the header has no sub-second form, and 0 would invite an immediate
-// hot-loop retry). Every 503/429 the repo's servers send carries it, so
-// well-behaved clients back off instead of hot-looping.
-func RetryAfterSeconds(d time.Duration) int {
-	s := int((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
+// shutdownGrace bounds srv.Shutdown once the gate has drained: the
+// requests left are reads and idle connections.
+const shutdownGrace = 10 * time.Second
+
+// Shutdown drains srv, whose handler is g, in order: BeginDrain, then
+// Wait for the admitted mutations bounded by timeout (a timeout is
+// logged with the count still in flight, and shutdown proceeds), then
+// srv.Shutdown, whose error it returns.
+func (g *Gate) Shutdown(srv *http.Server, timeout time.Duration) error {
+	g.BeginDrain()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if err := g.Wait(ctx); err != nil {
+		log.Printf("drain timeout: %d request(s) still in flight", g.Inflight())
 	}
-	return s
+	shutCtx, cancelShut := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancelShut()
+	return srv.Shutdown(shutCtx)
 }

@@ -3,6 +3,7 @@ package drain
 import (
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -16,7 +17,7 @@ func TestGatePassesBeforeDrain(t *testing.T) {
 	var served int
 	g := NewGate(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		served++
-	}), nil, time.Second)
+	}), time.Second)
 	for _, method := range []string{http.MethodGet, http.MethodPost} {
 		rec := httptest.NewRecorder()
 		g.ServeHTTP(rec, httptest.NewRequest(method, "/x", nil))
@@ -32,7 +33,7 @@ func TestGatePassesBeforeDrain(t *testing.T) {
 // TestGateRefusesMutationsDuringDrain proves a draining gate answers
 // gated requests with 503 + Retry-After while reads pass through.
 func TestGateRefusesMutationsDuringDrain(t *testing.T) {
-	g := NewGate(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {}), nil, 3*time.Second)
+	g := NewGate(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {}), 3*time.Second)
 	g.BeginDrain()
 
 	rec := httptest.NewRecorder()
@@ -63,7 +64,7 @@ func TestGateWaitsForInflight(t *testing.T) {
 		close(entered)
 		<-release
 		io.WriteString(w, "done")
-	}), nil, time.Second)
+	}), time.Second)
 
 	rec := httptest.NewRecorder()
 	var wg sync.WaitGroup
@@ -100,7 +101,7 @@ func TestGateWaitsForInflight(t *testing.T) {
 // TestGateWaitIdleReturnsImmediately proves Wait with nothing in flight
 // is a no-op, and BeginDrain is idempotent.
 func TestGateWaitIdleReturnsImmediately(t *testing.T) {
-	g := NewGate(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {}), nil, time.Second)
+	g := NewGate(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {}), time.Second)
 	g.BeginDrain()
 	g.BeginDrain()
 	if err := g.Wait(context.Background()); err != nil {
@@ -108,5 +109,139 @@ func TestGateWaitIdleReturnsImmediately(t *testing.T) {
 	}
 	if !g.Draining() {
 		t.Fatal("Draining = false after BeginDrain")
+	}
+}
+
+// TestBucket walks token buckets through scripted clock readings: the
+// burst default, refill on forward steps only, Refund's cap and Full.
+func TestBucket(t *testing.T) {
+	type step struct {
+		op   string  // "take", "refund" or "full"
+		at   float64 // seconds after t0
+		want bool    // result of take / full
+	}
+	cases := []struct {
+		name        string
+		rate, burst float64
+		steps       []step
+	}{
+		{"default burst, rate 0.5 holds one token", 0.5, 0, []step{
+			{"take", 0, true}, {"take", 0, false},
+			{"take", 1, false}, {"take", 2, true},
+			{"full", 100, true}, {"take", 100, true}, {"take", 100, false},
+		}},
+		{"default burst, rate 3 holds three", 3, 0, []step{
+			{"take", 0, true}, {"take", 0, true}, {"take", 0, true}, {"take", 0, false},
+			{"take", 100, true}, {"take", 100, true}, {"take", 100, true}, {"take", 100, false},
+		}},
+		{"backward step neither refills nor moves the anchor", 1, 1, []step{
+			{"take", 10, true}, {"take", 5, false},
+			{"take", 10.5, false}, {"take", 11, true},
+		}},
+		{"refund at a full bucket is capped", 1, 2, []step{
+			{"refund", 0, false}, {"take", 0, true}, {"take", 0, true}, {"take", 0, false},
+			{"refund", 0, false}, {"take", 0, true}, {"take", 0, false},
+		}},
+		{"full before and after refill", 2, 2, []step{
+			{"full", 0, true}, {"take", 0, true}, {"full", 0, false},
+			{"full", 0.25, false}, {"full", 0.5, true},
+		}},
+	}
+	t0 := time.Date(2018, 3, 8, 0, 0, 0, 0, time.UTC)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := NewBucket(c.rate, c.burst)
+			for i, s := range c.steps {
+				now := t0.Add(time.Duration(s.at * float64(time.Second)))
+				var got bool
+				switch s.op {
+				case "take":
+					got = b.Take(now)
+				case "full":
+					got = b.Full(now)
+				case "refund":
+					b.Refund()
+					continue
+				}
+				if got != s.want {
+					t.Fatalf("step %d: %s at %vs = %v, want %v", i, s.op, s.at, got, s.want)
+				}
+			}
+		})
+	}
+}
+
+// TestRefuseRetryAfter pins Refuse's header: whole seconds, rounded up,
+// never below 1.
+func TestRefuseRetryAfter(t *testing.T) {
+	for _, c := range []struct {
+		hint time.Duration
+		want string
+	}{
+		{0, "1"},
+		{time.Nanosecond, "1"},
+		{time.Second, "1"},
+		{2500 * time.Millisecond, "3"},
+	} {
+		rec := httptest.NewRecorder()
+		Refuse(rec, http.StatusTooManyRequests, "slow down", c.hint)
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("hint %v: status %d, want 429", c.hint, rec.Code)
+		}
+		if got := rec.Header().Get("Retry-After"); got != c.want {
+			t.Fatalf("hint %v: Retry-After = %q, want %q", c.hint, got, c.want)
+		}
+	}
+}
+
+// TestGateShutdown drives Shutdown against a live server: a submission
+// in flight when it starts completes with 200, one arriving during the
+// drain gets 503, and Shutdown returns nil once the server is down.
+func TestGateShutdown(t *testing.T) {
+	release := make(chan struct{})
+	entered := make(chan struct{})
+	g := NewGate(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		close(entered)
+		<-release
+		io.WriteString(w, "done")
+	}), time.Second)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: g}
+	go srv.Serve(ln)
+	url := "http://" + ln.Addr().String() + "/submit"
+
+	inflight := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(url, "text/plain", nil)
+		if err != nil {
+			inflight <- -1
+			return
+		}
+		resp.Body.Close()
+		inflight <- resp.StatusCode
+	}()
+	<-entered
+	shut := make(chan error, 1)
+	go func() { shut <- g.Shutdown(srv, 5*time.Second) }()
+	for !g.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	resp, err := http.Post(url, "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("POST during drain: status %d, want 503", resp.StatusCode)
+	}
+	close(release)
+	if code := <-inflight; code != http.StatusOK {
+		t.Fatalf("in-flight POST: status %d, want 200", code)
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 }
