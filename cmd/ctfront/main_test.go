@@ -10,6 +10,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -25,6 +26,7 @@ import (
 	"ctrise/internal/ctfront"
 	"ctrise/internal/ctlog"
 	"ctrise/internal/merkle"
+	"ctrise/internal/metrics"
 	"ctrise/internal/sct"
 )
 
@@ -236,12 +238,43 @@ func TestDeploymentTwoLogsBehindFront(t *testing.T) {
 				t.Fatalf("%s: get-entries serves cert %d at indexes %v, want exactly [%d]", l.name, i, got, index)
 			}
 		}
+
+		// The log's own scrape agrees: everything acked is published,
+		// nothing is left staged, and the store is healthy.
+		scrape := scrapeMetrics(t, l.proc.base)
+		for _, line := range []string{
+			fmt.Sprintf("ctlog_sth_tree_size %d", certs),
+			"ctlog_staged_entries 0",
+			"ctlog_store_failed 0",
+		} {
+			if !strings.Contains(scrape, "\n"+line+"\n") {
+				t.Fatalf("%s: /metrics lacks %q:\n%s", l.name, line, scrape)
+			}
+		}
 	}
 
 	front.stop(t)
 	for _, l := range logs {
 		l.proc.stop(t)
 	}
+}
+
+// scrapeMetrics fetches base's GET /metrics and returns the body.
+func scrapeMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != metrics.ContentType {
+		t.Fatalf("GET %s/metrics: %s, Content-Type %q\n%s", base, resp.Status, resp.Header.Get("Content-Type"), body)
+	}
+	return string(body)
 }
 
 // submitBundle posts cert to the frontend's add-chain and checks the

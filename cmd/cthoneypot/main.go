@@ -11,7 +11,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	"ctrise/internal/asn"
@@ -20,37 +22,55 @@ import (
 )
 
 func main() {
-	seed := flag.Int64("seed", 2018, "simulation seed")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run renders the experiment's report to stdout. A flag error exits the
+// process with status 2, as the flag package does for main.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("cthoneypot", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Int64("seed", 2018, "simulation seed")
+	fs.Parse(args)
 
 	res, err := honeypot.RunExperiment(*seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	t4 := &experiments.Table4Result{Rows: res.Rows, Honeypot: res.Honeypot}
-	fmt.Println(t4.RenderTable4())
+	fmt.Fprintln(stdout, t4.RenderTable4())
 
-	fmt.Println("EDNS Client Subnet usage (reveals clients behind Google Public DNS):")
+	fmt.Fprintln(stdout, "EDNS Client Subnet usage (reveals clients behind Google Public DNS):")
 	ecs := res.Honeypot.ECSStats()
 	for _, kv := range ecs.TopK(ecs.Len()) {
-		fmt.Printf("  %-18s %d queries\n", kv.Key, kv.Count)
+		fmt.Fprintf(stdout, "  %-18s %d queries\n", kv.Key, kv.Count)
 	}
 
-	fmt.Println("\nPort scans (SYN probes per source AS):")
+	fmt.Fprintln(stdout, "\nPort scans (SYN probes per source AS):")
 	scans := res.Honeypot.PortScanStats()
 	var ases []uint32
 	for as := range scans {
 		ases = append(ases, as)
 	}
-	sort.Slice(ases, func(i, j int) bool { return len(scans[ases[i]]) > len(scans[ases[j]]) })
+	// Most ports first; equal counts by AS number, so the report is the
+	// same on every run despite the map's iteration order.
+	sort.Slice(ases, func(i, j int) bool {
+		if ni, nj := len(scans[ases[i]]), len(scans[ases[j]]); ni != nj {
+			return ni > nj
+		}
+		return ases[i] < ases[j]
+	})
 	reg := asn.DefaultRegistry()
 	for _, as := range ases {
 		name := fmt.Sprintf("AS%d", as)
 		if a := reg.AS(as); a != nil {
 			name = a.String()
 		}
-		fmt.Printf("  %-28s %d distinct ports\n", name, len(scans[as]))
+		fmt.Fprintf(stdout, "  %-28s %d distinct ports\n", name, len(scans[as]))
 	}
-	fmt.Printf("\ninbound packets to unique IPv6 addresses: %d (CA validation filtered)\n",
+	fmt.Fprintf(stdout, "\ninbound packets to unique IPv6 addresses: %d (CA validation filtered)\n",
 		res.Honeypot.IPv6Contacts())
+	return nil
 }

@@ -37,8 +37,19 @@
 // while in-flight ones finish — bounded by -drain-timeout — then the
 // sequencer's final sequence+publish lands and a full snapshot is
 // written so the next start recovers without replaying the WAL tail.
-// Reads (get-sth, get-entries, proofs) stay served throughout the
-// drain so monitors can watch the restart.
+// Reads (get-sth, get-entries, proofs, /metrics) stay served throughout
+// the drain so monitors can watch the restart.
+//
+// GET /metrics serves the log's state in the Prometheus text format, so
+// a log falling behind its MMD (as Nimbus did under load) is visible
+// from outside: sequenced tree size (ctlog_tree_size), published head
+// size and age (ctlog_sth_tree_size, ctlog_sth_age_seconds), staged
+// submissions and how long the oldest has waited for its merge
+// (ctlog_staged_entries, ctlog_oldest_staged_age_seconds), capacity
+// refusals (ctlog_rejected_total), entries sealed into tiles
+// (ctlog_sealed_entries), the tile page cache's hits, misses, evictions,
+// pages and bytes (ctlog_page_cache_*), and ctlog_store_failed, 1 once
+// the durable store has failed and refuses writes.
 package main
 
 import (
@@ -61,6 +72,7 @@ import (
 	"ctrise/internal/ctlog"
 	"ctrise/internal/ctlog/storage"
 	"ctrise/internal/drain"
+	"ctrise/internal/metrics"
 	"ctrise/internal/sct"
 )
 
@@ -112,6 +124,7 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.Handle("/ct/v1/", l.Handler())
+	mux.Handle("GET /metrics", metrics.Handler(l.WriteMetrics))
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "%s (%s)\nlog id: %s\ntree size: %d (staged: %d)\n",
 			l.Name(), l.Operator(), l.LogID(), l.TreeSize(), l.PendingCount())

@@ -1,9 +1,9 @@
 package auditor
 
 import (
-	"fmt"
 	"net/http"
-	"strings"
+
+	"ctrise/internal/metrics"
 )
 
 // MetricsHandler serves the auditor's counters in the Prometheus text
@@ -13,17 +13,12 @@ import (
 // scrape sees stable series).
 func (a *Auditor) MetricsHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		var b strings.Builder
-		a.writeMetrics(&b)
-		w.Write([]byte(b.String()))
-	})
+	mux.Handle("GET /metrics", metrics.Handler(a.writeMetrics))
 	return mux
 }
 
-// writeMetrics renders every metric family with its HELP/TYPE header.
-func (a *Auditor) writeMetrics(b *strings.Builder) {
+// writeMetrics renders every metric family.
+func (a *Auditor) writeMetrics(w *metrics.Writer) {
 	type gauge struct {
 		name, help, typ string
 		value           func(la *logAuditor) uint64
@@ -58,16 +53,16 @@ func (a *Auditor) writeMetrics(b *strings.Builder) {
 			func(la *logAuditor) uint64 { return la.spotChecks }},
 	}
 	for _, fam := range families {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.typ)
+		w.Family(fam.name, fam.help, fam.typ)
 		for _, name := range a.names {
 			la := a.logs[name]
 			la.mu.Lock()
 			v := fam.value(la)
 			la.mu.Unlock()
-			fmt.Fprintf(b, "%s{log=%q} %d\n", fam.name, name, v)
+			w.Uint(fam.name, v, "log", name)
 		}
 	}
-	fmt.Fprintf(b, "# HELP ctaudit_alerts_total Deduplicated misbehavior alerts per log and class.\n# TYPE ctaudit_alerts_total counter\n")
+	w.Family("ctaudit_alerts_total", "Deduplicated misbehavior alerts per log and class.", "counter")
 	for _, name := range a.names {
 		la := a.logs[name]
 		la.mu.Lock()
@@ -77,7 +72,7 @@ func (a *Auditor) writeMetrics(b *strings.Builder) {
 		}
 		la.mu.Unlock()
 		for _, class := range Classes {
-			fmt.Fprintf(b, "ctaudit_alerts_total{log=%q,class=%q} %d\n", name, class, counts[class])
+			w.Uint("ctaudit_alerts_total", counts[class], "log", name, "class", string(class))
 		}
 	}
 }

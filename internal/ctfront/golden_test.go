@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ctrise/internal/metrics"
 	"ctrise/internal/sct"
 )
 
@@ -39,7 +40,7 @@ func TestTamperedSCTCountersGolden(t *testing.T) {
 	}
 	f.CommitWeights()
 
-	var b strings.Builder
+	var b metrics.Writer
 	f.writeMetrics(&b)
 	got := b.String()
 

@@ -10,6 +10,7 @@ import (
 
 	"ctrise/internal/ctlog"
 	"ctrise/internal/drain"
+	"ctrise/internal/metrics"
 	"ctrise/internal/policy"
 )
 
@@ -56,7 +57,7 @@ type BackendHealthResponse struct {
 // Handler returns the frontend's HTTP surface, built once per Frontend:
 // POST /ctfront/v1/add-chain and /ctfront/v1/add-pre-chain (admission-
 // controlled), GET /ctfront/v1/health, and GET /metrics (Prometheus
-// text, internal/auditor's format). The whole chain sits behind a drain
+// text, written by internal/metrics). The whole chain sits behind a drain
 // gate: after BeginDrain, new submissions get 503 + Retry-After while
 // in-flight ones finish, and the reads stay available so a rolling
 // restart can be watched from outside.
@@ -66,7 +67,7 @@ func (f *Frontend) Handler() http.Handler {
 		mux.HandleFunc("POST /ctfront/v1/add-chain", f.withAdmission(f.handleAddChain))
 		mux.HandleFunc("POST /ctfront/v1/add-pre-chain", f.withAdmission(f.handleAddPreChain))
 		mux.HandleFunc("GET /ctfront/v1/health", f.handleHealth)
-		mux.HandleFunc("GET /metrics", f.handleMetrics)
+		mux.Handle("GET /metrics", metrics.Handler(f.writeMetrics))
 		f.gate = drain.NewGate(mux, f.cfg.RetryAfter)
 		f.handler = f.gate
 	})

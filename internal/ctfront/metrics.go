@@ -1,75 +1,61 @@
 package ctfront
 
-import (
-	"fmt"
-	"net/http"
-	"strings"
-)
+import "ctrise/internal/metrics"
 
-// handleMetrics serves the frontend's counters in the Prometheus text
-// exposition format — the same format internal/auditor exports — so one
-// scrape config covers the whole ecosystem: per-backend routing and
-// health state, SCT verification failures, and the admission
-// controller's shed counters (every shed reason emitted, zeros
-// included, for stable series).
-func (f *Frontend) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var b strings.Builder
-	f.writeMetrics(&b)
-	w.Write([]byte(b.String()))
-}
-
-// writeMetrics renders every metric family with its HELP/TYPE header.
-func (f *Frontend) writeMetrics(b *strings.Builder) {
+// writeMetrics renders the frontend's counters for GET /metrics:
+// per-backend routing and health state, SCT verification failures, and
+// the admission controller's shed counters (every shed reason emitted,
+// zeros included, for stable series).
+func (f *Frontend) writeMetrics(w *metrics.Writer) {
 	health := f.Health()
 	type family struct {
 		name, help, typ string
-		value           func(h BackendHealth) int64
+		value           func(h BackendHealth) uint64
 	}
 	families := []family{
 		{"ctfront_backend_successes_total", "Verified SCTs collected per backend.", "counter",
-			func(h BackendHealth) int64 { return int64(h.Successes) }},
+			func(h BackendHealth) uint64 { return h.Successes }},
 		{"ctfront_backend_failures_total", "Failed submissions per backend (transport errors, timeouts, bad SCTs).", "counter",
-			func(h BackendHealth) int64 { return int64(h.Failures) }},
+			func(h BackendHealth) uint64 { return h.Failures }},
 		{"ctfront_backend_bad_scts_total", "SCTs rejected by signature verification per backend.", "counter",
-			func(h BackendHealth) int64 { return int64(h.BadSCTs) }},
+			func(h BackendHealth) uint64 { return h.BadSCTs }},
 		{"ctfront_backend_hedged_total", "Times a backend was presumed slow and hedged against.", "counter",
-			func(h BackendHealth) int64 { return int64(h.Hedged) }},
+			func(h BackendHealth) uint64 { return h.Hedged }},
 		{"ctfront_backend_healthy", "Whether the backend is outside its failure backoff (1 = plannable).", "gauge",
-			func(h BackendHealth) int64 { return bool01(h.Healthy) }},
+			func(h BackendHealth) uint64 { return bool01(h.Healthy) }},
 		{"ctfront_backend_verified", "Whether an SCT verifier is configured for the backend.", "gauge",
-			func(h BackendHealth) int64 { return bool01(h.Verified) }},
+			func(h BackendHealth) uint64 { return bool01(h.Verified) }},
 		{"ctfront_backend_weight", "Committed routing weight (lower routes earlier).", "gauge",
-			func(h BackendHealth) int64 { return int64(h.Weight) }},
+			func(h BackendHealth) uint64 { return uint64(h.Weight) }},
 		{"ctfront_backend_consecutive_fails", "Consecutive failures driving the backend's current backoff.", "gauge",
-			func(h BackendHealth) int64 { return int64(h.ConsecutiveFails) }},
+			func(h BackendHealth) uint64 { return uint64(h.ConsecutiveFails) }},
 	}
 	for _, fam := range families {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.typ)
+		w.Family(fam.name, fam.help, fam.typ)
 		for _, h := range health {
-			fmt.Fprintf(b, "%s{backend=%q} %d\n", fam.name, h.Name, fam.value(h))
+			w.Uint(fam.name, fam.value(h), "backend", h.Name)
 		}
 	}
 
 	stats := f.AdmissionStats()
-	fmt.Fprintf(b, "# HELP ctfront_admitted_total HTTP submissions admitted to the fan-out engine.\n# TYPE ctfront_admitted_total counter\n")
-	fmt.Fprintf(b, "ctfront_admitted_total %d\n", stats.Admitted)
-	fmt.Fprintf(b, "# HELP ctfront_shed_total HTTP submissions refused, by admission mechanism.\n# TYPE ctfront_shed_total counter\n")
-	fmt.Fprintf(b, "ctfront_shed_total{reason=\"inflight\"} %d\n", stats.ShedInflight)
-	fmt.Fprintf(b, "ctfront_shed_total{reason=\"rate_global\"} %d\n", stats.ShedGlobalRate)
-	fmt.Fprintf(b, "ctfront_shed_total{reason=\"rate_client\"} %d\n", stats.ShedClientRate)
-	fmt.Fprintf(b, "ctfront_shed_total{reason=\"drain\"} %d\n", stats.ShedDraining)
+	w.Family("ctfront_admitted_total", "HTTP submissions admitted to the fan-out engine.", "counter")
+	w.Uint("ctfront_admitted_total", stats.Admitted)
+	w.Family("ctfront_shed_total", "HTTP submissions refused, by admission mechanism.", "counter")
+	w.Uint("ctfront_shed_total", stats.ShedInflight, "reason", "inflight")
+	w.Uint("ctfront_shed_total", stats.ShedGlobalRate, "reason", "rate_global")
+	w.Uint("ctfront_shed_total", stats.ShedClientRate, "reason", "rate_client")
+	w.Uint("ctfront_shed_total", stats.ShedDraining, "reason", "drain")
 	if stats.Inflight >= 0 {
-		fmt.Fprintf(b, "# HELP ctfront_inflight HTTP submissions currently executing.\n# TYPE ctfront_inflight gauge\n")
-		fmt.Fprintf(b, "ctfront_inflight %d\n", stats.Inflight)
+		w.Family("ctfront_inflight", "HTTP submissions currently executing.", "gauge")
+		w.Uint("ctfront_inflight", uint64(stats.Inflight))
 	}
-	fmt.Fprintf(b, "# HELP ctfront_draining Whether the drain gate is refusing new submissions.\n# TYPE ctfront_draining gauge\n")
-	fmt.Fprintf(b, "ctfront_draining %d\n", bool01(f.drainGate().Draining()))
-	fmt.Fprintf(b, "# HELP ctfront_weight_commits_total CommitWeights runs folding load observations into routing.\n# TYPE ctfront_weight_commits_total counter\n")
-	fmt.Fprintf(b, "ctfront_weight_commits_total %d\n", f.WeightCommits())
+	w.Family("ctfront_draining", "Whether the drain gate is refusing new submissions.", "gauge")
+	w.Uint("ctfront_draining", bool01(f.drainGate().Draining()))
+	w.Family("ctfront_weight_commits_total", "CommitWeights runs folding load observations into routing.", "counter")
+	w.Uint("ctfront_weight_commits_total", f.WeightCommits())
 }
 
-func bool01(v bool) int64 {
+func bool01(v bool) uint64 {
 	if v {
 		return 1
 	}

@@ -1,0 +1,50 @@
+package ctlog
+
+import "ctrise/internal/metrics"
+
+// WriteMetrics renders the log's state for GET /metrics: how far
+// sequencing and publication have got, how much is staged and for how
+// long (a log falling behind its MMD shows here first), what overload
+// refused, what is sealed into tiles and how the tile page cache
+// serves it, and whether the store has failed. It reads the log's own
+// fields at scrape time and adds nothing to the add path.
+func (l *Log) WriteMetrics(w *metrics.Writer) {
+	now := l.cfg.Clock().UnixMilli()
+	l.stageMu.Lock()
+	staged, rejected := len(l.staged), l.rejected
+	oldest := now
+	if staged > 0 {
+		oldest = int64(l.staged[0].Timestamp)
+	}
+	l.stageMu.Unlock()
+	sth := l.STH().TreeHead
+	cache := l.CacheStats()
+	var storeFailed uint64
+	if l.store != nil && l.store.Err() != nil {
+		storeFailed = 1
+	}
+
+	for _, fam := range []struct {
+		name, help, typ string
+		value           uint64
+	}{
+		{"ctlog_tree_size", "Entries sequenced into the Merkle tree (the published head may trail it).", "gauge", l.TreeSize()},
+		{"ctlog_sth_tree_size", "Tree size of the latest published signed tree head.", "gauge", sth.TreeSize},
+		{"ctlog_staged_entries", "Accepted submissions holding an SCT but not yet sequenced.", "gauge", uint64(staged)},
+		{"ctlog_rejected_total", "Submissions refused because the log was over capacity.", "counter", rejected},
+		{"ctlog_sealed_entries", "Published entries sealed into immutable tiles.", "gauge", l.TiledThrough()},
+		{"ctlog_page_cache_hits_total", "Tile page-cache hits.", "counter", cache.Hits},
+		{"ctlog_page_cache_misses_total", "Tile page-cache misses (tile page-ins).", "counter", cache.Misses},
+		{"ctlog_page_cache_evictions_total", "Tile pages evicted to stay within the cache budget.", "counter", cache.Evictions},
+		{"ctlog_page_cache_pages", "Tile pages held in the page cache.", "gauge", uint64(cache.Pages)},
+		{"ctlog_page_cache_bytes", "Bytes the page cache charges for the pages it holds.", "gauge", uint64(cache.Used)},
+		{"ctlog_store_failed", "Whether the durable store has failed and refuses writes (1 = failed).", "gauge", storeFailed},
+	} {
+		w.Family(fam.name, fam.help, fam.typ)
+		w.Uint(fam.name, fam.value)
+	}
+	w.Family("ctlog_sth_age_seconds", "Time since the latest published signed tree head was signed.", "gauge")
+	w.Float("ctlog_sth_age_seconds", float64(now-int64(sth.Timestamp))/1000)
+	w.Family("ctlog_oldest_staged_age_seconds", "Time the oldest staged submission has waited since its SCT (0 when none is staged).", "gauge")
+	w.Float("ctlog_oldest_staged_age_seconds", float64(now-oldest)/1000)
+}

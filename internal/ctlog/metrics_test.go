@@ -1,0 +1,152 @@
+package ctlog
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"ctrise/internal/metrics"
+)
+
+// scrapeLog renders l's metrics and returns each sample's value by
+// series name.
+func scrapeLog(l *Log) map[string]string {
+	var w metrics.Writer
+	l.WriteMetrics(&w)
+	got := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSuffix(w.String(), "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			name, value, _ := strings.Cut(line, " ")
+			got[name] = value
+		}
+	}
+	return got
+}
+
+func wantSamples(t *testing.T, l *Log, want map[string]string) {
+	t.Helper()
+	got := scrapeLog(l)
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("%s = %q, want %q (scrape %v)", name, got[name], v, got)
+		}
+	}
+}
+
+// A staged backlog and its age are what a log falling behind its MMD
+// looks like from outside: three adds left unsequenced for 90 s read
+// staged 3, oldest 90 s; sequencing and publishing clear both.
+func TestMetricsStagedBacklogAndRejections(t *testing.T) {
+	l, clk := newTestLog(t, Config{CapacityPerSecond: 3})
+	got := scrapeLog(l)
+	for _, name := range []string{
+		"ctlog_tree_size", "ctlog_sth_tree_size", "ctlog_sth_age_seconds",
+		"ctlog_staged_entries", "ctlog_oldest_staged_age_seconds",
+		"ctlog_rejected_total", "ctlog_sealed_entries",
+		"ctlog_page_cache_hits_total", "ctlog_page_cache_misses_total",
+		"ctlog_page_cache_evictions_total", "ctlog_page_cache_pages",
+		"ctlog_page_cache_bytes", "ctlog_store_failed",
+	} {
+		if got[name] != "0" {
+			t.Errorf("fresh log: %s = %q, want \"0\"", name, got[name])
+		}
+	}
+	if len(got) != 13 {
+		t.Errorf("fresh log serves %d series, want 13: %v", len(got), got)
+	}
+
+	for i := 0; i < 3; i++ {
+		if _, err := l.AddChain([]byte(fmt.Sprintf("backlog-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(90 * time.Second)
+	wantSamples(t, l, map[string]string{
+		"ctlog_staged_entries":            "3",
+		"ctlog_oldest_staged_age_seconds": "90",
+		"ctlog_tree_size":                 "0",
+		"ctlog_sth_tree_size":             "0",
+		"ctlog_sth_age_seconds":           "90",
+	})
+
+	if _, err := l.Sequence(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.PublishSTH(); err != nil {
+		t.Fatal(err)
+	}
+	wantSamples(t, l, map[string]string{
+		"ctlog_staged_entries":            "0",
+		"ctlog_oldest_staged_age_seconds": "0",
+		"ctlog_tree_size":                 "3",
+		"ctlog_sth_tree_size":             "3",
+		"ctlog_sth_age_seconds":           "0",
+		"ctlog_rejected_total":            "0",
+	})
+
+	// The bucket refilled to its burst of 3 during the 90 s; a fourth add
+	// in the same instant is refused.
+	for i := 0; i < 4; i++ {
+		_, err := l.AddChain([]byte(fmt.Sprintf("burst-%d", i)))
+		if (i == 3) != errors.Is(err, ErrOverloaded) {
+			t.Fatalf("burst add %d: %v", i, err)
+		}
+	}
+	clk.Advance(1500 * time.Millisecond)
+	wantSamples(t, l, map[string]string{
+		"ctlog_rejected_total":            "1",
+		"ctlog_staged_entries":            "3",
+		"ctlog_oldest_staged_age_seconds": "1.5",
+	})
+}
+
+// On a durable log the seal, the page cache and the store show: a span-2
+// log sealing two tiles, read back through a cache that holds one leaf
+// page, moves every cache counter; a sticky store failure reads 1.
+func TestMetricsSealedCacheAndStoreFailure(t *testing.T) {
+	// sealed fills a fresh span-2 log with five entries (tiles 0 and 1
+	// sealed, one entry resident) and reads tile 0 twice.
+	sealed := func(pageCache int64) *Log {
+		l, clk := newDurableLog(t, t.TempDir(), Config{TileSpan: 2, PageCacheBytes: pageCache})
+		fillAndPublish(t, l, clk, "metrics", 5)
+		for i := 0; i < 2; i++ {
+			if _, err := l.GetEntries(0, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return l
+	}
+	l := sealed(0)
+	page := l.CacheStats().Used
+	if page <= 0 {
+		t.Fatalf("one cached leaf page charges %d bytes", page)
+	}
+	wantSamples(t, l, map[string]string{
+		"ctlog_sth_tree_size":              "5",
+		"ctlog_sealed_entries":             "4",
+		"ctlog_page_cache_misses_total":    "1",
+		"ctlog_page_cache_hits_total":      "1",
+		"ctlog_page_cache_evictions_total": "0",
+		"ctlog_page_cache_pages":           "1",
+		"ctlog_page_cache_bytes":           fmt.Sprint(page),
+		"ctlog_store_failed":               "0",
+	})
+	l.store.Close() // sticky failure: the store refuses all further writes
+	wantSamples(t, l, map[string]string{"ctlog_store_failed": "1"})
+
+	// The same entries under a budget of one and a half pages: tile 1's
+	// page evicts tile 0's.
+	small := sealed(page * 3 / 2)
+	defer small.Close()
+	if _, err := small.GetEntries(2, 3); err != nil {
+		t.Fatal(err)
+	}
+	wantSamples(t, small, map[string]string{
+		"ctlog_page_cache_misses_total":    "2",
+		"ctlog_page_cache_evictions_total": "1",
+		"ctlog_page_cache_pages":           "1",
+		"ctlog_page_cache_bytes":           fmt.Sprint(page),
+	})
+}
