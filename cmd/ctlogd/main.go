@@ -61,6 +61,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"net/http"
 	"os"
@@ -210,11 +211,11 @@ func sequencerExitDirty(err error) bool {
 // + directory entry, or a power loss orphans every fsynced record) AND
 // exclusive (two racing first-starts must converge on ONE key — a
 // last-rename-wins overwrite would leave the survivor signing with a
-// key that is not the one on disk, bricking the next restart). The
-// hard link gives both: link(2) fails with EEXIST if someone else won,
-// in which case their key is adopted.
+// key that is not the one on disk, bricking the next restart).
+// storage.WriteFileExclusive gives both: it fails with fs.ErrExist if
+// someone else won, in which case their key is adopted.
 func loadOrCreateSigner(dir string) (*sct.Signer, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := storage.MkdirDurable(dir); err != nil {
 		return nil, err
 	}
 	path := filepath.Join(dir, "key.der")
@@ -242,36 +243,11 @@ func loadOrCreateSigner(dir string) (*sct.Signer, error) {
 	if err != nil {
 		return nil, err
 	}
-	tmp, err := os.CreateTemp(dir, "key.der.tmp*")
-	if err != nil {
-		return nil, err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if err := tmp.Chmod(0o600); err != nil {
-		tmp.Close()
-		return nil, err
-	}
-	if _, err := tmp.Write(der); err != nil {
-		tmp.Close()
-		return nil, err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return nil, err
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, err
-	}
-	if err := os.Link(tmpName, path); err != nil {
-		if os.IsExist(err) {
-			// Lost the creation race: the other process's key is the
-			// log's identity now; use it.
-			return read()
-		}
-		return nil, err
-	}
-	if err := storage.SyncDir(dir); err != nil {
+	if err := storage.WriteFileExclusive(path, der); errors.Is(err, fs.ErrExist) {
+		// Lost the creation race: the other process's key is the log's
+		// identity now; use it.
+		return read()
+	} else if err != nil {
 		return nil, err
 	}
 	return sct.NewSignerFromKey(priv), nil

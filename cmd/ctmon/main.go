@@ -24,6 +24,10 @@
 //	keyfile:PATH     file containing the DER PKIX key (e.g. written by
 //	                 ctlogd's key bootstrap)
 //
+// -state-dir holds one chain file per log (named after the log, so two
+// -log names that map to the same file are refused). One ctmon per
+// -state-dir: a second one exits with storage's lock error.
+//
 // -addr serves GET /metrics (Prometheus text format: per-log verified
 // tree size, lag, throughput, and per-class alert counters) and
 // GET /gossip/v1/sths (this auditor's verified heads, for peers). Each

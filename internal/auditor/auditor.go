@@ -17,7 +17,7 @@
 // behind a flaky network audits clean.
 //
 // The verified-STH chain and the entry-consumption cursor are persisted
-// per log via the internal/ctlog/storage record codec, so a restarted
+// per log in a storage.AppendLog (the WAL's code), so a restarted
 // auditor resumes from its durable verification frontier: it re-alerts
 // on nothing it already verified, re-streams no audited entries, and
 // still catches a fork or rollback that spans the restart.
@@ -28,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -36,6 +35,7 @@ import (
 
 	"ctrise/internal/ctclient"
 	"ctrise/internal/ctlog"
+	"ctrise/internal/ctlog/storage"
 	"ctrise/internal/merkle"
 	"ctrise/internal/sct"
 )
@@ -64,7 +64,9 @@ type Config struct {
 	// gossip output.
 	Logs []LogConfig
 	// StateDir, when non-empty, persists each log's verified-STH chain
-	// and entry cursor so restarts resume instead of re-verifying.
+	// and entry cursor so restarts resume instead of re-verifying. One
+	// auditor at a time: a second one on a held dir gets
+	// storage.ErrLocked.
 	StateDir string
 	// SpotCheckEvery samples every Nth streamed entry for an inclusion
 	// proof check (at most maxSpotChecksPerPoll per poll). 0 defaults to
@@ -99,7 +101,9 @@ type Auditor struct {
 
 // New builds an Auditor and, when Config.StateDir is set, loads each
 // log's persisted chain, seeding the monitors with their durable
-// verification frontier.
+// verification frontier. Two logs whose names map to one chain file
+// name (storage.SafeName: "Argon 2018" and "argon-2018") are refused,
+// with or without a state dir.
 func New(cfg Config) (*Auditor, error) {
 	if len(cfg.Logs) == 0 {
 		return nil, errors.New("auditor: no logs configured")
@@ -110,12 +114,9 @@ func New(cfg Config) (*Auditor, error) {
 	if cfg.SpotCheckEvery == 0 {
 		cfg.SpotCheckEvery = 8
 	}
-	if cfg.StateDir != "" {
-		if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
-			return nil, fmt.Errorf("auditor: creating state dir: %w", err)
-		}
-	}
-	a := &Auditor{cfg: cfg, logs: make(map[string]*logAuditor, len(cfg.Logs))}
+	// Each log's chain file is named after the log; two names that map
+	// to one file would share (and corrupt) one chain.
+	files := make(map[string]string, len(cfg.Logs))
 	for _, lc := range cfg.Logs {
 		if lc.Name == "" || lc.Client == nil {
 			return nil, errors.New("auditor: log config needs a name and a client")
@@ -123,9 +124,19 @@ func New(cfg Config) (*Auditor, error) {
 		if lc.Client.Verifier == nil {
 			return nil, fmt.Errorf("auditor: log %q has no verifier; audits must be cryptographic", lc.Name)
 		}
-		if _, dup := a.logs[lc.Name]; dup {
-			return nil, fmt.Errorf("auditor: duplicate log %q", lc.Name)
+		file := chainFileName(lc.Name)
+		if prev, dup := files[file]; dup {
+			return nil, fmt.Errorf("auditor: logs %q and %q share the chain file name %s", prev, lc.Name, file)
 		}
+		files[file] = lc.Name
+	}
+	if cfg.StateDir != "" {
+		if err := storage.MkdirDurable(cfg.StateDir); err != nil {
+			return nil, fmt.Errorf("auditor: %w", err)
+		}
+	}
+	a := &Auditor{cfg: cfg, logs: make(map[string]*logAuditor, len(cfg.Logs))}
+	for _, lc := range cfg.Logs {
 		la := &logAuditor{
 			a:            a,
 			name:         lc.Name,
@@ -143,7 +154,7 @@ func New(cfg Config) (*Auditor, error) {
 			ch, err := openChain(filepath.Join(cfg.StateDir, chainFileName(lc.Name)))
 			if err != nil {
 				a.Close()
-				return nil, err
+				return nil, fmt.Errorf("auditor: log %q: %w", lc.Name, err)
 			}
 			la.ch = ch
 			if ch.last != nil {
@@ -170,7 +181,7 @@ func (a *Auditor) Close() error {
 		la := a.logs[name]
 		la.mu.Lock()
 		if la.ch != nil {
-			if err := la.ch.close(); err != nil && firstErr == nil {
+			if err := la.ch.log.Close(); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}

@@ -1,10 +1,13 @@
 package auditor_test
 
 import (
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -293,5 +296,97 @@ func TestChainSurvivesTornTail(t *testing.T) {
 	pollClean(t, a2)
 	if got, _ := a2.VerifiedSTH(logName); got.TreeHead.TreeSize != 5 {
 		t.Fatalf("post-recovery poll verified size %d, want 5", got.TreeHead.TreeSize)
+	}
+}
+
+// TestAuditorStateDirSingleWriter: one auditor per state dir. A second
+// auditor on a dir a live one holds is refused with storage.ErrLocked —
+// two writers appending to one chain file overwrite each other's
+// records — and the dir opens again once the holder has closed.
+func TestAuditorStateDirSingleWriter(t *testing.T) {
+	w := newChaosWorld(t, 3)
+	stateDir := t.TempDir()
+	a1 := w.NewAuditor(stateDir, nil)
+	pollClean(t, a1)
+
+	client := ctclient.New(w.srv.URL, sct.NewFastVerifier(logName))
+	cfg := auditor.Config{
+		Logs:     []auditor.LogConfig{{Name: logName, Client: client}},
+		StateDir: stateDir,
+		Clock:    w.Now,
+	}
+	if a2, err := auditor.New(cfg); !errors.Is(err, storage.ErrLocked) {
+		if err == nil {
+			a2.Close()
+		}
+		t.Fatalf("second auditor on a held state dir: err = %v, want storage.ErrLocked", err)
+	}
+
+	if err := a1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a3, err := auditor.New(cfg)
+	if err != nil {
+		t.Fatalf("reopening after Close: %v", err)
+	}
+	defer a3.Close()
+	if sth, ok := a3.VerifiedSTH(logName); !ok || sth.TreeHead.TreeSize != 3 {
+		t.Fatalf("reopened auditor's verified head = %v (ok=%v), want size 3", sth.TreeHead, ok)
+	}
+}
+
+// TestAuditorRejectsChainNameCollision: two honest logs whose names map
+// to one chain file ("Argon 2018" and "argon-2018" both become
+// argon-2018.audit) are refused by name. Sharing the file, each
+// restarted log would anchor on whichever head was appended last — an
+// honest 9-entry log anchored on the other log's size-3 head is a false
+// fork alert.
+func TestAuditorRejectsChainNameCollision(t *testing.T) {
+	serve := func(name string, entries int) auditor.LogConfig {
+		signer := sct.NewFastSigner(name)
+		l, err := ctlog.New(ctlog.Config{Name: name, Signer: signer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < entries; i++ {
+			if _, err := l.AddChain([]byte(fmt.Sprintf("%s-cert-%d", name, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := l.PublishSTH(); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(l.Handler())
+		t.Cleanup(srv.Close)
+		return auditor.LogConfig{Name: name, Client: ctclient.New(srv.URL, sct.NewFastVerifier(name))}
+	}
+	argonA, argonB := serve("Argon 2018", 3), serve("argon-2018", 9)
+	stateDir := t.TempDir()
+
+	a, err := auditor.New(auditor.Config{Logs: []auditor.LogConfig{argonA, argonB}, StateDir: stateDir})
+	if err == nil {
+		a.Close()
+		t.Fatal("two logs sharing one chain file were accepted")
+	}
+	for _, name := range []string{"Argon 2018", "argon-2018"} {
+		if !strings.Contains(err.Error(), strconv.Quote(name)) {
+			t.Fatalf("collision error %q does not name log %q", err, name)
+		}
+	}
+
+	// Each name alone keeps its own chain and audits clean across a
+	// restart.
+	for _, lc := range []auditor.LogConfig{argonA, argonB} {
+		dir := t.TempDir()
+		for life := 0; life < 2; life++ {
+			a, err := auditor.New(auditor.Config{Logs: []auditor.LogConfig{lc}, StateDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pollClean(t, a)
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

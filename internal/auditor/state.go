@@ -2,102 +2,74 @@ package auditor
 
 import (
 	"fmt"
-	"os"
-	"strings"
 
 	"ctrise/internal/ctlog"
 	"ctrise/internal/ctlog/storage"
 	"ctrise/internal/sct"
 )
 
-// chain is one log's durable verified-STH chain: an append-only file of
-// storage-codec records (AuditMagic header) holding every tree head the
-// auditor cryptographically verified, interleaved with cursor records
+// chain is one log's durable verified-STH chain: a storage.AppendLog
+// (AuditMagic header) holding every tree head the auditor
+// cryptographically verified, interleaved with cursor records
 // recording the entry-consumption frontier. The chain is the auditor's
 // memory across restarts: its head anchors cross-restart fork/rollback
 // detection, and its cursor prevents re-streaming (and re-spot-checking)
 // entries that were already audited.
 //
-// Crash semantics follow the WAL's: on open, the valid record prefix is
-// adopted and any torn tail is truncated away — the worst a crash costs
-// is re-verifying the last un-persisted poll, never a diverged anchor.
+// The chain is the WAL's code: the same flock (one auditor per state
+// dir), durable creation, torn-tail rule and sticky failure. On open the
+// valid record prefix is adopted and any torn tail truncated away — the
+// worst a crash costs is re-verifying the last un-persisted poll, never
+// a diverged anchor.
 type chain struct {
-	path string
-	f    *os.File
+	log *storage.AppendLog
 
 	last   *ctlog.SignedTreeHead // head of the verified chain, nil if empty
 	cursor uint64                // first entry index not yet consumed
-	heads  int                   // number of verified STH records
 }
+
+// chainFileName is the name of a log's chain file in the state dir.
+func chainFileName(logName string) string { return storage.SafeName(logName) + ".audit" }
 
 // openChain opens (or creates) a chain file and replays its valid
 // prefix. A missing file starts an empty chain; a present file with the
-// wrong magic is storage.ErrCorrupt.
+// wrong magic is storage.ErrCorrupt, one held by another auditor
+// storage.ErrLocked.
 func openChain(path string) (*chain, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	log, err := storage.OpenAppendLog(path, storage.AuditMagic)
 	if err != nil {
-		return nil, fmt.Errorf("auditor: opening chain %s: %w", path, err)
+		return nil, err
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("auditor: reading chain %s: %w", path, err)
-	}
-	c := &chain{path: path, f: f}
-	valid := int64(storage.MagicLen)
-	if len(data) < storage.MagicLen {
-		// Fresh (or header-torn) file: write the header and start empty.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("auditor: resetting chain: %w", err)
-		}
-		if _, err := f.WriteAt(storage.AuditMagic, 0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("auditor: writing chain header: %w", err)
-		}
-	} else {
-		for i, b := range storage.AuditMagic {
-			if data[i] != b {
-				f.Close()
-				return nil, fmt.Errorf("%w: bad audit chain magic in %s", storage.ErrCorrupt, path)
-			}
-		}
-		recs, v := storage.ScanRecords(data[storage.MagicLen:])
-		valid = int64(storage.MagicLen + v)
-		for _, rec := range recs {
-			switch rec.Type {
-			case storage.RecordSTH:
-				sth, err := decodeChainSTH(rec.Payload)
-				if err != nil {
-					f.Close()
-					return nil, err
-				}
-				c.last = &sth
-				c.heads++
-			case storage.RecordAuditCursor:
-				cur, err := storage.DecodeAuditCursor(rec.Payload)
-				if err != nil {
-					f.Close()
-					return nil, err
-				}
-				c.cursor = cur
-			default:
-				f.Close()
-				return nil, fmt.Errorf("%w: unexpected record type %d in audit chain", storage.ErrCorrupt, rec.Type)
-			}
-		}
-	}
-	// Truncate crash debris so appends continue from the last valid
-	// record.
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("auditor: truncating chain: %w", err)
-	}
-	if _, err := f.Seek(valid, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("auditor: seeking chain: %w", err)
+	c := &chain{log: log}
+	if err := c.replay(); err != nil {
+		log.Close()
+		return nil, err
 	}
 	return c, nil
+}
+
+// replay folds the records found at open into the chain state, then
+// drops the torn tail so appends continue from the last valid record.
+func (c *chain) replay() error {
+	for _, rec := range c.log.Records() {
+		switch rec.Type {
+		case storage.RecordSTH:
+			sth, err := decodeChainSTH(rec.Payload)
+			if err != nil {
+				return err
+			}
+			c.last = &sth
+		case storage.RecordAuditCursor:
+			cur, err := storage.DecodeAuditCursor(rec.Payload)
+			if err != nil {
+				return err
+			}
+			c.cursor = cur
+		default:
+			return fmt.Errorf("%w: unexpected record type %d in audit chain", storage.ErrCorrupt, rec.Type)
+		}
+	}
+	return c.log.Truncate(c.log.Offset())
 }
 
 // append records one newly verified tree head and the entry cursor after
@@ -108,32 +80,24 @@ func (c *chain) append(sth ctlog.SignedTreeHead, cursor uint64) error {
 	if err != nil {
 		return fmt.Errorf("auditor: serializing chain STH signature: %w", err)
 	}
-	buf := storage.AppendRecord(nil, storage.RecordSTH, storage.EncodeSTH(storage.STHRecord{
+	if _, err := c.log.Append(storage.RecordSTH, storage.EncodeSTH(storage.STHRecord{
 		Timestamp: sth.TreeHead.Timestamp,
 		TreeSize:  sth.TreeHead.TreeSize,
 		Root:      sth.TreeHead.RootHash,
 		Sig:       sig,
-	}))
-	buf = storage.AppendRecord(buf, storage.RecordAuditCursor, storage.EncodeAuditCursor(cursor))
-	if _, err := c.f.Write(buf); err != nil {
-		return fmt.Errorf("auditor: appending chain record: %w", err)
+	})); err != nil {
+		return err
 	}
-	if err := c.f.Sync(); err != nil {
-		return fmt.Errorf("auditor: syncing chain: %w", err)
+	off, err := c.log.Append(storage.RecordAuditCursor, storage.EncodeAuditCursor(cursor))
+	if err != nil {
+		return err
+	}
+	if err := c.log.Barrier(off); err != nil {
+		return err
 	}
 	c.last = &sth
 	c.cursor = cursor
-	c.heads++
 	return nil
-}
-
-func (c *chain) close() error {
-	if c.f == nil {
-		return nil
-	}
-	err := c.f.Close()
-	c.f = nil
-	return err
 }
 
 // decodeChainSTH reverses chain.append's STH encoding back into the
@@ -155,19 +119,4 @@ func decodeChainSTH(payload []byte) (ctlog.SignedTreeHead, error) {
 		},
 		Sig: ds,
 	}, nil
-}
-
-// chainFileName maps a log display name to a filesystem-safe chain file
-// name, mirroring the ecosystem's log directory naming.
-func chainFileName(logName string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			return r
-		case r >= 'A' && r <= 'Z':
-			return r + ('a' - 'A')
-		default:
-			return '-'
-		}
-	}, logName) + ".audit"
 }

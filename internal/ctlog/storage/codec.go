@@ -1,7 +1,10 @@
 // Package storage is the durability layer under the CT log: an
 // append-only, length-prefixed, checksummed write-ahead log for staged
-// submissions plus atomic full-state snapshots, with the torn-tail
-// recovery semantics a crash-safe log needs.
+// submissions plus atomic full-state snapshots and sealed tiles, with
+// the torn-tail recovery semantics a crash-safe log needs. It is the
+// only package that creates, writes, links or fsyncs durable state:
+// the auditor's verified-STH chains are AppendLogs like the WAL, and
+// ctlogd's signing key is created with WriteFileExclusive.
 //
 // # Codec
 //
@@ -13,8 +16,11 @@
 // The CRC (Castagnoli) covers type, length, and payload, so a flipped
 // bit anywhere in a record is detected, and a record length can never
 // send the reader off into garbage unnoticed. The same framing carries
-// the WAL (entry / seal / STH / unstage records), the snapshot file, and
-// the ecosystem harvest checkpoints — one codec, three consumers.
+// the WAL (entry / seal / STH / unstage records), the snapshot file, the
+// sealed tile files, the ecosystem harvest checkpoints and the
+// auditor's verified-STH chains — one codec, five consumers. The two
+// append-only ones, the WAL and the audit chains, share one
+// implementation too: AppendLog.
 //
 // # Recovery semantics
 //
@@ -23,9 +29,13 @@
 // first torn or corrupt one, plus the byte offset where validity ends. A
 // crash mid-append therefore costs exactly the unacknowledged tail;
 // anything before the valid end is replayed, anything after is
-// discarded (the WAL truncates to the valid end on open). Semantic
-// divergence — a seal or STH that does not match the replayed tree — is
-// the caller's (ctlog's) job to detect and fail loudly on.
+// discarded. OpenAppendLog finds the valid end but leaves the tail in
+// place; its owner cuts it with AppendLog.Truncate before the first
+// append — the store in CommitRecovery or ResetWAL, once recovery has
+// decided whether a snapshot covers more, the audit chain right at
+// open. Semantic divergence — a seal or STH that does not match the
+// replayed tree — is the caller's (ctlog's) job to detect and fail
+// loudly on.
 package storage
 
 import (
@@ -187,22 +197,12 @@ func ScanRecords(data []byte) (recs []Record, valid int) {
 	return recs, off
 }
 
-// DecodeWAL validates a WAL image: magic header plus record stream. It
-// returns the valid records and the byte offset (including the header)
-// where the valid prefix ends. A missing or wrong magic is ErrCorrupt —
-// the file is not a WAL at all — while a torn record stream is normal
-// crash debris and only shortens the prefix.
+// DecodeWAL validates a WAL image: the AppendLog decoder with the WAL
+// magic. It returns the valid records and the byte offset (including
+// the header) where the valid prefix ends; a missing or wrong magic is
+// ErrCorrupt, a torn record stream only shortens the prefix.
 func DecodeWAL(data []byte) ([]Record, int, error) {
-	if len(data) < MagicLen {
-		return nil, 0, fmt.Errorf("%w: short WAL header", ErrCorrupt)
-	}
-	for i, b := range WALMagic {
-		if data[i] != b {
-			return nil, 0, fmt.Errorf("%w: bad WAL magic", ErrCorrupt)
-		}
-	}
-	recs, valid := ScanRecords(data[MagicLen:])
-	return recs, MagicLen + valid, nil
+	return decodeAppendLog(data, WALMagic)
 }
 
 // SealRecord is the decoded form of RecordSeal.

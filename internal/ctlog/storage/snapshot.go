@@ -203,37 +203,77 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 // WriteFileAtomic writes data to path via a temp file in the same
 // directory, fsyncing the file before the rename and the directory
 // after, so a crash leaves either the old file or the new one — never a
-// torn mix. It is shared by snapshots and harvest checkpoints.
+// torn mix. It is shared by snapshots, tiles and harvest checkpoints.
 func WriteFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	tmp, err := writeTemp(path, data)
 	if err != nil {
-		return fmt.Errorf("storage: creating temp file: %w", err)
+		return err
 	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: writing %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: syncing %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("storage: closing %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("storage: renaming snapshot: %w", err)
+	defer os.Remove(tmp) // no-op after a successful rename
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("storage: renaming %s: %w", tmp, err)
 	}
 	// Sync the directory so the rename itself survives a crash.
-	return SyncDir(dir)
+	return syncDir(filepath.Dir(path))
 }
 
-// SyncDir fsyncs a directory, making the entries it holds (creations,
-// links, and renames) durable. Exported for callers that persist their
-// own files beside a store (cmd/ctlogd's signing key).
-func SyncDir(dir string) error {
+// WriteFileExclusive durably creates path holding data, unless path
+// already exists: then it fails with an error matching fs.ErrExist and
+// leaves the existing file alone. The file is written and fsynced under
+// a temp name, hard-linked into place (link(2) refuses an existing
+// name, so racing creators converge on one file) and the directory is
+// fsynced. Like every file the temp-file writers create, it has mode
+// 0600. cmd/ctlogd creates its signing key with it.
+func WriteFileExclusive(path string, data []byte) error {
+	tmp, err := writeTemp(path, data)
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp)
+	if err := os.Link(tmp, path); err != nil {
+		return fmt.Errorf("storage: creating %s: %w", path, err)
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// writeTemp writes data to a new, fsynced and closed temp file beside
+// path and returns its name; the caller moves it into place and removes
+// the name. On failure nothing is left behind.
+func writeTemp(path string, data []byte) (string, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return "", fmt.Errorf("storage: creating temp file: %w", err)
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", fmt.Errorf("storage: writing %s: %w", tmp.Name(), err)
+	}
+	return tmp.Name(), nil
+}
+
+// MkdirDurable creates dir (and any missing parents) and fsyncs its
+// parent and dir itself, so the directory entry — and with it every
+// file later fsynced inside — survives a crash.
+func MkdirDurable(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("storage: creating %s: %w", dir, err)
+	}
+	if err := syncDir(filepath.Dir(dir)); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the entries it holds (creations,
+// links, and renames) durable.
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("storage: opening %s to sync: %w", dir, err)

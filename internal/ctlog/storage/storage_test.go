@@ -334,3 +334,120 @@ func TestStoreClosedIsSticky(t *testing.T) {
 		t.Fatalf("double close err=%v", err)
 	}
 }
+
+// TestAppendLogTornTail holds the shared append log to the WAL's
+// contract under any magic: a torn tail survives open untouched (the
+// caller decides), the valid prefix's records and end come back, and
+// after Truncate appends continue right behind the last valid record.
+func TestAppendLogTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain.audit")
+	l, err := OpenAppendLog(path, AuditMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"one", "two", "three"} {
+		off, err := l.Append(RecordSTH, []byte(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Barrier(off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data[:MagicLen], AuditMagic) {
+		t.Fatalf("header %q, want %q", data[:MagicLen], AuditMagic)
+	}
+	torn := len(data) - 2
+	if err := os.WriteFile(path, data[:torn], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err = OpenAppendLog(path, AuditMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	recs := l.Records()
+	if len(recs) != 2 || string(recs[1].Payload) != "two" {
+		t.Fatalf("reopened records %v, want one and two", recs)
+	}
+	valid := int64(MagicLen + 2*recordOverhead + len("one") + len("two"))
+	if l.Offset() != valid {
+		t.Fatalf("offset %d, want %d", l.Offset(), valid)
+	}
+	if fi, _ := os.Stat(path); fi.Size() != int64(torn) {
+		t.Fatalf("open changed the file size to %d, want %d", fi.Size(), torn)
+	}
+	if err := l.Truncate(l.Offset()); err != nil {
+		t.Fatal(err)
+	}
+	if l.Records() != nil {
+		t.Fatal("Truncate kept the open-time records")
+	}
+	off, err := l.Append(RecordSTH, []byte("four"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Barrier(off); err != nil {
+		t.Fatal(err)
+	}
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, v, err := decodeAppendLog(data, AuditMagic)
+	if err != nil || v != len(data) || len(recs) != 3 || string(recs[2].Payload) != "four" {
+		t.Fatalf("after truncate+append: %d records, valid %d of %d, err %v", len(recs), v, len(data), err)
+	}
+}
+
+// TestAppendLogWrongMagic: a file of another kind (a WAL opened as an
+// audit chain) is ErrCorrupt and left byte-for-byte alone; a file too
+// short for a header is rebuilt as an empty log.
+func TestAppendLogWrongMagic(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendEntry([]byte("entry")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, WALName)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenAppendLog(path, AuditMagic); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("WAL opened as an audit chain: err=%v, want ErrCorrupt", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatal("a refused open modified the file")
+	}
+
+	short := filepath.Join(dir, "short.audit")
+	if err := os.WriteFile(short, AuditMagic[:3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenAppendLog(short, AuditMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(l.Records()) != 0 || l.Offset() != MagicLen {
+		t.Fatalf("header-torn file reopened with %d records at %d", len(l.Records()), l.Offset())
+	}
+	if data, _ := os.ReadFile(short); !bytes.Equal(data, AuditMagic) {
+		t.Fatalf("header-torn file rebuilt as %q, want the bare header", data)
+	}
+}

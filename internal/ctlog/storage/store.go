@@ -4,43 +4,38 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
+	"strings"
 )
 
-// Store is one log's durable state directory: the write-ahead log plus
-// the latest snapshot. The write path is sticky-fail: after any append
-// or fsync error the store refuses further writes, because a WAL whose
-// tail may be torn must not be appended past — the log above surfaces
-// the failure to submitters and keeps serving reads from memory, and a
-// restart recovers the durable prefix.
+// Store is one log's durable state directory: the write-ahead log (an
+// AppendLog) plus the latest snapshot and the sealed tiles. The write
+// path is sticky-fail: the WAL refuses appends after any append or
+// fsync error, and a failed snapshot or tile write poisons it the same
+// way (fail), because state whose tail may be torn must not be built
+// upon — the log above surfaces the failure to submitters and keeps
+// serving reads from memory, and a restart recovers the durable prefix.
 type Store struct {
 	dir string
-	wal *wal
-
-	mu     sync.Mutex
-	failed error
-	closed bool
+	wal *AppendLog
 }
 
 // Open opens (or initializes) the store directory: creates it if
-// missing, validates the WAL, truncates any torn tail, and positions
-// appends after the last durable record. The recovered records are
+// missing, validates the WAL, and positions appends after the last
+// valid record. It does not truncate a torn tail; recovery does, with
+// exactly one of CommitRecovery/ResetWAL. The recovered records are
 // consumed via Replay.
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, TilesDirName), 0o755); err != nil {
-		return nil, fmt.Errorf("storage: creating %s: %w", dir, err)
-	}
-	// Make the state directory's own entry durable: a crash that loses
-	// the directory loses every fsync inside it. The tiles subdirectory
-	// gets the same treatment so the first sealed tile cannot outlive a
-	// directory that was never journaled.
-	if err := SyncDir(filepath.Dir(dir)); err != nil {
+	// MkdirDurable syncs the state directory (its tiles entry) and
+	// tiles; syncing the parent makes the state directory's own entry
+	// durable — a crash that loses the directory loses every fsync
+	// inside it.
+	if err := MkdirDurable(filepath.Join(dir, TilesDirName)); err != nil {
 		return nil, err
 	}
-	if err := SyncDir(dir); err != nil {
+	if err := syncDir(filepath.Dir(dir)); err != nil {
 		return nil, err
 	}
-	w, err := openWAL(dir)
+	w, err := OpenAppendLog(filepath.Join(dir, WALName), WALMagic)
 	if err != nil {
 		return nil, err
 	}
@@ -50,80 +45,43 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Err returns the sticky write failure, if any.
-func (s *Store) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed != nil {
-		return s.failed
-	}
-	if s.closed {
-		return ErrClosed
-	}
-	return nil
-}
+// Err returns the sticky write failure, ErrClosed after Close, or nil.
+func (s *Store) Err() error { return s.wal.Err() }
 
-func (s *Store) fail(err error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed == nil {
-		s.failed = err
-	}
-	return err
-}
-
-// append frames one record into the WAL, returning the barrier offset.
-func (s *Store) append(typ RecordType, payload []byte) (int64, error) {
-	if err := s.Err(); err != nil {
-		return 0, err
-	}
-	off, err := s.wal.append(typ, payload)
-	if err != nil {
-		return off, s.fail(err)
-	}
-	return off, nil
-}
+// fail makes a snapshot or tile write failure sticky for the whole
+// store, WAL appends included.
+func (s *Store) fail(err error) error { return s.wal.fail(err) }
 
 // AppendEntry records one staged submission (its MerkleTreeLeaf bytes).
 func (s *Store) AppendEntry(leaf []byte) (int64, error) {
-	return s.append(RecordEntry, leaf)
+	return s.wal.Append(RecordEntry, leaf)
 }
 
 // AppendSeal records a sequencing step over everything staged before it.
 func (s *Store) AppendSeal(seal SealRecord) (int64, error) {
-	return s.append(RecordSeal, EncodeSeal(seal))
+	return s.wal.Append(RecordSeal, EncodeSeal(seal))
 }
 
 // AppendSTH records a published tree head.
 func (s *Store) AppendSTH(sth STHRecord) (int64, error) {
-	return s.append(RecordSTH, EncodeSTH(sth))
+	return s.wal.Append(RecordSTH, EncodeSTH(sth))
 }
 
 // AppendUnstage records the rollback of one staged entry.
 func (s *Store) AppendUnstage(id [32]byte) (int64, error) {
-	return s.append(RecordUnstage, EncodeUnstage(id))
+	return s.wal.Append(RecordUnstage, EncodeUnstage(id))
 }
 
 // Barrier blocks until every WAL byte below off is durable (group
 // commit: concurrent barriers share one fsync).
-func (s *Store) Barrier(off int64) error {
-	if err := s.Err(); err != nil {
-		return err
-	}
-	if err := s.wal.barrier(off); err != nil {
-		return s.fail(err)
-	}
-	return nil
-}
+func (s *Store) Barrier(off int64) error { return s.wal.Barrier(off) }
 
 // Sync makes every appended WAL byte durable.
-func (s *Store) Sync() error {
-	return s.Barrier(s.wal.writeOff.Load())
-}
+func (s *Store) Sync() error { return s.wal.Barrier(s.wal.Offset()) }
 
 // WALOffset returns the current append position (the offset a snapshot
 // taken now should record).
-func (s *Store) WALOffset() int64 { return s.wal.writeOff.Load() }
+func (s *Store) WALOffset() int64 { return s.wal.Offset() }
 
 // Replay hands the WAL's valid records from byte offset `from` onward
 // to fn, in append order. Offsets outside the valid prefix are
@@ -136,11 +94,11 @@ func (s *Store) Replay(from int64, fn func(Record) error) error {
 	if from < MagicLen {
 		from = MagicLen
 	}
-	if from > s.wal.writeOff.Load() {
-		return fmt.Errorf("%w: replay offset %d beyond WAL end %d", ErrCorrupt, from, s.wal.writeOff.Load())
+	if end := s.wal.Offset(); from > end {
+		return fmt.Errorf("%w: replay offset %d beyond WAL end %d", ErrCorrupt, from, end)
 	}
 	off := int64(MagicLen)
-	for _, rec := range s.wal.records {
+	for _, rec := range s.wal.Records() {
 		span := int64(recordOverhead + len(rec.Payload))
 		if off >= from {
 			if err := fn(rec); err != nil {
@@ -161,24 +119,14 @@ func (s *Store) Replay(from int64, fn func(Record) error) error {
 // decided to accept losing) are truncated away so appends continue from
 // the last valid record, and the replay records are released. Exactly
 // one of CommitRecovery/ResetWAL must run before the first append.
-func (s *Store) CommitRecovery() error {
-	if err := s.wal.truncateTo(s.wal.writeOff.Load()); err != nil {
-		return s.fail(err)
-	}
-	return nil
-}
+func (s *Store) CommitRecovery() error { return s.wal.Truncate(s.wal.Offset()) }
 
 // ResetWAL discards the entire WAL (truncates to the bare header) and
 // releases the replay records. Used when recovery adopts a snapshot
 // that covers more history than the surviving WAL: the snapshot is the
 // verified state, and a WAL whose prefix ends below the snapshot's
 // cursor can never be replayed consistently again.
-func (s *Store) ResetWAL() error {
-	if err := s.wal.truncateTo(MagicLen); err != nil {
-		return s.fail(err)
-	}
-	return nil
-}
+func (s *Store) ResetWAL() error { return s.wal.Truncate(MagicLen) }
 
 // WriteSnapshot atomically replaces the snapshot file.
 func (s *Store) WriteSnapshot(snap *Snapshot) error {
@@ -205,6 +153,25 @@ func (s *Store) LoadSnapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("storage: reading snapshot: %w", err)
 	}
 	return DecodeSnapshot(data)
+}
+
+// SafeName maps a display name ("Google Pilot log") to the file-system
+// safe stem of the files and directories kept for it
+// ("google-pilot-log"): lower-case letters and digits are kept,
+// upper-case letters are lowered, anything else becomes '-'. Distinct
+// names can share a stem; callers that keep one file per name must
+// reject such collisions.
+func SafeName(name string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
+			return r
+		case r >= 'A' && r <= 'Z':
+			return r + ('a' - 'A')
+		default:
+			return '-'
+		}
+	}, name)
 }
 
 // TilesDirName is the sealed-tile subdirectory inside a store directory.
@@ -247,13 +214,4 @@ func (s *Store) ReadTile(tile uint64, ext string) ([]byte, error) {
 }
 
 // Close closes the store. Further writes fail with ErrClosed.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	return s.wal.close()
-}
+func (s *Store) Close() error { return s.wal.Close() }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -11,181 +12,249 @@ import (
 	"syscall"
 )
 
-// ErrLocked is returned when another process holds the store directory.
+// ErrLocked is returned when another process holds an append log (and
+// with it the state directory the log lives in).
 var ErrLocked = errors.New("storage: state directory locked by another process")
 
 // WALName is the write-ahead log's file name inside a store directory.
 const WALName = "wal.log"
 
-// wal is the append side of the write-ahead log. Appends may come from
-// several goroutines (the CT log's submitters and its sequencer); record
-// order across them is the caller's business (the log appends a batch's
-// entry records before draining it, so they land before its seal).
-// Barrier is safe to call concurrently from many acked submitters and
-// implements group commit: one fsync satisfies every barrier at or below
-// the synced offset.
-type wal struct {
-	// mu serializes appends and truncation.
-	mu sync.Mutex
-	f  *os.File
+// AppendLog is the repo's one append-only record file: a magic header
+// followed by framed records (AppendRecord), with the torn-tail rule of
+// ScanRecords. The store's WAL and the auditor's verified-STH chains are
+// AppendLogs. Opening one takes an exclusive flock, so a second writer
+// fails with ErrLocked; creating one makes the header, the file and its
+// directory entry durable.
+//
+// Appends may come from several goroutines (the CT log's submitters and
+// its sequencer); record order across them is the caller's business.
+// Barrier is safe to call concurrently and implements group commit: one
+// fsync satisfies every barrier at or below the synced offset.
+//
+// Failure is sticky: after a failed append, fsync or truncate (or after
+// Close) every Append and Barrier returns the first error, because a
+// file whose tail may be torn must not be appended past, and after EIO
+// the kernel may report an fsync failure once and drop the dirty pages,
+// so a retried fsync would ack bytes that are gone. A restart recovers
+// the durable prefix.
+type AppendLog struct {
+	// mu serializes appends, truncation and Close.
+	mu     sync.Mutex
+	f      *os.File
+	path   string
+	closed bool // guarded by mu
 	// writeOff is the file offset after the last buffered append.
 	writeOff atomic.Int64
 	// synced is the offset known durable (covered by an fsync).
 	synced atomic.Int64
 	// syncMu serializes fsyncs so concurrent barriers collapse into one.
-	// syncErr (guarded by syncMu) makes an fsync failure sticky at this
-	// level: after EIO the kernel may report the error once and drop the
-	// dirty pages, so a queued waiter retrying the fsync would see
-	// success and ack a submission whose bytes are gone.
-	syncMu  sync.Mutex
-	syncErr error
-	// records holds the replayable records of the valid prefix found at
-	// open time; Store.Replay hands them to the log and drops the slice.
+	syncMu sync.Mutex
+	// failed holds the sticky error; set once, read without a lock.
+	failed atomic.Pointer[error]
+	// records holds the records of the valid prefix found at open time
+	// until the first Truncate releases them.
 	records []Record
 }
 
-// openWAL opens or creates dir's WAL, validates it, and positions
-// appends at the end of the valid prefix. It does NOT truncate the
-// invalid tail yet: whether the bytes past the valid prefix are crash
-// debris to discard or fsynced records lost to mid-file corruption (in
-// which case the snapshot may still cover them) is a recovery decision,
-// made by the log via CommitRecovery/ResetWAL before any append runs.
-// A file too short to hold the magic header is treated as debris from a
-// crash during creation and rebuilt; a present-but-wrong magic is
-// ErrCorrupt.
-func openWAL(dir string) (*wal, error) {
-	path := filepath.Join(dir, WALName)
+// OpenAppendLog opens or creates the append log at path, validates its
+// magic, and positions appends at the end of the valid record prefix.
+// It does NOT truncate the invalid tail: whether the bytes past the
+// valid prefix are crash debris to discard or records lost to mid-file
+// corruption (which a snapshot may still cover) is the caller's
+// decision, made with Truncate before the first append. A file too
+// short to hold the magic is treated as debris from a crash during
+// creation and rebuilt; a present-but-wrong magic is ErrCorrupt.
+func OpenAppendLog(path string, magic []byte) (*AppendLog, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("storage: opening WAL: %w", err)
+		return nil, fmt.Errorf("storage: opening %s: %w", path, err)
 	}
-	// One writer per state directory: two processes replaying,
-	// truncating, and appending the same WAL shred each other's acked
-	// records. The flock rides the WAL fd, so the kernel releases it on
-	// any exit — no stale lock files after kill -9. It must be taken
-	// BEFORE the file is read: reading first would capture a stale
-	// valid-prefix offset while a draining predecessor appends its last
-	// fsynced records, and recovery would later truncate them away.
+	// One writer per file: two processes replaying, truncating and
+	// appending the same log shred each other's acked records. The flock
+	// rides the fd, so the kernel releases it on any exit — no stale lock
+	// files after kill -9. It must be taken BEFORE the file is read:
+	// reading first would capture a stale valid-prefix offset while a
+	// draining predecessor appends its last fsynced records, and the
+	// caller's Truncate would later cut them away.
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%w: %s", ErrLocked, path)
 	}
-	data, err := io.ReadAll(f)
+	l, err := openLocked(f, path, magic)
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("storage: reading WAL: %w", err)
+		return nil, err
 	}
-	w := &wal{}
+	return l, nil
+}
+
+func openLocked(f *os.File, path string, magic []byte) (*AppendLog, error) {
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return nil, fmt.Errorf("storage: reading %s: %w", path, err)
+	}
+	l := &AppendLog{f: f, path: path}
 	valid := MagicLen
 	if len(data) >= MagicLen {
-		recs, v, derr := DecodeWAL(data)
-		if derr != nil {
-			f.Close()
-			return nil, derr
+		recs, v, err := decodeAppendLog(data, magic)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s", err, path)
 		}
 		// Payloads alias data, which outlives this function; that is
-		// deliberate — replay consumes them once and releases the slab.
-		w.records = recs
+		// deliberate — the caller consumes them once and releases the
+		// slab with Truncate.
+		l.records = recs
 		valid = v
-	}
-	if len(data) < MagicLen {
+	} else {
 		// Fresh (or header-torn) file: write the header and start empty.
 		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("storage: resetting WAL: %w", err)
+			return nil, fmt.Errorf("storage: resetting %s: %w", path, err)
 		}
-		if _, err := f.WriteAt(WALMagic, 0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("storage: writing WAL header: %w", err)
+		if _, err := f.WriteAt(magic, 0); err != nil {
+			return nil, fmt.Errorf("storage: writing %s header: %w", path, err)
 		}
 		// A newly created file is only as durable as its directory
 		// entry: without this, a crash after acked (file-fsynced)
-		// submissions could lose the whole WAL and silently restart the
-		// log empty. WriteFileAtomic gives snapshots the same treatment.
+		// appends could lose the whole file and silently restart it
+		// empty. WriteFileAtomic gives snapshots the same treatment.
 		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("storage: syncing new WAL: %w", err)
+			return nil, fmt.Errorf("storage: syncing new %s: %w", path, err)
 		}
-		if err := SyncDir(dir); err != nil {
-			f.Close()
+		if err := syncDir(filepath.Dir(path)); err != nil {
 			return nil, err
 		}
 	}
 	if _, err := f.Seek(int64(valid), 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: seeking WAL: %w", err)
+		return nil, fmt.Errorf("storage: seeking %s: %w", path, err)
 	}
-	w.f = f
-	w.writeOff.Store(int64(valid))
-	w.synced.Store(int64(valid))
-	return w, nil
+	l.writeOff.Store(int64(valid))
+	l.synced.Store(int64(valid))
+	return l, nil
 }
 
-// append frames and writes one record, returning the offset after it.
-func (w *wal) append(typ RecordType, payload []byte) (int64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// decodeAppendLog validates an append-log image: magic header plus
+// record stream. It returns the valid records and the byte offset
+// (including the header) where the valid prefix ends. A missing or
+// wrong magic is ErrCorrupt — the file is not this kind of log at all —
+// while a torn record stream is normal crash debris and only shortens
+// the prefix.
+func decodeAppendLog(data, magic []byte) ([]Record, int, error) {
+	if len(data) < MagicLen {
+		return nil, 0, fmt.Errorf("%w: short header", ErrCorrupt)
+	}
+	if !bytes.Equal(data[:MagicLen], magic) {
+		return nil, 0, fmt.Errorf("%w: bad magic %q, want %q", ErrCorrupt, data[:MagicLen], magic)
+	}
+	recs, valid := ScanRecords(data[MagicLen:])
+	return recs, MagicLen + valid, nil
+}
+
+// Records returns the valid records found at open time, in append
+// order, until the first Truncate releases them. Payloads alias one
+// slab; callers copy what they keep.
+func (l *AppendLog) Records() []Record { return l.records }
+
+// Offset returns the append position: the end of the valid prefix at
+// open, then the offset after the last append.
+func (l *AppendLog) Offset() int64 { return l.writeOff.Load() }
+
+// Err returns the sticky failure, ErrClosed after Close, or nil.
+func (l *AppendLog) Err() error {
+	if p := l.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// fail records err as the sticky failure unless one is already set,
+// and returns err.
+func (l *AppendLog) fail(err error) error {
+	l.failed.CompareAndSwap(nil, &err)
+	return err
+}
+
+// Append frames and writes one record, returning the offset after it
+// (the Barrier that makes it durable).
+func (l *AppendLog) Append(typ RecordType, payload []byte) (int64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.Err(); err != nil {
+		return l.writeOff.Load(), err
+	}
 	buf := AppendRecord(nil, typ, payload)
-	if _, err := w.f.Write(buf); err != nil {
-		return w.writeOff.Load(), fmt.Errorf("storage: WAL append: %w", err)
+	if _, err := l.f.Write(buf); err != nil {
+		return l.writeOff.Load(), l.fail(fmt.Errorf("storage: appending to %s: %w", l.path, err))
 	}
-	off := w.writeOff.Add(int64(len(buf)))
-	return off, nil
+	return l.writeOff.Add(int64(len(buf))), nil
 }
 
-// barrier blocks until every byte below off is durable. Concurrent
+// Barrier blocks until every byte below off is durable. Concurrent
 // barriers group-commit: whoever wins the sync mutex fsyncs the current
 // write offset, satisfying everyone who queued behind it.
-func (w *wal) barrier(off int64) error {
-	if w.synced.Load() >= off {
+func (l *AppendLog) Barrier(off int64) error {
+	if err := l.Err(); err != nil {
+		return err
+	}
+	if l.synced.Load() >= off {
 		return nil
 	}
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	if w.syncErr != nil {
-		return w.syncErr
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	if err := l.Err(); err != nil {
+		return err
 	}
-	if w.synced.Load() >= off {
+	if l.synced.Load() >= off {
 		return nil
 	}
 	// Snapshot the write offset before syncing: bytes appended after the
 	// fsync call starts are not guaranteed durable by it.
-	target := w.writeOff.Load()
-	if err := w.f.Sync(); err != nil {
-		w.syncErr = fmt.Errorf("storage: WAL fsync: %w", err)
-		return w.syncErr
+	target := l.writeOff.Load()
+	if err := l.f.Sync(); err != nil {
+		return l.fail(fmt.Errorf("storage: syncing %s: %w", l.path, err))
 	}
-	if w.synced.Load() < target {
-		w.synced.Store(target)
+	if l.synced.Load() < target {
+		l.synced.Store(target)
 	}
 	return nil
 }
 
-// truncateTo cuts the file to off, makes the truncation itself durable,
-// and repositions appends there. Called at the end of recovery and every
-// time a sealed tile lets the WAL be compacted. The fsync is not
-// optional: the callers that truncate then re-anchor the snapshot cursor
-// at the new end would otherwise race a crash that resurrects the old
-// file length, leaving a snapshot whose offset splits a stale record —
-// an ErrCorrupt refusal on what was a perfectly recoverable crash.
-func (w *wal) truncateTo(off int64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.f.Truncate(off); err != nil {
-		return fmt.Errorf("storage: truncating WAL to %d: %w", off, err)
+// Truncate cuts the file to off, makes the truncation itself durable,
+// repositions appends there and releases the open-time records. The
+// store calls it at the end of recovery and every time a sealed tile
+// lets the WAL be compacted; the audit chain calls it at open to drop a
+// torn tail. The fsync is not optional: a caller that truncates then
+// re-anchors on the new end (the snapshot cursor) would otherwise race
+// a crash that resurrects the old file length, leaving a cursor that
+// splits a stale record — an ErrCorrupt refusal on what was a perfectly
+// recoverable crash.
+func (l *AppendLog) Truncate(off int64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.f.Truncate(off); err != nil {
+		return l.fail(fmt.Errorf("storage: truncating %s to %d: %w", l.path, off, err))
 	}
-	if _, err := w.f.Seek(off, 0); err != nil {
-		return fmt.Errorf("storage: seeking WAL: %w", err)
+	if _, err := l.f.Seek(off, 0); err != nil {
+		return l.fail(fmt.Errorf("storage: seeking %s: %w", l.path, err))
 	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("storage: syncing truncated WAL: %w", err)
+	if err := l.f.Sync(); err != nil {
+		return l.fail(fmt.Errorf("storage: syncing truncated %s: %w", l.path, err))
 	}
-	w.writeOff.Store(off)
-	w.synced.Store(off)
-	w.records = nil
+	l.writeOff.Store(off)
+	l.synced.Store(off)
+	l.records = nil
 	return nil
 }
 
-func (w *wal) close() error {
-	return w.f.Close()
+// Close releases the file and its lock. Further appends and barriers
+// fail with ErrClosed (or the earlier sticky failure); a second Close
+// is a no-op.
+func (l *AppendLog) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil
+	}
+	l.closed = true
+	l.fail(ErrClosed)
+	return l.f.Close()
 }

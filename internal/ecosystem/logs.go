@@ -2,11 +2,11 @@ package ecosystem
 
 import (
 	"path/filepath"
-	"strings"
 	"time"
 
 	"ctrise/internal/ctfront"
 	"ctrise/internal/ctlog"
+	"ctrise/internal/ctlog/storage"
 	"ctrise/internal/sct"
 )
 
@@ -83,7 +83,7 @@ func buildLogs(clock *Clock, nimbusCapacity float64, dataDir string, tileSpan in
 		if dataDir != "" {
 			cfg.Sync = ctlog.SyncAtSequence
 			cfg.TileSpan = tileSpan
-			l, err = ctlog.Open(filepath.Join(dataDir, logDirName(spec.name)), cfg)
+			l, err = ctlog.Open(filepath.Join(dataDir, storage.SafeName(spec.name)), cfg)
 		} else {
 			l, err = ctlog.New(cfg)
 		}
@@ -120,21 +120,6 @@ func buildFrontend(w *World) (*ctfront.Frontend, error) {
 		Seed:     w.Cfg.Seed,
 		Clock:    w.Clock.Now,
 	})
-}
-
-// logDirName maps a display name ("Google Pilot log") to a filesystem-
-// safe directory name ("google-pilot-log").
-func logDirName(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			return r
-		case r >= 'A' && r <= 'Z':
-			return r + ('a' - 'A')
-		default:
-			return '-'
-		}
-	}, name)
 }
 
 // Close closes every log, flushing final snapshots on durable worlds.
