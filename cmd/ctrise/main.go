@@ -34,7 +34,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scale := fs.Float64("scale", 1, "scale multiplier (1 = fast defaults)")
 	domains := fs.Int("domains", 20000, "registrable-domain population size")
 	only := fs.String("only", "", "comma-separated subset: fig1,fig2,tab1,scan,sec4,tab3,tab4")
-	parallelism := fs.Int("parallelism", 0, "worker bound for all pipelines, generation and analysis (0 = GOMAXPROCS, 1 = sequential)")
+	parallelism := fs.Int("parallelism", 0, "worker bound for all pipelines, generation and analysis (0 = GOMAXPROCS, 1 = every stage inline on the calling goroutine)")
 	fs.Parse(args)
 
 	want := map[string]bool{}

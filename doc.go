@@ -82,14 +82,17 @@
 // explicitly) while day d's submissions stage into the logs from all
 // workers at once, and one deterministic sequence+publish step per log
 // closes the day, the sequencer's canonical batch order making every
-// log's Merkle tree byte-identical to the sequential replay; and the
+// log's Merkle tree independent of the staging interleaving (the Nimbus
+// overload and final-certificate logging use the coupled commit, each
+// issuance's full CA flow in (CA, plan) order on one worker); and the
 // Section 3.3 scan (scanner.BuildPopulation/Scan/DetectInvalidSCTs)
-// chunks sites over workers with private statistics partials merged
-// additively.
+// chunks sites over workers — serials from per-CA blocks — with private
+// statistics partials merged additively.
 //
 // One knob — Parallelism, on ecosystem.Config, experiments.Options,
 // tlsmon.GenConfig, scanner.PopConfig, and the subenum configs — bounds
-// every fan-out (GOMAXPROCS by default, 1 forces the sequential path);
+// every fan-out (GOMAXPROCS by default, 1 runs every stage inline on the
+// calling goroutine);
 // every pipeline merges its partials deterministically, so output is
 // identical at any setting (the equivalence tests in
 // parallel_replay_test.go and parallel_equivalence_test.go assert this

@@ -147,8 +147,9 @@ func (c *CA) IssuerKeyHash() [32]byte { return c.issuerKeyHash }
 
 // LogsFinalCerts reports whether this CA also submits final
 // certificates (Config.LogFinalCerts). Pipelines that commit precert
-// submissions themselves instead of running the full Issue flow must
-// fall back to the sequential path for such CAs.
+// submissions themselves must instead run each issuance's full
+// submission flow (Prepared.Submit) in issuance order for such CAs —
+// the timeline's coupled commit.
 func (c *CA) LogsFinalCerts() bool { return c.cfg.LogFinalCerts }
 
 // Request describes one certificate order.

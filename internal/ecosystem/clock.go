@@ -9,7 +9,7 @@
 // chunks every log's published entries into ranges, streams them
 // lock-free via ctlog.Log.StreamEntries across Config.Parallelism
 // workers (GOMAXPROCS by default), dedupes FQDNs in a sharded set, and
-// merges the workers' private partial aggregates deterministically —
+// merges one private partial aggregate per range in range order —
 // harvest output is identical at any parallelism setting.
 //
 // The generation side fans out the same way on the deterministic
@@ -19,7 +19,8 @@
 // day d's submissions stage into the logs from all workers at once —
 // and closes each day with one deterministic sequence+publish step per
 // log, whose canonical batch order keeps log trees byte-identical at
-// any worker count. The layer is shared by the tlsmon traffic replay
+// any worker count. At Parallelism 1 the same stages run in turn on the
+// calling goroutine. The layer is shared by the tlsmon traffic replay
 // and the scanner sweep.
 package ecosystem
 

@@ -1,9 +1,13 @@
 package ecosystem
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
+
+	"ctrise/internal/ca"
 )
 
 func TestClockBasics(t *testing.T) {
@@ -262,25 +266,107 @@ func TestTimelineShapes(t *testing.T) {
 	}
 }
 
-func TestNimbusOverloadDropsSubmissions(t *testing.T) {
-	// With a tiny Nimbus capacity, the timeline still completes and the
-	// log records rejections (the Section 2 incident shape).
-	w, err := New(Config{
+// logHeads lists every log that holds entries or has rejected a
+// submission as "name size root-prefix rejected", in Table 1 order.
+func logHeads(w *World) []string {
+	var out []string
+	for _, name := range w.LogNames {
+		l := w.Logs[name]
+		th := l.STH().TreeHead
+		if th.TreeSize == 0 && l.Rejected() == 0 {
+			continue
+		}
+		out = append(out, fmt.Sprintf("%s %d %x %d", name, th.TreeSize, th.RootHash[:4], l.Rejected()))
+	}
+	return out
+}
+
+// coupledReplayConfig is the short March 2018 window both coupled-replay
+// pins run.
+func coupledReplayConfig(parallelism int, nimbusCapacity float64) Config {
+	return Config{
 		Seed:           3,
 		Scale:          1e-4,
 		TimelineStart:  Date(2018, 3, 8),
 		TimelineEnd:    Date(2018, 3, 12),
 		NumDomains:     200,
-		NimbusCapacity: 0.0001,
-	})
-	if err != nil {
-		t.Fatal(err)
+		NimbusCapacity: nimbusCapacity,
+		Parallelism:    parallelism,
 	}
-	if err := w.RunTimeline(nil); err != nil {
-		t.Fatal(err)
+}
+
+func TestNimbusOverloadDropsSubmissions(t *testing.T) {
+	// With a tiny Nimbus capacity, the timeline still completes and the
+	// log records rejections (the Section 2 incident shape). The per-log
+	// heads are pinned: an overload drop ends the rest of its issuance,
+	// so every log's tree depends on the (CA, plan) submission order, and
+	// it must not depend on Parallelism.
+	want := []string{
+		"Google Pilot log 163 b630eb4a 0",
+		"Google Rocketeer log 97 7073cc8e 0",
+		"DigiCert Log Server 95 f6719321 0",
+		"Google Skydiver log 48 de965a03 0",
+		"DigiCert Log Server 2 45 3a272fbf 0",
+		"Comodo Mammoth CT log 92 f283c684 0",
+		"Cloudflare Nimbus2018 Log 4 276f4c70 801",
+		"Google Icarus log 119 58c5821a 0",
+		"Comodo Sabre CT log 47 c6a4836f 0",
 	}
-	if w.Logs[LogNimbus2018].Rejected() == 0 {
-		t.Fatal("overloaded Nimbus rejected nothing")
+	for _, p := range []int{1, 4} {
+		w, err := New(coupledReplayConfig(p, 0.0001))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.RunTimeline(nil); err != nil {
+			t.Fatalf("parallelism %d: %v", p, err)
+		}
+		if w.Logs[LogNimbus2018].Rejected() == 0 {
+			t.Fatalf("parallelism %d: overloaded Nimbus rejected nothing", p)
+		}
+		if got := logHeads(w); !reflect.DeepEqual(got, want) {
+			t.Fatalf("parallelism %d: log heads\n got %q\nwant %q", p, got, want)
+		}
+	}
+}
+
+// A CA that also logs its final certificates (Let's Encrypt's
+// post-disclosure behaviour) couples each final certificate to the SCTs
+// its precertificate collected. The per-log heads are pinned at every
+// Parallelism.
+func TestFinalCertLoggingReplayPinned(t *testing.T) {
+	want := []string{
+		"Google Pilot log 278 460f1035 0",
+		"Google Rocketeer log 469 8045ffae 0",
+		"DigiCert Log Server 95 f6719321 0",
+		"Google Skydiver log 48 de965a03 0",
+		"DigiCert Log Server 2 45 3a272fbf 0",
+		"Comodo Mammoth CT log 92 f283c684 0",
+		"Cloudflare Nimbus2018 Log 1610 67a1acc2 0",
+		"Google Icarus log 1580 5790b5e5 0",
+		"Comodo Sabre CT log 307 49a1e193 0",
+	}
+	for _, p := range []int{1, 4} {
+		w, err := New(coupledReplayConfig(p, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		le, err := ca.New(ca.Config{
+			Name:          CALetsEncrypt + " Authority",
+			Org:           CALetsEncrypt,
+			Logs:          []ca.LogSubmitter{w.Logs[LogGooglePilot]},
+			Clock:         w.Clock.Now,
+			LogFinalCerts: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.CAs[CALetsEncrypt] = le
+		if err := w.RunTimeline(nil); err != nil {
+			t.Fatalf("parallelism %d: %v", p, err)
+		}
+		if got := logHeads(w); !reflect.DeepEqual(got, want) {
+			t.Fatalf("parallelism %d: log heads\n got %q\nwant %q", p, got, want)
+		}
 	}
 }
 

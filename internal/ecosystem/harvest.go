@@ -1,9 +1,7 @@
 package ecosystem
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ctrise/internal/certs"
@@ -67,14 +65,7 @@ func (h *Harvest) Names() map[string]struct{} {
 // splits across all workers instead of serializing on one.
 const harvestChunk = 4096
 
-// harvestTask is one (log, entry range) unit of crawl work.
-type harvestTask struct {
-	logName    string
-	log        *ctlog.Log
-	start, end uint64 // inclusive
-}
-
-// partialHarvest is one worker's private, lock-free aggregate. Workers
+// partialHarvest is one crawl task's private, lock-free aggregate. Tasks
 // never share these; the merge step folds them into the final Harvest.
 type partialHarvest struct {
 	// dayCounts is org → day → precert count (the DaySeries rows).
@@ -101,7 +92,7 @@ func newPartialHarvest() *partialHarvest {
 const dayMillis = 24 * 60 * 60 * 1000
 
 // observe folds one log entry into the partial aggregate. names is the
-// sharded FQDN-dedup set all workers share.
+// sharded FQDN-dedup set all tasks share.
 func (p *partialHarvest) observe(h *Harvest, names *stats.StringSet, logName string, e *ctlog.Entry) {
 	// Both precert TBS bytes and final-cert bytes use the synthetic codec.
 	cert, err := certs.Decode(e.Cert)
@@ -148,7 +139,7 @@ func (p *partialHarvest) observe(h *Harvest, names *stats.StringSet, logName str
 
 // mergeInto folds the partial into the final Harvest. All contributions
 // are additive, so the result is independent of worker scheduling and
-// merge order — parallel output is identical to the sequential path.
+// merge order.
 func (p *partialHarvest) mergeInto(h *Harvest) {
 	h.TotalPrecerts += p.totalPrecerts
 	h.TotalFinal += p.totalFinal
@@ -172,81 +163,37 @@ func (w *World) HarvestLogs(heatFrom, heatTo time.Time) (*Harvest, error) {
 
 // HarvestLogsParallel is HarvestLogs with an explicit worker bound:
 // 0 means GOMAXPROCS, 1 runs the crawl inline. Every log is chunked into
-// harvestChunk-entry ranges streamed lock-free below the published STH;
-// workers pull chunks off a shared cursor, build private partial
-// harvests, and the partials merge deterministically at the end.
+// harvestChunk-entry ranges streamed lock-free below the published STH,
+// one task per (log, range); each task builds a private partial harvest,
+// and the partials merge in task order at the end.
 func (w *World) HarvestLogsParallel(heatFrom, heatTo time.Time, parallelism int) (*Harvest, error) {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
+	type task struct {
+		logName string
+		log     *ctlog.Log
+		r       Range
 	}
-	h := NewHarvest(heatFrom, heatTo)
-
-	var tasks []harvestTask
+	var tasks []task
 	for _, name := range w.LogNames {
 		l := w.Logs[name]
-		size := l.STH().TreeHead.TreeSize
-		for start := uint64(0); start < size; start += harvestChunk {
-			end := start + harvestChunk - 1
-			if end >= size {
-				end = size - 1
-			}
-			tasks = append(tasks, harvestTask{logName: name, log: l, start: start, end: end})
+		for _, r := range Ranges(int(l.STH().TreeHead.TreeSize), harvestChunk) {
+			tasks = append(tasks, task{name, l, r})
 		}
 	}
-	if parallelism > len(tasks) {
-		parallelism = len(tasks)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
 
-	names := h.NameSet
-	run := func(p *partialHarvest, t harvestTask) error {
-		return t.log.StreamEntries(t.start, t.end, func(e *ctlog.Entry) error {
-			p.observe(h, names, t.logName, e)
+	h := NewHarvest(heatFrom, heatTo)
+	partials := make([]*partialHarvest, len(tasks))
+	var crawlErr FirstError
+	ForEach(len(tasks), parallelism, func(i int) {
+		t, p := tasks[i], newPartialHarvest()
+		partials[i] = p
+		crawlErr.Record(i, t.log.StreamEntries(uint64(t.r.Lo), uint64(t.r.Hi-1), func(e *ctlog.Entry) error {
+			p.observe(h, h.NameSet, t.logName, e)
 			return nil
-		})
+		}))
+	})
+	if err := crawlErr.Err(); err != nil {
+		return nil, err
 	}
-
-	partials := make([]*partialHarvest, parallelism)
-	if parallelism == 1 {
-		partials[0] = newPartialHarvest()
-		for _, t := range tasks {
-			if err := run(partials[0], t); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var (
-			cursor   atomic.Int64
-			wg       sync.WaitGroup
-			errOnce  sync.Once
-			firstErr error
-		)
-		for i := 0; i < parallelism; i++ {
-			wg.Add(1)
-			go func(slot int) {
-				defer wg.Done()
-				p := newPartialHarvest()
-				partials[slot] = p
-				for {
-					n := int(cursor.Add(1)) - 1
-					if n >= len(tasks) {
-						return
-					}
-					if err := run(p, tasks[n]); err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
-					}
-				}
-			}(i)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	}
-
 	for _, p := range partials {
 		p.mergeInto(h)
 	}

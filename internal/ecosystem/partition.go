@@ -9,11 +9,11 @@ import (
 	"ctrise/internal/stats"
 )
 
-// This file is the deterministic fan-out layer shared by the generation
-// pipelines (the Figure 2 traffic replay, the issuance timeline, the
-// Section 3.3 scan sweep). It separates three concerns so that parallel
-// output is identical to sequential output at any worker count and under
-// any scheduling:
+// This file is the deterministic fan-out layer, the only one the
+// experiment pipelines use: the Figure 2 traffic replay, the issuance
+// timeline, the log harvest, the Section 3.3 scan, the Table 2 census
+// and the Section 4.3 funnel. It separates three concerns so that output
+// is identical at any worker count and under any scheduling:
 //
 //   - Partitioning: work is split into contiguous index ranges whose
 //     boundaries depend only on the input size, never on the worker
@@ -144,7 +144,7 @@ func ForEach(n, workers int, fn func(i int)) {
 // traffic replay. gen(i) may run in any order and concurrently with
 // other chunks; consume(i, v) always sees i = 0, 1, 2, ... and never
 // runs concurrently with itself, so consumers need no locking. With one
-// worker both callbacks run inline, which is the sequential path.
+// worker both callbacks run inline on the calling goroutine.
 func ForEachOrdered[T any](n, workers int, gen func(i int) T, consume func(i int, v T)) {
 	workers = Workers(workers, n)
 	if workers <= 1 {

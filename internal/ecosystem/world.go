@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"time"
 
@@ -35,8 +35,8 @@ type Config struct {
 	NimbusCapacity float64
 	// Parallelism bounds the worker count of both data planes: the
 	// issuance replay (RunTimeline) and the harvest-and-analysis crawl
-	// (HarvestLogs). 0 means GOMAXPROCS; 1 forces the sequential paths.
-	// Output is identical at every setting.
+	// (HarvestLogs). 0 means GOMAXPROCS; 1 runs every stage inline on
+	// the calling goroutine. Output is identical at every setting.
 	Parallelism int
 	// DataDir, when set, makes every log durable: each gets a WAL +
 	// snapshot subdirectory under DataDir and can be reopened after a
@@ -124,7 +124,7 @@ func New(cfg Config) (*World, error) {
 	}
 	if cfg.UseFrontend {
 		if cfg.NimbusCapacity > 0 {
-			return nil, errors.New("ecosystem: UseFrontend is incompatible with NimbusCapacity (overload coupling needs the per-CA sequential path)")
+			return nil, errors.New("ecosystem: UseFrontend is incompatible with NimbusCapacity (the overload replay's coupled commit submits through each CA's own log policy)")
 		}
 		w.Frontend, err = buildFrontend(w)
 		if err != nil {
@@ -210,108 +210,95 @@ type dayWork struct {
 // sequenced and publishes an STH at the end of each day (the virtual
 // MMD boundary). onDay, if non-nil, observes each completed day.
 //
-// With Config.Parallelism != 1 the replay is a two-stage pipeline. A
-// lookahead goroutine plans day d+1's draws (per-(day, CA) seed-split
-// RNGs) and constructs its certificates on workers — serial blocks
-// reserved per CA up front, issuance time passed explicitly so the
-// shared clock is untouched — while the commit stage stages day d's
-// submissions into the logs from all workers at once and then runs one
-// deterministic sequence+publish step per log. Staging order is
-// irrelevant: the log sequencer integrates each day's batch in
-// canonical (timestamp, identity-hash) order, so log contents — entry
-// bytes and tree hashes — are identical at every parallelism setting
-// and at any scheduling.
+// Every day runs the same three stages: constructTimelineDay plans the
+// day's draws (per-(day, CA) seed-split RNGs) and builds its
+// certificates on workers — serial blocks reserved per CA up front,
+// issuance time passed explicitly so the shared clock is untouched —
+// commitTimelineDay stages the submissions into the logs, and finishDay
+// runs one deterministic sequence+publish step per log. With
+// Config.Parallelism 1 the stages run in turn on the calling goroutine.
+// Above 1 they form a two-stage pipeline: a lookahead goroutine
+// constructs day d+1 while day d commits. Staging order is irrelevant:
+// the log sequencer integrates each day's batch in canonical (timestamp,
+// identity-hash) order, so log contents — entry bytes and tree hashes —
+// are identical at every parallelism setting and at any scheduling.
 //
-// The Nimbus overload replay (Config.NimbusCapacity > 0) couples
-// submissions across logs — a rejected submission aborts the rest of its
-// issuance — so it always runs the sequential in-line path.
+// The commit is coupled when Config.NimbusCapacity > 0 or a CA logs its
+// final certificates: a rejected submission aborts the rest of its
+// issuance, and a final certificate embeds the SCTs its precertificate
+// collected. The coupled commit runs each issuance's full CA submission
+// flow in (CA spec, plan) order on one worker; construction still fans
+// out.
 //
 // With Config.UseFrontend the commit stage ignores the CAs' per-plan
 // log policies and submits each precertificate once to w.Frontend,
 // which fans it out to a policy-compliant log set under the seed-
 // derived deterministic ranking. Frontend routing is a pure function of
 // the submission bytes, so the per-log trees remain byte-identical at
-// every parallelism; the replay always runs the staged pipeline (the
-// sequential per-CA Issue flow submits through CA-configured logs,
-// which is exactly what frontend mode replaces).
+// every parallelism.
 func (w *World) RunTimeline(onDay func(day time.Time)) error {
-	parallelism := w.Cfg.Parallelism
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if w.Cfg.NimbusCapacity > 0 {
-		parallelism = 1
-	}
-	// The staged commit only submits precertificates; a CA that also
-	// logs final certificates needs the full per-issuance Issue flow to
-	// stay equivalent, so its presence forces the sequential path too.
-	// (World-built CAs never set it; this guards externally mutated
-	// worlds.)
+	coupled := w.Cfg.NimbusCapacity > 0
 	for _, c := range w.CAs {
 		if c.LogsFinalCerts() {
 			if w.Frontend != nil {
 				return errors.New("ecosystem: UseFrontend is incompatible with a CA that logs final certificates")
 			}
-			parallelism = 1
-			break
+			coupled = true
 		}
 	}
-
-	if parallelism == 1 && w.Frontend == nil {
-		for day := w.Cfg.TimelineStart; day.Before(w.Cfg.TimelineEnd); day = day.AddDate(0, 0, 1) {
-			// Noon, so all issuance timestamps fall on the correct day.
-			w.Clock.Set(day.Add(12 * time.Hour))
-			if err := w.issueDaySequential(day); err != nil {
-				return err
-			}
-			if err := w.finishDay(day, onDay); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Pipelined path. The unbuffered channel gives a lookahead of
-	// exactly one day: the producer constructs day d+1 while the
-	// consumer commits day d (the last serialization the per-day
-	// barrier used to impose). Serial blocks are reserved inside
-	// constructTimelineDay on the producer goroutine, so reservation
-	// order follows day order and certificate bytes stay deterministic.
-	//
 	// The Parallelism budget is split between the two overlapping
 	// stages (construction gets the larger half — certificate building
 	// outweighs staging) so the pipeline never runs more than the
 	// configured number of workers at once; worker counts never affect
 	// output, only scheduling.
+	parallelism := Workers(w.Cfg.Parallelism, math.MaxInt)
 	constructWorkers := (parallelism + 1) / 2
-	commitWorkers := parallelism - constructWorkers
-	if commitWorkers < 1 {
-		commitWorkers = 1
+	commitWorkers := max(parallelism-constructWorkers, 1)
+	// produce constructs every day in order and hands it to emit.
+	// Serial blocks are reserved inside constructTimelineDay, so
+	// reservation order follows day order and certificate bytes stay
+	// deterministic.
+	produce := func(emit func(dayWork) error) error {
+		for day := w.Cfg.TimelineStart; day.Before(w.Cfg.TimelineEnd); day = day.AddDate(0, 0, 1) {
+			dw, err := w.constructTimelineDay(day, constructWorkers, coupled)
+			if err != nil {
+				return fmt.Errorf("ecosystem: planning %s: %w", day.Format("2006-01-02"), err)
+			}
+			if err := emit(dw); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
+	commit := func(dw dayWork) error {
+		if err := w.commitTimelineDay(dw, commitWorkers, coupled); err != nil {
+			return err
+		}
+		return w.finishDay(dw.day, onDay)
+	}
+	if parallelism == 1 {
+		return produce(commit)
+	}
+
+	// The unbuffered channel gives a lookahead of exactly one day: the
+	// producer constructs day d+1 while the consumer commits day d.
 	work := make(chan dayWork)
 	done := make(chan struct{})
 	defer close(done)
 	var constructErr error
 	go func() {
 		defer close(work)
-		for day := w.Cfg.TimelineStart; day.Before(w.Cfg.TimelineEnd); day = day.AddDate(0, 0, 1) {
-			dw, err := w.constructTimelineDay(day, constructWorkers)
-			if err != nil {
-				constructErr = fmt.Errorf("ecosystem: planning %s: %w", day.Format("2006-01-02"), err)
-				return
-			}
+		constructErr = produce(func(dw dayWork) error {
 			select {
 			case work <- dw:
+				return nil
 			case <-done:
-				return
+				return errors.New("ecosystem: timeline commit stopped")
 			}
-		}
+		})
 	}()
 	for dw := range work {
-		if err := w.commitTimelineDay(dw, commitWorkers); err != nil {
-			return err
-		}
-		if err := w.finishDay(dw.day, onDay); err != nil {
+		if err := commit(dw); err != nil {
 			return err
 		}
 	}
@@ -342,8 +329,8 @@ func (w *World) finishDay(day time.Time, onDay func(day time.Time)) error {
 	return nil
 }
 
-// planTimelineDay performs every dayRng draw of one (day, CA) pair,
-// exactly in the order the sequential replay consumes them.
+// planTimelineDay performs every dayRng draw of one (day, CA) pair in
+// plan order: the i-th plan is the CA's i-th issuance of the day.
 func (w *World) planTimelineDay(day time.Time, spec CASpec) []issuancePlan {
 	// Day- and CA-seeded rng so per-day burst draws are stable
 	// regardless of other CAs' consumption of randomness (and of which
@@ -369,50 +356,20 @@ func (w *World) planTimelineDay(day time.Time, spec CASpec) []issuancePlan {
 	return plans
 }
 
-// issueDaySequential executes one day's issuances in (CA, order)
-// sequence through the full Issue flow, exactly the pre-parallel
-// replay. The clock is already at noon of the day. This is the only
-// path that honours the overload coupling: an ErrOverloaded submission
-// drops the rest of its issuance (the CA retries nothing, which is what
-// the Nimbus incident looked like from the outside); all other errors
-// are fatal. Submissions stage in plan order and integrate at the day's
-// sequence step — the same canonical order the staged fan-out produces,
-// which is what keeps the two paths byte-identical.
-func (w *World) issueDaySequential(day time.Time) error {
-	embed := !day.Before(Date(2018, 1, 1))
-	for _, spec := range w.Specs {
-		caInst := w.CAs[spec.Org]
-		for _, pl := range w.planTimelineDay(day, spec) {
-			_, err := caInst.Issue(ca.Request{
-				Names:     pl.names,
-				EmbedSCTs: embed,
-				Logs:      w.submitters(pl.policy),
-			})
-			if err != nil {
-				if errors.Is(err, ctlog.ErrOverloaded) {
-					continue
-				}
-				return fmt.Errorf("ecosystem: %s on %s: %w", spec.Org, day.Format("2006-01-02"), err)
-			}
-		}
-	}
-	return nil
-}
-
 // constructTimelineDay runs the plan and construct phases of one day
 // without touching the shared clock, so it can execute on the pipeline's
 // lookahead goroutine while the previous day commits.
 //
 // Draws: each (day, CA) stream is private, so CAs plan concurrently.
 // Construction: serial blocks are reserved per CA in spec order on the
-// calling goroutine, so the i-th issuance of a CA's day gets the same
-// serial the sequential path would have drawn; workers then build
-// certificates for arbitrary plan indices with the issuance time passed
-// explicitly (noon of the day). The constructed bytes are independent
-// of worker scheduling and of whatever day the clock currently shows.
-// (This path skips final-certificate assembly — the timeline only keeps
-// what reaches the logs.)
-func (w *World) constructTimelineDay(day time.Time, workers int) (dayWork, error) {
+// calling goroutine, so the i-th issuance of a CA's day gets serial
+// base+i; workers then build certificates for arbitrary plan indices
+// with the issuance time passed explicitly (noon of the day). The
+// constructed bytes are independent of worker scheduling and of
+// whatever day the clock currently shows. Only coupled preps carry
+// their log set (Request.Logs): the coupled commit submits through the
+// CA flow, the staged commit reads the plan's policy directly.
+func (w *World) constructTimelineDay(day time.Time, workers int, coupled bool) (dayWork, error) {
 	dw := dayWork{day: day, plans: make([][]issuancePlan, len(w.Specs))}
 	ForEach(len(w.Specs), workers, func(si int) {
 		dw.plans[si] = w.planTimelineDay(day, w.Specs[si])
@@ -446,7 +403,11 @@ func (w *World) constructTimelineDay(day time.Time, workers int) (dayWork, error
 		ref := flat[k]
 		pl := dw.plans[ref.si][ref.i]
 		caInst := w.CAs[w.Specs[ref.si].Org]
-		p, err := caInst.PrepareSerialAt(ca.Request{Names: pl.names, EmbedSCTs: embed}, bases[ref.si]+uint64(ref.i), noon)
+		req := ca.Request{Names: pl.names, EmbedSCTs: embed}
+		if coupled {
+			req.Logs = w.submitters(pl.policy)
+		}
+		p, err := caInst.PrepareSerialAt(req, bases[ref.si]+uint64(ref.i), noon)
 		if err != nil {
 			prepErr.Record(k, err)
 			return
@@ -462,10 +423,13 @@ func (w *World) constructTimelineDay(day time.Time, workers int) (dayWork, error
 // names, and the sequencer's canonical batch order (applied by
 // finishDay's PublishSTH) makes the integrated tree independent of the
 // staging interleaving.
-func (w *World) commitTimelineDay(dw dayWork, workers int) error {
+func (w *World) commitTimelineDay(dw dayWork, workers int, coupled bool) error {
 	w.Clock.Set(dw.day.Add(12 * time.Hour))
 	if w.Frontend != nil {
 		return w.commitDayViaFrontend(dw, workers)
+	}
+	if coupled {
+		return w.commitDayCoupled(dw)
 	}
 	type submission struct {
 		p   *ca.Prepared
@@ -489,20 +453,36 @@ func (w *World) commitTimelineDay(dw dayWork, workers int) error {
 	ForEach(len(subs), workers, func(i int) {
 		s := subs[i]
 		if _, err := s.log.AddPreChain(s.p.IssuerKeyHash(), s.p.TBS()); err != nil {
-			// Overload cannot be replicated here: the sequential path
+			// Overload cannot be replicated here: the coupled commit
 			// drops the *rest of the issuance* across logs, which a
-			// staged fan-out cannot see. Config.NimbusCapacity gates to
-			// the sequential path already; a capacity configured on a
-			// log by other means must do the same, so fail loudly
-			// instead of silently diverging.
+			// staged fan-out cannot see. Config.NimbusCapacity selects
+			// the coupled commit; a capacity configured on a log by
+			// other means must fail loudly instead of silently
+			// diverging.
 			if errors.Is(err, ctlog.ErrOverloaded) {
-				err = fmt.Errorf("%s is capacity-limited; the pipelined timeline cannot replay overload drops — run with Parallelism=1: %w", s.log.Name(), err)
+				err = fmt.Errorf("%s is capacity-limited; only the coupled commit (Config.NimbusCapacity > 0) replays overload drops: %w", s.log.Name(), err)
 			}
 			commitErr.Record(i, err)
 		}
 	})
 	if err := commitErr.Err(); err != nil {
 		return fmt.Errorf("ecosystem: committing %s: %w", dw.day.Format("2006-01-02"), err)
+	}
+	return nil
+}
+
+// commitDayCoupled submits each issuance through the CA's full flow
+// (Prepared.Submit), in (CA spec, plan) order on the calling goroutine.
+// An ErrOverloaded submission drops the rest of its issuance (the CA
+// retries nothing, which is what the Nimbus incident looked like from
+// the outside); all other errors are fatal.
+func (w *World) commitDayCoupled(dw dayWork) error {
+	for si, preps := range dw.preps {
+		for _, p := range preps {
+			if _, err := p.Submit(); err != nil && !errors.Is(err, ctlog.ErrOverloaded) {
+				return fmt.Errorf("ecosystem: %s on %s: %w", w.Specs[si].Org, dw.day.Format("2006-01-02"), err)
+			}
+		}
 	}
 	return nil
 }

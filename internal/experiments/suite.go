@@ -25,8 +25,9 @@ type Options struct {
 	// generation side (timeline issuance replay, Figure 2 traffic
 	// replay, scan population build and sweep) and the harvest-and-
 	// analysis side (log crawl, census, candidate construction,
-	// massdns-style verification). 0 means GOMAXPROCS; 1 forces the
-	// sequential paths. Results are identical at every setting.
+	// massdns-style verification). 0 means GOMAXPROCS; 1 runs every
+	// stage inline on the calling goroutine. Results are identical at
+	// every setting.
 	Parallelism int
 }
 

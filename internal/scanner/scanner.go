@@ -45,7 +45,7 @@ type PopConfig struct {
 	// NumSites defaults to the world's domain count.
 	NumSites int
 	// Parallelism bounds the builder's worker fan-out: 0 means
-	// GOMAXPROCS, 1 forces the sequential path.
+	// GOMAXPROCS, 1 runs every stage inline on the calling goroutine.
 	Parallelism int
 	// SitesPerIP is the TLS-SNI multiplexing factor (the paper observes
 	// ≈12 certificates per IP). Default 12.
@@ -120,20 +120,36 @@ const (
 // Sites are built by up to PopConfig.Parallelism workers, each site
 // drawing from its own seed-derived RNG, so the population — site order,
 // domains, CA mix, embed flags, SCT channels — is independent of worker
-// count and scheduling. (Certificate serial numbers are drawn from the
-// shared CAs' atomic counters and are the one schedule-dependent detail;
-// nothing downstream observes them.)
+// count and scheduling. Serial numbers are too: each CA reserves one
+// block for all its sites, in w.Specs order, and a site's serial is the
+// block base plus its rank among that CA's sites.
 func BuildPopulation(w *ecosystem.World, cfg PopConfig) ([]*Site, error) {
 	cfg.setDefaults(w)
+	siteRNG := func(i int) *rand.Rand {
+		return ecosystem.NewRand(ecosystem.DeriveSeed(cfg.Seed, saltSite, uint64(i)))
+	}
+	// A site's CA is the first draw of its RNG, so one pass ranks every
+	// site among its CA's sites.
+	rank := make([]uint64, cfg.NumSites)
+	perCA := make(map[string]uint64)
+	for i := range rank {
+		org := drawCA(siteRNG(i))
+		rank[i] = perCA[org]
+		perCA[org]++
+	}
 	specByOrg := make(map[string]ecosystem.CASpec, len(w.Specs))
+	base := make(map[string]uint64, len(w.Specs))
 	for _, s := range w.Specs {
 		specByOrg[s.Org] = s
+		if n := perCA[s.Org]; n > 0 {
+			base[s.Org] = w.CAs[s.Org].ReserveSerials(n)
+		}
 	}
 
 	sites := make([]*Site, cfg.NumSites)
 	var buildErr ecosystem.FirstError
 	ecosystem.ForEach(cfg.NumSites, cfg.Parallelism, func(i int) {
-		rng := ecosystem.NewRand(ecosystem.DeriveSeed(cfg.Seed, saltSite, uint64(i)))
+		rng := siteRNG(i)
 		domain := w.Domains[i%len(w.Domains)]
 		org := drawCA(rng)
 		spec := specByOrg[org]
@@ -141,11 +157,15 @@ func BuildPopulation(w *ecosystem.World, cfg PopConfig) ([]*Site, error) {
 		embed := rng.Float64() < cfg.EmbedFraction
 
 		names := ecosystem.NamesForDomain(rng, domain.Name, domain.Suffix)
-		iss, err := caInst.Issue(ca.Request{
+		prep, err := caInst.PrepareSerial(ca.Request{
 			Names:     names,
 			EmbedSCTs: embed,
 			Logs:      submitters(w, spec.Policy(rng)),
-		})
+		}, base[org]+rank[i])
+		var iss *ca.Issued
+		if err == nil {
+			iss, err = prep.Submit()
+		}
 		if err != nil {
 			buildErr.Record(i, fmt.Errorf("scanner: issuing for %s: %w", domain.Name, err))
 			return

@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"bytes"
 	"testing"
 
 	"ctrise/internal/ca"
@@ -174,5 +175,33 @@ func TestBuildPopulationDeterministic(t *testing.T) {
 	}
 	if count() != count() {
 		t.Fatal("population not deterministic")
+	}
+
+	// Every site's certificate, serial number included, is the same bytes
+	// at every Parallelism on a fresh world.
+	encoded := func(p int) [][]byte {
+		w := testWorld(t)
+		sites := buildPop(t, w, PopConfig{Seed: 6, NumSites: 1000, Parallelism: p})
+		out := make([][]byte, len(sites))
+		for i, s := range sites {
+			enc, err := s.Cert.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = enc
+		}
+		return out
+	}
+	want := encoded(1)
+	for _, p := range []int{4, 13} {
+		got := encoded(p)
+		if len(got) != len(want) {
+			t.Fatalf("parallelism %d: %d sites, want %d", p, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("parallelism %d: site %d certificate differs from parallelism 1", p, i)
+			}
+		}
 	}
 }

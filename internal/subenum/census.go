@@ -6,16 +6,16 @@
 // against wildcard zones, CNAME chasing, routing-table filtering, and the
 // Sonar comparison.
 //
-// The census and the candidate construction both fan out over name
-// chunks (RunCensusParallel, ConstructConfig.Parallelism); every
-// aggregate they produce is additive, so parallel output is identical to
-// the sequential path at any worker count.
+// The census, the candidate construction and the verification all fan
+// out on ecosystem.ForEach (RunCensusParallel, ConstructConfig and
+// VerifyConfig.Parallelism; 1 runs every stage inline on the calling
+// goroutine). Chunk boundaries depend only on the input and every
+// aggregate is additive or merged in chunk order, so output is identical
+// at any worker count.
 package subenum
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"ctrise/internal/dnsname"
 	"ctrise/internal/ecosystem"
@@ -92,55 +92,28 @@ func (p *censusPartial) observe(raw string, list *psl.List) {
 	}
 }
 
-// runCensusChunk parses one chunk of names into a private aggregate.
-func runCensusChunk(names []string, list *psl.List) *censusPartial {
-	p := newCensusPartial()
-	for _, raw := range names {
-		p.observe(raw, list)
-	}
-	return p
-}
+// censusChunk is the number of names one census task parses.
+const censusChunk = 1024
 
 // RunCensusParallel is RunCensus with an explicit worker bound (0 means
-// GOMAXPROCS, 1 runs inline). The corpus is split into chunks, each
-// worker builds a private aggregate, and the merge is deterministic:
-// counts are additive and per-suffix domain lists are sorted.
+// GOMAXPROCS, 1 runs inline). The corpus is split into censusChunk-name
+// chunks, each chunk builds a private aggregate, and the merge is
+// deterministic: counts are additive and per-suffix domain lists are
+// sorted.
 func RunCensusParallel(names map[string]struct{}, list *psl.List, parallelism int) *Census {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
 	all := make([]string, 0, len(names))
 	for raw := range names {
 		all = append(all, raw)
 	}
-
-	var partials []*censusPartial
-	if parallelism <= 1 || len(all) < 2*censusMinChunk {
-		partials = []*censusPartial{runCensusChunk(all, list)}
-	} else {
-		chunk := (len(all) + parallelism - 1) / parallelism
-		if chunk < censusMinChunk {
-			chunk = censusMinChunk
+	chunks := ecosystem.Ranges(len(all), censusChunk)
+	partials := make([]*censusPartial, len(chunks))
+	ecosystem.ForEach(len(chunks), parallelism, func(i int) {
+		p := newCensusPartial()
+		for _, raw := range all[chunks[i].Lo:chunks[i].Hi] {
+			p.observe(raw, list)
 		}
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for lo := 0; lo < len(all); lo += chunk {
-			hi := lo + chunk
-			if hi > len(all) {
-				hi = len(all)
-			}
-			wg.Add(1)
-			go func(part []string) {
-				defer wg.Done()
-				p := runCensusChunk(part, list)
-				mu.Lock()
-				partials = append(partials, p)
-				mu.Unlock()
-			}(all[lo:hi])
-		}
-		wg.Wait()
-	}
-
+		partials[i] = p
+	})
 	return mergeCensusPartials(partials)
 }
 
@@ -196,10 +169,6 @@ func mergeCensusPartials(partials []*censusPartial) *Census {
 	return c
 }
 
-// censusMinChunk is the smallest chunk worth a goroutine; corpora below
-// twice this run inline.
-const censusMinChunk = 512
-
 // Table2 returns the top-k subdomain labels.
 func (c *Census) Table2(k int) []stats.KV { return c.Labels.TopK(k) }
 
@@ -228,40 +197,4 @@ func (c *Census) WordlistCoverage(wordlist []string) int {
 		}
 	}
 	return n
-}
-
-// concurrency is the default massdns-style resolver fan-out used by
-// Verify (VerifyConfig.Parallelism overrides it).
-const concurrency = 16
-
-// parallelForEach runs fn over items with the given worker count,
-// splitting items into contiguous per-worker chunks (no channel traffic
-// on the hot path). workers <= 1 runs inline. Results are accumulated by
-// the caller under its own synchronization.
-func parallelForEach[T any](items []T, workers int, fn func(T)) {
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers <= 1 {
-		for _, it := range items {
-			fn(it)
-		}
-		return
-	}
-	chunk := (len(items) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(items); lo += chunk {
-		hi := lo + chunk
-		if hi > len(items) {
-			hi = len(items)
-		}
-		wg.Add(1)
-		go func(part []T) {
-			defer wg.Done()
-			for _, it := range part {
-				fn(it)
-			}
-		}(items[lo:hi])
-	}
-	wg.Wait()
 }

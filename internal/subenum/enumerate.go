@@ -3,12 +3,12 @@ package subenum
 import (
 	"math/rand"
 	"net"
-	"runtime"
 	"sort"
 
 	"ctrise/internal/dnsmsg"
 	"ctrise/internal/dnsname"
 	"ctrise/internal/dnssim"
+	"ctrise/internal/ecosystem"
 	"ctrise/internal/stats"
 )
 
@@ -34,9 +34,6 @@ func (c *ConstructConfig) setDefaults() {
 	}
 	if c.SkipSuffixes == nil {
 		c.SkipSuffixes = map[string]bool{"com": true, "net": true, "org": true}
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -65,7 +62,7 @@ func Construct(census *Census, domainsBySuffix map[string][]string, cfg Construc
 	// built in parallel and concatenated in label order — the same list
 	// a sequential loop produces.
 	perLabel := make([][]Candidate, len(labels))
-	parallelForEach(seq(len(labels)), cfg.Parallelism, func(i int) {
+	ecosystem.ForEach(len(labels), cfg.Parallelism, func(i int) {
 		perLabel[i] = constructLabel(census, domainsBySuffix, cfg, labels[i])
 	})
 	var total int
@@ -123,6 +120,14 @@ func constructLabel(census *Census, domainsBySuffix map[string][]string, cfg Con
 type RouteChecker interface {
 	InRoutingTable(ip net.IP) bool
 }
+
+// concurrency is the default massdns-style resolver fan-out used by
+// Verify (VerifyConfig.Parallelism overrides it).
+const concurrency = 16
+
+// verifyChunk is the number of candidates one verification task
+// resolves.
+const verifyChunk = 512
 
 // VerifyConfig parameterizes verification.
 type VerifyConfig struct {
@@ -192,7 +197,7 @@ func Verify(candidates []Candidate, universe *dnssim.Universe, routes RouteCheck
 	sort.Slice(ctls, func(i, j int) bool { return ctls[i].domain < ctls[j].domain })
 	// Index-aligned results: each worker writes its own slots, no lock.
 	ctlOK := make([]bool, len(ctls))
-	parallelForEach(seq(len(ctls)), cfg.Parallelism, func(i int) {
+	ecosystem.ForEach(len(ctls), cfg.Parallelism, func(i int) {
 		ctlOK[i], _ = resolves(universe, dnsname.Prepend(ctls[i].label, ctls[i].domain), routes, cfg.MaxCNAME)
 	})
 	controlResolves := make(map[string]bool, len(ctls))
@@ -200,32 +205,18 @@ func Verify(candidates []Candidate, universe *dnssim.Universe, routes RouteCheck
 		controlResolves[dc.domain] = ctlOK[i]
 	}
 
-	// Candidate phase: contiguous chunks, one private partial per chunk,
-	// merged after the barrier — no shared lock on the resolution path.
+	// Candidate phase: contiguous verifyChunk-candidate chunks, one
+	// private partial per chunk, merged after the barrier — no shared
+	// lock on the resolution path.
 	type verifyPartial struct {
 		testAnswers, controlAnswers, unrouted uint64
 		newNames                              []string
 	}
-	workers := cfg.Parallelism
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (len(candidates) + workers - 1) / workers
-	nChunks := 0
-	if len(candidates) > 0 {
-		nChunks = (len(candidates) + chunk - 1) / chunk
-	}
-	parts := make([]verifyPartial, nChunks)
-	parallelForEach(seq(nChunks), workers, func(ci int) {
-		lo, hi := ci*chunk, (ci+1)*chunk
-		if hi > len(candidates) {
-			hi = len(candidates)
-		}
+	chunks := ecosystem.Ranges(len(candidates), verifyChunk)
+	parts := make([]verifyPartial, len(chunks))
+	ecosystem.ForEach(len(chunks), cfg.Parallelism, func(ci int) {
 		p := &parts[ci]
-		for _, c := range candidates[lo:hi] {
+		for _, c := range candidates[chunks[ci].Lo:chunks[ci].Hi] {
 			ok, dropped := resolves(universe, c.FQDN, routes, cfg.MaxCNAME)
 			if dropped {
 				p.unrouted++
@@ -253,16 +244,6 @@ func Verify(candidates []Candidate, universe *dnssim.Universe, routes RouteCheck
 	sort.Strings(newNames)
 	res.NewFQDNs = newNames
 	return res
-}
-
-// seq returns [0, 1, ..., n-1], the index slice the parallel loops
-// iterate over.
-func seq(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // resolves performs one massdns-style lookup: A record, CNAME chase,

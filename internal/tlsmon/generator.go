@@ -147,8 +147,8 @@ type GenConfig struct {
 	// lifts a burst day's SCT share to ≈66% like the Figure 2 peaks.
 	BurstFactor int
 	// Parallelism bounds the generator's worker fan-out: 0 means
-	// GOMAXPROCS, 1 forces the sequential path. The stream is identical
-	// at every setting.
+	// GOMAXPROCS, 1 runs every stage inline on the calling goroutine.
+	// The stream is identical at every setting.
 	Parallelism int
 }
 
