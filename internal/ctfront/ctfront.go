@@ -40,7 +40,6 @@ package ctfront
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -166,11 +165,6 @@ type Config struct {
 	// Defaults: 1s base, 5m max.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// DefaultLifetime is the certificate lifetime assumed when a
-	// submission's validity window cannot be parsed from its bytes
-	// (policy.MinSCTs scales the SCT count with lifetime). Defaults to
-	// 90 days.
-	DefaultLifetime time.Duration
 	// MaxSubmitPasses bounds how many planning passes one submission may
 	// run. The default 1 keeps the original single-pass behavior: when
 	// every candidate has been tried the submission fails. A higher
@@ -360,9 +354,6 @@ func New(cfg Config) (*Frontend, error) {
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 5 * time.Minute
 	}
-	if cfg.DefaultLifetime <= 0 {
-		cfg.DefaultLifetime = 90 * 24 * time.Hour
-	}
 	if cfg.MaxSubmitPasses < 1 {
 		cfg.MaxSubmitPasses = 1
 	}
@@ -403,7 +394,7 @@ func New(cfg Config) (*Frontend, error) {
 // AddChain fans a final certificate out until the SCT set is compliant.
 func (f *Frontend) AddChain(ctx context.Context, cert []byte) (*Bundle, error) {
 	entry := sct.X509Entry(cert)
-	return f.submit(ctx, entry, f.lifetimeOf(cert), func(ctx context.Context, b Backend) (*sct.SignedCertificateTimestamp, error) {
+	return f.submit(ctx, entry, lifetimeOf(cert), func(ctx context.Context, b Backend) (*sct.SignedCertificateTimestamp, error) {
 		return b.AddChain(ctx, cert)
 	})
 }
@@ -411,37 +402,26 @@ func (f *Frontend) AddChain(ctx context.Context, cert []byte) (*Bundle, error) {
 // AddPreChain fans a precertificate out until the SCT set is compliant.
 func (f *Frontend) AddPreChain(ctx context.Context, issuerKeyHash [32]byte, tbs []byte) (*Bundle, error) {
 	entry := sct.PrecertEntry(issuerKeyHash, tbs)
-	return f.submit(ctx, entry, f.lifetimeOf(tbs), func(ctx context.Context, b Backend) (*sct.SignedCertificateTimestamp, error) {
+	return f.submit(ctx, entry, lifetimeOf(tbs), func(ctx context.Context, b Backend) (*sct.SignedCertificateTimestamp, error) {
 		return b.AddPreChain(ctx, issuerKeyHash, tbs)
 	})
 }
 
+// defaultLifetime is the certificate lifetime assumed when a
+// submission's validity window cannot be parsed from its bytes
+// (policy.MinSCTs scales the SCT count with lifetime).
+const defaultLifetime = 90 * 24 * time.Hour
+
 // lifetimeOf extracts the validity window from the submission bytes
 // (certificates and TBSes share the synthetic codec). Backend logs
 // accept opaque bytes, so an unparseable submission is not rejected —
-// it is planned under DefaultLifetime.
-func (f *Frontend) lifetimeOf(data []byte) time.Duration {
+// it is planned under defaultLifetime.
+func lifetimeOf(data []byte) time.Duration {
 	c, err := certs.Decode(data)
 	if err != nil || !c.NotAfter.After(c.NotBefore) {
-		return f.cfg.DefaultLifetime
+		return defaultLifetime
 	}
 	return c.NotAfter.Sub(c.NotBefore)
-}
-
-// submissionID hashes the submission identity — the same bytes a log
-// dedupes on — for the deterministic ranking.
-func submissionID(ce sct.CertificateEntry) uint64 {
-	h := sha256.New()
-	h.Write([]byte{0x00, byte(ce.Type)})
-	if ce.Type == sct.PrecertLogEntryType {
-		h.Write(ce.IssuerKeyHash[:])
-		h.Write(ce.TBS)
-	} else {
-		h.Write(ce.Cert)
-	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return binary.BigEndian.Uint64(sum[:8])
 }
 
 // rankMix steps the shared splitmix64 finalizer (stats.Mix64) the way
@@ -484,7 +464,9 @@ type result struct {
 // never fail a pass, so the loop degenerates to the single-pass engine
 // there.
 func (f *Frontend) submit(ctx context.Context, entry sct.CertificateEntry, lifetime time.Duration, call func(context.Context, Backend) (*sct.SignedCertificateTimestamp, error)) (*Bundle, error) {
-	id := submissionID(entry)
+	// The ranking id: the first 8 bytes of the identity a log dedupes on.
+	idh := entry.IdentityHash()
+	id := binary.BigEndian.Uint64(idh[:8])
 	bundle := &Bundle{}
 	var err error
 	for pass := 0; pass < f.cfg.MaxSubmitPasses; pass++ {

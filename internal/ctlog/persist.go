@@ -236,7 +236,7 @@ func (r *recovered) stageLeaf(leaf []byte) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", storage.ErrCorrupt, err)
 	}
-	e.idHash = entryIdentity(e.SignatureEntry())
+	e.idHash = e.SignatureEntry().IdentityHash()
 	e.idKey = idKeyOf(e.idHash)
 	e.leafHash = merkle.HashLeaf(leaf)
 	if _, dup := r.dedupe[e.idHash]; dup {

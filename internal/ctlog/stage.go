@@ -1,7 +1,6 @@
 package ctlog
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 
@@ -57,7 +56,7 @@ func (l *Log) add(ce sct.CertificateEntry) (*sct.SignedCertificateTimestamp, err
 	// plus a map lookup, skipping the entry construction and leaf hashing
 	// below; the check further down remains authoritative for racing
 	// first submissions.
-	idHash := entryIdentity(ce)
+	idHash := merkle.Hash(ce.IdentityHash())
 	l.stageMu.Lock()
 	prev, dup := l.dedupe[idHash]
 	l.stageMu.Unlock()
@@ -236,25 +235,6 @@ func (l *Log) unstage(e *Entry) {
 			return
 		}
 	}
-}
-
-// entryIdentity hashes the content identity of a submission for dedupe.
-// The tag/key-hash/TBS parts stream directly into one digest (the same
-// SHA-256(0x00 || type || payload) value merkle.HashLeaf would produce
-// over a concatenated buffer) so the per-submission hot path allocates no
-// intermediate payload slices.
-func entryIdentity(ce sct.CertificateEntry) merkle.Hash {
-	h := sha256.New()
-	h.Write([]byte{0x00, byte(ce.Type)})
-	if ce.Type == sct.PrecertLogEntryType {
-		h.Write(ce.IssuerKeyHash[:])
-		h.Write(ce.TBS)
-	} else {
-		h.Write(ce.Cert)
-	}
-	var out merkle.Hash
-	h.Sum(out[:0])
-	return out
 }
 
 // idKeyOf extracts the cheap 8-byte sort key from an identity hash; the

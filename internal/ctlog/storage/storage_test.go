@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 )
 
@@ -332,6 +333,56 @@ func TestStoreClosedIsSticky(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatalf("double close err=%v", err)
+	}
+}
+
+// TestAppendLogIOErrorIsSticky makes a real write fail: the append
+// log's file descriptor is closed under it, so the next Append gets
+// EBADF from the kernel. That first error must stick through Err,
+// Barrier, a second Append and Close — never replaced by a later error
+// or by ErrClosed — and the durable prefix must survive for a reopen.
+func TestAppendLogIOErrorIsSticky(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain.audit")
+	l, err := OpenAppendLog(path, AuditMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := l.Append(RecordSTH, []byte("durable"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Barrier(off); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Close(int(l.f.Fd())); err != nil {
+		t.Fatal(err)
+	}
+	off, first := l.Append(RecordSTH, []byte("lost"))
+	if !errors.Is(first, syscall.EBADF) {
+		t.Fatalf("append on a closed fd: err=%v, want EBADF", first)
+	}
+	sticky := func(what string, err error) {
+		t.Helper()
+		if err != first {
+			t.Fatalf("%s: err=%v, want the first failure %v", what, err, first)
+		}
+	}
+	sticky("Err", l.Err())
+	sticky("Barrier", l.Barrier(off))
+	_, err = l.Append(RecordSTH, []byte("after"))
+	sticky("second Append", err)
+	l.Close() // closes the fd again: EBADF, and no second sticky error
+	sticky("Err after Close", l.Err())
+	_, err = l.Append(RecordSTH, []byte("after close"))
+	sticky("Append after Close", err)
+
+	l, err = OpenAppendLog(path, AuditMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if recs := l.Records(); len(recs) != 1 || string(recs[0].Payload) != "durable" {
+		t.Fatalf("reopened with %d records, want only the durable one", len(recs))
 	}
 }
 

@@ -504,7 +504,8 @@ func NewSlicedBlooms(span int) *SlicedBlooms {
 
 // Add appends tile's bloom. Tiles arrive in order, and the bloom has the
 // set's shape (DecodeTileIndex guarantees it for every bloom read from
-// disk); anything else is a bug in the caller, and Add panics.
+// disk, BuildTileIndex for every bloom a seal builds); anything else is
+// a bug in the caller, and Add panics.
 func (s *SlicedBlooms) Add(tile uint64, b Bloom) {
 	if tile != s.n || b.K != s.k || len(b.Bits)*8 != s.nbits {
 		panic(fmt.Sprintf("storage: adding tile %d (k=%d, %d bits) to %d tiles of k=%d, %d bits", tile, b.K, len(b.Bits)*8, s.n, s.k, s.nbits))

@@ -1,6 +1,7 @@
 package ctlog
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -37,18 +38,20 @@ import (
 // The seal is three-phase, and the ordering is the crash-safety
 // argument:
 //
-//  1. Write: each tile's three files are written atomically and fsynced,
-//     then read back straight from disk — not through the page cache —
-//     and re-verified against the in-RAM tree (tileStore.verify: the
-//     hash tile's recomputed root must equal the tree's subtree root;
-//     the leaf tile must hash to the hash tile's leaf level). That
-//     leaf↔hash↔root cross-check is what makes the tile trusted for the
-//     rest of the process: later leaf page-ins check CRC, framing, label
-//     and leaf syntax only (see tileStore.leafTile). A crash here leaves
+//  1. Write: each tile's three files are encoded from the entries'
+//     stamped leaf bytes and leaf hashes, the hash tile's root is pinned
+//     to the tree's subtree root, and the files are written atomically
+//     and fsynced, then read back straight from disk — not through the
+//     page cache — and compared byte for byte with the images written
+//     (tileStore.verify). Bytes equal to those images are the leaves and
+//     hashes the tree committed to, so the tile is trusted for the rest
+//     of the process: later leaf page-ins check CRC, framing, label and
+//     leaf syntax only (see tileStore.leafTile). A crash here leaves
 //     orphan tile files that the next seal rewrites and re-reads.
-//  2. Install: the tile roots + blooms register in the tileStore, the
-//     tree prunes its sub-tile levels (merkle.TiledTree.Seal), and the
-//     sealed entries leave the tail and the proof map.
+//  2. Install: the tile roots + the blooms of the index the seal built
+//     register in the tileStore, the tree prunes its sub-tile levels
+//     (merkle.TiledTree.Seal), and the sealed entries leave the tail and
+//     the proof map.
 //  3. Compact (the only phase under the staging mutex): the sealed
 //     identities leave the dedupe map, a snapshot carrying the tile
 //     roots and the now-short tail is written at the current WAL offset,
@@ -85,10 +88,11 @@ type tileStore struct {
 	// leaf-hash blooms, bit-sliced so a probe over all sealed tiles costs
 	// K word loads per 64 tiles.
 	ids, leaves *storage.SlicedBlooms
-	// checked[tile] records that this process has cross-checked the
-	// tile's leaf file against its hash tile and registered root: in the
-	// seal's verify, or on the first leaf page-in of a tile installed
-	// by Open. It is never persisted, so every restart re-earns it.
+	// checked[tile] records that this process trusts the tile's leaf
+	// file: its seal's verify found the written bytes on disk, or the
+	// first leaf page-in of a tile installed by Open cross-checked it
+	// against its hash tile and registered root. It is never persisted,
+	// so every restart re-earns it.
 	checked []bool
 }
 
@@ -127,9 +131,9 @@ func (ts *tileStore) rootAt(tile uint64) (merkle.Hash, bool) {
 }
 
 // register appends one sealed tile's root and the blooms of the index
-// verify read from disk; tiles register in order. Its caller is the
-// seal, whose verify has just cross-checked the tile's files as they are
-// on disk, so the tile registers as checked.
+// the seal built; tiles register in order. Its caller is the seal, whose
+// verify has just found exactly the written files on disk, so the tile
+// registers as checked.
 func (ts *tileStore) register(tile uint64, root merkle.Hash, ix *storage.TileIndex) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -143,17 +147,17 @@ func (ts *tileStore) register(tile uint64, root merkle.Hash, ix *storage.TileInd
 	return nil
 }
 
-// isChecked reports whether the tile's leaf file has passed the
-// cross-check in this process. Only entries asks, and only about
-// registered tiles: a tile sealed by this process registers checked, a
-// tile installed by Open starts unchecked until its first leaf page-in.
+// isChecked reports whether this process trusts the tile's leaf file.
+// Only leafTile asks, and only about registered tiles: a tile sealed by
+// this process registers checked, a tile installed by Open starts
+// unchecked until its first leaf page-in.
 func (ts *tileStore) isChecked(tile uint64) bool {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
 	return tile < uint64(len(ts.checked)) && ts.checked[tile]
 }
 
-// markChecked records a passed cross-check of a registered tile.
+// markChecked records a passed crossCheck of a registered tile.
 func (ts *tileStore) markChecked(tile uint64) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -320,13 +324,14 @@ func (ts *tileStore) hashTile(tile uint64) (*storage.HashTile, error) {
 // decodeLeaf — what the leaf file can say about itself. What only the
 // tree can say — that these are the leaves it committed to — is
 // crossCheck, which runs on the first page-in of a tile installed by
-// Open and not again (tiles this process sealed were cross-checked by
-// verify): the files are immutable, so repeating it on every cache miss
-// would cost a hash-tile page-in and a SHA-256 per leaf to learn nothing
-// new. A failed check leaves the tile unchecked, so the next read fails
-// the same way. Concurrent first touches may both check; none serves
-// before a check has passed. The returned tile is immutable and shared
-// by every reader of the cached page.
+// Open and not again (a tile this process sealed is trusted from its
+// seal's byte-compare read-back): the files are immutable, so repeating
+// it on every cache miss would cost a hash-tile page-in and a SHA-256
+// per leaf to learn nothing new. A failed check leaves the tile
+// unchecked, so the next read fails the same way. Concurrent first
+// touches may both check; none serves before a check has passed. The
+// returned tile is immutable and shared by every reader of the cached
+// page.
 func (ts *tileStore) leafTile(tile uint64) (*storage.LeafTile, error) {
 	v, err := ts.load(pageKindLeaf, tile, storage.TileExtLeaf, func(data []byte) (any, int64, error) {
 		lt, err := ts.decodeLeaf(tile, data)
@@ -354,8 +359,8 @@ func (ts *tileStore) leafTile(tile uint64) (*storage.LeafTile, error) {
 // crossCheck ties a decoded leaf tile to the tree: every leaf must hash
 // to the leaf level of ht, a hash tile its decoder has already pinned
 // to the tree's root for the tile. This is the check a CRC cannot make:
-// a well-framed leaf file holding the wrong leaves. Its two callers are
-// the seal's verify and the first leaf page-in of a tile after Open.
+// a well-framed leaf file holding the wrong leaves. Its one caller is
+// leafTile, on the first page-in of a tile installed by Open.
 func crossCheck(lt *storage.LeafTile, ht *storage.HashTile) error {
 	for i, leaf := range lt.Leaves {
 		if [32]byte(merkle.HashLeaf(leaf)) != ht.Levels[0][i] {
@@ -377,36 +382,37 @@ func (ts *tileStore) index(tile uint64) (*storage.TileIndex, error) {
 	return v.(*storage.TileIndex), nil
 }
 
+// tileImages are one tile's three encoded files, as the seal hands them
+// to Store.WriteTile.
+type tileImages struct{ leaf, hash, index []byte }
+
 // verify is the seal's read-back: it reads a freshly written tile's
-// three files straight from disk and checks them against root, the
-// tree's subtree root for the tile, with the same decoders a page-in
-// runs plus crossCheck — so it verifies what is durable, every time it
-// is called, and installs nothing in the page cache (a write-only log
-// does not fill its cache with pages nobody read). It returns the
-// decoded index, whose blooms register slices in.
-func (ts *tileStore) verify(tile uint64, root merkle.Hash) (*storage.TileIndex, error) {
-	data, err := ts.read(tile, storage.TileExtHash)
-	if err != nil {
-		return nil, err
+// three files straight from disk and requires each to equal, byte for
+// byte, the image the seal wrote. A differing file is storage.ErrCorrupt,
+// an unreadable or missing one ErrPersistence; both name the tile and
+// file. That is all a decode and crossCheck could prove here: the seal
+// built the hash tile from the entries' stamped leaf hashes and pinned
+// its root to the tree's subtree root before writing, and each stamped
+// leaf hash is HashLeaf of the very leaf bytes the leaf image encodes
+// (add and recovery's stageLeaf both stamp it so), so bytes equal to
+// the images are the leaves and nodes the tree committed to. It reads
+// what is durable every time it is called, and installs nothing in the
+// page cache (a write-only log does not fill its cache with pages
+// nobody read).
+func (ts *tileStore) verify(tile uint64, im tileImages) error {
+	for _, f := range []struct {
+		ext   string
+		image []byte
+	}{{storage.TileExtHash, im.hash}, {storage.TileExtLeaf, im.leaf}, {storage.TileExtIndex, im.index}} {
+		data, err := ts.read(tile, f.ext)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(data, f.image) {
+			return fmt.Errorf("%w: tile %d.%s on disk differs from the bytes the seal wrote", storage.ErrCorrupt, tile, f.ext)
+		}
 	}
-	ht, err := ts.decodeHash(tile, root, data)
-	if err != nil {
-		return nil, err
-	}
-	if data, err = ts.read(tile, storage.TileExtLeaf); err != nil {
-		return nil, err
-	}
-	lt, err := ts.decodeLeaf(tile, data)
-	if err != nil {
-		return nil, err
-	}
-	if err := crossCheck(lt, ht); err != nil {
-		return nil, err
-	}
-	if data, err = ts.read(tile, storage.TileExtIndex); err != nil {
-		return nil, err
-	}
-	return ts.decodeIndex(tile, data)
+	return nil
 }
 
 // Node implements merkle.NodeSource: the hash of the perfect subtree at
@@ -582,21 +588,24 @@ func (l *Log) sealTileLocked(tile uint64) error {
 	if merkle.Hash(ht.Root()) != want {
 		return fmt.Errorf("%w: tile %d built root differs from the live tree", storage.ErrCorrupt, tile)
 	}
-	lt := &storage.LeafTile{Tile: tile, Span: span, Leaves: leaves}
 	ix := storage.BuildTileIndex(tile, tile*span, idHashes, leafHashes)
-	if err := l.store.WriteTile(tile, storage.EncodeLeafTile(lt), storage.EncodeHashTile(ht), storage.EncodeTileIndex(ix)); err != nil {
+	im := tileImages{
+		leaf:  storage.EncodeLeafTile(&storage.LeafTile{Tile: tile, Span: span, Leaves: leaves}),
+		hash:  storage.EncodeHashTile(ht),
+		index: storage.EncodeTileIndex(ix),
+	}
+	if err := l.store.WriteTile(tile, im.leaf, im.hash, im.index); err != nil {
 		return fmt.Errorf("%w: %v", ErrPersistence, err)
 	}
 	// Verify what is actually durable before the tree prunes anything:
 	// read the files back from disk (a retried seal re-reads the bytes it
-	// just rewrote — nothing is cached for an unregistered tile), tie the
-	// hash tile to the tree's root and every leaf to the hash tile; only
-	// then does the tile register, as checked.
-	vix, err := l.tiles.verify(tile, want)
-	if err != nil {
+	// just rewrote — nothing is cached for an unregistered tile) and
+	// compare them with the images; only then does the tile register, as
+	// checked, with the index built here.
+	if err := l.tiles.verify(tile, im); err != nil {
 		return err
 	}
-	return l.tiles.register(tile, want, vix)
+	return l.tiles.register(tile, want, ix)
 }
 
 // sealStage invokes the test-only seal lifecycle hook.

@@ -46,6 +46,9 @@ func fillAndPublish(t *testing.T, l *Log, clk *virtualClock, prefix string, n in
 	return sth
 }
 
+// entryIdentity is a submission's dedupe key as the log stamps it.
+func entryIdentity(ce sct.CertificateEntry) merkle.Hash { return merkle.Hash(ce.IdentityHash()) }
+
 // collectLeaves streams [0, size) and returns each entry's leaf bytes.
 func collectLeaves(t *testing.T, l *Log, size uint64) [][]byte {
 	t.Helper()
@@ -1186,9 +1189,9 @@ func TestTiledSealCachesNothing(t *testing.T) {
 
 // writeTileFixture writes one well-formed tile of distinct leaves with
 // Store.WriteTile, as a seal writes it, without registering it. It
-// returns the root a seal would verify the files against and the index
-// it wrote.
-func writeTileFixture(t *testing.T, l *Log, tile uint64, prefix string) (merkle.Hash, *storage.TileIndex) {
+// returns the images written, which a seal's verify compares the files
+// against.
+func writeTileFixture(t *testing.T, l *Log, tile uint64, prefix string) tileImages {
 	t.Helper()
 	span := l.tiles.span
 	leaves := make([][]byte, span)
@@ -1208,18 +1211,21 @@ func writeTileFixture(t *testing.T, l *Log, tile uint64, prefix string) (merkle.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := storage.BuildTileIndex(tile, tile*span, idHashes, leafHashes)
-	lt := &storage.LeafTile{Tile: tile, Span: span, Leaves: leaves}
-	if err := l.store.WriteTile(tile, storage.EncodeLeafTile(lt), storage.EncodeHashTile(ht), storage.EncodeTileIndex(ix)); err != nil {
+	im := tileImages{
+		leaf:  storage.EncodeLeafTile(&storage.LeafTile{Tile: tile, Span: span, Leaves: leaves}),
+		hash:  storage.EncodeHashTile(ht),
+		index: storage.EncodeTileIndex(storage.BuildTileIndex(tile, tile*span, idHashes, leafHashes)),
+	}
+	if err := l.store.WriteTile(tile, im.leaf, im.hash, im.index); err != nil {
 		t.Fatal(err)
 	}
-	return merkle.Hash(ht.Root()), ix
+	return im
 }
 
 // TestTiledVerifyChecksDisk drives the seal's read-back, tileStore.verify,
 // directly on tile files written the way a seal writes them, one kind of
-// damage per row. Every row must fail with the right error class (or,
-// for the good tile, return the blooms on disk), leave the tile
+// damage per row. Every row must fail with the right error class naming
+// the tile and file (or, for the good tile, pass), leave the tile
 // unregistered, and leave the page cache untouched.
 func TestTiledVerifyChecksDisk(t *testing.T) {
 	copyFrom1 := func(ext string) func(t *testing.T, dir string) {
@@ -1234,32 +1240,29 @@ func TestTiledVerifyChecksDisk(t *testing.T) {
 		}
 	}
 	type row struct {
-		name     string
-		damage   func(t *testing.T, dir string) // nil: the files stay as written
-		badRoot  bool
-		want     error  // nil: verify passes
-		mentions string // a phrase the error must carry, naming the check that fired
+		name   string
+		damage func(t *testing.T, dir string) // nil: the files stay as written
+		ext    string                         // the damaged file, which the error must name
+		want   error                          // nil: verify passes
 	}
 	rows := []row{
 		{name: "good tile"},
 		{name: "CRC-valid forged .leaf", damage: func(t *testing.T, dir string) { forgeLeafTile(t, dir, 0) },
-			want: storage.ErrCorrupt, mentions: "does not hash to the sealed leaf hash"},
-		{name: "wrong expected root", badRoot: true,
-			want: storage.ErrCorrupt, mentions: "root does not match"},
+			ext: storage.TileExtLeaf, want: storage.ErrCorrupt},
 		{name: "CRC-valid .idx with a misshapen bloom", damage: func(t *testing.T, dir string) { reshapeIndexBloom(t, dir, 0) },
-			want: storage.ErrCorrupt, mentions: "bloom has k="},
+			ext: storage.TileExtIndex, want: storage.ErrCorrupt},
 	}
 	for _, ext := range []string{storage.TileExtLeaf, storage.TileExtHash, storage.TileExtIndex} {
 		rows = append(rows,
 			row{name: "byte flip in ." + ext, damage: func(t *testing.T, dir string) { flipTileByte(t, dir, 0, ext) },
-				want: storage.ErrCorrupt},
+				ext: ext, want: storage.ErrCorrupt},
 			row{name: "tile 1's ." + ext + " over tile 0's", damage: copyFrom1(ext),
-				want: storage.ErrCorrupt, mentions: "labeled"},
+				ext: ext, want: storage.ErrCorrupt},
 			row{name: "missing ." + ext, damage: func(t *testing.T, dir string) {
 				if err := os.Remove(tilePath(dir, 0, ext)); err != nil {
 					t.Fatal(err)
 				}
-			}, want: ErrPersistence},
+			}, ext: ext, want: ErrPersistence},
 		)
 	}
 	for _, r := range rows {
@@ -1267,24 +1270,19 @@ func TestTiledVerifyChecksDisk(t *testing.T) {
 			dir := t.TempDir()
 			l, _ := newDurableLog(t, dir, Config{TileSpan: 4})
 			defer l.Close()
-			root, ix := writeTileFixture(t, l, 0, "verify-0")
+			im := writeTileFixture(t, l, 0, "verify-0")
 			writeTileFixture(t, l, 1, "verify-1")
 			if r.damage != nil {
 				r.damage(t, dir)
 			}
-			if r.badRoot {
-				root[0] ^= 1
-			}
-			got, err := l.tiles.verify(0, root)
+			err := l.tiles.verify(0, im)
 			switch {
 			case r.want == nil && err != nil:
 				t.Fatalf("verify of a good tile: %v", err)
-			case r.want == nil && !(reflect.DeepEqual(got.IDBloom, ix.IDBloom) && reflect.DeepEqual(got.LeafBloom, ix.LeafBloom)):
-				t.Fatal("verify returned blooms that are not the ones on disk")
 			case r.want != nil && !errors.Is(err, r.want):
 				t.Fatalf("verify: err=%v, want %v", err, r.want)
-			case r.mentions != "" && !strings.Contains(err.Error(), r.mentions):
-				t.Fatalf("verify: err=%v, want the check that mentions %q", err, r.mentions)
+			case r.want != nil && !strings.Contains(err.Error(), "tile 0."+r.ext):
+				t.Fatalf("verify: err=%v, want it to name tile 0.%s", err, r.ext)
 			}
 			if n := l.tiles.sealedTiles(); n != 0 {
 				t.Fatalf("verify registered %d tiles", n)
@@ -1300,18 +1298,99 @@ func TestTiledVerifyChecksDisk(t *testing.T) {
 // verify passes on a good tile, the tile's .hash file is then damaged
 // (as a failed seal's rewrite might leave it), and a second verify must
 // fail. A read-back through the page cache would have been served the
-// first call's decode and passed.
+// first call's page and passed.
 func TestTiledVerifyRetryRereadsDisk(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := newDurableLog(t, dir, Config{TileSpan: 4})
 	defer l.Close()
-	root, _ := writeTileFixture(t, l, 0, "retry")
-	if _, err := l.tiles.verify(0, root); err != nil {
+	im := writeTileFixture(t, l, 0, "retry")
+	if err := l.tiles.verify(0, im); err != nil {
 		t.Fatal(err)
 	}
 	flipTileByte(t, dir, 0, storage.TileExtHash)
-	if _, err := l.tiles.verify(0, root); !errors.Is(err, storage.ErrCorrupt) {
+	if err := l.tiles.verify(0, im); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("second verify after the .hash file changed: err=%v, want ErrCorrupt", err)
+	}
+}
+
+// TestTiledSealWriteFailureIsSticky makes a seal's tile write fail for
+// real: the tiles directory is replaced by a regular file before the
+// publish that would seal tile 0. The publish returns ErrPersistence
+// with nothing registered and the sealed prefix unchanged; reads keep
+// answering from the resident tail; the store's failure is sticky, so
+// the next add-chain is a 503 with Retry-After and /metrics reads
+// ctlog_store_failed 1. With the directory restored, a reopen serves the
+// same head and its next publish seals the tile.
+func TestTiledSealWriteFailureIsSticky(t *testing.T) {
+	const span = 4
+	dir := t.TempDir()
+	l, clk := newDurableLog(t, dir, Config{TileSpan: span})
+	fillAndPublish(t, l, clk, "sticky-seal", 2)
+	tilesDir := filepath.Join(dir, storage.TilesDirName)
+	if err := os.Remove(tilesDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tilesDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i < span+2; i++ {
+		if _, err := l.AddChain([]byte(fmt.Sprintf("sticky-seal-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := l.PublishSTH(); !errors.Is(err, ErrPersistence) {
+		t.Fatalf("sealing publish over a file named tiles: err=%v, want ErrPersistence", err)
+	}
+	if n := l.tiles.sealedTiles(); n != 0 {
+		t.Fatalf("a failed seal registered %d tiles", n)
+	}
+	if got := l.TiledThrough(); got != 0 {
+		t.Fatalf("TiledThrough = %d after a failed seal, want 0", got)
+	}
+	head := l.STH()
+	if head.TreeHead.TreeSize != span+2 {
+		t.Fatalf("published head covers %d entries, want %d", head.TreeHead.TreeSize, span+2)
+	}
+	want := collectLeaves(t, l, span+2)
+	if _, err := l.GetInclusionProof(1, span+2); err != nil {
+		t.Fatalf("inclusion proof from the tail: %v", err)
+	}
+
+	srv := httptest.NewServer(l.Handler())
+	defer srv.Close()
+	if resp := get(t, srv, fmt.Sprintf("/ct/v1/get-entries?start=0&end=%d", span+1)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("get-entries after the failed seal: status %d, want 200", resp.StatusCode)
+	}
+	resp := post(t, srv, "/ct/v1/add-chain", `{"chain":["c3RpY2t5"]}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("add-chain after the failed seal: status %d, want 503", resp.StatusCode)
+	}
+	// No sequencer runs, so the hint is drain.Refuse's 1 s floor.
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("add-chain 503 Retry-After = %q, want %q", got, "1")
+	}
+	wantSamples(t, l, map[string]string{"ctlog_store_failed": "1", "ctlog_sealed_entries": "0"})
+	l.Close() // refuses the closing snapshot: the store has failed
+
+	if err := os.Remove(tilesDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(tilesDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := newDurableLog(t, dir, Config{TileSpan: span})
+	defer r.Close()
+	if got := r.STH(); got.TreeHead != head.TreeHead {
+		t.Fatalf("reopened head %+v, want %+v", got.TreeHead, head.TreeHead)
+	}
+	if _, err := r.PublishSTH(); err != nil {
+		t.Fatalf("publish after the directory came back: %v", err)
+	}
+	if got := r.TiledThrough(); got != span {
+		t.Fatalf("TiledThrough = %d after the retried seal, want %d", got, span)
+	}
+	if got := collectLeaves(t, r, span+2); !reflect.DeepEqual(got, want) {
+		t.Fatal("entries after the retried seal differ from the tail's")
 	}
 }
 

@@ -235,6 +235,27 @@ func PrecertEntry(issuerKeyHash [32]byte, tbs []byte) CertificateEntry {
 	return CertificateEntry{Type: PrecertLogEntryType, IssuerKeyHash: issuerKeyHash, TBS: tbs}
 }
 
+// IdentityHash is the entry's content identity: SHA-256(0x00 || type ||
+// payload), the payload being the certificate, or the issuer key hash
+// followed by the TBS. It is the value an RFC 6962 leaf hash would give
+// over that concatenation, streamed into one digest so no payload buffer
+// is built. A log dedupes and indexes submissions by it; a frontend
+// ranks backends by its first 8 bytes, so both agree on what one
+// submission is.
+func (ce CertificateEntry) IdentityHash() [32]byte {
+	h := sha256.New()
+	h.Write([]byte{0x00, byte(ce.Type)})
+	if ce.Type == PrecertLogEntryType {
+		h.Write(ce.IssuerKeyHash[:])
+		h.Write(ce.TBS)
+	} else {
+		h.Write(ce.Cert)
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
 // signatureInput builds the digitally-signed struct for an SCT
 // (RFC 6962 Section 3.2).
 func signatureInput(version Version, timestamp uint64, entry CertificateEntry, extensions []byte) ([]byte, error) {

@@ -231,6 +231,31 @@ func TestEntryTypeDomainSeparation(t *testing.T) {
 	}
 }
 
+// TestIdentityHash pins the streamed identity to SHA-256 over the
+// concatenated 0x00 || type || payload, and keeps the two entry types
+// apart when their bytes coincide.
+func TestIdentityHash(t *testing.T) {
+	var ikh [32]byte
+	ikh[0] = 7
+	tbs := []byte("tbs bytes")
+	x509 := X509Entry(append(ikh[:], tbs...))
+	pre := PrecertEntry(ikh, tbs)
+	for _, c := range []struct {
+		entry  CertificateEntry
+		concat []byte
+	}{
+		{x509, append([]byte{0x00, byte(X509LogEntryType)}, x509.Cert...)},
+		{pre, append(append([]byte{0x00, byte(PrecertLogEntryType)}, ikh[:]...), tbs...)},
+	} {
+		if got, want := c.entry.IdentityHash(), sha256.Sum256(c.concat); got != want {
+			t.Fatalf("%v identity %x, want %x", c.entry.Type, got, want)
+		}
+	}
+	if x509.IdentityHash() == pre.IdentityHash() {
+		t.Fatal("an x509 and a precert entry over the same bytes share an identity")
+	}
+}
+
 func TestTreeHeadSignature(t *testing.T) {
 	signer := testSigner(t, 9)
 	th := TreeHead{Timestamp: 1523664000000, TreeSize: 123456, RootHash: sha256.Sum256([]byte("root"))}
