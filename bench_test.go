@@ -190,32 +190,48 @@ func BenchmarkSection33(b *testing.B) {
 
 // BenchmarkTimelineReplay runs the heavy tail of the issuance timeline
 // (the March–May 2018 Let's Encrypt ramp) at sequential and full
-// parallelism. World construction is a fixed small cost per iteration;
-// the replay dominates.
+// parallelism, over in-memory logs and over durable ones (WAL, tiles
+// and snapshots in a fresh directory under b.TempDir per iteration).
+// The durable/in-memory ratio is the price of the durable write path.
+// World construction is a fixed small cost per iteration; the replay
+// dominates.
 func BenchmarkTimelineReplay(b *testing.B) {
-	for _, lvl := range parallelismLevels {
-		b.Run(lvl.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				w, err := ecosystem.New(ecosystem.Config{
-					Seed:          2018,
-					Scale:         1e-4,
-					TimelineStart: ecosystem.Date(2018, 3, 1),
-					TimelineEnd:   ecosystem.Date(2018, 5, 1),
-					NumDomains:    8000,
-					Parallelism:   lvl.p,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := w.RunTimeline(nil); err != nil {
-					b.Fatal(err)
-				}
-				if w.TotalEntries() == 0 {
-					b.Fatal("empty replay")
-				}
+	for _, durable := range []bool{false, true} {
+		for _, lvl := range parallelismLevels {
+			name := lvl.name
+			if durable {
+				name = "durable/" + name
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					cfg := ecosystem.Config{
+						Seed:          2018,
+						Scale:         1e-4,
+						TimelineStart: ecosystem.Date(2018, 3, 1),
+						TimelineEnd:   ecosystem.Date(2018, 5, 1),
+						NumDomains:    8000,
+						Parallelism:   lvl.p,
+					}
+					if durable {
+						cfg.DataDir = b.TempDir()
+					}
+					w, err := ecosystem.New(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := w.RunTimeline(nil); err != nil {
+						b.Fatal(err)
+					}
+					if w.TotalEntries() == 0 {
+						b.Fatal("empty replay")
+					}
+					if err := w.Close(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -46,8 +46,8 @@
 //     covering it) and — under the default SyncEachSubmission policy —
 //     fsynced before the SCT is returned. An acknowledged submission
 //     survives any crash; the MMD promise is never made on volatile
-//     state. SyncAtSequence defers the fsync to the next barrier for
-//     bulk replays.
+//     state. SyncAtSequence defers the write and the fsync to the next
+//     barrier for bulk replays.
 //   - Sequence: after integrating a batch, a seal record (tree size +
 //     root — the snapshot cursor) is appended and fsynced, fixing the
 //     batch boundary and therefore the canonical in-batch order.
@@ -135,11 +135,13 @@ const (
 	// never loses an acknowledged submission. This is the default and
 	// the production posture.
 	SyncEachSubmission SyncPolicy = iota
-	// SyncAtSequence buffers entry records in the OS and fsyncs only at
-	// sequencing and publication barriers. A crash between barriers can
-	// lose acknowledged-but-unsequenced submissions (never sequenced
-	// state, which is always sealed before an STH covers it). Bulk
-	// replays use it to keep per-submission latency off the fsync path.
+	// SyncAtSequence buffers entry records in the process and writes
+	// and fsyncs them only at sequencing and publication barriers. A
+	// crash between barriers — a process kill as well as a power cut —
+	// can lose acknowledged-but-unsequenced submissions (never
+	// sequenced state, which is always sealed before an STH covers
+	// it). Bulk replays use it to keep per-submission latency off the
+	// write and fsync path.
 	SyncAtSequence
 )
 
@@ -226,6 +228,9 @@ type Log struct {
 	published SignedTreeHead
 	// treeSize mirrors tree.Size() for TreeSize, which takes no lock.
 	treeSize atomic.Uint64
+	// leafImage is the seal's leaf-tile image buffer, kept between
+	// seals so that encoding a tile allocates nothing once it has grown.
+	leafImage []byte
 
 	// stageMu, the staging mutex, is the only lock add and unstage take.
 	// It guards the fields below up to byLeafHash and orders WAL entry

@@ -1,13 +1,17 @@
 package ctlog
 
-import "ctrise/internal/metrics"
+import (
+	"ctrise/internal/ctlog/storage"
+	"ctrise/internal/metrics"
+)
 
 // WriteMetrics renders the log's state for GET /metrics: how far
 // sequencing and publication have got, how much is staged and for how
 // long (a log falling behind its MMD shows here first), what overload
 // refused, what is sealed into tiles and how the tile page cache
-// serves it, and whether the store has failed. It reads the log's own
-// fields at scrape time and adds nothing to the add path.
+// serves it, how many WAL records share a write and an fsync, and
+// whether the store has failed. It reads the log's own fields and
+// counters at scrape time and adds nothing to the add path.
 func (l *Log) WriteMetrics(w *metrics.Writer) {
 	now := l.cfg.Clock().UnixMilli()
 	l.stageMu.Lock()
@@ -20,8 +24,12 @@ func (l *Log) WriteMetrics(w *metrics.Writer) {
 	sth := l.STH().TreeHead
 	cache := l.CacheStats()
 	var storeFailed uint64
-	if l.store != nil && l.store.Err() != nil {
-		storeFailed = 1
+	var wal storage.AppendLogStats
+	if l.store != nil {
+		if l.store.Err() != nil {
+			storeFailed = 1
+		}
+		wal = l.store.WALStats()
 	}
 
 	for _, fam := range []struct {
@@ -38,6 +46,9 @@ func (l *Log) WriteMetrics(w *metrics.Writer) {
 		{"ctlog_page_cache_evictions_total", "Tile pages evicted to stay within the cache budget.", "counter", cache.Evictions},
 		{"ctlog_page_cache_pages", "Tile pages held in the page cache.", "gauge", uint64(cache.Pages)},
 		{"ctlog_page_cache_bytes", "Bytes the page cache charges for the pages it holds.", "gauge", uint64(cache.Used)},
+		{"ctlog_wal_records_total", "Records appended to the write-ahead log.", "counter", wal.Records},
+		{"ctlog_wal_writes_total", "Writes of the write-ahead log's record buffer to its file.", "counter", wal.Writes},
+		{"ctlog_wal_fsyncs_total", "Fsyncs of the write-ahead log; records per fsync is the group-commit fan-in.", "counter", wal.Fsyncs},
 		{"ctlog_store_failed", "Whether the durable store has failed and refuses writes (1 = failed).", "gauge", storeFailed},
 	} {
 		w.Family(fam.name, fam.help, fam.typ)

@@ -47,14 +47,16 @@ func TestMetricsStagedBacklogAndRejections(t *testing.T) {
 		"ctlog_rejected_total", "ctlog_sealed_entries",
 		"ctlog_page_cache_hits_total", "ctlog_page_cache_misses_total",
 		"ctlog_page_cache_evictions_total", "ctlog_page_cache_pages",
-		"ctlog_page_cache_bytes", "ctlog_store_failed",
+		"ctlog_page_cache_bytes", "ctlog_wal_records_total",
+		"ctlog_wal_writes_total", "ctlog_wal_fsyncs_total",
+		"ctlog_store_failed",
 	} {
 		if got[name] != "0" {
 			t.Errorf("fresh log: %s = %q, want \"0\"", name, got[name])
 		}
 	}
-	if len(got) != 13 {
-		t.Errorf("fresh log serves %d series, want 13: %v", len(got), got)
+	if len(got) != 16 {
+		t.Errorf("fresh log serves %d series, want 16: %v", len(got), got)
 	}
 
 	for i := 0; i < 3; i++ {
@@ -149,4 +151,53 @@ func TestMetricsSealedCacheAndStoreFailure(t *testing.T) {
 		"ctlog_page_cache_pages":           "1",
 		"ctlog_page_cache_bytes":           fmt.Sprint(page),
 	})
+}
+
+// The WAL counters show the buffer and the group commit: under
+// SyncAtSequence five adds are five records and no write or fsync, and
+// the sequencing barrier writes all six records (the seal's too) with
+// one write and one fsync. Under SyncEachSubmission each serial add is
+// its own write and fsync.
+func TestMetricsWALWritesAndFsyncs(t *testing.T) {
+	counters := func(l *Log) [3]int {
+		got := scrapeLog(l)
+		var c [3]int
+		for i, name := range []string{"ctlog_wal_records_total", "ctlog_wal_writes_total", "ctlog_wal_fsyncs_total"} {
+			if _, err := fmt.Sscan(got[name], &c[i]); err != nil {
+				t.Fatalf("%s = %q: %v", name, got[name], err)
+			}
+		}
+		return c
+	}
+	delta := func(t *testing.T, l *Log, base [3]int, want [3]int) {
+		t.Helper()
+		c := counters(l)
+		if got := [3]int{c[0] - base[0], c[1] - base[1], c[2] - base[2]}; got != want {
+			t.Fatalf("records, writes, fsyncs moved by %v, want %v", got, want)
+		}
+	}
+
+	l, _ := newDurableLog(t, t.TempDir(), Config{Sync: SyncAtSequence})
+	defer l.Close()
+	base := counters(l)
+	for i := 0; i < 5; i++ {
+		if _, err := l.AddChain([]byte(fmt.Sprintf("buffered-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delta(t, l, base, [3]int{5, 0, 0})
+	if _, err := l.Sequence(); err != nil {
+		t.Fatal(err)
+	}
+	delta(t, l, base, [3]int{6, 1, 1})
+
+	each, _ := newDurableLog(t, t.TempDir(), Config{})
+	defer each.Close()
+	base = counters(each)
+	for i := 0; i < 3; i++ {
+		if _, err := each.AddChain([]byte(fmt.Sprintf("synced-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delta(t, each, base, [3]int{3, 3, 3})
 }

@@ -111,7 +111,7 @@ func fuzzSeedTiles() (leaf, hash, index []byte) {
 		panic(err)
 	}
 	ix := BuildTileIndex(5, 20, idHashes, leafHashes)
-	return EncodeLeafTile(lt), EncodeHashTile(ht), EncodeTileIndex(ix)
+	return EncodeLeafTile(nil, lt), EncodeHashTile(ht), EncodeTileIndex(ix)
 }
 
 // FuzzTileDecode feeds arbitrary bytes to all three tile decoders and
@@ -134,7 +134,7 @@ func FuzzTileDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if lt, err := DecodeLeafTile(data); err == nil {
-			if got := EncodeLeafTile(lt); !bytes.Equal(got, data) {
+			if got := EncodeLeafTile(nil, lt); !bytes.Equal(got, data) {
 				t.Fatalf("accepted leaf tile is not canonical: %d bytes re-encode to %d", len(data), len(got))
 			}
 		}

@@ -3,8 +3,10 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"testing"
 )
@@ -337,8 +339,9 @@ func TestStoreClosedIsSticky(t *testing.T) {
 }
 
 // TestAppendLogIOErrorIsSticky makes a real write fail: the append
-// log's file descriptor is closed under it, so the next Append gets
-// EBADF from the kernel. That first error must stick through Err,
+// log's file descriptor is closed under it, so the next Append (which
+// only buffers) succeeds and the Barrier that writes it out gets EBADF
+// from the kernel. That first error must stick through Err, a second
 // Barrier, a second Append and Close — never replaced by a later error
 // or by ErrClosed — and the durable prefix must survive for a reopen.
 func TestAppendLogIOErrorIsSticky(t *testing.T) {
@@ -357,9 +360,13 @@ func TestAppendLogIOErrorIsSticky(t *testing.T) {
 	if err := syscall.Close(int(l.f.Fd())); err != nil {
 		t.Fatal(err)
 	}
-	off, first := l.Append(RecordSTH, []byte("lost"))
+	off, err = l.Append(RecordSTH, []byte("lost"))
+	if err != nil {
+		t.Fatalf("buffered append on a closed fd: err=%v, want nil", err)
+	}
+	first := l.Barrier(off)
 	if !errors.Is(first, syscall.EBADF) {
-		t.Fatalf("append on a closed fd: err=%v, want EBADF", first)
+		t.Fatalf("barrier on a closed fd: err=%v, want EBADF", first)
 	}
 	sticky := func(what string, err error) {
 		t.Helper()
@@ -500,5 +507,324 @@ func TestAppendLogWrongMagic(t *testing.T) {
 	}
 	if data, _ := os.ReadFile(short); !bytes.Equal(data, AuditMagic) {
 		t.Fatalf("header-torn file rebuilt as %q, want the bare header", data)
+	}
+}
+
+// fileSize returns the size of the file at path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// reopenPayloads opens the append log at path, returns its records'
+// payloads in order and closes it again.
+func reopenPayloads(t *testing.T, path string) []string {
+	t.Helper()
+	l, err := OpenAppendLog(path, AuditMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var out []string
+	for _, r := range l.Records() {
+		out = append(out, string(r.Payload))
+	}
+	return out
+}
+
+// TestAppendLogBuffersUntilBarrier: an appended record is in the
+// process, not the file, until the Barrier that covers it writes it
+// (one write for every record buffered since the last).
+func TestAppendLogBuffersUntilBarrier(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain.audit")
+	l, err := OpenAppendLog(path, AuditMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var off int64
+	for _, p := range []string{"one", "two"} {
+		if off, err = l.Append(RecordSTH, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fileSize(t, path); got != MagicLen {
+		t.Fatalf("file holds %d bytes before the barrier, want the bare header", got)
+	}
+	if want := int64(MagicLen + 2*recordOverhead + len("one") + len("two")); off != want || l.Offset() != want {
+		t.Fatalf("append offset %d (Offset %d), want %d", off, l.Offset(), want)
+	}
+	if err := l.Barrier(off); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(t, path); got != off {
+		t.Fatalf("file holds %d bytes after the barrier, want %d", got, off)
+	}
+	if s := l.Stats(); s != (AppendLogStats{Records: 2, Writes: 1, Fsyncs: 1}) {
+		t.Fatalf("stats %+v, want 2 records, 1 write, 1 fsync", s)
+	}
+}
+
+// TestAppendLogCloseWritesBuffer: Close writes what no Barrier has, so
+// a reopen sees every record appended before it.
+func TestAppendLogCloseWritesBuffer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain.audit")
+	l, err := OpenAppendLog(path, AuditMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(RecordSTH, []byte("unbarriered")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reopenPayloads(t, path); len(got) != 1 || got[0] != "unbarriered" {
+		t.Fatalf("reopened with %q, want the unbarriered record", got)
+	}
+}
+
+// TestAppendLogTruncateDropsBuffered: Truncate discards the buffered
+// bytes it cuts — above the file's end (the buffer shrinks) and below
+// it (the buffer empties and the file is cut) — and appends continue
+// at the cut.
+func TestAppendLogTruncateDropsBuffered(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain.audit")
+	l, err := OpenAppendLog(path, AuditMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	off, err := l.Append(RecordSTH, []byte("durable"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Barrier(off); err != nil {
+		t.Fatal(err)
+	}
+	keep, err := l.Append(RecordSTH, []byte("kept"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(RecordSTH, []byte("cut")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Truncate(keep); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(t, path); got != off {
+		t.Fatalf("truncating the buffer changed the file to %d bytes, want %d", got, off)
+	}
+	last, err := l.Append(RecordSTH, []byte("after"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Barrier(last); err != nil {
+		t.Fatal(err)
+	}
+	if got := filePayloads(t, path); len(got) != 3 || got[0] != "durable" || got[1] != "kept" || got[2] != "after" {
+		t.Fatalf("file holds %q, want durable, kept, after", got)
+	}
+
+	// Below the file's end: the buffered record and the written ones
+	// past the cut all go.
+	if _, err := l.Append(RecordSTH, []byte("buffered")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Truncate(MagicLen); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Barrier(l.Offset() + 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(t, path); got != MagicLen || l.Offset() != MagicLen {
+		t.Fatalf("after a cut to the header: file %d bytes, offset %d, want %d", got, l.Offset(), MagicLen)
+	}
+}
+
+// filePayloads returns the payloads of the records in the file at
+// path, read without opening it as a log (its writer still holds the
+// lock).
+func filePayloads(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := decodeAppendLog(data, AuditMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, r := range recs {
+		out = append(out, string(r.Payload))
+	}
+	return out
+}
+
+// TestAppendLogFullBufferWritesInOrder: once walBufferSize bytes are
+// buffered, Append writes them out without a barrier, and records on
+// both sides of that write keep their append order in the file.
+func TestAppendLogFullBufferWritesInOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain.audit")
+	l, err := OpenAppendLog(path, AuditMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 4096
+	perWrite := (walBufferSize + size + recordOverhead - 1) / (size + recordOverhead)
+	n := perWrite + perWrite/2
+	payload := func(i int) []byte {
+		p := bytes.Repeat([]byte{byte(i)}, size)
+		copy(p, fmt.Sprintf("record-%04d", i))
+		return p
+	}
+	for i := 0; i < n; i++ {
+		if _, err := l.Append(RecordSTH, payload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := fileSize(t, path), int64(MagicLen+perWrite*(size+recordOverhead)); got != want {
+		t.Fatalf("file holds %d bytes before any barrier, want %d (the first %d records)", got, want, perWrite)
+	}
+	if s := l.Stats(); s.Writes != 1 || s.Fsyncs != 0 {
+		t.Fatalf("stats %+v, want one write and no fsync", s)
+	}
+	if err := l.Barrier(l.Offset()); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := reopenPayloads(t, path)
+	if len(got) != n {
+		t.Fatalf("reopened with %d records, want %d", len(got), n)
+	}
+	for i, p := range got {
+		if p != string(payload(i)) {
+			t.Fatalf("record %d is %.11q, want %.11q", i, p, payload(i))
+		}
+	}
+}
+
+// TestStoreReopenRemovesOrphanTemps: temp files a crash inside
+// WriteFileAtomic left beside the snapshot or a tile are removed by the
+// Open that holds the lock — not by one refused with ErrLocked — and
+// every other file, ctlogd's key temp files included, is left alone.
+func TestStoreReopenRemovesOrphanTemps(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant := func(names ...string) {
+		for _, name := range names {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("debris"), 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	orphans := []string{
+		SnapshotName + ".tmp123",
+		filepath.Join(TilesDirName, "0000000000000000.leaf.tmp456"),
+		filepath.Join(TilesDirName, "0000000000000001.idx.tmp7"),
+	}
+	kept := []string{
+		SnapshotName,
+		"key.der.tmp789",
+		"notes.tmp1",
+		filepath.Join(TilesDirName, "0000000000000000.leaf"),
+	}
+	plant(orphans...)
+	plant(kept...)
+	exists := func(name string) bool {
+		_, err := os.Stat(filepath.Join(dir, name))
+		return err == nil
+	}
+	if _, err := Open(dir); !errors.Is(err, ErrLocked) {
+		t.Fatalf("second open err=%v, want ErrLocked", err)
+	}
+	for _, name := range orphans {
+		if !exists(name) {
+			t.Fatalf("an Open refused the lock removed %s", name)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, name := range orphans {
+		if exists(name) {
+			t.Errorf("reopen left orphan %s", name)
+		}
+	}
+	for _, name := range kept {
+		if !exists(name) {
+			t.Errorf("reopen removed %s", name)
+		}
+	}
+}
+
+// TestAppendLogConcurrentAppendsAndBarriers: appenders on several
+// goroutines, each waiting on its own record's Barrier, share the
+// buffer and the group commit. Every barrier returns with its record in
+// the file, no record is lost or torn, and no more fsyncs run than
+// records were appended.
+func TestAppendLogConcurrentAppendsAndBarriers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain.audit")
+	l, err := OpenAppendLog(path, AuditMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, each = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				off, err := l.Append(RecordSTH, []byte(fmt.Sprintf("w%d-%03d", w, i)))
+				if err == nil {
+					err = l.Barrier(off)
+				}
+				if err == nil {
+					var fi os.FileInfo
+					if fi, err = os.Stat(path); err == nil && fi.Size() < off {
+						err = fmt.Errorf("barrier returned with the file below %d", off)
+					}
+				}
+				if err != nil {
+					t.Errorf("writer %d record %d: %v", w, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s := l.Stats(); s.Records != writers*each || s.Fsyncs > s.Records || s.Writes > s.Fsyncs {
+		t.Fatalf("stats %+v for %d records", s, writers*each)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next := make([]int, writers)
+	got := reopenPayloads(t, path)
+	for _, p := range got {
+		var w, i int
+		if _, err := fmt.Sscanf(p, "w%d-%d", &w, &i); err != nil || w >= writers || i != next[w] {
+			t.Fatalf("record %q out of order (want writer %d's record %d)", p, w, next[w])
+		}
+		next[w]++
+	}
+	if len(got) != writers*each {
+		t.Fatalf("reopened with %d records, want %d", len(got), writers*each)
 	}
 }

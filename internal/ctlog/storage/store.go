@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,7 +25,9 @@ type Store struct {
 // missing, validates the WAL, and positions appends after the last
 // valid record. It does not truncate a torn tail; recovery does, with
 // exactly one of CommitRecovery/ResetWAL. The recovered records are
-// consumed via Replay.
+// consumed via Replay. Once it holds the WAL's lock, Open removes the
+// temp files a crash inside WriteFileAtomic left beside the snapshot or
+// a tile (removeOrphanTemps).
 func Open(dir string) (*Store, error) {
 	// MkdirDurable syncs the state directory (its tiles entry) and
 	// tiles; syncing the parent makes the state directory's own entry
@@ -39,7 +43,27 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	removeOrphanTemps(dir)
 	return &Store{dir: dir, wal: w}, nil
+}
+
+// removeOrphanTemps deletes the snapshot's and the tiles' temp files: a
+// WriteFileAtomic that was cut between creating its temp file and the
+// rename leaves one behind, and nothing else would ever remove it. The
+// caller holds the WAL's lock, so no other process is writing one now.
+// Other temp files in dir are left alone: ctlogd's racing first starts
+// create key.der before either takes the lock. Removal is best effort;
+// a temp file that stays costs disk, not correctness.
+func removeOrphanTemps(dir string) {
+	for _, pattern := range []string{
+		filepath.Join(dir, SnapshotName+".tmp*"),
+		filepath.Join(dir, TilesDirName, "*.tmp*"),
+	} {
+		names, _ := filepath.Glob(pattern)
+		for _, name := range names {
+			os.Remove(name)
+		}
+	}
 }
 
 // Dir returns the store's directory.
@@ -75,6 +99,9 @@ func (s *Store) AppendUnstage(id [32]byte) (int64, error) {
 // Barrier blocks until every WAL byte below off is durable (group
 // commit: concurrent barriers share one fsync).
 func (s *Store) Barrier(off int64) error { return s.wal.Barrier(off) }
+
+// WALStats returns the WAL's record, write and fsync counters.
+func (s *Store) WALStats() AppendLogStats { return s.wal.Stats() }
 
 // Sync makes every appended WAL byte durable.
 func (s *Store) Sync() error { return s.wal.Barrier(s.wal.Offset()) }
@@ -211,6 +238,40 @@ func (s *Store) ReadTile(tile uint64, ext string) ([]byte, error) {
 		return nil, fmt.Errorf("storage: reading tile %d.%s: %w", tile, ext, err)
 	}
 	return data, nil
+}
+
+// TileEquals reports whether one tile file holds exactly image: the
+// same length and the same bytes. It reads the file from disk in
+// len(buf)-byte chunks through buf, which the caller reuses across
+// calls (a nil buf reads through a new one). Like ReadTile, a read
+// failure names the tile file and is not sticky.
+func (s *Store) TileEquals(tile uint64, ext string, image, buf []byte) (bool, error) {
+	if len(buf) == 0 {
+		buf = make([]byte, 64<<10)
+	}
+	f, err := os.Open(s.TilePath(tile, ext))
+	if err != nil {
+		return false, fmt.Errorf("storage: reading tile %d.%s: %w", tile, ext, err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return false, fmt.Errorf("storage: reading tile %d.%s: %w", tile, ext, err)
+	}
+	if fi.Size() != int64(len(image)) {
+		return false, nil
+	}
+	for len(image) > 0 {
+		chunk := buf[:min(len(buf), len(image))]
+		if _, err := io.ReadFull(f, chunk); err != nil {
+			return false, fmt.Errorf("storage: reading tile %d.%s: %w", tile, ext, err)
+		}
+		if !bytes.Equal(chunk, image[:len(chunk)]) {
+			return false, nil
+		}
+		image = image[len(chunk):]
+	}
+	return true, nil
 }
 
 // Close closes the store. Further writes fail with ErrClosed.

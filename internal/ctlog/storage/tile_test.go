@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"ctrise/internal/merkle"
@@ -29,7 +31,7 @@ func tileTestLeaves(span int) (leaves [][]byte, leafHashes, idHashes [][32]byte)
 func TestLeafTileRoundTrip(t *testing.T) {
 	leaves, _, _ := tileTestLeaves(8)
 	tile := &LeafTile{Tile: 42, Span: 8, Leaves: leaves}
-	enc := EncodeLeafTile(tile)
+	enc := EncodeLeafTile(nil, tile)
 	dec, err := DecodeLeafTile(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -37,13 +39,31 @@ func TestLeafTileRoundTrip(t *testing.T) {
 	if dec.Tile != 42 || dec.Span != 8 || !reflect.DeepEqual(dec.Leaves, leaves) {
 		t.Fatal("leaf tile round trip mismatch")
 	}
-	if got := EncodeLeafTile(dec); !bytes.Equal(got, enc) {
+	if got := EncodeLeafTile(nil, dec); !bytes.Equal(got, enc) {
 		t.Fatal("leaf tile encoding is not canonical")
 	}
 	// A leaf tile must hold exactly span entries.
 	short := &LeafTile{Tile: 42, Span: 8, Leaves: leaves[:7]}
-	if _, err := DecodeLeafTile(EncodeLeafTile(short)); err == nil {
+	if _, err := DecodeLeafTile(EncodeLeafTile(nil, short)); err == nil {
 		t.Fatal("leaf tile with missing entry decoded")
+	}
+}
+
+// TestEncodeLeafTileAppends: the encoder appends to dst, leaving what
+// dst held in place, and an image encoded into a reused buffer is the
+// one a nil dst gives.
+func TestEncodeLeafTileAppends(t *testing.T) {
+	leaves, _, _ := tileTestLeaves(8)
+	want := EncodeLeafTile(nil, &LeafTile{Tile: 3, Span: 8, Leaves: leaves})
+	buf := append(make([]byte, 0, 4), "pre"...)
+	got := EncodeLeafTile(buf, &LeafTile{Tile: 3, Span: 8, Leaves: leaves})
+	if string(got[:3]) != "pre" || !bytes.Equal(got[3:], want) {
+		t.Fatal("EncodeLeafTile did not append the image after dst")
+	}
+	other, _, _ := tileTestLeaves(4)
+	reused := EncodeLeafTile(got[:0], &LeafTile{Tile: 9, Span: 4, Leaves: other})
+	if !bytes.Equal(reused, EncodeLeafTile(nil, &LeafTile{Tile: 9, Span: 4, Leaves: other})) {
+		t.Fatal("an image encoded into a reused buffer differs")
 	}
 }
 
@@ -153,6 +173,48 @@ func TestTileIndexSearchAndValidation(t *testing.T) {
 		if _, err := DecodeTileIndex(EncodeTileIndex(&bad)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: err=%v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// TestBuildTileIndexRowOrder holds BuildTileIndex's typed sort to the
+// order the .idx format defines: bytes.Compare over the whole hash,
+// then the entry index. The hashes share their first 8 bytes in runs,
+// repeat, and differ only in their last byte, so every branch of the
+// comparison decides some pair.
+func TestBuildTileIndexRowOrder(t *testing.T) {
+	const span = 64
+	rng := rand.New(rand.NewSource(7))
+	hashes := make([][32]byte, span)
+	for i := range hashes {
+		switch i % 4 {
+		case 0:
+			rng.Read(hashes[i][:])
+		case 1: // same first 8 bytes as the one before
+			hashes[i] = hashes[i-1]
+			rng.Read(hashes[i][8:])
+		case 2: // differs from the one before in the last byte only
+			hashes[i] = hashes[i-1]
+			hashes[i][31]++
+		case 3: // a repeat of an earlier hash
+			hashes[i] = hashes[rng.Intn(i)]
+		}
+	}
+	ix := BuildTileIndex(2, 2*span, hashes, hashes)
+	want := make([]IndexRow, span)
+	for i, h := range hashes {
+		want[i] = IndexRow{Hash: h, Index: 2*span + uint64(i)}
+	}
+	slices.SortFunc(want, func(a, b IndexRow) int {
+		if c := bytes.Compare(a.Hash[:], b.Hash[:]); c != 0 {
+			return c
+		}
+		return int(a.Index) - int(b.Index)
+	})
+	if !slices.Equal(ix.ID, want) || !slices.Equal(ix.Leaf, want) {
+		t.Fatal("index rows are not in (hash bytes, index) order")
+	}
+	if _, err := DecodeTileIndex(EncodeTileIndex(ix)); err != nil {
+		t.Fatalf("decoding the built index: %v", err)
 	}
 }
 
@@ -302,7 +364,7 @@ func TestStoreWriteReadTile(t *testing.T) {
 	ht, _ := BuildHashTile(0, leafHashes)
 	lt := &LeafTile{Tile: 0, Span: 4, Leaves: leaves}
 	ix := BuildTileIndex(0, 0, idHashes, leafHashes)
-	if err := st.WriteTile(0, EncodeLeafTile(lt), EncodeHashTile(ht), EncodeTileIndex(ix)); err != nil {
+	if err := st.WriteTile(0, EncodeLeafTile(nil, lt), EncodeHashTile(ht), EncodeTileIndex(ix)); err != nil {
 		t.Fatal(err)
 	}
 	for _, ext := range []string{TileExtLeaf, TileExtHash, TileExtIndex} {
@@ -324,6 +386,31 @@ func TestStoreWriteReadTile(t *testing.T) {
 	}
 	if dec.Root() != ht.Root() {
 		t.Fatal("tile root changed across store round trip")
+	}
+	// TileEquals: the same bytes and length through a buffer smaller
+	// than the file, then a flipped byte, a file one byte longer and one
+	// byte shorter are all different; a missing file is an error naming
+	// the tile file.
+	image := EncodeLeafTile(nil, lt)
+	buf := make([]byte, 7)
+	if same, err := st.TileEquals(0, TileExtLeaf, image, buf); err != nil || !same {
+		t.Fatalf("TileEquals of the written image: %v, %v", same, err)
+	}
+	path := st.TilePath(0, TileExtLeaf)
+	for name, data := range map[string][]byte{
+		"flipped": append(append([]byte(nil), image[:len(image)-1]...), image[len(image)-1]^1),
+		"longer":  append(append([]byte(nil), image...), 0),
+		"shorter": image[:len(image)-1],
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if same, err := st.TileEquals(0, TileExtLeaf, image, buf); err != nil || same {
+			t.Fatalf("TileEquals of a %s file: %v, %v", name, same, err)
+		}
+	}
+	if _, err := st.TileEquals(99, TileExtLeaf, image, buf); err == nil || !strings.Contains(err.Error(), "tile 99.leaf") {
+		t.Fatalf("TileEquals of a missing file: err=%v, want one naming tile 99.leaf", err)
 	}
 	// Reading a tile that does not exist is an error, not sticky failure.
 	if _, err := st.ReadTile(99, TileExtLeaf); err == nil {

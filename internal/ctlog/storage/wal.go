@@ -28,33 +28,53 @@ const WALName = "wal.log"
 //
 // Appends may come from several goroutines (the CT log's submitters and
 // its sequencer); record order across them is the caller's business.
-// Barrier is safe to call concurrently and implements group commit: one
-// fsync satisfies every barrier at or below the synced offset.
+// Append frames a record into a buffer the log owns, with no syscall;
+// the buffer reaches the file in one write at the next Barrier, once it
+// holds walBufferSize bytes, or at Close. Barrier is safe to call
+// concurrently and implements group commit: one write and one fsync
+// satisfy every barrier at or below the synced offset. A record that
+// was appended but not barriered is therefore lost to a process kill as
+// well as to a power cut; only a Barrier promises anything.
 //
-// Failure is sticky: after a failed append, fsync or truncate (or after
+// Failure is sticky: after a failed write, fsync or truncate (or after
 // Close) every Append and Barrier returns the first error, because a
 // file whose tail may be torn must not be appended past, and after EIO
 // the kernel may report an fsync failure once and drop the dirty pages,
 // so a retried fsync would ack bytes that are gone. A restart recovers
 // the durable prefix.
 type AppendLog struct {
-	// mu serializes appends, truncation and Close.
+	// mu serializes appends, buffer writes, truncation and Close.
 	mu     sync.Mutex
 	f      *os.File
 	path   string
 	closed bool // guarded by mu
-	// writeOff is the file offset after the last buffered append.
+	// buf holds the framed records past fileOff, not yet written;
+	// guarded by mu.
+	buf []byte
+	// fileOff is the file offset the next buffer write lands at;
+	// guarded by mu.
+	fileOff int64
+	// writeOff is the append offset: fileOff plus the buffered bytes.
 	writeOff atomic.Int64
 	// synced is the offset known durable (covered by an fsync).
 	synced atomic.Int64
-	// syncMu serializes fsyncs so concurrent barriers collapse into one.
+	// syncMu serializes fsyncs so concurrent barriers collapse into one,
+	// and keeps Truncate from moving synced under a Barrier's fsync.
+	// Acquired before mu.
 	syncMu sync.Mutex
 	// failed holds the sticky error; set once, read without a lock.
 	failed atomic.Pointer[error]
 	// records holds the records of the valid prefix found at open time
 	// until the first Truncate releases them.
 	records []Record
+	// nRecords, nWrites and nFsyncs count appended records, buffer
+	// writes and fsyncs (AppendLogStats).
+	nRecords, nWrites, nFsyncs atomic.Uint64
 }
+
+// walBufferSize is the buffered byte count at which Append writes the
+// buffer out without waiting for a Barrier.
+const walBufferSize = 1 << 20
 
 // OpenAppendLog opens or creates the append log at path, validates its
 // magic, and positions appends at the end of the valid record prefix.
@@ -124,9 +144,7 @@ func openLocked(f *os.File, path string, magic []byte) (*AppendLog, error) {
 			return nil, err
 		}
 	}
-	if _, err := f.Seek(int64(valid), 0); err != nil {
-		return nil, fmt.Errorf("storage: seeking %s: %w", path, err)
-	}
+	l.fileOff = int64(valid)
 	l.writeOff.Store(int64(valid))
 	l.synced.Store(int64(valid))
 	return l, nil
@@ -173,24 +191,53 @@ func (l *AppendLog) fail(err error) error {
 	return err
 }
 
-// Append frames and writes one record, returning the offset after it
-// (the Barrier that makes it durable).
+// Append frames one record into the buffer and returns the offset
+// after it (the Barrier that makes it durable). It makes no syscall
+// unless the buffer has reached walBufferSize; an error from that write
+// is returned here and, like every write failure, sticks.
 func (l *AppendLog) Append(typ RecordType, payload []byte) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.Err(); err != nil {
 		return l.writeOff.Load(), err
 	}
-	buf := AppendRecord(nil, typ, payload)
-	if _, err := l.f.Write(buf); err != nil {
-		return l.writeOff.Load(), l.fail(fmt.Errorf("storage: appending to %s: %w", l.path, err))
+	l.buf = AppendRecord(l.buf, typ, payload)
+	off := l.writeOff.Add(int64(recordOverhead + len(payload)))
+	l.nRecords.Add(1)
+	if len(l.buf) >= walBufferSize {
+		if err := l.writeLocked(); err != nil {
+			return off, err
+		}
 	}
-	return l.writeOff.Add(int64(len(buf))), nil
+	return off, nil
+}
+
+// writeLocked writes the buffer at fileOff with one write and empties
+// it. Requires mu. A buffer grown past walBufferSize by one large
+// record is released rather than kept.
+func (l *AppendLog) writeLocked() error {
+	if err := l.Err(); err != nil {
+		return err
+	}
+	if len(l.buf) == 0 {
+		return nil
+	}
+	l.nWrites.Add(1)
+	if _, err := l.f.WriteAt(l.buf, l.fileOff); err != nil {
+		return l.fail(fmt.Errorf("storage: appending to %s: %w", l.path, err))
+	}
+	l.fileOff += int64(len(l.buf))
+	l.buf = l.buf[:0]
+	if cap(l.buf) > 2*walBufferSize {
+		l.buf = nil
+	}
+	return nil
 }
 
 // Barrier blocks until every byte below off is durable. Concurrent
-// barriers group-commit: whoever wins the sync mutex fsyncs the current
-// write offset, satisfying everyone who queued behind it.
+// barriers group-commit: whoever wins the sync mutex writes the buffer
+// out and fsyncs up to the append offset it saw, satisfying everyone
+// who queued behind it.
 func (l *AppendLog) Barrier(off int64) error {
 	if err := l.Err(); err != nil {
 		return err
@@ -206,9 +253,16 @@ func (l *AppendLog) Barrier(off int64) error {
 	if l.synced.Load() >= off {
 		return nil
 	}
-	// Snapshot the write offset before syncing: bytes appended after the
-	// fsync call starts are not guaranteed durable by it.
+	// Note the append offset with the buffer write: bytes appended after
+	// it are neither written nor covered by this fsync.
+	l.mu.Lock()
 	target := l.writeOff.Load()
+	err := l.writeLocked()
+	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	l.nFsyncs.Add(1)
 	if err := l.f.Sync(); err != nil {
 		return l.fail(fmt.Errorf("storage: syncing %s: %w", l.path, err))
 	}
@@ -218,36 +272,56 @@ func (l *AppendLog) Barrier(off int64) error {
 	return nil
 }
 
-// Truncate cuts the file to off, makes the truncation itself durable,
-// repositions appends there and releases the open-time records. The
-// store calls it at the end of recovery and every time a sealed tile
-// lets the WAL be compacted; the audit chain calls it at open to drop a
-// torn tail. The fsync is not optional: a caller that truncates then
-// re-anchors on the new end (the snapshot cursor) would otherwise race
-// a crash that resurrects the old file length, leaving a cursor that
-// splits a stale record — an ErrCorrupt refusal on what was a perfectly
-// recoverable crash.
+// Truncate cuts the log to off, at most Offset: buffered bytes past it
+// are dropped and the file is cut to what remains below it. It makes
+// the truncation itself durable, positions appends at off and releases
+// the open-time records. The store calls it at the end of recovery and
+// every time a sealed tile lets the WAL be compacted; the audit chain
+// calls it at open to drop a torn tail. The fsync is not optional: a
+// caller that truncates then re-anchors on the new end (the snapshot
+// cursor) would otherwise race a crash that resurrects the old file
+// length, leaving a cursor that splits a stale record — an ErrCorrupt
+// refusal on what was a perfectly recoverable crash.
 func (l *AppendLog) Truncate(off int64) error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.f.Truncate(off); err != nil {
-		return l.fail(fmt.Errorf("storage: truncating %s to %d: %w", l.path, off, err))
+	fileOff := min(off, l.fileOff)
+	l.buf = l.buf[:max(0, off-l.fileOff)]
+	if err := l.f.Truncate(fileOff); err != nil {
+		return l.fail(fmt.Errorf("storage: truncating %s to %d: %w", l.path, fileOff, err))
 	}
-	if _, err := l.f.Seek(off, 0); err != nil {
-		return l.fail(fmt.Errorf("storage: seeking %s: %w", l.path, err))
-	}
+	l.nFsyncs.Add(1)
 	if err := l.f.Sync(); err != nil {
 		return l.fail(fmt.Errorf("storage: syncing truncated %s: %w", l.path, err))
 	}
+	l.fileOff = fileOff
 	l.writeOff.Store(off)
-	l.synced.Store(off)
+	l.synced.Store(fileOff)
 	l.records = nil
 	return nil
 }
 
-// Close releases the file and its lock. Further appends and barriers
-// fail with ErrClosed (or the earlier sticky failure); a second Close
-// is a no-op.
+// AppendLogStats counts what an AppendLog has done since it was opened.
+// Records divided by Fsyncs is the group-commit fan-in.
+type AppendLogStats struct {
+	// Records is the number of records appended.
+	Records uint64
+	// Writes is the number of buffer writes to the file.
+	Writes uint64
+	// Fsyncs is the number of fsyncs, by Barrier and Truncate.
+	Fsyncs uint64
+}
+
+// Stats returns the log's counters.
+func (l *AppendLog) Stats() AppendLogStats {
+	return AppendLogStats{Records: l.nRecords.Load(), Writes: l.nWrites.Load(), Fsyncs: l.nFsyncs.Load()}
+}
+
+// Close writes what is still buffered (without an fsync) and releases
+// the file and its lock. Further appends and barriers fail with
+// ErrClosed (or the earlier sticky failure); a second Close is a no-op.
 func (l *AppendLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -255,6 +329,13 @@ func (l *AppendLog) Close() error {
 		return nil
 	}
 	l.closed = true
+	var werr error
+	if l.Err() == nil {
+		werr = l.writeLocked()
+	}
 	l.fail(ErrClosed)
-	return l.f.Close()
+	if err := l.f.Close(); werr == nil {
+		return err
+	}
+	return werr
 }

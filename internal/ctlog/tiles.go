@@ -1,7 +1,6 @@
 package ctlog
 
 import (
-	"bytes"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -94,7 +93,14 @@ type tileStore struct {
 	// against its hash tile and registered root. It is never persisted,
 	// so every restart re-earns it.
 	checked []bool
+
+	// readBuf is verify's read-back buffer, verifyChunk bytes once the
+	// first seal has run. Only the seal calls verify, under Log.seqMu.
+	readBuf []byte
 }
+
+// verifyChunk is how much of a tile file verify reads per call.
+const verifyChunk = 256 << 10
 
 // leafHeaderBytes is what a cached leaf page pins per leaf beside the
 // file image its leaves alias: one []byte header (pointer, length,
@@ -388,8 +394,9 @@ type tileImages struct{ leaf, hash, index []byte }
 
 // verify is the seal's read-back: it reads a freshly written tile's
 // three files straight from disk and requires each to equal, byte for
-// byte, the image the seal wrote. A differing file is storage.ErrCorrupt,
-// an unreadable or missing one ErrPersistence; both name the tile and
+// byte and in length, the image the seal wrote (Store.TileEquals,
+// through readBuf). A differing file is storage.ErrCorrupt, an
+// unreadable or missing one ErrPersistence; both name the tile and
 // file. That is all a decode and crossCheck could prove here: the seal
 // built the hash tile from the entries' stamped leaf hashes and pinned
 // its root to the tree's subtree root before writing, and each stamped
@@ -400,15 +407,18 @@ type tileImages struct{ leaf, hash, index []byte }
 // page cache (a write-only log does not fill its cache with pages
 // nobody read).
 func (ts *tileStore) verify(tile uint64, im tileImages) error {
+	if ts.readBuf == nil {
+		ts.readBuf = make([]byte, verifyChunk)
+	}
 	for _, f := range []struct {
 		ext   string
 		image []byte
 	}{{storage.TileExtHash, im.hash}, {storage.TileExtLeaf, im.leaf}, {storage.TileExtIndex, im.index}} {
-		data, err := ts.read(tile, f.ext)
+		same, err := ts.st.TileEquals(tile, f.ext, f.image, ts.readBuf)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: %v", ErrPersistence, err)
 		}
-		if !bytes.Equal(data, f.image) {
+		if !same {
 			return fmt.Errorf("%w: tile %d.%s on disk differs from the bytes the seal wrote", storage.ErrCorrupt, tile, f.ext)
 		}
 	}
@@ -589,8 +599,9 @@ func (l *Log) sealTileLocked(tile uint64) error {
 		return fmt.Errorf("%w: tile %d built root differs from the live tree", storage.ErrCorrupt, tile)
 	}
 	ix := storage.BuildTileIndex(tile, tile*span, idHashes, leafHashes)
+	l.leafImage = storage.EncodeLeafTile(l.leafImage[:0], &storage.LeafTile{Tile: tile, Span: span, Leaves: leaves})
 	im := tileImages{
-		leaf:  storage.EncodeLeafTile(&storage.LeafTile{Tile: tile, Span: span, Leaves: leaves}),
+		leaf:  l.leafImage,
 		hash:  storage.EncodeHashTile(ht),
 		index: storage.EncodeTileIndex(ix),
 	}

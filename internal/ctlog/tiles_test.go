@@ -869,7 +869,7 @@ func forgeLeafTile(t *testing.T, dir string, tile uint64) {
 	if lt.Leaves[0], err = e.MerkleTreeLeaf(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, storage.EncodeLeafTile(lt), 0o644); err != nil {
+	if err := os.WriteFile(path, storage.EncodeLeafTile(nil, lt), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -1212,7 +1212,7 @@ func writeTileFixture(t *testing.T, l *Log, tile uint64, prefix string) tileImag
 		t.Fatal(err)
 	}
 	im := tileImages{
-		leaf:  storage.EncodeLeafTile(&storage.LeafTile{Tile: tile, Span: span, Leaves: leaves}),
+		leaf:  storage.EncodeLeafTile(nil, &storage.LeafTile{Tile: tile, Span: span, Leaves: leaves}),
 		hash:  storage.EncodeHashTile(ht),
 		index: storage.EncodeTileIndex(storage.BuildTileIndex(tile, tile*span, idHashes, leafHashes)),
 	}
