@@ -18,7 +18,6 @@ import (
 
 	"ctrise/internal/asn"
 	"ctrise/internal/experiments"
-	"ctrise/internal/honeypot"
 )
 
 func main() {
@@ -32,24 +31,23 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("cthoneypot", flag.ExitOnError)
 	fs.SetOutput(stderr)
-	seed := fs.Int64("seed", 2018, "simulation seed")
+	seed := fs.Int64("seed", 2018, "run seed (ctrise -seed with the same value prints the same Table 4)")
 	fs.Parse(args)
 
-	res, err := honeypot.RunExperiment(*seed)
+	t4, err := experiments.RunTable4(*seed)
 	if err != nil {
 		return err
 	}
-	t4 := &experiments.Table4Result{Rows: res.Rows, Honeypot: res.Honeypot}
 	fmt.Fprintln(stdout, t4.RenderTable4())
 
 	fmt.Fprintln(stdout, "EDNS Client Subnet usage (reveals clients behind Google Public DNS):")
-	ecs := res.Honeypot.ECSStats()
+	ecs := t4.Honeypot.ECSStats()
 	for _, kv := range ecs.TopK(ecs.Len()) {
 		fmt.Fprintf(stdout, "  %-18s %d queries\n", kv.Key, kv.Count)
 	}
 
 	fmt.Fprintln(stdout, "\nPort scans (SYN probes per source AS):")
-	scans := res.Honeypot.PortScanStats()
+	scans := t4.Honeypot.PortScanStats()
 	var ases []uint32
 	for as := range scans {
 		ases = append(ases, as)
@@ -71,6 +69,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  %-28s %d distinct ports\n", name, len(scans[as]))
 	}
 	fmt.Fprintf(stdout, "\ninbound packets to unique IPv6 addresses: %d (CA validation filtered)\n",
-		res.Honeypot.IPv6Contacts())
+		t4.Honeypot.IPv6Contacts())
 	return nil
 }

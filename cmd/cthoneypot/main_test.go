@@ -34,3 +34,21 @@ func TestSeed2018Golden(t *testing.T) {
 		t.Fatalf("honeypot report differs from %s (run with -update if intended)\n got:\n%s\nwant:\n%s", goldenPath, got.Bytes(), want)
 	}
 }
+
+// TestTable4MatchesCtrise requires the Table 4 this command prints at
+// seed 2018 to be the one ctrise's default run (seed 2018) prints, as
+// pinned by ctrise's golden: one seed names one Table 4.
+func TestTable4MatchesCtrise(t *testing.T) {
+	var got bytes.Buffer
+	if err := run([]string{"-seed", "2018"}, &got, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	ctrise, err := os.ReadFile(filepath.Join("..", "ctrise", "testdata", "default.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := bytes.SplitAfter(got.Bytes(), []byte("\n\n"))[0]
+	if !bytes.Contains(ctrise, table) {
+		t.Fatalf("Table 4 at seed 2018 is not the one in ctrise's default.golden:\n%s", table)
+	}
+}

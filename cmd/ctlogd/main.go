@@ -47,7 +47,8 @@
 // submissions and how long the oldest has waited for its merge
 // (ctlog_staged_entries, ctlog_oldest_staged_age_seconds), capacity
 // refusals (ctlog_rejected_total), entries sealed into tiles
-// (ctlog_sealed_entries), the tile page cache's hits, misses, evictions,
+// (ctlog_sealed_entries) and the wall time sealing them took
+// (ctlog_seal_seconds_total), the tile page cache's hits, misses, evictions,
 // pages and bytes (ctlog_page_cache_*), and ctlog_store_failed, 1 once
 // the durable store has failed and refuses writes.
 package main

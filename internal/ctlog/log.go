@@ -228,9 +228,12 @@ type Log struct {
 	published SignedTreeHead
 	// treeSize mirrors tree.Size() for TreeSize, which takes no lock.
 	treeSize atomic.Uint64
-	// leafImage is the seal's leaf-tile image buffer, kept between
-	// seals so that encoding a tile allocates nothing once it has grown.
-	leafImage []byte
+	// sealWorkers are the seal's workers, kept with their buffers
+	// between seals; there are as many as the largest seal has used.
+	sealWorkers []*sealWorker
+	// sealNanos is the wall time spent sealing tiles
+	// (ctlog_seal_seconds_total).
+	sealNanos atomic.Uint64
 
 	// stageMu, the staging mutex, is the only lock add and unstage take.
 	// It guards the fields below up to byLeafHash and orders WAL entry

@@ -8,10 +8,10 @@ import (
 // WriteMetrics renders the log's state for GET /metrics: how far
 // sequencing and publication have got, how much is staged and for how
 // long (a log falling behind its MMD shows here first), what overload
-// refused, what is sealed into tiles and how the tile page cache
-// serves it, how many WAL records share a write and an fsync, and
-// whether the store has failed. It reads the log's own fields and
-// counters at scrape time and adds nothing to the add path.
+// refused, what is sealed into tiles, how long sealing took and how
+// the tile page cache serves it, how many WAL records share a write and
+// an fsync, and whether the store has failed. It reads the log's own
+// fields and counters at scrape time and adds nothing to the add path.
 func (l *Log) WriteMetrics(w *metrics.Writer) {
 	now := l.cfg.Clock().UnixMilli()
 	l.stageMu.Lock()
@@ -56,6 +56,8 @@ func (l *Log) WriteMetrics(w *metrics.Writer) {
 	}
 	w.Family("ctlog_sth_age_seconds", "Time since the latest published signed tree head was signed.", "gauge")
 	w.Float("ctlog_sth_age_seconds", float64(now-int64(sth.Timestamp))/1000)
+	w.Family("ctlog_seal_seconds_total", "Wall time spent writing, verifying and installing sealed tiles; over ctlog_sealed_entries it is the seal's cost per entry.", "counter")
+	w.Float("ctlog_seal_seconds_total", float64(l.sealNanos.Load())/1e9)
 	w.Family("ctlog_oldest_staged_age_seconds", "Time the oldest staged submission has waited since its SCT (0 when none is staged).", "gauge")
 	w.Float("ctlog_oldest_staged_age_seconds", float64(now-oldest)/1000)
 }

@@ -49,14 +49,14 @@ func TestMetricsStagedBacklogAndRejections(t *testing.T) {
 		"ctlog_page_cache_evictions_total", "ctlog_page_cache_pages",
 		"ctlog_page_cache_bytes", "ctlog_wal_records_total",
 		"ctlog_wal_writes_total", "ctlog_wal_fsyncs_total",
-		"ctlog_store_failed",
+		"ctlog_store_failed", "ctlog_seal_seconds_total",
 	} {
 		if got[name] != "0" {
 			t.Errorf("fresh log: %s = %q, want \"0\"", name, got[name])
 		}
 	}
-	if len(got) != 16 {
-		t.Errorf("fresh log serves %d series, want 16: %v", len(got), got)
+	if len(got) != 17 {
+		t.Errorf("fresh log serves %d series, want 17: %v", len(got), got)
 	}
 
 	for i := 0; i < 3; i++ {
@@ -135,6 +135,9 @@ func TestMetricsSealedCacheAndStoreFailure(t *testing.T) {
 		"ctlog_page_cache_bytes":           fmt.Sprint(page),
 		"ctlog_store_failed":               "0",
 	})
+	if got := scrapeLog(l)["ctlog_seal_seconds_total"]; got == "0" || got == "" {
+		t.Errorf("after two sealed tiles ctlog_seal_seconds_total = %q, want > 0", got)
+	}
 	l.store.Close() // sticky failure: the store refuses all further writes
 	wantSamples(t, l, map[string]string{"ctlog_store_failed": "1"})
 

@@ -26,7 +26,8 @@ import (
 //     inserts under its own lock, readers resolve hashes with an atomic
 //     lookup. Sealed hashes leave the map only after their tile
 //     registers in the tileStore (sealTilesLocked's install phase runs
-//     after sealTileLocked), so a reader that misses the map always
+//     after every tile of the seal is written and registered), so a
+//     reader that misses the map always
 //     finds the hash through the per-tile blooms — there is no window
 //     where a published leaf resolves nowhere.
 //

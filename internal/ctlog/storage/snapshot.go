@@ -203,8 +203,21 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 // WriteFileAtomic writes data to path via a temp file in the same
 // directory, fsyncing the file before the rename and the directory
 // after, so a crash leaves either the old file or the new one — never a
-// torn mix. It is shared by snapshots, tiles and harvest checkpoints.
+// torn mix. It is shared by snapshots and harvest checkpoints.
 func WriteFileAtomic(path string, data []byte) error {
+	if err := replaceFile(path, data); err != nil {
+		return err
+	}
+	// Sync the directory so the rename itself survives a crash.
+	return syncDir(filepath.Dir(path))
+}
+
+// replaceFile is WriteFileAtomic without the directory fsync: data is
+// written and fsynced under a temp name and renamed over path, so a
+// crash leaves the old file or the new one, but the rename is durable
+// only once the caller syncs the directory. Tile writes use it and sync
+// the tiles directory once per seal (Store.SyncTiles).
+func replaceFile(path string, data []byte) error {
 	tmp, err := writeTemp(path, data)
 	if err != nil {
 		return err
@@ -213,8 +226,7 @@ func WriteFileAtomic(path string, data []byte) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("storage: renaming %s: %w", tmp, err)
 	}
-	// Sync the directory so the rename itself survives a crash.
-	return syncDir(filepath.Dir(path))
+	return nil
 }
 
 // WriteFileExclusive durably creates path holding data, unless path

@@ -26,8 +26,8 @@ type Store struct {
 // valid record. It does not truncate a torn tail; recovery does, with
 // exactly one of CommitRecovery/ResetWAL. The recovered records are
 // consumed via Replay. Once it holds the WAL's lock, Open removes the
-// temp files a crash inside WriteFileAtomic left beside the snapshot or
-// a tile (removeOrphanTemps).
+// temp files a crash inside a snapshot or tile write left behind
+// (removeOrphanTemps).
 func Open(dir string) (*Store, error) {
 	// MkdirDurable syncs the state directory (its tiles entry) and
 	// tiles; syncing the parent makes the state directory's own entry
@@ -48,9 +48,10 @@ func Open(dir string) (*Store, error) {
 }
 
 // removeOrphanTemps deletes the snapshot's and the tiles' temp files: a
-// WriteFileAtomic that was cut between creating its temp file and the
-// rename leaves one behind, and nothing else would ever remove it. The
-// caller holds the WAL's lock, so no other process is writing one now.
+// WriteFileAtomic or WriteTile that was cut between creating its temp
+// file and the rename leaves one behind, and nothing else would ever
+// remove it. The caller holds the WAL's lock, so no other process is
+// writing one now.
 // Other temp files in dir are left alone: ctlogd's racing first starts
 // create key.der before either takes the lock. Removal is best effort;
 // a temp file that stays costs disk, not correctness.
@@ -211,10 +212,12 @@ func (s *Store) TilePath(tile uint64, ext string) string {
 	return filepath.Join(s.dir, TilesDirName, fmt.Sprintf("%016x.%s", tile, ext))
 }
 
-// WriteTile durably writes one sealed tile's three files (each
-// atomically: temp + fsync + rename + dirsync). Like the WAL append
-// path, a failure is sticky — a tile that may be torn on disk must not
-// be built upon.
+// WriteTile writes one sealed tile's three files, each atomically:
+// temp file, fsync, rename. It does not sync the tiles directory, so
+// the renames are durable only after the next SyncTiles; a seal writes
+// all its tiles, from concurrent workers, then syncs the directory
+// once. Like the WAL append path, a failure is sticky — a tile that may
+// be torn on disk must not be built upon.
 func (s *Store) WriteTile(tile uint64, leaf, hash, index []byte) error {
 	if err := s.Err(); err != nil {
 		return err
@@ -223,9 +226,21 @@ func (s *Store) WriteTile(tile uint64, leaf, hash, index []byte) error {
 		ext  string
 		data []byte
 	}{{TileExtHash, hash}, {TileExtLeaf, leaf}, {TileExtIndex, index}} {
-		if err := WriteFileAtomic(s.TilePath(tile, f.ext), f.data); err != nil {
+		if err := replaceFile(s.TilePath(tile, f.ext), f.data); err != nil {
 			return s.fail(err)
 		}
+	}
+	return nil
+}
+
+// SyncTiles fsyncs the tiles directory, making every tile file renamed
+// into it by WriteTile durable. A failure is sticky, as in WriteTile.
+func (s *Store) SyncTiles() error {
+	if err := s.Err(); err != nil {
+		return err
+	}
+	if err := syncDir(filepath.Join(s.dir, TilesDirName)); err != nil {
+		return s.fail(err)
 	}
 	return nil
 }

@@ -16,7 +16,7 @@ import (
 // Tile files. A sealed tile is one span-aligned run of sequenced entries
 // rendered as three immutable files, each carried by the same framed
 // record codec as the WAL and snapshots (CRC32C per record, magic +
-// version header, written via WriteFileAtomic):
+// version header, written by Store.WriteTile):
 //
 //	NNNNNNNNNNNNNNNN.leaf  — the MerkleTreeLeaf bytes of each entry
 //	NNNNNNNNNNNNNNNN.hash  — every Merkle level of the tile's subtree,

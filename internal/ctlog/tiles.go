@@ -3,7 +3,10 @@ package ctlog
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"ctrise/internal/ctlog/storage"
 	"ctrise/internal/merkle"
@@ -37,20 +40,26 @@ import (
 // The seal is three-phase, and the ordering is the crash-safety
 // argument:
 //
-//  1. Write: each tile's three files are encoded from the entries'
-//     stamped leaf bytes and leaf hashes, the hash tile's root is pinned
-//     to the tree's subtree root, and the files are written atomically
-//     and fsynced, then read back straight from disk — not through the
-//     page cache — and compared byte for byte with the images written
-//     (tileStore.verify). Bytes equal to those images are the leaves and
-//     hashes the tree committed to, so the tile is trusted for the rest
-//     of the process: later leaf page-ins check CRC, framing, label and
-//     leaf syntax only (see tileStore.leafTile). A crash here leaves
+//  1. Write: the tiles the publish covers are sealed concurrently, by
+//     min(tiles, GOMAXPROCS) workers (sealWorker). For each tile a
+//     worker encodes the three files from the entries' stamped leaf
+//     bytes and leaf hashes, pins the hash tile's root to the tree's
+//     subtree root (computed before the fan-out), writes each file to a
+//     temp file, fsyncs and renames it, then reads the files back
+//     straight from disk — not through the page cache — and compares
+//     them byte for byte with the images written (tileStore.verify).
+//     Once every worker has finished, the tiles directory is fsynced
+//     once (Store.SyncTiles), making every rename of the seal durable.
+//     Bytes equal to the images are the leaves and hashes the tree
+//     committed to, so the tile is trusted for the rest of the process:
+//     later leaf page-ins check CRC, framing, label and leaf syntax only
+//     (see tileStore.leafTile). A crash or a failed worker here leaves
 //     orphan tile files that the next seal rewrites and re-reads.
-//  2. Install: the tile roots + the blooms of the index the seal built
-//     register in the tileStore, the tree prunes its sub-tile levels
-//     (merkle.TiledTree.Seal), and the sealed entries leave the tail and
-//     the proof map.
+//  2. Install: only after the directory fsync, and only if every worker
+//     succeeded, the tile roots + the blooms of the indexes the workers
+//     built register in the tileStore, in tile order; the tree prunes
+//     its sub-tile levels (merkle.TiledTree.Seal), and the sealed
+//     entries leave the tail and the proof map.
 //  3. Compact (the only phase under the staging mutex): the sealed
 //     identities leave the dedupe map, a snapshot carrying the tile
 //     roots and the now-short tail is written at the current WAL offset,
@@ -93,13 +102,10 @@ type tileStore struct {
 	// against its hash tile and registered root. It is never persisted,
 	// so every restart re-earns it.
 	checked []bool
-
-	// readBuf is verify's read-back buffer, verifyChunk bytes once the
-	// first seal has run. Only the seal calls verify, under Log.seqMu.
-	readBuf []byte
 }
 
-// verifyChunk is how much of a tile file verify reads per call.
+// verifyChunk is the size of a seal worker's read-back buffer: how much
+// of a tile file verify reads per call.
 const verifyChunk = 256 << 10
 
 // leafHeaderBytes is what a cached leaf page pins per leaf beside the
@@ -389,13 +395,14 @@ func (ts *tileStore) index(tile uint64) (*storage.TileIndex, error) {
 }
 
 // tileImages are one tile's three encoded files, as the seal hands them
-// to Store.WriteTile.
-type tileImages struct{ leaf, hash, index []byte }
+// to Store.WriteTile, and the buffer verify reads them back through (a
+// seal worker's; nil reads through a new one).
+type tileImages struct{ leaf, hash, index, readBuf []byte }
 
 // verify is the seal's read-back: it reads a freshly written tile's
 // three files straight from disk and requires each to equal, byte for
 // byte and in length, the image the seal wrote (Store.TileEquals,
-// through readBuf). A differing file is storage.ErrCorrupt, an
+// through im.readBuf). A differing file is storage.ErrCorrupt, an
 // unreadable or missing one ErrPersistence; both name the tile and
 // file. That is all a decode and crossCheck could prove here: the seal
 // built the hash tile from the entries' stamped leaf hashes and pinned
@@ -405,16 +412,14 @@ type tileImages struct{ leaf, hash, index []byte }
 // the images are the leaves and nodes the tree committed to. It reads
 // what is durable every time it is called, and installs nothing in the
 // page cache (a write-only log does not fill its cache with pages
-// nobody read).
+// nobody read). Seal workers call it concurrently, each on its own tile
+// and buffer.
 func (ts *tileStore) verify(tile uint64, im tileImages) error {
-	if ts.readBuf == nil {
-		ts.readBuf = make([]byte, verifyChunk)
-	}
 	for _, f := range []struct {
 		ext   string
 		image []byte
 	}{{storage.TileExtHash, im.hash}, {storage.TileExtLeaf, im.leaf}, {storage.TileExtIndex, im.index}} {
-		same, err := ts.st.TileEquals(tile, f.ext, f.image, ts.readBuf)
+		same, err := ts.st.TileEquals(tile, f.ext, f.image, im.readBuf)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrPersistence, err)
 		}
@@ -498,8 +503,9 @@ func (ts *tileStore) lookupLeafIndex(h merkle.Hash) (uint64, bool, error) {
 // STH — write and install, with seqMu held and the staging mutex free —
 // and returns the entries it moved out of the resident tail. Sealing
 // never changes tree bytes, only where they live, so trajectories stay
-// byte-identical to an in-memory run. An error installs nothing (orphan
-// tile files on disk are rewritten by the next seal).
+// byte-identical to an in-memory run. An error installs nothing, not
+// even the tiles written before the failing one (orphan tile files on
+// disk are rewritten by the next seal).
 func (l *Log) sealTilesLocked() ([]*Entry, error) {
 	if l.tiles == nil {
 		return nil, nil
@@ -509,9 +515,25 @@ func (l *Log) sealTilesLocked() ([]*Entry, error) {
 	if target <= l.tailStart {
 		return nil, nil
 	}
+	defer func(start time.Time) { l.sealNanos.Add(uint64(time.Since(start))) }(time.Now())
 	first := l.tailStart / span
-	for tile := first; tile*span < target; tile++ {
-		if err := l.sealTileLocked(tile); err != nil {
+	roots := make([]merkle.Hash, (target-l.tailStart)/span)
+	for i := range roots {
+		root, err := l.tree.TileRoot(first + uint64(i))
+		if err != nil {
+			return nil, err
+		}
+		roots[i] = root
+	}
+	ixs, err := l.writeTilesLocked(first, roots)
+	if err != nil {
+		return nil, err
+	}
+	if err := l.store.SyncTiles(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrPersistence, err)
+	}
+	for i, ix := range ixs {
+		if err := l.tiles.register(first+uint64(i), roots[i], ix); err != nil {
 			return nil, err
 		}
 	}
@@ -527,7 +549,7 @@ func (l *Log) sealTilesLocked() ([]*Entry, error) {
 	sealed := l.entries[:n]
 	for _, e := range sealed {
 		// The leafIndex delete runs only after the entry's tile registered
-		// in sealTileLocked above, so a lock-free proof reader that misses
+		// above, so a lock-free proof reader that misses
 		// the map is guaranteed to find the hash through the tile blooms.
 		l.byLeafHash.delete(e.leafHash)
 	}
@@ -569,9 +591,60 @@ func (l *Log) compactLocked(sealed []*Entry) error {
 	return nil
 }
 
-// sealTileLocked writes, fsyncs, re-verifies from disk, and registers
-// one tile.
-func (l *Log) sealTileLocked(tile uint64) error {
+// sealWorker is one of the seal's concurrent workers. Its buffers are
+// kept between seals (Log.sealWorkers), so sealing a tile allocates no
+// leaf image and no read-back buffer once they have grown.
+type sealWorker struct {
+	leafImage []byte // the tile's encoded leaf file
+	readBuf   []byte // verify's read-back buffer, verifyChunk bytes
+}
+
+// writeTilesLocked is the seal's write phase: it seals tiles first,
+// first+1, ... (one per root) on min(len(roots), GOMAXPROCS) workers
+// and returns the index each tile's worker built, in tile order. After
+// a failure the workers take no further tile, and the error returned is
+// that of the lowest failed tile.
+func (l *Log) writeTilesLocked(first uint64, roots []merkle.Hash) ([]*storage.TileIndex, error) {
+	workers := min(len(roots), runtime.GOMAXPROCS(0))
+	for len(l.sealWorkers) < workers {
+		l.sealWorkers = append(l.sealWorkers, &sealWorker{readBuf: make([]byte, verifyChunk)})
+	}
+	ixs := make([]*storage.TileIndex, len(roots))
+	errs := make([]error, len(roots))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for _, w := range l.sealWorkers[:workers] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(roots) {
+					return
+				}
+				if ixs[i], errs[i] = l.sealTile(w, first+uint64(i), roots[i]); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return ixs, nil
+}
+
+// sealTile is one worker's seal of one tile: it builds the tile's three
+// files from the entries' stamped leaf bytes and leaf hashes, pins the
+// hash tile's root to want (the tree's root for the tile), writes them
+// and verifies them from disk. It returns the index it built, which
+// registers once the whole seal is durable. Workers of one seal read
+// the resident tail and write only their own buffers and tile files.
+func (l *Log) sealTile(w *sealWorker, tile uint64, want merkle.Hash) (*storage.TileIndex, error) {
 	span := l.tiles.span
 	base := tile*span - l.tailStart
 	ents := l.entries[base : base+span]
@@ -581,7 +654,7 @@ func (l *Log) sealTileLocked(tile uint64) error {
 	for i, e := range ents {
 		leaf, err := e.leafBytes()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		leaves[i] = leaf
 		leafHashes[i] = [32]byte(e.leafHash)
@@ -589,34 +662,30 @@ func (l *Log) sealTileLocked(tile uint64) error {
 	}
 	ht, err := storage.BuildHashTile(tile, leafHashes)
 	if err != nil {
-		return err
-	}
-	want, err := l.tree.TileRoot(tile)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	if merkle.Hash(ht.Root()) != want {
-		return fmt.Errorf("%w: tile %d built root differs from the live tree", storage.ErrCorrupt, tile)
+		return nil, fmt.Errorf("%w: tile %d built root differs from the live tree", storage.ErrCorrupt, tile)
 	}
 	ix := storage.BuildTileIndex(tile, tile*span, idHashes, leafHashes)
-	l.leafImage = storage.EncodeLeafTile(l.leafImage[:0], &storage.LeafTile{Tile: tile, Span: span, Leaves: leaves})
+	w.leafImage = storage.EncodeLeafTile(w.leafImage[:0], &storage.LeafTile{Tile: tile, Span: span, Leaves: leaves})
 	im := tileImages{
-		leaf:  l.leafImage,
-		hash:  storage.EncodeHashTile(ht),
-		index: storage.EncodeTileIndex(ix),
+		leaf:    w.leafImage,
+		hash:    storage.EncodeHashTile(ht),
+		index:   storage.EncodeTileIndex(ix),
+		readBuf: w.readBuf,
 	}
 	if err := l.store.WriteTile(tile, im.leaf, im.hash, im.index); err != nil {
-		return fmt.Errorf("%w: %v", ErrPersistence, err)
+		return nil, fmt.Errorf("%w: %v", ErrPersistence, err)
 	}
-	// Verify what is actually durable before the tree prunes anything:
-	// read the files back from disk (a retried seal re-reads the bytes it
-	// just rewrote — nothing is cached for an unregistered tile) and
-	// compare them with the images; only then does the tile register, as
-	// checked, with the index built here.
+	// Verify what is on disk before anything registers: read the files
+	// back (a retried seal re-reads the bytes it just rewrote — nothing
+	// is cached for an unregistered tile) and compare them with the
+	// images.
 	if err := l.tiles.verify(tile, im); err != nil {
-		return err
+		return nil, err
 	}
-	return l.tiles.register(tile, want, ix)
+	return ix, nil
 }
 
 // sealStage invokes the test-only seal lifecycle hook.

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1391,6 +1392,194 @@ func TestTiledSealWriteFailureIsSticky(t *testing.T) {
 	}
 	if got := collectLeaves(t, r, span+2); !reflect.DeepEqual(got, want) {
 		t.Fatal("entries after the retried seal differ from the tail's")
+	}
+}
+
+// TestTiledConcurrentSealFailureIsSticky makes one tile of a concurrent
+// seal fail: one publish covers tiles 0-5 of a span-4 log, sealed by
+// four workers, and a directory squats at tile 2's .leaf path, so that
+// tile's rename fails while the workers beside it write theirs. The
+// publish returns ErrPersistence and registers no tile, not even tiles
+// 0 and 1; reads keep answering from the resident tail; the store's
+// failure is sticky, so add-chain is a 503 with Retry-After. With the
+// squatter removed, a reopen seals all six tiles into files
+// byte-identical to those of a run that never failed.
+func TestTiledConcurrentSealFailureIsSticky(t *testing.T) {
+	const span, tiles, bad = 4, 6, 2
+	const size = span*tiles + 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	fill := func(dir string) *Log {
+		l, clk := newDurableLog(t, dir, Config{TileSpan: span})
+		for i := 0; i < size; i++ {
+			if _, err := l.AddChain([]byte(fmt.Sprintf("concurrent-seal-%04d", i))); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(time.Second)
+		}
+		return l
+	}
+	cleanDir := t.TempDir()
+	clean := fill(cleanDir)
+	if _, err := clean.PublishSTH(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(clean.sealWorkers); got != 4 {
+		t.Fatalf("a seal of %d tiles at GOMAXPROCS 4 ran %d workers, want 4", tiles, got)
+	}
+	clean.Close()
+
+	dir := t.TempDir()
+	l := fill(dir)
+	squatter := tilePath(dir, bad, storage.TileExtLeaf)
+	if err := os.Mkdir(squatter, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.PublishSTH(); !errors.Is(err, ErrPersistence) {
+		t.Fatalf("seal with a directory at tile %d's .leaf path: err=%v, want ErrPersistence", bad, err)
+	}
+	if n := l.tiles.sealedTiles(); n != 0 {
+		t.Fatalf("a failed concurrent seal registered %d tiles", n)
+	}
+	if got := l.TiledThrough(); got != 0 {
+		t.Fatalf("TiledThrough = %d after a failed seal, want 0", got)
+	}
+	head := l.STH()
+	if head.TreeHead.TreeSize != size {
+		t.Fatalf("published head covers %d entries, want %d", head.TreeHead.TreeSize, size)
+	}
+	want := collectLeaves(t, l, size)
+	if _, err := l.GetInclusionProof(bad*span+1, size); err != nil {
+		t.Fatalf("inclusion proof into the failed tile, from the tail: %v", err)
+	}
+	srv := httptest.NewServer(l.Handler())
+	defer srv.Close()
+	if resp := get(t, srv, fmt.Sprintf("/ct/v1/get-entries?start=0&end=%d", size-1)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("get-entries after the failed seal: status %d, want 200", resp.StatusCode)
+	}
+	resp := post(t, srv, "/ct/v1/add-chain", `{"chain":["c3RpY2t5"]}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("add-chain after the failed seal: status %d, want 503", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("add-chain 503 Retry-After = %q, want %q", got, "1")
+	}
+	wantSamples(t, l, map[string]string{"ctlog_store_failed": "1", "ctlog_sealed_entries": "0"})
+	l.Close() // refuses the closing snapshot: the store has failed
+
+	if err := os.Remove(squatter); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := newDurableLog(t, dir, Config{TileSpan: span})
+	defer r.Close()
+	if got := r.STH(); got.TreeHead != head.TreeHead {
+		t.Fatalf("reopened head %+v, want %+v", got.TreeHead, head.TreeHead)
+	}
+	if _, err := r.PublishSTH(); err != nil {
+		t.Fatalf("publish after the squatter left: %v", err)
+	}
+	if got := r.TiledThrough(); got != span*tiles {
+		t.Fatalf("TiledThrough = %d after the retried seal, want %d", got, span*tiles)
+	}
+	if got := collectLeaves(t, r, size); !reflect.DeepEqual(got, want) {
+		t.Fatal("entries after the retried seal differ from the tail's")
+	}
+	for tile := uint64(0); tile < tiles; tile++ {
+		for _, ext := range []string{storage.TileExtLeaf, storage.TileExtHash, storage.TileExtIndex} {
+			got, err := os.ReadFile(tilePath(dir, tile, ext))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(tilePath(cleanDir, tile, ext))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("tile %d.%s after the retried seal differs from the clean run's", tile, ext)
+			}
+		}
+	}
+}
+
+// TestTiledSealWorkersByteIdentical builds one seeded span-16 log twice,
+// under GOMAXPROCS 1 and 4, so its seals run on one worker and on four.
+// The second publish covers 10 tiles, more than the workers. Tile roots
+// must register in tile order (each equal to a reference tree's), and
+// the tiles directory and snapshot.ct must come out byte-identical.
+func TestTiledSealWorkersByteIdentical(t *testing.T) {
+	const span = 16
+	build := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		dir := t.TempDir()
+		l, clk := newDurableLog(t, dir, Config{TileSpan: span})
+		rng := rand.New(rand.NewSource(2018))
+		add := func(n int) {
+			for i := 0; i < n; i++ {
+				cert := make([]byte, 16+rng.Intn(200))
+				rng.Read(cert)
+				if _, err := l.AddChain(cert); err != nil {
+					t.Fatal(err)
+				}
+				clk.Advance(time.Duration(1+rng.Intn(1000)) * time.Millisecond)
+			}
+			if _, err := l.PublishSTH(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		add(3*span + 5)
+		add(10*span + 2)
+		if got, want := len(l.sealWorkers), min(10, procs); got != want {
+			t.Fatalf("GOMAXPROCS %d: %d seal workers, want %d", procs, got, want)
+		}
+		size := l.STH().TreeHead.TreeSize
+		ref, err := merkle.NewTiled(span, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, leaf := range collectLeaves(t, l, size) {
+			ref.AppendLeafHash(merkle.HashLeaf(leaf))
+		}
+		sealed := l.tiles.sealedTiles()
+		if sealed != size/span {
+			t.Fatalf("GOMAXPROCS %d: %d tiles sealed, want %d", procs, sealed, size/span)
+		}
+		for tile := uint64(0); tile < sealed; tile++ {
+			want, err := ref.TileRoot(tile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := l.tiles.rootAt(tile); got != want {
+				t.Fatalf("GOMAXPROCS %d: tile %d registered root %x, want %x", procs, tile, got, want)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	one, four := build(1), build(4)
+	names, err := os.ReadDir(filepath.Join(one, storage.TilesDirName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []string{storage.SnapshotName}
+	for _, n := range names {
+		files = append(files, filepath.Join(storage.TilesDirName, n.Name()))
+	}
+	if got, err := os.ReadDir(filepath.Join(four, storage.TilesDirName)); err != nil || len(got) != len(names) {
+		t.Fatalf("tiles directories hold %d and %d files (%v)", len(names), len(got), err)
+	}
+	for _, name := range files {
+		a, err := os.ReadFile(filepath.Join(one, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(four, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s differs between one seal worker and four", name)
+		}
 	}
 }
 

@@ -16,8 +16,13 @@ type Table4Result struct {
 
 // Table4 deploys the 11 CT-honeypot subdomains on the paper's schedule
 // and runs the attacker population.
-func (s *Suite) Table4() (*Table4Result, error) {
-	res, err := honeypot.RunExperiment(s.opts.Seed + 66)
+func (s *Suite) Table4() (*Table4Result, error) { return RunTable4(s.opts.Seed) }
+
+// RunTable4 runs the honeypot experiment of the run seeded with seed.
+// It owns the offset from the run seed to the honeypot's own, so ctrise
+// and cthoneypot name the same Table 4 by the same seed.
+func RunTable4(seed int64) (*Table4Result, error) {
+	res, err := honeypot.RunExperiment(seed + 66)
 	if err != nil {
 		return nil, err
 	}
