@@ -385,8 +385,10 @@ func BenchmarkAblationMerkleCache(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationLabelCensus compares the single locked counter against
-// sharded counters under parallel load.
+// BenchmarkAblationLabelCensus compares one shared locked counter
+// against the scheme the Section 4 census uses under parallel load:
+// every worker fills a private counter, and the partials are merged
+// once at the end, so workers never contend on a shared count.
 func BenchmarkAblationLabelCensus(b *testing.B) {
 	labels := make([]string, 256)
 	for i := range labels {
@@ -402,18 +404,27 @@ func BenchmarkAblationLabelCensus(b *testing.B) {
 			}
 		})
 	})
-	b.Run("sharded", func(b *testing.B) {
-		// FNV-1a shard selection via stats.ShardedCounter: a length-based
-		// key (all bench labels are 9 chars) would collapse every label
-		// onto one shard and measure nothing but added overhead.
-		sc := stats.NewShardedCounter(16)
+	b.Run("private-merge", func(b *testing.B) {
+		var mu sync.Mutex
+		var partials []*stats.Counter
 		b.RunParallel(func(pb *testing.PB) {
+			c := stats.NewCounter()
 			i := 0
 			for pb.Next() {
-				sc.Inc(labels[i%len(labels)])
+				c.Inc(labels[i%len(labels)])
 				i++
 			}
+			mu.Lock()
+			partials = append(partials, c)
+			mu.Unlock()
 		})
+		total := stats.NewCounter()
+		for _, c := range partials {
+			total.Merge(c)
+		}
+		if total.Total() != uint64(b.N) {
+			b.Fatalf("merged %d counts, want %d", total.Total(), b.N)
+		}
 	})
 }
 
@@ -427,7 +438,7 @@ func BenchmarkAblationStreamVsBatch(b *testing.B) {
 		var total time.Duration
 		var rows int
 		for i := 0; i < b.N; i++ {
-			res, err := honeypot.RunExperimentFiltered(2018, mode)
+			res, err := experiments.RunTable4(2018, mode)
 			if err != nil {
 				b.Fatal(err)
 			}

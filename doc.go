@@ -44,10 +44,10 @@
 // periodic atomic snapshots bound recovery to the WAL tail — so a
 // ctlogd killed mid-sequencing restarts (cmd/ctlogd -data-dir, signing
 // key persisted alongside) to the identical STH and entries, verified
-// by a kill-at-every-byte-offset crash harness. The ecosystem harvest
-// rides the same record codec for checkpoints: a killed crawl resumes
-// gap-free from per-log entry cursors (Harvest.Checkpoint /
-// ecosystem.ResumeHarvest, ctclient.NewMonitorAt for the HTTP side).
+// by a kill-at-every-byte-offset crash harness. A crawl over HTTP has
+// one resume path: the auditor's verified-STH chain rides the same record
+// codec and records each log's entry cursor, and a restarted ctmon
+// resumes there gap-free (ctclient.NewMonitorAt).
 //
 // The harvest-and-analysis data plane is concurrent and sharded: logs
 // expose a lock-free streaming iterator over the immutable prefix below

@@ -462,14 +462,13 @@ func (m *Monitor) retry(ctx context.Context, fn func() error) error {
 }
 
 // NewMonitorAt returns a monitor that resumes from entry index next —
-// the resume index a previous StreamEntries returned or a harvest
-// checkpoint recorded — so a restarted harvester continues gap-free
-// instead of re-fetching (and re-counting) the prefix it already
-// consumed. The first Poll verifies consistency against the log's
-// current STH as usual; full cross-restart fork detection additionally
-// needs the caller to persist and compare tree heads (the ecosystem
-// harvest checkpoint approximates it by refusing to resume a cursor
-// beyond the log's current tree size).
+// the resume index a previous StreamEntries returned, or the cursor an
+// auditor's verified-STH chain recorded — so a restarted monitor
+// continues gap-free instead of re-fetching (and re-counting) the prefix
+// it already consumed. The first Poll verifies consistency against the
+// log's current STH as usual; cross-restart fork and rollback detection
+// additionally needs the persisted tree head, which the auditor seeds
+// with SetLastSTH next to this cursor.
 func NewMonitorAt(client *Client, next uint64) *Monitor {
 	m := NewMonitor(client)
 	m.nextIdx = next
@@ -477,7 +476,7 @@ func NewMonitorAt(client *Client, next uint64) *Monitor {
 }
 
 // NextIndex returns the first entry index the monitor has not yet
-// delivered — the cursor to persist in a harvest checkpoint.
+// delivered — the cursor the auditor persists in its verified-STH chain.
 func (m *Monitor) NextIndex() uint64 { return m.nextIdx }
 
 // LastSTH returns the most recently verified signed tree head, or nil if

@@ -2,9 +2,13 @@ package ctclient
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -360,5 +364,113 @@ func TestAddChainOverloadCarriesDerivedRetryAfter(t *testing.T) {
 	}
 	if se.RetryAfter != 3*time.Second {
 		t.Fatalf("RetryAfter = %v, want 3s (derived from the sequencer interval)", se.RetryAfter)
+	}
+}
+
+// A monitor whose server starts failing mid-stream returns the first
+// index it did not deliver, and a fresh monitor seeded there with
+// NewMonitorAt finishes the walk: every index delivered once, in order,
+// and no index served twice. The auditor resumes ctmon's crawl from its
+// chain cursor on exactly this contract. The server clamps pages to 4
+// entries while the client asks for 7, so the first undelivered index
+// (8) is not the start of a client page (7).
+func TestMonitorStreamEntriesResumesAfterServerFailure(t *testing.T) {
+	l, err := ctlog.New(ctlog.Config{
+		Name:          "Resume Log",
+		Signer:        sct.NewFastSigner("Resume Log"),
+		MaxGetEntries: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const entries = 40
+	for i := 0; i < entries; i++ {
+		if _, err := l.AddChain([]byte{byte(i), 0x55, byte(i >> 4)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := l.PublishSTH(); err != nil {
+		t.Fatal(err)
+	}
+
+	// served counts how often the server handed out each index.
+	var mu sync.Mutex
+	served := make([]int, entries)
+	var requests atomic.Int64
+	var failing atomic.Bool
+	handler := l.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if failing.Load() && requests.Add(1) > 2 {
+			http.Error(w, "server killed", http.StatusInternalServerError)
+			return
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, r)
+		if r.URL.Path == "/ct/v1/get-entries" && rec.Code == http.StatusOK {
+			var body struct{ Entries []json.RawMessage }
+			start, err := strconv.Atoi(r.URL.Query().Get("start"))
+			if err != nil || json.Unmarshal(rec.Body.Bytes(), &body) != nil {
+				t.Errorf("undecodable get-entries exchange: %s", r.URL)
+			} else {
+				mu.Lock()
+				for i := range body.Entries {
+					served[start+i]++
+				}
+				mu.Unlock()
+			}
+		}
+		maps.Copy(w.Header(), rec.Header())
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	defer srv.Close()
+
+	var seen []uint64
+	collect := func(e *ctlog.Entry) error {
+		seen = append(seen, e.Index)
+		return nil
+	}
+
+	// The server dies after two pages; the monitor's retries run out.
+	failing.Store(true)
+	m := fastRetryMonitor(New(srv.URL, l.Verifier()))
+	m.Batch = 7
+	resume, err := m.StreamEntries(context.Background(), 0, entries-1, collect)
+	if err == nil {
+		t.Fatal("stream against a dying server succeeded")
+	}
+	if resume != uint64(len(seen)) {
+		t.Fatalf("resume index %d, delivered %d entries", resume, len(seen))
+	}
+	if resume == 0 || resume >= entries {
+		t.Fatalf("want a mid-stream failure, got resume=%d", resume)
+	}
+
+	// The server recovers; a fresh monitor resumes at the returned index.
+	failing.Store(false)
+	m2 := NewMonitorAt(New(srv.URL, l.Verifier()), resume)
+	m2.Batch = 7
+	if got := m2.NextIndex(); got != resume {
+		t.Fatalf("NextIndex=%d, want %d", got, resume)
+	}
+	next, err := m2.StreamEntries(context.Background(), m2.NextIndex(), entries-1, collect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != entries {
+		t.Fatalf("final cursor %d, want %d", next, entries)
+	}
+	if len(seen) != entries {
+		t.Fatalf("delivered %d entries, want %d (gap or repeat)", len(seen), entries)
+	}
+	for i, idx := range seen {
+		if idx != uint64(i) {
+			t.Fatalf("delivery %d has index %d: not gap-free", i, idx)
+		}
+	}
+	for i, n := range served {
+		if n != 1 {
+			t.Fatalf("index %d served %d times, want once", i, n)
+		}
 	}
 }

@@ -17,10 +17,9 @@
 // bit anywhere in a record is detected, and a record length can never
 // send the reader off into garbage unnoticed. The same framing carries
 // the WAL (entry / seal / STH / unstage records), the snapshot file, the
-// sealed tile files, the ecosystem harvest checkpoints and the
-// auditor's verified-STH chains — one codec, five consumers. The two
-// append-only ones, the WAL and the audit chains, share one
-// implementation too: AppendLog.
+// sealed tile files and the auditor's verified-STH chains — one codec,
+// four consumers. The two append-only ones, the WAL and the audit
+// chains, share one implementation too: AppendLog.
 //
 // # Recovery semantics
 //
@@ -89,15 +88,10 @@ const (
 	RecordSnapTiles RecordType = 6
 )
 
-// Checkpoint record types (harvest checkpoints ride the same framing;
-// see internal/ecosystem). Kept here so type values never collide.
-const (
-	RecordCkptMeta   RecordType = 16
-	RecordCkptSeries RecordType = 17
-	RecordCkptOrgLog RecordType = 18
-	RecordCkptNames  RecordType = 19
-	RecordCkptEnd    RecordType = 20
-)
+// Record types 16–20 and the magic "CTHRV" are reserved: they framed
+// the retired ecosystem harvest checkpoint files. No later file type
+// may reuse them, so an old checkpoint can never decode as something
+// else.
 
 // Audit record types (the auditor's verified-STH chain rides the same
 // framing; see internal/auditor). An audit chain file is a stream of
@@ -123,8 +117,6 @@ var (
 	// tile-span fields and a tile-roots record follows it, so sealed
 	// entries can live in tile files instead of the snapshot body.
 	SnapshotMagic = []byte{'C', 'T', 'S', 'N', 'P', 0, 0, 2}
-	// CheckpointMagic heads ecosystem harvest checkpoints.
-	CheckpointMagic = []byte{'C', 'T', 'H', 'R', 'V', 0, 0, 1}
 	// AuditMagic heads per-log auditor verified-STH chain files.
 	AuditMagic = []byte{'C', 'T', 'A', 'U', 'D', 0, 0, 1}
 )

@@ -203,7 +203,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 // WriteFileAtomic writes data to path via a temp file in the same
 // directory, fsyncing the file before the rename and the directory
 // after, so a crash leaves either the old file or the new one — never a
-// torn mix. It is shared by snapshots and harvest checkpoints.
+// torn mix. The store writes its snapshots with it.
 func WriteFileAtomic(path string, data []byte) error {
 	if err := replaceFile(path, data); err != nil {
 		return err

@@ -38,8 +38,7 @@ type Harvest struct {
 
 // NewHarvest returns an empty harvest for the given Figure 1c heat
 // window, with all aggregates (including the sharded FQDN set)
-// initialized. Both the parallel crawl and the resumable checkpointed
-// crawl build on it.
+// initialized. The parallel crawl (HarvestLogs) builds on it.
 func NewHarvest(heatFrom, heatTo time.Time) *Harvest {
 	return &Harvest{
 		PrecertsByOrgDay: stats.NewDaySeries(),

@@ -19,10 +19,12 @@ type Table4Result struct {
 func (s *Suite) Table4() (*Table4Result, error) { return RunTable4(s.opts.Seed) }
 
 // RunTable4 runs the honeypot experiment of the run seeded with seed.
-// It owns the offset from the run seed to the honeypot's own, so ctrise
-// and cthoneypot name the same Table 4 by the same seed.
-func RunTable4(seed int64) (*Table4Result, error) {
-	res, err := honeypot.RunExperiment(seed + 66)
+// It owns the offset from the run seed to the honeypot's own, so ctrise,
+// cthoneypot and the stream-vs-batch ablation name the same Table 4 by
+// the same seed. modes restricts the attacker population as
+// honeypot.RunExperiment does; none means every agent.
+func RunTable4(seed int64, modes ...honeypot.AgentMode) (*Table4Result, error) {
+	res, err := honeypot.RunExperiment(seed+66, modes...)
 	if err != nil {
 		return nil, err
 	}

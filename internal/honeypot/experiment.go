@@ -2,6 +2,7 @@ package honeypot
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"ctrise/internal/ca"
@@ -38,24 +39,14 @@ type ExperimentResult struct {
 
 // RunExperiment deploys the 11 subdomains on the paper's schedule,
 // leaks them through a CT log, runs the attacker population, and builds
-// Table 4. Everything is driven by the seed and virtual time.
-func RunExperiment(seed int64) (*ExperimentResult, error) {
-	return runExperiment(seed, DefaultAgents())
-}
-
-// RunExperimentFiltered runs the experiment with only the agents of the
-// given mode — the stream-vs-batch ablation of the Section 6 analysis.
-func RunExperimentFiltered(seed int64, mode AgentMode) (*ExperimentResult, error) {
-	var agents []Agent
-	for _, a := range DefaultAgents() {
-		if a.Mode == mode {
-			agents = append(agents, a)
-		}
+// Table 4. Everything is driven by the seed and virtual time. With no
+// modes every agent runs; otherwise only the agents of the given modes
+// do — the stream-vs-batch ablation of the Section 6 analysis.
+func RunExperiment(seed int64, modes ...AgentMode) (*ExperimentResult, error) {
+	agents := DefaultAgents()
+	if len(modes) > 0 {
+		agents = slices.DeleteFunc(agents, func(a Agent) bool { return !slices.Contains(modes, a.Mode) })
 	}
-	return runExperiment(seed, agents)
-}
-
-func runExperiment(seed int64, agents []Agent) (*ExperimentResult, error) {
 	clock := ecosystem.NewClock(Table4Schedule[0].Add(-time.Hour))
 	log, err := ctlog.New(ctlog.Config{
 		Name:   "Honeypot Leak Log",

@@ -2,9 +2,8 @@ package stats
 
 import "sync"
 
-// Shards is the default shard count of ShardedCounter and StringSet:
-// enough to make cross-core contention unlikely at typical worker counts
-// without bloating the merge step.
+// Shards is the default shard count of StringSet: enough to make
+// cross-core contention unlikely at typical worker counts.
 const Shards = 16
 
 // Hash64 is the 64-bit FNV-1a hash, inlined so hashing costs one pass
@@ -44,59 +43,6 @@ func Mix64(z uint64) uint64 {
 // together); FNV-1a spreads them uniformly.
 func Shard(key string, n int) int {
 	return int(Hash64(key) % uint64(n))
-}
-
-// ShardedCounter is a Counter split over independently locked shards
-// selected by FNV-1a of the key, so concurrent writers touching different
-// keys rarely contend. Reads that need the whole distribution flatten the
-// shards into a plain Counter.
-type ShardedCounter struct {
-	shards []*Counter
-}
-
-// NewShardedCounter returns a counter with n shards (Shards if n <= 0).
-func NewShardedCounter(n int) *ShardedCounter {
-	if n <= 0 {
-		n = Shards
-	}
-	cs := make([]*Counter, n)
-	for i := range cs {
-		cs[i] = NewCounter()
-	}
-	return &ShardedCounter{shards: cs}
-}
-
-// Add increments key by n in its shard.
-func (s *ShardedCounter) Add(key string, n uint64) {
-	s.shards[Shard(key, len(s.shards))].Add(key, n)
-}
-
-// Inc increments key by one.
-func (s *ShardedCounter) Inc(key string) { s.Add(key, 1) }
-
-// Get returns the count for key.
-func (s *ShardedCounter) Get(key string) uint64 {
-	return s.shards[Shard(key, len(s.shards))].Get(key)
-}
-
-// Total returns the sum over all keys.
-func (s *ShardedCounter) Total() uint64 {
-	var t uint64
-	for _, c := range s.shards {
-		t += c.Total()
-	}
-	return t
-}
-
-// Flatten collapses the shards into one Counter. Because every key lives
-// in exactly one shard, the result equals the counter an unsharded run
-// would have produced.
-func (s *ShardedCounter) Flatten() *Counter {
-	out := NewCounter()
-	for _, c := range s.shards {
-		out.Merge(c)
-	}
-	return out
 }
 
 // StringSet is a deduplicating string set split over independently locked

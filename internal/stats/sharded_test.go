@@ -29,42 +29,6 @@ func TestShardSpread(t *testing.T) {
 	}
 }
 
-// A sharded counter hammered concurrently must flatten to exactly the
-// per-key totals (also a -race exercise).
-func TestShardedCounterConcurrent(t *testing.T) {
-	sc := NewShardedCounter(0)
-	const workers, perWorker = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				sc.Inc(fmt.Sprintf("key-%d", i%10))
-				sc.Add("bulk", 2)
-			}
-		}(w)
-	}
-	wg.Wait()
-	flat := sc.Flatten()
-	for i := 0; i < 10; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		want := uint64(workers * perWorker / 10)
-		if got := flat.Get(key); got != want {
-			t.Fatalf("%s = %d, want %d", key, got, want)
-		}
-		if got := sc.Get(key); got != want {
-			t.Fatalf("Get(%s) = %d, want %d", key, got, want)
-		}
-	}
-	if got, want := flat.Get("bulk"), uint64(2*workers*perWorker); got != want {
-		t.Fatalf("bulk = %d, want %d", got, want)
-	}
-	if sc.Total() != flat.Total() {
-		t.Fatal("total mismatch")
-	}
-}
-
 // Counter.Merge and AddMap are the parallel reduction steps; merged
 // counters must equal a counter fed every event directly.
 func TestCounterMerge(t *testing.T) {
