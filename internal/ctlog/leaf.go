@@ -30,16 +30,13 @@ type Entry struct {
 	// idHash, idKey, and leafHash are stamped by the log at staging
 	// time so the sequencer can order and integrate the batch without
 	// rehashing: idHash is the dedupe identity, idKey its first 8 bytes
-	// as a cheap sort key, leafHash the Merkle leaf hash. dupAnswered
-	// (guarded by the staging mutex) records that a resubmission was
-	// answered with this entry's SCT, pinning it against a signing-
-	// failure rollback. All are meaningless on client-parsed entries, and
-	// unset on entries read from sealed tiles: sealed dedupe and proof
-	// lookups go through the tile index files, not these fields.
-	idHash      merkle.Hash
-	idKey       uint64
-	leafHash    merkle.Hash
-	dupAnswered bool
+	// as a cheap sort key, leafHash the Merkle leaf hash. All are
+	// meaningless on client-parsed entries, and unset on entries read
+	// from sealed tiles: sealed dedupe and proof lookups go through the
+	// tile index files, not these fields.
+	idHash   merkle.Hash
+	idKey    uint64
+	leafHash merkle.Hash
 
 	// leaf is the entry's canonical MerkleTreeLeaf encoding, stamped by
 	// parseLeaf wherever the log already holds those bytes: add builds

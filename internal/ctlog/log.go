@@ -47,7 +47,8 @@
 //     fsynced before the SCT is returned. An acknowledged submission
 //     survives any crash; the MMD promise is never made on volatile
 //     state. SyncAtSequence defers the write and the fsync to the next
-//     barrier for bulk replays.
+//     barrier for bulk replays. A failure after staging (barrier, signer
+//     or SCT encoding) withholds the SCT and leaves the entry staged.
 //   - Sequence: after integrating a batch, a seal record (tree size +
 //     root — the snapshot cursor) is appended and fsynced, fixing the
 //     batch boundary and therefore the canonical in-batch order.
@@ -235,13 +236,14 @@ type Log struct {
 	// (ctlog_seal_seconds_total).
 	sealNanos atomic.Uint64
 
-	// stageMu, the staging mutex, is the only lock add and unstage take.
+	// stageMu, the staging mutex, is the only lock add takes.
 	// It guards the fields below up to byLeafHash and orders WAL entry
 	// appends. The sequencer takes it only to swap out the batch and to
 	// snapshot (after a seal: drop the sealed identities, compact).
 	stageMu sync.Mutex
-	// staged is the pending batch: accepted submissions that have an SCT
-	// but are not yet integrated into the tree. Sequence drains it.
+	// staged is the pending batch: accepted submissions not yet
+	// integrated into the tree (an entry whose SCT was withheld is
+	// staged too). Sequence drains it.
 	staged []*Entry
 	// dedupe maps cert-identity hash -> entry (staged or resident tail),
 	// so resubmitting the same (pre)certificate returns the original SCT

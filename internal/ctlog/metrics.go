@@ -16,9 +16,11 @@ func (l *Log) WriteMetrics(w *metrics.Writer) {
 	now := l.cfg.Clock().UnixMilli()
 	l.stageMu.Lock()
 	staged, rejected := len(l.staged), l.rejected
+	// The batch is in lock order, not timestamp order: add reads the
+	// clock before it takes the lock.
 	oldest := now
-	if staged > 0 {
-		oldest = int64(l.staged[0].Timestamp)
+	for _, e := range l.staged {
+		oldest = min(oldest, int64(e.Timestamp))
 	}
 	l.stageMu.Unlock()
 	sth := l.STH().TreeHead
@@ -38,7 +40,7 @@ func (l *Log) WriteMetrics(w *metrics.Writer) {
 	}{
 		{"ctlog_tree_size", "Entries sequenced into the Merkle tree (the published head may trail it).", "gauge", l.TreeSize()},
 		{"ctlog_sth_tree_size", "Tree size of the latest published signed tree head.", "gauge", sth.TreeSize},
-		{"ctlog_staged_entries", "Accepted submissions holding an SCT but not yet sequenced.", "gauge", uint64(staged)},
+		{"ctlog_staged_entries", "Accepted submissions not yet sequenced.", "gauge", uint64(staged)},
 		{"ctlog_rejected_total", "Submissions refused because the log was over capacity.", "counter", rejected},
 		{"ctlog_sealed_entries", "Published entries sealed into immutable tiles.", "gauge", l.TiledThrough()},
 		{"ctlog_page_cache_hits_total", "Tile page-cache hits.", "counter", cache.Hits},
@@ -58,6 +60,6 @@ func (l *Log) WriteMetrics(w *metrics.Writer) {
 	w.Float("ctlog_sth_age_seconds", float64(now-int64(sth.Timestamp))/1000)
 	w.Family("ctlog_seal_seconds_total", "Wall time spent writing, verifying and installing sealed tiles; over ctlog_sealed_entries it is the seal's cost per entry.", "counter")
 	w.Float("ctlog_seal_seconds_total", float64(l.sealNanos.Load())/1e9)
-	w.Family("ctlog_oldest_staged_age_seconds", "Time the oldest staged submission has waited since its SCT (0 when none is staged).", "gauge")
+	w.Family("ctlog_oldest_staged_age_seconds", "Time the oldest staged submission has waited since its SCT timestamp (0 when none is staged).", "gauge")
 	w.Float("ctlog_oldest_staged_age_seconds", float64(now-oldest)/1000)
 }

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ctrise/internal/metrics"
+	"ctrise/internal/sct"
 )
 
 // scrapeLog renders l's metrics and returns each sample's value by
@@ -101,6 +104,54 @@ func TestMetricsStagedBacklogAndRejections(t *testing.T) {
 		"ctlog_rejected_total":            "1",
 		"ctlog_staged_entries":            "3",
 		"ctlog_oldest_staged_age_seconds": "1.5",
+	})
+}
+
+// The oldest staged age comes from the earliest SCT timestamp in the
+// batch, not from its first entry: add reads the clock before it takes
+// the staging lock, so a submitter that read an earlier time can stage
+// second. Submitter A's clock call (t0+100 ms) is held until submitter
+// B (t0+200 ms) has returned; a scrape at t0+300 ms must read 0.2 s.
+func TestMetricsOldestStagedAgeIgnoresStagingOrder(t *testing.T) {
+	t0 := newClock().Now()
+	var mu sync.Mutex
+	now := t0
+	setNow := func(d time.Duration) { mu.Lock(); now = t0.Add(d); mu.Unlock() }
+	var holdNext atomic.Bool
+	entered, release := make(chan struct{}), make(chan time.Time)
+	clock := func() time.Time {
+		if holdNext.CompareAndSwap(true, false) {
+			close(entered)
+			return <-release
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	l, err := New(Config{Name: "order log", Signer: sct.NewFastSigner("order log"), Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	holdNext.Store(true)
+	errA := make(chan error, 1)
+	go func() {
+		_, err := l.AddChain([]byte("submitter A"))
+		errA <- err
+	}()
+	<-entered
+	setNow(200 * time.Millisecond)
+	if _, err := l.AddChain([]byte("submitter B")); err != nil {
+		t.Fatal(err)
+	}
+	release <- t0.Add(100 * time.Millisecond)
+	if err := <-errA; err != nil {
+		t.Fatal(err)
+	}
+	setNow(300 * time.Millisecond)
+	wantSamples(t, l, map[string]string{
+		"ctlog_staged_entries":            "2",
+		"ctlog_oldest_staged_age_seconds": "0.2",
 	})
 }
 

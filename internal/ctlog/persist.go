@@ -312,22 +312,6 @@ func (r *recovered) applySTH(l *Log, rec storage.STHRecord) error {
 	return nil
 }
 
-// unstage rolls back the replayed form of a signing-failure rollback.
-// The tombstoned entry must still be staged: its record always precedes
-// the tombstone, and the live log only wrote the tombstone while the
-// entry was in the pending batch, so an unmatched tombstone means the
-// history was tampered with.
-func (r *recovered) unstage(id [32]byte) error {
-	for i := len(r.staged) - 1; i >= 0; i-- {
-		if r.staged[i].idHash == merkle.Hash(id) {
-			r.staged = append(r.staged[:i], r.staged[i+1:]...)
-			delete(r.dedupe, merkle.Hash(id))
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: unstage record for an entry that is not staged", storage.ErrCorrupt)
-}
-
 // loadSnapshot installs a full-state snapshot into rec, verifying the
 // rebuilt tree against the snapshot's recorded size and root. The sealed
 // prefix reconstructs from the recorded tile roots alone — O(tiles)
@@ -395,12 +379,6 @@ func (l *Log) replayWAL(r *recovered, from int64) error {
 				return err
 			}
 			return r.applySTH(l, sth)
-		case storage.RecordUnstage:
-			id, err := storage.DecodeUnstage(rec.Payload)
-			if err != nil {
-				return err
-			}
-			return r.unstage(id)
 		default:
 			return fmt.Errorf("%w: unknown WAL record type %d", storage.ErrCorrupt, rec.Type)
 		}

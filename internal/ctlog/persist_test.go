@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -282,6 +283,137 @@ func TestPendingAndDedupeSurviveReopen(t *testing.T) {
 	if l2.TreeSize() != 2 {
 		t.Fatalf("tree size %d, want 2", l2.TreeSize())
 	}
+}
+
+// TestSigningFailureEntrySurvivesReopen carries the signing-failure
+// policy across a crash: the entry whose SCT was withheld comes back
+// staged from its WAL record, a resubmission gets the first attempt's
+// timestamp, and the WAL holds nothing but entry, seal and STH records.
+func TestSigningFailureEntrySurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	signer := &flakySigner{LogSigner: sct.NewFastSigner("durable-test-log")}
+	l, clk := newDurableLog(t, dir, Config{Signer: signer})
+	if _, err := l.AddChain([]byte("published cert")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.PublishSTH(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Hour)
+	withheld := []byte("withheld cert")
+	signer.fail = true
+	if _, err := l.AddChain(withheld); !errors.Is(err, errSignerDown) {
+		t.Fatalf("failed submission: err = %v, want errSignerDown", err)
+	}
+	if got := l.PendingCount(); got != 1 {
+		t.Fatalf("pending = %d after the failed submission, want 1", got)
+	}
+	firstTS := uint64(clk.Now().UnixMilli())
+
+	// The crash: abandon l without Close and read its files.
+	wal, err := os.ReadFile(filepath.Join(dir, storage.WALName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, valid, err := storage.DecodeWAL(wal)
+	if err != nil || valid != len(wal) {
+		t.Fatalf("WAL: valid %d of %d bytes, err %v", valid, len(wal), err)
+	}
+	for i, rec := range recs {
+		switch rec.Type {
+		case storage.RecordEntry, storage.RecordSeal, storage.RecordSTH:
+		default:
+			t.Fatalf("WAL record %d has type %d, want entry, seal or STH", i, rec.Type)
+		}
+	}
+	var snap []byte
+	if data, err := os.ReadFile(filepath.Join(dir, storage.SnapshotName)); err == nil {
+		snap = data
+	}
+
+	// openCrashed's clock reads an hour before the failed attempt, so a
+	// fresh staging of the resubmission would mint a different timestamp.
+	l2, err := openCrashed(t, wal, snap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got := l2.PendingCount(); got != 1 {
+		t.Fatalf("pending after reopen = %d, want 1", got)
+	}
+	resub, err := l2.AddChain(withheld)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resub.Timestamp != firstTS {
+		t.Fatalf("resubmission timestamp %d, want the first attempt's %d", resub.Timestamp, firstTS)
+	}
+	if got := l2.PendingCount(); got != 1 {
+		t.Fatalf("resubmission staged a new entry: pending = %d", got)
+	}
+}
+
+// TestReopenRefusesRetiredRecordType proves record type 4, the retired
+// unstage tombstone, fails closed: a well-framed type-4 record in the
+// WAL tail fails Open with ErrCorrupt naming the type, and Open leaves
+// every file in the directory byte for byte as it was.
+func TestReopenRefusesRetiredRecordType(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := newDurableLog(t, dir, Config{})
+	if _, err := l.AddChain([]byte("staged cert")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, storage.WALName)
+	wal, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal = storage.AppendRecord(wal, 4, make([]byte, 32))
+	if err := os.WriteFile(walPath, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := readTree(t, dir)
+
+	clk := newClock()
+	_, err = Open(dir, Config{Name: "Durable Test Log", Operator: "TestOp", Signer: sct.NewFastSigner("durable-test-log"), Clock: clk.Now})
+	if !errors.Is(err, storage.ErrCorrupt) || !strings.Contains(err.Error(), "record type 4") {
+		t.Fatalf("Open over a type-4 record: err = %v, want ErrCorrupt naming type 4", err)
+	}
+	after := readTree(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("Open changed the file set: %d files before, %d after", len(before), len(after))
+	}
+	for name, data := range before {
+		if !bytes.Equal(after[name], data) {
+			t.Fatalf("Open changed %s", name)
+		}
+	}
+}
+
+// readTree returns the contents of every regular file under dir, keyed
+// by path relative to dir.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		files[rel] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestReopenWithECDSASigner proves recovery works with real ECDSA

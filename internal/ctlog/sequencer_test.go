@@ -1,6 +1,7 @@
 package ctlog
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -197,39 +198,66 @@ func (f *flakySigner) CreateSCT(ts uint64, entry sct.CertificateEntry) (*sct.Sig
 	return f.LogSigner.CreateSCT(ts, entry)
 }
 
-// A signing failure must roll the staged entry back: the tree never
-// integrates an entry whose submitter received no SCT, the dedupe record
-// disappears, and the capacity token is refunded.
-func TestSigningFailureRollsBackStage(t *testing.T) {
+// A signing failure after staging withholds the SCT and nothing else,
+// like a failed barrier: the entry stays staged with its capacity token
+// spent, a resubmission is answered from the dedupe map with the first
+// attempt's timestamp, and the entry sequences exactly once.
+func TestSigningFailureKeepsEntryStaged(t *testing.T) {
 	signer := &flakySigner{LogSigner: sct.NewFastSigner("flaky log")}
 	clk := newClock()
 	l, err := New(Config{Name: "flaky log", Signer: signer, Clock: clk.Now, CapacityPerSecond: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert := []byte("rolled-back cert")
+	cert := []byte("withheld cert")
+	firstTS := uint64(clk.Now().UnixMilli())
 	signer.fail = true
-	if _, err := l.AddChain(cert); err == nil {
-		t.Fatal("signing failure not surfaced")
+	if _, err := l.AddChain(cert); !errors.Is(err, errSignerDown) {
+		t.Fatalf("failed submission: err = %v, want errSignerDown", err)
 	}
-	if l.PendingCount() != 0 {
-		t.Fatalf("pending = %d after failed submission", l.PendingCount())
+	if got := l.PendingCount(); got != 1 {
+		t.Fatalf("pending = %d after the failed submission, want 1", got)
 	}
-	if l.Sequence(); l.TreeSize() != 0 {
-		t.Fatalf("tree integrated %d entries from a failed submission", l.TreeSize())
-	}
-	// Recovery: the same cert resubmits cleanly (no stale dedupe record
-	// answering with a phantom entry) and the refunded token plus the
-	// remaining one cover both burst submissions.
+
+	// 100 ms later the bucket has refilled 0.2 of a token: not enough to
+	// give the spent one back.
+	clk.Advance(100 * time.Millisecond)
 	signer.fail = false
-	if _, err := l.AddChain(cert); err != nil {
+	resub, err := l.AddChain(cert)
+	if err != nil {
 		t.Fatalf("resubmission after recovery: %v", err)
 	}
-	if _, err := l.AddChain([]byte("second burst cert")); err != nil {
-		t.Fatalf("token not refunded: %v", err)
+	if resub.Timestamp != firstTS {
+		t.Fatalf("resubmission timestamp %d, want the first attempt's %d", resub.Timestamp, firstTS)
 	}
-	if l.Sequence(); l.TreeSize() != 2 {
-		t.Fatalf("tree size = %d, want 2", l.TreeSize())
+	if got := l.PendingCount(); got != 1 {
+		t.Fatalf("resubmission staged a new entry: pending = %d", got)
+	}
+	if _, err := l.AddChain([]byte("second cert")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AddChain([]byte("third cert")); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("third submission: err = %v, want ErrOverloaded (the failed one's token is spent)", err)
+	}
+
+	if n, err := l.Sequence(); err != nil || n != 2 {
+		t.Fatalf("sequenced %d (err %v), want 2", n, err)
+	}
+	if _, err := l.PublishSTH(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := l.GetEntries(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies := 0
+	for _, e := range entries {
+		if bytes.Equal(e.Cert, cert) {
+			copies++
+		}
+	}
+	if copies != 1 {
+		t.Fatalf("tree holds %d copies of the withheld cert, want 1", copies)
 	}
 }
 

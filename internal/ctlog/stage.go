@@ -46,6 +46,11 @@ func (l *Log) AddPreChain(issuerKeyHash [32]byte, tbs []byte) (*sct.SignedCertif
 // happens after the lock is released, before the SCT is returned, so
 // the acknowledgment is the durability point (group commit collapses
 // concurrent submitters into one fsync).
+//
+// A failure after staging — the barrier or the signer — withholds the
+// SCT and nothing else: the entry stays staged with its capacity token
+// spent, it sequences within the MMD like any other, and a resubmission
+// is answered from the dedupe map with the original timestamp.
 func (l *Log) add(ce sct.CertificateEntry) (*sct.SignedCertificateTimestamp, error) {
 	now := l.cfg.Clock()
 	ts := uint64(now.UnixMilli())
@@ -75,7 +80,9 @@ func (l *Log) add(ce sct.CertificateEntry) (*sct.SignedCertificateTimestamp, err
 			return nil, err
 		}
 		if se != nil {
-			return l.sealedDupSCT(se)
+			// Re-issue over the original timestamp. No WAL sync: a
+			// sealed entry has nothing volatile left to flush.
+			return l.cfg.Signer.CreateSCT(se.Timestamp, se.SignatureEntry())
 		}
 	}
 	skel := Entry{Timestamp: ts, Type: ce.Type}
@@ -121,7 +128,7 @@ func (l *Log) add(ce sct.CertificateEntry) (*sct.SignedCertificateTimestamp, err
 			}
 			if se != nil {
 				l.stageMu.Unlock()
-				return l.sealedDupSCT(se)
+				return l.cfg.Signer.CreateSCT(se.Timestamp, se.SignatureEntry())
 			}
 		}
 	}
@@ -153,21 +160,14 @@ func (l *Log) add(ce sct.CertificateEntry) (*sct.SignedCertificateTimestamp, err
 			return nil, fmt.Errorf("%w: %v", ErrPersistence, err)
 		}
 	}
-
-	s, err := l.cfg.Signer.CreateSCT(ts, ce)
-	if err != nil {
-		l.unstage(e)
-		return nil, err
-	}
-	return s, nil
+	return l.cfg.Signer.CreateSCT(ts, ce)
 }
 
 // dedupeSCT answers a resubmission: the SCT is re-issued over the
 // original entry's timestamp. Entry content fields are immutable once
-// staged, so reading them lock-free here is safe. The entry is marked
-// shared first (under the staging mutex) so a concurrent signing-failure
-// rollback of the original submission cannot revoke an entry this
-// submitter is about to hold an SCT for.
+// staged, so reading them lock-free here is safe. A staged entry never
+// leaves the batch except into the tree, so the answer holds even when
+// the original submitter's own SCT was withheld.
 //
 // A duplicate's SCT is as strong a promise as the original's, so on a
 // durable log it must not be issued over volatile state: the original's
@@ -178,9 +178,6 @@ func (l *Log) add(ce sct.CertificateEntry) (*sct.SignedCertificateTimestamp, err
 // closes that window, and a sticky store failure refuses the promise
 // outright.
 func (l *Log) dedupeSCT(prev *Entry) (*sct.SignedCertificateTimestamp, error) {
-	l.stageMu.Lock()
-	prev.dupAnswered = true
-	l.stageMu.Unlock()
 	if l.store != nil {
 		if l.cfg.Sync == SyncEachSubmission {
 			if err := l.store.Sync(); err != nil {
@@ -191,50 +188,6 @@ func (l *Log) dedupeSCT(prev *Entry) (*sct.SignedCertificateTimestamp, error) {
 		}
 	}
 	return l.cfg.Signer.CreateSCT(prev.Timestamp, prev.SignatureEntry())
-}
-
-// sealedDupSCT answers a resubmission whose original lives in a sealed
-// tile: the SCT is re-issued over the original timestamp, read back from
-// the tile. No dupAnswered pinning (a sealed entry can never be
-// unstaged) and no WAL sync (the original was sequenced, published, and
-// sealed long ago — there is nothing volatile to flush).
-func (l *Log) sealedDupSCT(e *Entry) (*sct.SignedCertificateTimestamp, error) {
-	return l.cfg.Signer.CreateSCT(e.Timestamp, e.SignatureEntry())
-}
-
-// unstage rolls a staged entry back after a signing failure, so the
-// tree never integrates an entry whose submitter received no SCT: the
-// entry is removed from the pending batch and the dedupe map, and its
-// capacity token is refunded. Two races make the rollback conditional:
-// if a concurrent Sequence already drained the batch the entry is
-// integrated and stays, and if a concurrent duplicate submission was
-// answered from the dedupe map (dupAnswered) the entry must sequence —
-// that submitter holds a valid SCT and the MMD promise it carries must
-// hold.
-func (l *Log) unstage(e *Entry) {
-	l.stageMu.Lock()
-	defer l.stageMu.Unlock()
-	if e.dupAnswered {
-		return
-	}
-	for i := len(l.staged) - 1; i >= 0; i-- {
-		if l.staged[i] == e {
-			l.staged = append(l.staged[:i], l.staged[i+1:]...)
-			delete(l.dedupe, e.idHash)
-			if l.bucket != nil {
-				l.bucket.Refund()
-			}
-			if l.store != nil {
-				// Tombstone the entry's WAL record so replay rolls it
-				// back too. No fsync of its own: consistency only
-				// matters once a seal commits the batch, and the seal's
-				// fsync covers every byte before it — including this
-				// one. A failure just sticky-fails the store.
-				l.store.AppendUnstage(e.idHash)
-			}
-			return
-		}
-	}
 }
 
 // idKeyOf extracts the cheap 8-byte sort key from an identity hash; the

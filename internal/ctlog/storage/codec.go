@@ -16,7 +16,7 @@
 // The CRC (Castagnoli) covers type, length, and payload, so a flipped
 // bit anywhere in a record is detected, and a record length can never
 // send the reader off into garbage unnoticed. The same framing carries
-// the WAL (entry / seal / STH / unstage records), the snapshot file, the
+// the WAL (entry / seal / STH records), the snapshot file, the
 // sealed tile files and the auditor's verified-STH chains — one codec,
 // four consumers. The two append-only ones, the WAL and the audit
 // chains, share one implementation too: AppendLog.
@@ -74,10 +74,6 @@ const (
 	RecordSeal RecordType = 2
 	// RecordSTH records a published signed tree head.
 	RecordSTH RecordType = 3
-	// RecordUnstage rolls back one staged entry (a signing failure after
-	// the entry record was already appended); the payload is the entry's
-	// identity hash.
-	RecordUnstage RecordType = 4
 	// RecordSnapMeta heads a snapshot file: sequenced and staged entry
 	// counts, the tree root, the WAL offset replay resumes from, and (v2)
 	// the tiled-through size and tile span.
@@ -88,6 +84,11 @@ const (
 	RecordSnapTiles RecordType = 6
 )
 
+// Record type 4 is reserved: it framed the retired unstage record, a
+// WAL tombstone that rolled a staged entry back after a signing
+// failure. No later record type may reuse it; WAL replay refuses it as
+// an unknown type.
+//
 // Record types 16–20 and the magic "CTHRV" are reserved: they framed
 // the retired ecosystem harvest checkpoint files. No later file type
 // may reuse them, so an old checkpoint can never decode as something
@@ -278,21 +279,4 @@ func DecodeAuditCursor(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("%w: audit cursor payload is %d bytes, want 8", ErrCorrupt, len(payload))
 	}
 	return binary.BigEndian.Uint64(payload), nil
-}
-
-// EncodeUnstage encodes an unstage payload (the entry identity hash).
-func EncodeUnstage(id [32]byte) []byte {
-	out := make([]byte, 32)
-	copy(out, id[:])
-	return out
-}
-
-// DecodeUnstage decodes an unstage payload.
-func DecodeUnstage(payload []byte) ([32]byte, error) {
-	var id [32]byte
-	if len(payload) != 32 {
-		return id, fmt.Errorf("%w: unstage payload is %d bytes, want 32", ErrCorrupt, len(payload))
-	}
-	copy(id[:], payload)
-	return id, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // fuzzSeedWAL builds a representative valid WAL image: entries, a seal,
-// an STH, an unstage, and a torn tail variant is derived by the fuzzer.
+// and an STH; a torn tail variant is derived by the fuzzer.
 func fuzzSeedWAL() []byte {
 	out := append([]byte(nil), WALMagic...)
 	out = AppendRecord(out, RecordEntry, []byte("\x00\x00leaf-one"))
@@ -20,9 +20,6 @@ func fuzzSeedWAL() []byte {
 	sth := STHRecord{Timestamp: 1522540800000, TreeSize: 2, Sig: []byte{4, 3, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8}}
 	copy(sth.Root[:], seal.Root[:])
 	out = AppendRecord(out, RecordSTH, EncodeSTH(sth))
-	var id [32]byte
-	id[0] = 0xEE
-	out = AppendRecord(out, RecordUnstage, EncodeUnstage(id))
 	return out
 }
 

@@ -77,7 +77,7 @@ func TestDecodeWALRejectsBadMagic(t *testing.T) {
 	}
 }
 
-func TestSealSTHUnstageCodecs(t *testing.T) {
+func TestSealSTHCodecs(t *testing.T) {
 	seal := SealRecord{TreeSize: 42}
 	copy(seal.Root[:], bytes.Repeat([]byte{0x5A}, 32))
 	got, err := DecodeSeal(EncodeSeal(seal))
@@ -97,16 +97,6 @@ func TestSealSTHUnstageCodecs(t *testing.T) {
 	}
 	if _, err := DecodeSTH(append(EncodeSTH(sth), 0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing sth byte err=%v", err)
-	}
-
-	var id [32]byte
-	id[0], id[31] = 0xAA, 0xBB
-	gotID, err := DecodeUnstage(EncodeUnstage(id))
-	if err != nil || gotID != id {
-		t.Fatalf("unstage round trip: %v, %v", gotID, err)
-	}
-	if _, err := DecodeUnstage([]byte{1}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("short unstage err=%v", err)
 	}
 }
 

@@ -92,11 +92,6 @@ func (s *Store) AppendSTH(sth STHRecord) (int64, error) {
 	return s.wal.Append(RecordSTH, EncodeSTH(sth))
 }
 
-// AppendUnstage records the rollback of one staged entry.
-func (s *Store) AppendUnstage(id [32]byte) (int64, error) {
-	return s.wal.Append(RecordUnstage, EncodeUnstage(id))
-}
-
 // Barrier blocks until every WAL byte below off is durable (group
 // commit: concurrent barriers share one fsync).
 func (s *Store) Barrier(off int64) error { return s.wal.Barrier(off) }

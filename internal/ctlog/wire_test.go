@@ -653,7 +653,8 @@ func (s oversizedSigner) CreateSCT(ts uint64, e sct.CertificateEntry) (*sct.Sign
 }
 
 // An SCT whose signature cannot be serialized is an error from WriteSCT,
-// with nothing written, and a 500 from add-chain and add-pre-chain.
+// with nothing written, and a 500 from add-chain and add-pre-chain that
+// leaves the entry staged.
 func TestSCTEncodingErrorAnswers500(t *testing.T) {
 	rec := httptest.NewRecorder()
 	s := &sct.SignedCertificateTimestamp{Signature: sct.DigitallySigned{Signature: make([]byte, 1<<16)}}
@@ -678,6 +679,10 @@ func TestSCTEncodingErrorAnswers500(t *testing.T) {
 		if rec.Code != http.StatusInternalServerError {
 			t.Errorf("%s with an unserializable SCT: status %d, want 500", path, rec.Code)
 		}
+	}
+	// Only the acknowledgment failed: both entries stay staged.
+	if got := l.PendingCount(); got != 2 {
+		t.Errorf("pending = %d after two withheld SCTs, want 2", got)
 	}
 }
 

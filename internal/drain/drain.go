@@ -56,9 +56,6 @@ func (b *Bucket) Take(now time.Time) bool {
 	return true
 }
 
-// Refund returns one token, never filling the bucket past its burst.
-func (b *Bucket) Refund() { b.tokens = min(b.burst, b.tokens+1) }
-
 // Full reports whether the bucket has refilled to its burst by now: its
 // owner has been idle long enough that dropping the bucket loses
 // nothing.

@@ -113,10 +113,10 @@ func TestGateWaitIdleReturnsImmediately(t *testing.T) {
 }
 
 // TestBucket walks token buckets through scripted clock readings: the
-// burst default, refill on forward steps only, Refund's cap and Full.
+// burst default, refill on forward steps only, and Full.
 func TestBucket(t *testing.T) {
 	type step struct {
-		op   string  // "take", "refund" or "full"
+		op   string  // "take" or "full"
 		at   float64 // seconds after t0
 		want bool    // result of take / full
 	}
@@ -138,10 +138,6 @@ func TestBucket(t *testing.T) {
 			{"take", 10, true}, {"take", 5, false},
 			{"take", 10.5, false}, {"take", 11, true},
 		}},
-		{"refund at a full bucket is capped", 1, 2, []step{
-			{"refund", 0, false}, {"take", 0, true}, {"take", 0, true}, {"take", 0, false},
-			{"refund", 0, false}, {"take", 0, true}, {"take", 0, false},
-		}},
 		{"full before and after refill", 2, 2, []step{
 			{"full", 0, true}, {"take", 0, true}, {"full", 0, false},
 			{"full", 0.25, false}, {"full", 0.5, true},
@@ -159,9 +155,6 @@ func TestBucket(t *testing.T) {
 					got = b.Take(now)
 				case "full":
 					got = b.Full(now)
-				case "refund":
-					b.Refund()
-					continue
 				}
 				if got != s.want {
 					t.Fatalf("step %d: %s at %vs = %v, want %v", i, s.op, s.at, got, s.want)
