@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ctfront [-addr 127.0.0.1:8765] [-seed N] [-timeout 10s] [-hedge 0]
+//	ctfront [-addr 127.0.0.1:8765] [-seed N] [-timeout 10s]
 //	        [-passes 3] [-retry-pause 250ms]
 //	        [-max-inflight 0] [-global-rate 0] [-client-rate 0]
 //	        [-retry-after 1s] [-drain-timeout 10s] [-weight-interval 1m]
@@ -36,11 +36,11 @@
 // health, consecutive failures, backoff, verification counters, and
 // routing weight), and GET /metrics (Prometheus text format). -seed
 // fixes the deterministic backend ranking, -timeout bounds each backend
-// attempt, -hedge engages a spare backend when a planned one is slower
-// than the given delay (0 disables hedging, keeping routing
-// deterministic), and -passes/-retry-pause let a submission ride out a
-// rolling restart: a pass that falls short of policy re-runs against
-// the recovering pool, keeping the SCTs it already holds.
+// attempt (an attempt that runs out counts as that backend's failure and
+// the gap is re-planned onto a spare), and -passes/-retry-pause let a
+// submission ride out a rolling restart: a pass that falls short of
+// policy re-runs against the recovering pool, keeping the SCTs it
+// already holds.
 //
 // Admission control: -max-inflight bounds concurrent submissions (excess
 // sheds with 503), -global-rate/-global-burst and
@@ -73,7 +73,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8765", "listen address")
 	seed := flag.Int64("seed", 1, "seed for the deterministic backend ranking")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-backend submission timeout (0 = caller's deadline only)")
-	hedge := flag.Duration("hedge", 0, "engage a spare backend when a planned one is slower than this (0 = off)")
 	backoffBase := flag.Duration("backoff-base", time.Second, "backoff after a backend's first consecutive failure (doubles per failure)")
 	backoffMax := flag.Duration("backoff-max", 5*time.Minute, "backoff ceiling per backend")
 	passes := flag.Int("passes", 3, "submission passes before giving up (passes >1 ride out rolling restarts)")
@@ -101,7 +100,6 @@ func main() {
 		Backends:        specs,
 		Seed:            *seed,
 		Timeout:         *timeout,
-		Hedge:           *hedge,
 		BackoffBase:     *backoffBase,
 		BackoffMax:      *backoffMax,
 		MaxSubmitPasses: *passes,

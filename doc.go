@@ -19,8 +19,8 @@
 // SCTs satisfy the Chrome CT policy (internal/policy: minimum count by
 // certificate lifetime, operator diversity, one Google and one
 // non-Google log). Backend selection is a deterministic, seed-derived
-// ranking, failures re-plan the remaining policy gap onto spares with
-// per-backend exponential backoff, and slow backends can be hedged.
+// ranking, and failures (a per-attempt timeout among them) re-plan the
+// remaining policy gap onto spares with per-backend exponential backoff.
 // The ecosystem timeline optionally drives all issuance through it
 // (ecosystem.Config.UseFrontend) with byte-identical per-log trees at
 // any parallelism.

@@ -28,8 +28,10 @@ type admission struct {
 	shedClient   uint64
 }
 
-// maxClientBuckets caps the per-client map; beyond it, idle (full)
-// buckets are evicted before any shed decision penalizes a new client.
+// maxClientBuckets caps the per-client map. When it is full, idle
+// (refilled) buckets are evicted to make room for a new client; when
+// none is idle, the new client is shed as over its rate, so a flood of
+// distinct hosts neither grows the map nor pushes out active clients.
 const maxClientBuckets = 4096
 
 // verdict is the admission decision for one request.
@@ -66,12 +68,11 @@ func (a *admission) admit(client string) (verdict, func()) {
 	}
 	if a.cfg.ClientRate > 0 {
 		b := a.clients[client]
-		if b == nil {
-			a.evictIdleLocked(now)
+		if b == nil && a.roomLocked(now) {
 			b = drain.NewBucket(a.cfg.ClientRate, a.cfg.ClientBurst)
 			a.clients[client] = b
 		}
-		if !b.Take(now) {
+		if b == nil || !b.Take(now) {
 			a.shedClient++
 			a.mu.Unlock()
 			return shedClientRate, nil
@@ -100,18 +101,19 @@ func (a *admission) admit(client string) (verdict, func()) {
 	return admitOK, func() { <-a.sem }
 }
 
-// evictIdleLocked bounds the client map: when at capacity, buckets that
-// have refilled to their burst (no recent traffic) are dropped. Called
-// with a.mu held.
-func (a *admission) evictIdleLocked(now time.Time) {
+// roomLocked reports whether the client map can take one more bucket,
+// first dropping, when it is at capacity, every bucket that has refilled
+// to its burst (no recent traffic). Called with a.mu held.
+func (a *admission) roomLocked(now time.Time) bool {
 	if len(a.clients) < maxClientBuckets {
-		return
+		return true
 	}
 	for host, b := range a.clients {
 		if b.Full(now) {
 			delete(a.clients, host)
 		}
 	}
+	return len(a.clients) < maxClientBuckets
 }
 
 // Inflight reports currently admitted, unfinished HTTP submissions.

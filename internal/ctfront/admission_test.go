@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -232,5 +233,58 @@ func TestFrontendHTTPMetricsRendering(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+func TestAdmissionClientMapCap(t *testing.T) {
+	// maxClientBuckets hosts each spend their one token, so no bucket is
+	// idle. One more host must be shed 429 + Retry-After instead of
+	// growing the map; once the old buckets refill, a newcomer gets one.
+	clock := newTestClock()
+	f, err := New(Config{
+		Backends:    newLocalPool(t, clock, 2, 0),
+		Seed:        30,
+		Clock:       clock.Now,
+		ClientRate:  1,
+		ClientBurst: 1,
+		RetryAfter:  2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := f.admission
+	for i := range maxClientBuckets {
+		v, release := a.admit(fmt.Sprintf("10.0.%d.%d", i>>8, i&0xff))
+		if v != admitOK {
+			t.Fatalf("host %d of %d: verdict %d, want admitted", i, maxClientBuckets, v)
+		}
+		release()
+	}
+
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest("POST", "/ctfront/v1/add-pre-chain", strings.NewReader(`{"chain":[]}`))
+	req.RemoteAddr = "10.1.0.0:4242"
+	f.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("host past the cap: status %d, want 429", rec.Code)
+	}
+	if got := rec.Header().Get("Retry-After"); got != "2" {
+		t.Fatalf("Retry-After = %q, want \"2\"", got)
+	}
+	if n := len(a.clients); n != maxClientBuckets {
+		t.Fatalf("client map holds %d buckets, want the cap %d", n, maxClientBuckets)
+	}
+	if s := f.AdmissionStats(); s.ShedClientRate != 1 || s.Admitted != maxClientBuckets {
+		t.Fatalf("stats = %+v, want 1 client shed and %d admitted", s, maxClientBuckets)
+	}
+
+	clock.Advance(time.Second)
+	if v, release := a.admit("10.1.0.1"); v != admitOK {
+		t.Fatalf("newcomer after the buckets refilled: verdict %d, want admitted", v)
+	} else {
+		release()
+	}
+	if n := len(a.clients); n > maxClientBuckets {
+		t.Fatalf("client map holds %d buckets, over the cap %d", n, maxClientBuckets)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -135,25 +136,29 @@ func TestFrontendChaosTransportFailoverAcrossPasses(t *testing.T) {
 	}
 }
 
-func TestFrontendChaosDelayedTransportTriggersHedge(t *testing.T) {
-	// Both non-Google transports delay their first request well past the
-	// hedge threshold. Whichever the plan picks is presumed slow, the
-	// spare is engaged, and the submission completes — with the hedge
-	// recorded — instead of waiting out the full delay alone.
+func TestFrontendChaosDelayedTransportTimesOut(t *testing.T) {
+	// b-log's transport delays its first request past Config.Timeout.
+	// The attempt times out while the caller still waits, so b-log is
+	// charged a failure and backoff, and the gap it leaves is re-planned
+	// onto the spare c-log, which completes a compliant bundle.
 	clock := newTestClock()
 	delay := 250 * time.Millisecond
 	scheds := []chaos.Schedule{
 		{}, // a-log (Google): clean
 		{Script: []chaos.Plan{chaos.PlanDelay}, Delay: delay},
-		{Script: []chaos.Plan{chaos.PlanDelay}, Delay: delay},
+		{}, // c-log: clean spare
 	}
 	specs, transports := newChaosRemotePool(t, clock, scheds, 0)
-	// Real wall clock: hedging is a tail-latency mechanism and the
-	// chaos delay is a real sleep.
-	f, err := New(Config{Backends: specs, Seed: 5, Hedge: 20 * time.Millisecond})
+	f, err := New(Config{Backends: specs, Seed: 5, Clock: clock.Now, Timeout: 50 * time.Millisecond, BackoffBase: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A heavier committed weight ranks c-log after b-log, so the plan
+	// picks the delayed backend and c-log is the spare.
+	f.backends[2].mu.Lock()
+	f.backends[2].weight = 1
+	f.backends[2].mu.Unlock()
+
 	lifetime := 90 * 24 * time.Hour
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -161,23 +166,26 @@ func TestFrontendChaosDelayedTransportTriggersHedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ctx.Err() != nil {
+		t.Fatalf("caller's ctx ended (%v); the attempt must time out on its own", ctx.Err())
+	}
 	if !policy.SetCompliant(bundleCandidates(f, bundle), lifetime) {
 		t.Fatalf("bundle %v not compliant", bundle.LogNames())
 	}
-	if n := transports[1].Requests() + transports[2].Requests(); n != 2 {
-		t.Fatalf("non-Google transports saw %d requests, want 2 (planned + hedged spare)", n)
+	if names := bundle.LogNames(); !slices.Contains(names, "c-log") || slices.Contains(names, "b-log") {
+		t.Fatalf("bundle %v, want the spare c-log in place of the timed-out b-log", names)
 	}
-	var hedged, delays uint64
-	for _, h := range f.Health() {
-		hedged += h.Hedged
+	if n := transports[1].Counts()[chaos.PlanDelay]; n != 1 {
+		t.Fatalf("b-log's transport delayed %d requests, want 1", n)
 	}
-	for _, tr := range transports[1:] {
-		delays += tr.Counts()[chaos.PlanDelay]
+	if n := transports[2].Requests(); n != 1 {
+		t.Fatalf("c-log's transport saw %d requests, want 1", n)
 	}
-	if hedged == 0 {
-		t.Fatal("no backend was recorded as hedged against")
+	health := f.Health()
+	if b := health[1]; b.Failures != 1 || b.ConsecutiveFails != 1 || b.Healthy || !b.BackoffUntil.Equal(clock.Now().Add(time.Minute)) {
+		t.Fatalf("timed-out b-log not charged a failure and backoff: %+v", b)
 	}
-	if delays == 0 {
-		t.Fatal("no chaos delay fired; the hedge was never provoked")
+	if c := health[2]; c.Successes != 1 || c.Failures != 0 {
+		t.Fatalf("spare c-log: %+v, want 1 success and no failure", c)
 	}
 }

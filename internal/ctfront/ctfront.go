@@ -18,19 +18,19 @@
 // remaining candidates: the gap the failed backend leaves (its
 // Google/non-Google role, its SCT count) is re-closed from the
 // next-ranked spare, and per-backend consecutive-failure backoff keeps
-// a dead backend out of subsequent plans until its penalty expires.
-// Optionally (Config.Hedge) a backend that has not answered within the
-// hedge delay is presumed slow and a spare is engaged concurrently —
-// whichever answers first contributes to the bundle; hedging trades
-// determinism for tail latency, so deterministic replays leave it off.
+// a dead backend out of subsequent plans until its penalty expires. An
+// attempt that outlives Config.Timeout while the caller still waits is
+// such a failure. A submission launches only its plan and re-plans only
+// on a failure, so its bundle depends on committed state and on which
+// backends failed, never on which answered first.
 //
 // Collected SCTs are not trusted: when a backend's key is known (an
-// explicit BackendSpec.Verifier, or derived from the backend itself —
-// LocalLog exposes the wrapped log's verifier), every SCT signature is
-// checked before it may join a bundle. A bad signature is ErrBadSCT:
-// it counts as a backend failure (backoff + the BadSCTs counter) and
-// the SCT is discarded, so a misbehaving or wrong-key backend is
-// quarantined rather than poisoning the client's bundle.
+// explicit BackendSpec.Verifier, or for a LocalLog the wrapped log's
+// own key), every SCT signature is checked before it may join a bundle.
+// A bad signature is ErrBadSCT: it counts as a backend failure (backoff
+// + the BadSCTs counter) and the SCT is discarded, so a misbehaving or
+// wrong-key backend is quarantined rather than poisoning the client's
+// bundle.
 //
 // Backends are anything implementing Backend: in-process logs
 // (LocalLog wraps *ctlog.Log) or remote logs over the ct/v1 HTTP API
@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"ctrise/internal/certs"
+	"ctrise/internal/ctlog"
 	"ctrise/internal/drain"
 	"ctrise/internal/policy"
 	"ctrise/internal/sct"
@@ -82,13 +83,11 @@ type Backend interface {
 
 // LocalLog adapts an in-process *ctlog.Log to the Backend interface.
 // The underlying calls are synchronous and fast (staging is a few map
-// operations), so ctx is only checked up front.
+// operations), so ctx is only checked up front. The frontend verifies a
+// LocalLog's SCTs under the log's own key and observes its tree size
+// at CommitWeights.
 type LocalLog struct {
-	Log interface {
-		Name() string
-		AddChain(cert []byte) (*sct.SignedCertificateTimestamp, error)
-		AddPreChain(issuerKeyHash [32]byte, tbs []byte) (*sct.SignedCertificateTimestamp, error)
-	}
+	Log *ctlog.Log
 }
 
 // Name returns the wrapped log's name.
@@ -110,25 +109,6 @@ func (b LocalLog) AddPreChain(ctx context.Context, issuerKeyHash [32]byte, tbs [
 	return b.Log.AddPreChain(issuerKeyHash, tbs)
 }
 
-// Verifier exposes the wrapped log's own SCT verifier when it has one
-// (*ctlog.Log does), so New derives the verification key from the log
-// itself — an in-process backend is always verified.
-func (b LocalLog) Verifier() sct.SCTVerifier {
-	if v, ok := b.Log.(interface{ Verifier() sct.SCTVerifier }); ok {
-		return v.Verifier()
-	}
-	return nil
-}
-
-// TreeSize exposes the wrapped log's sequenced tree size when available,
-// feeding CommitWeights' growth observation.
-func (b LocalLog) TreeSize() (uint64, bool) {
-	if t, ok := b.Log.(interface{ TreeSize() uint64 }); ok {
-		return t.TreeSize(), true
-	}
-	return 0, false
-}
-
 // BackendSpec pairs a Backend with its policy metadata.
 type BackendSpec struct {
 	Backend Backend
@@ -138,10 +118,10 @@ type BackendSpec struct {
 	// GoogleOperated marks Google's own logs (the one-Google rule).
 	GoogleOperated bool
 	// Verifier checks the backend's SCT signatures before bundling.
-	// When nil, New asks the backend itself (a Verifier() method, as on
-	// LocalLog); a backend with no key at all is accepted unverified —
-	// cmd/ctfront requires an explicit KEYSPEC (or "none") so remote
-	// pools are verified by default.
+	// When nil, a LocalLog is verified under its log's own key and any
+	// other backend is accepted unverified — cmd/ctfront requires an
+	// explicit KEYSPEC (or "none") so remote pools are verified by
+	// default.
 	Verifier sct.SCTVerifier
 }
 
@@ -156,10 +136,6 @@ type Config struct {
 	// Timeout bounds each backend submission attempt. 0 means no
 	// per-attempt timeout (the caller's ctx still applies).
 	Timeout time.Duration
-	// Hedge, when positive, engages a spare backend if a planned one
-	// has not answered within this delay, racing the two. 0 disables
-	// hedging (the deterministic posture).
-	Hedge time.Duration
 	// BackoffBase is the penalty after a backend's first consecutive
 	// failure; it doubles per further failure up to BackoffMax.
 	// Defaults: 1s base, 5m max.
@@ -215,8 +191,7 @@ type BundleSCT struct {
 }
 
 // Bundle is the result of one fan-out: the SCTs collected by the time
-// the set became policy-compliant. Hedged races can leave one SCT more
-// than the minimal plan; extra SCTs never hurt compliance.
+// the set became policy-compliant, in launch order.
 type Bundle struct {
 	SCTs []BundleSCT
 }
@@ -245,13 +220,13 @@ type backendState struct {
 	spec     BackendSpec
 	cand     policy.Candidate
 	verifier sct.SCTVerifier
+	log      *ctlog.Log // the wrapped log of a LocalLog, else nil
 
 	mu           sync.Mutex
 	consecFails  int
 	backoffUntil time.Time
 	successes    uint64
 	failures     uint64
-	hedged       uint64
 	badSCTs      uint64
 
 	// Live load observations, folded into routing only at
@@ -372,20 +347,19 @@ func New(cfg Config) (*Frontend, error) {
 		if spec.Operator == "" {
 			spec.Operator = name
 		}
-		verifier := spec.Verifier
-		if verifier == nil {
-			// Ask the backend itself: LocalLog (and anything else that
-			// can name its own key) makes in-process pools verified
-			// without configuration.
-			if v, ok := spec.Backend.(interface{ Verifier() sct.SCTVerifier }); ok {
-				verifier = v.Verifier()
-			}
-		}
-		f.backends = append(f.backends, &backendState{
+		st := &backendState{
 			spec:     spec,
 			cand:     policy.Candidate{Name: name, Operator: spec.Operator, GoogleOperated: spec.GoogleOperated},
-			verifier: verifier,
-		})
+			verifier: spec.Verifier,
+		}
+		if local, ok := spec.Backend.(LocalLog); ok {
+			// An in-process pool is verified without configuration.
+			st.log = local.Log
+			if st.verifier == nil {
+				st.verifier = local.Log.Verifier()
+			}
+		}
+		f.backends = append(f.backends, st)
 		f.googleByName[name] = spec.GoogleOperated
 	}
 	return f, nil
@@ -497,13 +471,12 @@ func (f *Frontend) submit(ctx context.Context, entry sct.CertificateEntry, lifet
 // healthy pool in deterministic rank order, launches the plan
 // concurrently, and then runs an event loop: a success adds the
 // (signature-verified) SCT to the bundle (done when the bundle is
-// compliant), a failure re-plans the remaining gap from untried spares,
-// and an expired hedge timer presumes the slowest in-flight backend
-// failed and engages its spare without waiting. Backends that fail
-// accrue exponential backoff and drop out of subsequent submissions'
-// healthy pool; when the healthy pool alone cannot satisfy the policy
-// the frontend degrades gracefully and plans over the full pool (trying
-// a backed-off backend beats refusing the submission).
+// compliant), and a failure re-plans the remaining gap from untried
+// spares. Backends that fail accrue exponential backoff and drop out of
+// subsequent submissions' healthy pool; when the healthy pool alone
+// cannot satisfy the policy the frontend degrades gracefully and plans
+// over the full pool (trying a backed-off backend beats refusing the
+// submission).
 //
 // bundle carries SCTs already collected by earlier passes; logs in it
 // are never re-planned. It reports done=true once the bundle is
@@ -522,10 +495,11 @@ func (f *Frontend) submitPass(ctx context.Context, id uint64, lifetime time.Dura
 		pool = order // degraded: not enough healthy diversity, try everyone
 	}
 
-	// Buffered so stragglers (hedged losers, post-compliance answers)
-	// never block; their goroutines still record health.
+	// Buffered so answers nobody waits for (the caller gave up, or the
+	// bundle closed without them) never block; their goroutines still
+	// record health.
 	results := make(chan result, len(f.backends))
-	inflight := map[int]time.Time{} // pool index -> launch time
+	inflight := map[int]bool{}
 	tried := map[int]bool{}
 	launchSeq := map[string]int{} // log name -> launch order
 	for _, s := range bundle.SCTs {
@@ -541,7 +515,7 @@ func (f *Frontend) submitPass(ctx context.Context, id uint64, lifetime time.Dura
 	launch := func(idx int) {
 		tried[idx] = true
 		launchSeq[f.backends[idx].cand.Name] = len(launchSeq)
-		inflight[idx] = f.cfg.Clock()
+		inflight[idx] = true
 		s := f.backends[idx]
 		go func() {
 			cctx := ctx
@@ -582,18 +556,15 @@ func (f *Frontend) submitPass(ctx context.Context, id uint64, lifetime time.Dura
 
 	// plan selects and launches whatever the bundle plus the in-flight
 	// set still needs, drawing untried candidates from the pool in rank
-	// order. presumedDown excludes in-flight backends a hedge has given
-	// up on. When the remaining healthy candidates cannot close the gap
+	// order. When the remaining healthy candidates cannot close the gap
 	// the pool degrades mid-flight to the full ranking — backed-off
 	// spares included — because trying a penalized backend beats
 	// refusing the submission. It reports whether the gap is still
 	// closeable (possibly by results already in flight).
-	plan := func(presumedDown map[int]bool) bool {
+	plan := func() bool {
 		have := bundle.candidates(f)
 		for idx := range inflight {
-			if !presumedDown[idx] {
-				have = append(have, f.backends[idx].cand)
-			}
+			have = append(have, f.backends[idx].cand)
 		}
 		untried := func() []int {
 			var out []int
@@ -625,51 +596,19 @@ func (f *Frontend) submitPass(ctx context.Context, id uint64, lifetime time.Dura
 		// ended compliant mid-replan); nothing to launch.
 		return true, nil
 	}
-	if !plan(nil) {
+	if !plan() {
 		return false, fmt.Errorf("%w: %w", ErrSubmission, policy.ErrUnsatisfiable)
 	}
-
-	var hedgeTimer *time.Timer
-	var hedgeC <-chan time.Time
-	if f.cfg.Hedge > 0 {
-		hedgeTimer = time.NewTimer(f.cfg.Hedge)
-		defer hedgeTimer.Stop()
-		hedgeC = hedgeTimer.C
-	}
-	// presumedSlow accumulates across hedge ticks: a backend is counted
-	// and hedged against once per submission, however long it hangs.
-	presumedSlow := map[int]bool{}
 
 	for len(inflight) > 0 {
 		select {
 		case <-ctx.Done():
 			return false, ctx.Err()
-		case <-hedgeC:
-			// Presume every backend that has been in flight for a full
-			// hedge delay failed, and engage its spare. The slow backend
-			// stays in flight: if it answers first after all, its SCT
-			// still counts.
-			newlySlow := false
-			cutoff := f.cfg.Clock().Add(-f.cfg.Hedge)
-			for idx, started := range inflight {
-				if !started.After(cutoff) && !presumedSlow[idx] {
-					presumedSlow[idx] = true
-					newlySlow = true
-					f.backends[idx].mu.Lock()
-					f.backends[idx].hedged++
-					f.backends[idx].mu.Unlock()
-				}
-			}
-			if newlySlow {
-				plan(presumedSlow)
-			}
-			hedgeTimer.Reset(f.cfg.Hedge)
 		case r := <-results:
 			delete(inflight, r.idx)
-			delete(presumedSlow, r.idx)
 			if r.err != nil {
 				lastErr = fmt.Errorf("%s: %w", f.backends[r.idx].cand.Name, r.err)
-				if !plan(presumedSlow) {
+				if !plan() {
 					return false, fmt.Errorf("%w: last backend error: %w", ErrSubmission, lastErr)
 				}
 				continue
@@ -722,7 +661,6 @@ type BackendHealth struct {
 	BackoffUntil     time.Time
 	Successes        uint64
 	Failures         uint64
-	Hedged           uint64
 	BadSCTs          uint64
 	Weight           int // committed routing weight (lower routes earlier)
 }
@@ -743,7 +681,6 @@ func (f *Frontend) Health() []BackendHealth {
 			BackoffUntil:     s.backoffUntil,
 			Successes:        s.successes,
 			Failures:         s.failures,
-			Hedged:           s.hedged,
 			BadSCTs:          s.badSCTs,
 			Weight:           s.weight,
 		}
@@ -780,24 +717,21 @@ func latencyBucketUs(ewmaUs int64) int {
 //     the pool drifts to the back of every ranking.
 //   - merge stall: a backend that accepted submissions this epoch but
 //     whose observed tree size did not grow (it is not merging —
-//     the paper's MMD concern) is penalized +2. Growth is observed via
-//     an optional TreeSize method on the backend (LocalLog forwards
-//     the wrapped log's); backends without one are judged on latency
+//     the paper's MMD concern) is penalized +2. Growth is observed on
+//     a LocalLog's wrapped log; remote backends are judged on latency
 //     alone.
 func (f *Frontend) CommitWeights() {
 	for _, s := range f.backends {
-		size, haveSize := observeTreeSize(s.spec.Backend)
 		s.mu.Lock()
-		w := latencyBucketUs(s.ewmaLatencyUs)
-		if haveSize && s.haveTreeSize && s.epochSuccesses > 0 && size <= s.lastTreeSize {
-			w += 2
+		s.weight = latencyBucketUs(s.ewmaLatencyUs)
+		if s.log != nil {
+			size := s.log.TreeSize()
+			if s.haveTreeSize && s.epochSuccesses > 0 && size <= s.lastTreeSize {
+				s.weight += 2
+			}
+			s.lastTreeSize, s.haveTreeSize = size, true
 		}
-		s.weight = w
 		s.epochSuccesses = 0
-		if haveSize {
-			s.lastTreeSize = size
-			s.haveTreeSize = true
-		}
 		s.mu.Unlock()
 	}
 	f.mu.Lock()
@@ -811,16 +745,4 @@ func (f *Frontend) WeightCommits() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.weightCommits
-}
-
-// observeTreeSize asks a backend for its current tree size, via either
-// the (uint64, bool) form LocalLog exposes or a plain uint64 TreeSize.
-func observeTreeSize(b Backend) (uint64, bool) {
-	switch t := b.(type) {
-	case interface{ TreeSize() (uint64, bool) }:
-		return t.TreeSize()
-	case interface{ TreeSize() uint64 }:
-		return t.TreeSize(), true
-	}
-	return 0, false
 }

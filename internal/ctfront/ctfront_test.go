@@ -403,58 +403,6 @@ func (b *slowBackend) AddPreChain(ctx context.Context, ikh [32]byte, tbs []byte)
 	return b.delegate.AddPreChain(ctx, ikh, tbs)
 }
 
-func TestFrontendHedgesSlowBackend(t *testing.T) {
-	// Two non-Google backends; whichever the plan picks is slow
-	// (blocked until released), so the hedge must engage the other and
-	// complete the bundle without waiting for the slow one.
-	clock := newTestClock()
-	specs := newLocalPool(t, clock, 3, 0)
-	slow1 := &slowBackend{name: specs[1].Backend.Name(), release: make(chan struct{}), delegate: specs[1].Backend}
-	slow2 := &slowBackend{name: specs[2].Backend.Name(), release: make(chan struct{}), delegate: specs[2].Backend}
-	specs[1].Backend = slow1
-	specs[2].Backend = slow2
-	f, err := New(Config{Backends: specs, Seed: 5, Hedge: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lifetime := 90 * 24 * time.Hour
-
-	// Release whichever slow backend is called second (the hedge), so
-	// the race resolves: the planned one stays stuck.
-	released := make(chan struct{})
-	go func() {
-		for slow1.calls.Load()+slow2.calls.Load() < 2 {
-			time.Sleep(time.Millisecond)
-		}
-		if slow1.calls.Load() > 0 && slow2.calls.Load() > 0 {
-			close(slow1.release)
-			close(slow2.release)
-		}
-		close(released)
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	bundle, err := f.AddPreChain(ctx, [32]byte{7}, testTBS(t, 1, lifetime))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-released
-	if !policy.SetCompliant(bundleCandidates(f, bundle), lifetime) {
-		t.Fatalf("bundle %v not compliant", bundle.LogNames())
-	}
-	if slow1.calls.Load() == 0 || slow2.calls.Load() == 0 {
-		t.Fatalf("hedge never engaged the spare (calls: %d, %d)", slow1.calls.Load(), slow2.calls.Load())
-	}
-	hedged := uint64(0)
-	for _, h := range f.Health() {
-		hedged += h.Hedged
-	}
-	if hedged == 0 {
-		t.Fatal("no backend recorded a hedge")
-	}
-}
-
 func TestFrontendCallerCancelDoesNotPenalizeBackends(t *testing.T) {
 	// The caller hangs up while both backends are in flight. The
 	// submission fails with the context error, but the backends did

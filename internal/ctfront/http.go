@@ -49,7 +49,6 @@ type BackendHealthResponse struct {
 	BackoffUntil     string `json:"backoff_until,omitempty"`
 	Successes        uint64 `json:"successes"`
 	Failures         uint64 `json:"failures"`
-	Hedged           uint64 `json:"hedged"`
 	BadSCTs          uint64 `json:"bad_scts"`
 	Weight           int    `json:"weight"`
 }
@@ -130,49 +129,25 @@ func clientHost(r *http.Request) string {
 	return r.RemoteAddr
 }
 
+// handleAddChain and handleAddPreChain parse their bodies with ctlog's
+// own readers, so a frontend refuses what a log would: 413 over the
+// body cap, 400 for a malformed chain.
 func (f *Frontend) handleAddChain(w http.ResponseWriter, r *http.Request) {
-	var req ctlog.AddChainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Chain) == 0 {
-		http.Error(w, "ctfront: bad add-chain body", http.StatusBadRequest)
-		return
-	}
-	cert, err := base64.StdEncoding.DecodeString(req.Chain[0])
-	if err != nil {
-		http.Error(w, "ctfront: bad base64 in chain", http.StatusBadRequest)
+	cert, ok := ctlog.ReadAddChain(w, r)
+	if !ok {
 		return
 	}
 	bundle, err := f.AddChain(r.Context(), cert)
-	if err != nil {
-		f.httpError(w, err)
-		return
-	}
-	writeBundle(w, bundle)
+	f.writeResult(w, bundle, err)
 }
 
 func (f *Frontend) handleAddPreChain(w http.ResponseWriter, r *http.Request) {
-	var req ctlog.AddChainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Chain) < 2 {
-		http.Error(w, "ctfront: bad add-pre-chain body (need [tbs, issuerKeyHash])", http.StatusBadRequest)
+	tbs, ikh, ok := ctlog.ReadAddPreChain(w, r)
+	if !ok {
 		return
 	}
-	tbs, err := base64.StdEncoding.DecodeString(req.Chain[0])
-	if err != nil {
-		http.Error(w, "ctfront: bad base64 tbs", http.StatusBadRequest)
-		return
-	}
-	ikhBytes, err := base64.StdEncoding.DecodeString(req.Chain[1])
-	if err != nil || len(ikhBytes) != 32 {
-		http.Error(w, "ctfront: bad issuer key hash", http.StatusBadRequest)
-		return
-	}
-	var ikh [32]byte
-	copy(ikh[:], ikhBytes)
 	bundle, err := f.AddPreChain(r.Context(), ikh, tbs)
-	if err != nil {
-		f.httpError(w, err)
-		return
-	}
-	writeBundle(w, bundle)
+	f.writeResult(w, bundle, err)
 }
 
 func (f *Frontend) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -188,7 +163,6 @@ func (f *Frontend) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			ConsecutiveFails: h.ConsecutiveFails,
 			Successes:        h.Successes,
 			Failures:         h.Failures,
-			Hedged:           h.Hedged,
 			BadSCTs:          h.BadSCTs,
 			Weight:           h.Weight,
 		}
@@ -200,7 +174,12 @@ func (f *Frontend) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, resp)
 }
 
-func writeBundle(w http.ResponseWriter, bundle *Bundle) {
+// writeResult answers a submission with its bundle, or its error.
+func (f *Frontend) writeResult(w http.ResponseWriter, bundle *Bundle, err error) {
+	if err != nil {
+		f.httpError(w, err)
+		return
+	}
 	resp := AddChainResponse{SCTs: make([]BundleSCTResponse, 0, len(bundle.SCTs))}
 	for _, s := range bundle.SCTs {
 		sig, err := s.SCT.Signature.Serialize()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -133,25 +134,35 @@ func TestFrontendHTTPBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(f.Handler())
-	defer front.Close()
 
+	// Larger than the base64 of any loggable certificate, so over the
+	// body cap the frontend shares with ctlog (about 22.4 MB).
+	oversize := `{"chain":["` + strings.Repeat("A", 24<<20) + `"]}`
 	for _, tc := range []struct {
-		name string
-		body string
+		path, name, body string
+		want             int
 	}{
-		{"empty body", ``},
-		{"no chain", `{"chain":[]}`},
-		{"one element", `{"chain":["aaaa"]}`},
-		{"bad base64", `{"chain":["!!!","!!!"]}`},
+		{"add-chain", "empty body", ``, http.StatusBadRequest},
+		{"add-chain", "no chain", `{"chain":[]}`, http.StatusBadRequest},
+		{"add-chain", "bad base64", `{"chain":["!!!"]}`, http.StatusBadRequest},
+		{"add-chain", "oversize body", oversize, http.StatusRequestEntityTooLarge},
+		{"add-pre-chain", "empty body", ``, http.StatusBadRequest},
+		{"add-pre-chain", "no chain", `{"chain":[]}`, http.StatusBadRequest},
+		{"add-pre-chain", "one element", `{"chain":["aaaa"]}`, http.StatusBadRequest},
+		{"add-pre-chain", "bad base64", `{"chain":["!!!","!!!"]}`, http.StatusBadRequest},
+		{"add-pre-chain", "short key hash", `{"chain":["aaaa","aaaa"]}`, http.StatusBadRequest},
+		{"add-pre-chain", "oversize body", oversize, http.StatusRequestEntityTooLarge},
 	} {
-		resp, err := http.Post(front.URL+"/ctfront/v1/add-pre-chain", "application/json", bytes.NewReader([]byte(tc.body)))
-		if err != nil {
-			t.Fatal(err)
+		rec := httptest.NewRecorder()
+		f.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/ctfront/v1/"+tc.path, strings.NewReader(tc.body)))
+		if rec.Code != tc.want {
+			t.Errorf("%s %s: status %d, want %d", tc.path, tc.name, rec.Code, tc.want)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+	}
+	// Every row was refused before the fan-out.
+	for _, h := range f.Health() {
+		if h.Successes != 0 || h.Failures != 0 {
+			t.Fatalf("backend %s was attempted: %+v", h.Name, h)
 		}
 	}
 }

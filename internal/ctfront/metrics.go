@@ -19,8 +19,6 @@ func (f *Frontend) writeMetrics(w *metrics.Writer) {
 			func(h BackendHealth) uint64 { return h.Failures }},
 		{"ctfront_backend_bad_scts_total", "SCTs rejected by signature verification per backend.", "counter",
 			func(h BackendHealth) uint64 { return h.BadSCTs }},
-		{"ctfront_backend_hedged_total", "Times a backend was presumed slow and hedged against.", "counter",
-			func(h BackendHealth) uint64 { return h.Hedged }},
 		{"ctfront_backend_healthy", "Whether the backend is outside its failure backoff (1 = plannable).", "gauge",
 			func(h BackendHealth) uint64 { return bool01(h.Healthy) }},
 		{"ctfront_backend_verified", "Whether an SCT verifier is configured for the backend.", "gauge",

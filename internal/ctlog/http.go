@@ -115,30 +115,55 @@ func (l *Log) httpError(w http.ResponseWriter, err error) {
 // longer could never be logged and is refused unread.
 const maxAddChainBody = (1<<24-1+2)/3*4 + 4096
 
-// decodeAddChain reads an add-chain / add-pre-chain body into req. On
-// failure it has already answered: 413 for a body over maxAddChainBody,
-// 400 for one that is not JSON or holds fewer than need chain elements.
-func decodeAddChain(w http.ResponseWriter, r *http.Request, req *AddChainRequest, need int) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAddChainBody)).Decode(req)
+// ReadAddChain reads an add-chain body and returns its certificate,
+// chain[0]. ctlogd and ctfront both parse add-chain with it. On failure
+// it has already answered (see readChain).
+func ReadAddChain(w http.ResponseWriter, r *http.Request) (cert []byte, ok bool) {
+	chain, ok := readChain(w, r, 1)
+	return chain[0], ok
+}
+
+// ReadAddPreChain reads an add-pre-chain body, chain = [tbs,
+// issuerKeyHash]. ctlogd and ctfront both parse add-pre-chain with it.
+// On failure it has already answered: as readChain does, or 400 for an
+// issuer key hash that is not 32 bytes.
+func ReadAddPreChain(w http.ResponseWriter, r *http.Request) (tbs []byte, issuerKeyHash [32]byte, ok bool) {
+	chain, ok := readChain(w, r, 2)
+	if ok && len(chain[1]) != len(issuerKeyHash) {
+		http.Error(w, "ctlog: bad issuer key hash", http.StatusBadRequest)
+		ok = false
+	}
+	copy(issuerKeyHash[:], chain[1])
+	return chain[0], issuerKeyHash, ok
+}
+
+// readChain reads an add-chain / add-pre-chain body and base64-decodes
+// its first need (at most 2) chain elements. On failure it has already
+// answered: 413 for a body over maxAddChainBody, 400 for one that is not
+// JSON, holds fewer than need chain elements or is not base64.
+func readChain(w http.ResponseWriter, r *http.Request, need int) (chain [2][]byte, ok bool) {
+	var req AddChainRequest
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAddChainBody)).Decode(&req)
 	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
 		http.Error(w, "ctlog: request body too large", http.StatusRequestEntityTooLarge)
-		return false
+		return chain, false
 	}
 	if err != nil || len(req.Chain) < need {
 		http.Error(w, "ctlog: bad body (need "+strconv.Itoa(need)+" chain elements)", http.StatusBadRequest)
-		return false
+		return chain, false
 	}
-	return true
+	for i := range need {
+		if chain[i], err = base64.StdEncoding.DecodeString(req.Chain[i]); err != nil {
+			http.Error(w, "ctlog: bad base64 in chain element "+strconv.Itoa(i), http.StatusBadRequest)
+			return chain, false
+		}
+	}
+	return chain, true
 }
 
 func (l *Log) handleAddChain(w http.ResponseWriter, r *http.Request) {
-	var req AddChainRequest
-	if !decodeAddChain(w, r, &req, 1) {
-		return
-	}
-	cert, err := base64.StdEncoding.DecodeString(req.Chain[0])
-	if err != nil {
-		http.Error(w, "ctlog: bad base64 in chain", http.StatusBadRequest)
+	cert, ok := ReadAddChain(w, r)
+	if !ok {
 		return
 	}
 	s, err := l.AddChain(cert)
@@ -150,24 +175,11 @@ func (l *Log) handleAddChain(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleAddPreChain takes chain = [tbs, issuerKeyHash].
 func (l *Log) handleAddPreChain(w http.ResponseWriter, r *http.Request) {
-	var req AddChainRequest
-	if !decodeAddChain(w, r, &req, 2) {
+	tbs, ikh, ok := ReadAddPreChain(w, r)
+	if !ok {
 		return
 	}
-	tbs, err := base64.StdEncoding.DecodeString(req.Chain[0])
-	if err != nil {
-		http.Error(w, "ctlog: bad base64 tbs", http.StatusBadRequest)
-		return
-	}
-	ikhBytes, err := base64.StdEncoding.DecodeString(req.Chain[1])
-	if err != nil || len(ikhBytes) != 32 {
-		http.Error(w, "ctlog: bad issuer key hash", http.StatusBadRequest)
-		return
-	}
-	var ikh [32]byte
-	copy(ikh[:], ikhBytes)
 	s, err := l.AddPreChain(ikh, tbs)
 	if err == nil {
 		err = WriteSCT(w, s)

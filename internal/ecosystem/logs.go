@@ -99,12 +99,11 @@ func buildLogs(clock *Clock, nimbusCapacity float64, dataDir string, tileSpan in
 // world log, in Table 1 order, with the policy metadata the Chrome
 // rules need (operator, Google-operated). The frontend shares the
 // world's seed (deterministic routing) and virtual clock (backoff
-// bookkeeping runs on replay time), and — because LocalLog exposes each
-// wrapped log's verifier — every SCT entering a replay bundle is
-// signature-verified. Hedging stays off: it trades determinism for
-// tail latency, and the replay's contract is byte-identical trees at
-// any parallelism. Load-aware routing is on; weights commit at the
-// end-of-day barrier (finishDay), so they too are replay-deterministic.
+// bookkeeping runs on replay time), and — because the frontend verifies
+// a LocalLog under its wrapped log's own key — every SCT entering a
+// replay bundle is signature-verified. Load-aware routing is on; weights
+// commit at the end-of-day barrier (finishDay), so they too are
+// replay-deterministic.
 func buildFrontend(w *World) (*ctfront.Frontend, error) {
 	specs := make([]ctfront.BackendSpec, 0, len(w.LogNames))
 	for _, name := range w.LogNames {
