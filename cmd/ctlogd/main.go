@@ -28,7 +28,11 @@
 // served before the crash. Durable logs keep RAM and WAL bounded at any tree
 // size: published entries are sealed into immutable tile files of
 // -tile-span entries each (the WAL is truncated behind the seal) and
-// served back through an LRU page cache of at most -page-cache bytes.
+// served back from them: a get-entries page reads just its own records
+// from its tile's leaf file, located by that tile's offsets page, and
+// checks them on that read. The offsets, Merkle hash and index pages
+// are held in an LRU page cache of at most -page-cache bytes; leaf bytes
+// are left to the kernel's file cache.
 // The span is a property of the on-disk state — the first start fixes
 // it, later starts with a different -tile-span keep the stored value.
 // On SIGINT/SIGTERM the server drains gracefully:
@@ -49,7 +53,9 @@
 // refusals (ctlog_rejected_total), entries sealed into tiles
 // (ctlog_sealed_entries) and the wall time sealing them took
 // (ctlog_seal_seconds_total), the tile page cache's hits, misses, evictions,
-// pages and bytes (ctlog_page_cache_*), and ctlog_store_failed, 1 once
+// pages and bytes (ctlog_page_cache_*), the ranged reads of sealed leaf
+// files and the bytes they read (ctlog_leaf_reads_total,
+// ctlog_leaf_read_bytes_total), and ctlog_store_failed, 1 once
 // the durable store has failed and refuses writes.
 package main
 
@@ -86,7 +92,7 @@ func main() {
 	interval := flag.Duration("sequence", time.Second, "sequencer batch interval (integrate staged entries + publish STH; must be positive)")
 	dataDir := flag.String("data-dir", "", "durable state directory (WAL + snapshot + tiles + signing key); required")
 	tileSpan := flag.Int("tile-span", 0, "entries per sealed storage tile, power of two ≥ 2 (0 = default 1024); fixed at first start")
-	pageCache := flag.Int64("page-cache", 0, "tile page-cache budget in bytes (0 = default 64 MiB, negative = uncached reads)")
+	pageCache := flag.Int64("page-cache", 0, "budget in bytes of the page cache for tile hash, index and leaf-offsets pages (0 = default 64 MiB, negative = uncached reads)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight submissions on shutdown (new ones get 503 + Retry-After immediately)")
 	flag.Parse()
 	if err := checkFlags(flag.CommandLine); err != nil {

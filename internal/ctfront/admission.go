@@ -21,6 +21,12 @@ type admission struct {
 	mu      sync.Mutex
 	global  *drain.Bucket // nil = no global rate limit
 	clients map[string]*drain.Bucket
+	// idleAt is no later than the earliest time any bucket in clients
+	// can be Full: the earliest FullAt the last scan of a full map kept,
+	// lowered by each bucket inserted since (the zero time when that
+	// scan kept none). Before it a full map has nothing to evict, so a
+	// new host is shed without a scan.
+	idleAt time.Time
 
 	admitted     uint64
 	shedInflight uint64
@@ -32,6 +38,8 @@ type admission struct {
 // (refilled) buckets are evicted to make room for a new client; when
 // none is idle, the new client is shed as over its rate, so a flood of
 // distinct hosts neither grows the map nor pushes out active clients.
+// A scan for idle buckets runs at most once per time a bucket can have
+// refilled (admission.idleAt); a shed between scans costs O(1).
 const maxClientBuckets = 4096
 
 // verdict is the admission decision for one request.
@@ -67,8 +75,8 @@ func (a *admission) admit(client string) (verdict, func()) {
 		return shedGlobalRate, nil
 	}
 	if a.cfg.ClientRate > 0 {
-		b := a.clients[client]
-		if b == nil && a.roomLocked(now) {
+		b, known := a.clients[client]
+		if !known && a.roomLocked(now) {
 			b = drain.NewBucket(a.cfg.ClientRate, a.cfg.ClientBurst)
 			a.clients[client] = b
 		}
@@ -76,6 +84,11 @@ func (a *admission) admit(client string) (verdict, func()) {
 			a.shedClient++
 			a.mu.Unlock()
 			return shedClientRate, nil
+		}
+		if !known {
+			if at := b.FullAt(); at.Before(a.idleAt) {
+				a.idleAt = at
+			}
 		}
 	}
 	a.mu.Unlock()
@@ -103,14 +116,23 @@ func (a *admission) admit(client string) (verdict, func()) {
 
 // roomLocked reports whether the client map can take one more bucket,
 // first dropping, when it is at capacity, every bucket that has refilled
-// to its burst (no recent traffic). Called with a.mu held.
+// to its burst (no recent traffic). Before idleAt no bucket can have
+// refilled, so a full map is reported full without a scan; a scan
+// records the earliest FullAt of the buckets it keeps. Called with a.mu
+// held.
 func (a *admission) roomLocked(now time.Time) bool {
 	if len(a.clients) < maxClientBuckets {
 		return true
 	}
+	if now.Before(a.idleAt) {
+		return false
+	}
+	a.idleAt = time.Time{}
 	for host, b := range a.clients {
 		if b.Full(now) {
 			delete(a.clients, host)
+		} else if at := b.FullAt(); a.idleAt.IsZero() || at.Before(a.idleAt) {
+			a.idleAt = at
 		}
 	}
 	return len(a.clients) < maxClientBuckets

@@ -288,3 +288,66 @@ func TestAdmissionClientMapCap(t *testing.T) {
 		t.Fatalf("client map holds %d buckets, over the cap %d", n, maxClientBuckets)
 	}
 }
+
+// TestAdmissionInsertedBucketLowersIdleAt pins the scan-skipping rule of
+// a full client map: a new host is shed without a scan only while no
+// bucket can have refilled. With burst 4, 4095 hosts spend all four
+// tokens at t0 (full again at t0+4s) and one spends one (full at
+// t0+1s). At t0+1s a newcomer's scan evicts that one and admits it; its
+// bucket is full again at t0+2s, earlier than any the scan kept, so at
+// t0+2.5s the next newcomer must find it evictable and be admitted, not
+// shed until t0+4s. A host at t0+1.5s, before either refill, is shed.
+func TestAdmissionInsertedBucketLowersIdleAt(t *testing.T) {
+	clock := newTestClock()
+	a := newAdmission(&Config{Clock: clock.Now, ClientRate: 1, ClientBurst: 4})
+	admit := func(host string, want verdict) {
+		t.Helper()
+		v, release := a.admit(host)
+		if v != want {
+			t.Fatalf("%s at +%v: verdict %d, want %d", host, clock.Now().Sub(newTestClock().Now()), v, want)
+		}
+		if release != nil {
+			release()
+		}
+	}
+	for i := range maxClientBuckets - 1 {
+		for range 4 {
+			admit(fmt.Sprintf("10.0.%d.%d", i>>8, i&0xff), admitOK)
+		}
+	}
+	admit("10.2.0.0", admitOK)
+	clock.Advance(time.Second)
+	admit("10.3.0.0", admitOK)
+	clock.Advance(time.Second / 2)
+	admit("10.3.0.1", shedClientRate)
+	clock.Advance(time.Second)
+	admit("10.3.0.2", admitOK)
+	if n := len(a.clients); n != maxClientBuckets {
+		t.Fatalf("client map holds %d buckets, want the cap %d", n, maxClientBuckets)
+	}
+}
+
+// BenchmarkAdmissionShedFullMap times one new host's admission while the
+// client map is full of active buckets (each spent its one token at the
+// same instant), the flood-of-new-hosts case: every admit is a shed.
+func BenchmarkAdmissionShedFullMap(b *testing.B) {
+	clock := newTestClock()
+	a := newAdmission(&Config{Clock: clock.Now, ClientRate: 1, ClientBurst: 1})
+	for i := range maxClientBuckets {
+		if v, release := a.admit(fmt.Sprintf("10.0.%d.%d", i>>8, i&0xff)); v != admitOK {
+			b.Fatalf("host %d: verdict %d, want admitted", i, v)
+		} else {
+			release()
+		}
+	}
+	hosts := make([]string, 1<<16)
+	for i := range hosts {
+		hosts[i] = fmt.Sprintf("10.1.%d.%d", i>>8, i&0xff)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v, _ := a.admit(hosts[i%len(hosts)]); v != shedClientRate {
+			b.Fatalf("new host at a full map: verdict %d, want shed", v)
+		}
+	}
+}

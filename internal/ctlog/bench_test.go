@@ -277,16 +277,19 @@ func newTiledBenchLog(b *testing.B) (*Log, string, Config) {
 // BenchmarkLogReadTiled measures the sealed-region read path of a
 // tile-backed log: get-entries pages and inclusion proofs served from
 // immutable tile files. The hot variant runs with the default page-cache
-// budget, so after the first pass every tile is a RAM hit; the cold
-// variant disables the cache (PageCacheBytes < 0, pass-through), so every
-// operation pages its tile files in from the store — the spread between
-// the two is what the LRU cache buys. What a cold page-in is differs by
-// file: a hash or index tile is read and fully re-verified every time
-// (proof-cold); a leaf tile is cross-checked against its hash tile on its
-// first page-in after Open and from then on is read + CRC + parse, so
-// after the first lap of 64 tiles entries-cold measures exactly that.
-// entries-first-touch reopens the log every lap to keep every page-in a
-// checking one: leaf read + hash-tile read and decode + 256 leaf hashes.
+// budget, so after the first pass every hash, index and offsets page is
+// a RAM hit and a get-entries page is one ranged read of its records
+// (read + CRC + parse); the cold variant disables the cache
+// (PageCacheBytes < 0, pass-through), so every operation pages its tile
+// files in from the store — the spread between the two is what the LRU
+// cache buys. What a cold page-in is differs by file: a hash or index
+// tile is read and fully re-verified every time (proof-cold); a leaf
+// tile's offsets page is built from the whole file, cross-checked
+// against its hash tile on its first build after Open and from then on
+// read + CRC + parse, before the ranged read, so after the first lap of
+// 64 tiles entries-cold measures exactly that. entries-first-touch
+// reopens the log every lap to keep every page-in a checking one: leaf
+// read + hash-tile read and decode + 256 leaf hashes.
 func BenchmarkLogReadTiled(b *testing.B) {
 	const span, total = benchTileSpan, benchTiledEntries
 	l, dir, base := newTiledBenchLog(b)
@@ -384,10 +387,11 @@ func BenchmarkLogReadTiled(b *testing.B) {
 // the process: a tile-aligned 256-entry get-entries page of 1 KiB
 // certificates through Handler().ServeHTTP into a recorder — mux, query
 // parsing, tile lookup and the wire encoding, everything but the socket.
-// hot serves every tile from the page cache, so it is the encoder's
-// cost; cold adds a leaf-tile page-in per page — read, CRC-check and
-// parse, plus the hash-tile cross-check on each tile's first page-in
-// only (the first 64 iterations). Bytes are response body bytes.
+// hot holds every offsets page in the page cache, so it is a ranged read
+// of the page's records (read, CRC-check and parse) plus the encoder;
+// cold adds the offsets page's build from the whole leaf file per page,
+// plus the hash-tile cross-check on each tile's first build only (the
+// first 64 iterations). Bytes are response body bytes.
 func BenchmarkHandlerGetEntries(b *testing.B) {
 	l, dir, base := newTiledBenchLog(b)
 	if err := l.Close(); err != nil {

@@ -239,7 +239,9 @@ func (l *Log) handleGetProofByHash(w http.ResponseWriter, r *http.Request) {
 // published tree size and a sealed page's tile) and the response carries
 // the resulting partial page, from which clients are expected to page
 // the remainder (ctclient.Monitor.StreamEntries does). A sealed page is
-// encoded straight from the cached leaf bytes, parsing no entry.
+// read into a pooled leafPage and encoded straight from its leaf bytes,
+// parsing no entry into an Entry; the page goes back to the pool once
+// written.
 func (l *Log) handleGetEntries(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	start, err1 := strconv.ParseUint(q.Get("start"), 10, 64)
@@ -248,14 +250,16 @@ func (l *Log) handleGetEntries(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "ctlog: bad start/end", http.StatusBadRequest)
 		return
 	}
-	leaves, tail, err := l.pub.Load().leafRange(start, end, uint64(l.cfg.MaxGetEntries))
+	pg := leafPagePool.Get().(*leafPage)
+	tail, err := l.pub.Load().leafRange(start, end, uint64(l.cfg.MaxGetEntries), pg)
 	if err == nil {
 		if tail != nil {
 			err = WriteGetEntries(w, tail)
 		} else {
-			writeLeaves(w, leaves)
+			writeLeaves(w, pg.leaves)
 		}
 	}
+	pg.release()
 	if err != nil {
 		l.httpError(w, err)
 	}
@@ -271,12 +275,24 @@ const (
 	entriesClose = "]}\n"
 )
 
-// maxPooledPage is the largest page buffer pagePool keeps. A monitor's
-// usual page (256 × ~1.4 KB of base64) fits several times over; a rare
-// page of huge leaves is freed instead of pinning its buffer for good.
+// maxPooledPage is the largest page buffer pagePool and leafPagePool
+// keep. A monitor's usual page (256 × ~1.4 KB of base64, read from ~1 KB
+// records) fits several times over; a rare page of huge leaves is freed
+// instead of pinning its buffer for good.
 const maxPooledPage = 1 << 20
 
 var pagePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// leafPagePool holds the get-entries handler's sealed reads.
+var leafPagePool = sync.Pool{New: func() any { return new(leafPage) }}
+
+// release returns a handler's page to leafPagePool, unless its buffer
+// has grown past maxPooledPage.
+func (pg *leafPage) release() {
+	if cap(pg.buf) <= maxPooledPage {
+		leafPagePool.Put(pg)
+	}
+}
 
 // WriteGetEntries writes entries to w as a complete get-entries
 // response: byte for byte the body json.NewEncoder(w).Encode would
@@ -286,7 +302,7 @@ var pagePool = sync.Pool{New: func() any { return new([]byte) }}
 // entries without their own stamped bytes are encoded from their
 // fields. The leaves are collected once, then written by writeLeaves,
 // the one encoder of that wire format (the handler hands it a sealed
-// page's cached leaves directly).
+// page's leaves directly).
 //
 // An error means an entry could not be encoded and nothing was written.
 func WriteGetEntries(w http.ResponseWriter, entries []*Entry) error {

@@ -181,12 +181,13 @@ type Config struct {
 	// resident and never seal — tree bytes are identical either way).
 	TileSpan int
 	// PageCacheBytes bounds the RAM the tile page cache may hold (decoded
-	// tile pages, LRU-evicted). A leaf page is charged its file image,
-	// which its leaves alias, plus one slice header per leaf; a hash or
-	// index page its file bytes. 0 means the default (64 MiB); negative
-	// disables retention entirely (every sealed-tile read pages in from
-	// disk — useful for cold-cache measurement). Ignored by in-memory
-	// logs.
+	// tile pages, LRU-evicted): hash and index pages, each charged its
+	// file bytes, and leaf tiles' offsets pages, each charged its
+	// (span+1) 32-bit offsets. Leaf bytes are never cached; each sealed
+	// read reads its own records from the tile file. 0 means the default
+	// (64 MiB); negative disables retention entirely (every sealed-tile
+	// read pages in from disk, the offsets page too — useful for
+	// cold-cache measurement). Ignored by in-memory logs.
 	PageCacheBytes int64
 	// ChromeInclusionDate records when the log was accepted into Chrome's
 	// log list (Table 1 annotates logs with it). Informational.
@@ -229,9 +230,6 @@ type Log struct {
 	published SignedTreeHead
 	// treeSize mirrors tree.Size() for TreeSize, which takes no lock.
 	treeSize atomic.Uint64
-	// sealWorkers are the seal's workers, kept with their buffers
-	// between seals; there are as many as the largest seal has used.
-	sealWorkers []*sealWorker
 	// sealNanos is the wall time spent sealing tiles
 	// (ctlog_seal_seconds_total).
 	sealNanos atomic.Uint64
@@ -387,16 +385,16 @@ func (l *Log) STH() SignedTreeHead {
 // leafRange clamps [start, end] (inclusive) to what one read of ps
 // serves — the published tree size, at most limit entries, and, in the
 // sealed prefix, the end of start's tile, so a read touches at most one
-// leaf page — and returns the clamped range, which always begins at
-// start. A sealed range comes back as its MerkleTreeLeaf bytes, aliasing
-// the tile's cached file image; a range in the resident tail as its
-// entries. Exactly one of the two is non-empty, and both alias
-// immutable shared state. start's tile is complete (tailStart is
+// leaf file — and returns the clamped range, which always begins at
+// start. A range in the resident tail comes back as its entries, which
+// alias immutable shared state; a sealed range is read from its tile
+// into pg (tileStore.readLeaves), which then holds its MerkleTreeLeaf
+// bytes, and tail is nil. start's tile is complete (tailStart is
 // tile-aligned), so the tile clamp never clips below a valid page.
-func (ps *publishedState) leafRange(start, end, limit uint64) (leaves [][]byte, tail []*Entry, err error) {
+func (ps *publishedState) leafRange(start, end, limit uint64, pg *leafPage) (tail []*Entry, err error) {
 	size := ps.sth.TreeHead.TreeSize
 	if start > end || start >= size {
-		return nil, nil, fmt.Errorf("%w: start=%d end=%d size=%d", ErrBadRange, start, end, size)
+		return nil, fmt.Errorf("%w: start=%d end=%d size=%d", ErrBadRange, start, end, size)
 	}
 	end = min(end, size-1)
 	if end-start >= limit {
@@ -404,23 +402,19 @@ func (ps *publishedState) leafRange(start, end, limit uint64) (leaves [][]byte, 
 	}
 	if start >= ps.tailStart {
 		i, j := start-ps.tailStart, end-ps.tailStart
-		return nil, ps.tail[i : j+1 : j+1], nil
+		return ps.tail[i : j+1 : j+1], nil
 	}
 	span := ps.tiles.span
 	tile, base := start/span, start/span*span
 	end = min(end, base+span-1)
-	lt, err := ps.tiles.leafTile(tile)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lt.Leaves[start-base : end-base+1 : end-base+1], nil, nil
+	return nil, ps.tiles.readLeaves(tile, start-base, end-base+1, pg)
 }
 
 // parseLeaves parses sealed leaves into entries first, first+1, … — one
 // Entry slab for the lot, not an allocation each. The entries' byte
 // fields alias the leaves. leafHash is not stamped (nothing reads it off
 // a sealed entry; LeafHash() computes from fields). The leaves passed
-// decodeLeaf's parse at page-in, so an error here means a bug.
+// checkLeaves on their read, so an error here means a bug.
 func parseLeaves(first uint64, leaves [][]byte) ([]*Entry, error) {
 	slab := make([]Entry, len(leaves))
 	ents := make([]*Entry, len(leaves))
@@ -439,37 +433,39 @@ func parseLeaves(first uint64, leaves [][]byte) ([]*Entry, error) {
 // truncated to MaxGetEntries and to the published tree size. Ranges in
 // the resident tail are served lock-free from the published snapshot and
 // alias it, so the slice must be treated as read-only. Ranges in the
-// sealed prefix are parsed from the tile page cache into entries of the
-// caller's own, and — like production tile-backed logs — the page is
-// additionally clamped at the end of the tile containing start, so one
-// call touches at most one tile. Callers page on from where the response
-// stopped (ctclient does), so the short page is invisible above the
-// wire.
+// sealed prefix are read from their tile file into a buffer of the
+// caller's own and parsed into entries that alias it, and — like
+// production tile-backed logs — the page is additionally clamped at the
+// end of the tile containing start, so one call touches at most one
+// tile. Callers page on from where the response stopped (ctclient
+// does), so the short page is invisible above the wire.
 func (l *Log) GetEntries(start, end uint64) ([]*Entry, error) {
-	leaves, tail, err := l.pub.Load().leafRange(start, end, uint64(l.cfg.MaxGetEntries))
+	var pg leafPage
+	tail, err := l.pub.Load().leafRange(start, end, uint64(l.cfg.MaxGetEntries), &pg)
 	if err != nil || tail != nil {
 		return tail, err
 	}
-	return parseLeaves(start, leaves)
+	return parseLeaves(start, pg.leaves)
 }
 
 // StreamEntries calls fn for every entry in [start, end] (inclusive),
 // clipped to the published tree size, and stops at fn's first error. It
 // never takes a log lock: the published prefix is immutable, so the walk
 // runs on the lock-free snapshot even while writers append — the sealed
-// part tile by tile through the page cache, each tile's range parsed
-// into one slab, the resident tail directly. It is the bulk-iteration
-// substrate for harvest-scale crawls.
+// part tile by tile, each tile's range read into a buffer of its own and
+// parsed into one slab, the resident tail directly. It is the
+// bulk-iteration substrate for harvest-scale crawls.
 func (l *Log) StreamEntries(start, end uint64, fn func(*Entry) error) error {
 	ps := l.pub.Load()
 	size := ps.sth.TreeHead.TreeSize
 	for {
-		leaves, ents, err := ps.leafRange(start, end, size)
+		var pg leafPage
+		ents, err := ps.leafRange(start, end, size, &pg)
 		if err != nil {
 			return err
 		}
 		if ents == nil {
-			if ents, err = parseLeaves(start, leaves); err != nil {
+			if ents, err = parseLeaves(start, pg.leaves); err != nil {
 				return err
 			}
 		}

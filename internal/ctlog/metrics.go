@@ -8,8 +8,9 @@ import (
 // WriteMetrics renders the log's state for GET /metrics: how far
 // sequencing and publication have got, how much is staged and for how
 // long (a log falling behind its MMD shows here first), what overload
-// refused, what is sealed into tiles, how long sealing took and how
-// the tile page cache serves it, how many WAL records share a write and
+// refused, what is sealed into tiles, how long sealing took, how the
+// tile page cache serves it and what sealed leaf reads read from the
+// tile files (leaf bytes are never cached), how many WAL records share a write and
 // an fsync, and whether the store has failed. It reads the log's own
 // fields and counters at scrape time and adds nothing to the add path.
 func (l *Log) WriteMetrics(w *metrics.Writer) {
@@ -25,7 +26,10 @@ func (l *Log) WriteMetrics(w *metrics.Writer) {
 	l.stageMu.Unlock()
 	sth := l.STH().TreeHead
 	cache := l.CacheStats()
-	var storeFailed uint64
+	var storeFailed, leafReads, leafReadBytes uint64
+	if l.tiles != nil {
+		leafReads, leafReadBytes = l.tiles.leafReads.Load(), l.tiles.leafReadBytes.Load()
+	}
 	var wal storage.AppendLogStats
 	if l.store != nil {
 		if l.store.Err() != nil {
@@ -48,6 +52,8 @@ func (l *Log) WriteMetrics(w *metrics.Writer) {
 		{"ctlog_page_cache_evictions_total", "Tile pages evicted to stay within the cache budget.", "counter", cache.Evictions},
 		{"ctlog_page_cache_pages", "Tile pages held in the page cache.", "gauge", uint64(cache.Pages)},
 		{"ctlog_page_cache_bytes", "Bytes the page cache charges for the pages it holds.", "gauge", uint64(cache.Used)},
+		{"ctlog_leaf_reads_total", "Ranged reads of sealed leaf tile files: one per sealed get-entries page or sealed entry lookup.", "counter", leafReads},
+		{"ctlog_leaf_read_bytes_total", "Bytes the ranged leaf reads read: each file's header plus the records served.", "counter", leafReadBytes},
 		{"ctlog_wal_records_total", "Records appended to the write-ahead log.", "counter", wal.Records},
 		{"ctlog_wal_writes_total", "Writes of the write-ahead log's record buffer to its file.", "counter", wal.Writes},
 		{"ctlog_wal_fsyncs_total", "Fsyncs of the write-ahead log; records per fsync is the group-commit fan-in.", "counter", wal.Fsyncs},

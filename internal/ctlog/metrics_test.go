@@ -3,12 +3,14 @@ package ctlog
 import (
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ctrise/internal/ctlog/storage"
 	"ctrise/internal/metrics"
 	"ctrise/internal/sct"
 )
@@ -53,13 +55,14 @@ func TestMetricsStagedBacklogAndRejections(t *testing.T) {
 		"ctlog_page_cache_bytes", "ctlog_wal_records_total",
 		"ctlog_wal_writes_total", "ctlog_wal_fsyncs_total",
 		"ctlog_store_failed", "ctlog_seal_seconds_total",
+		"ctlog_leaf_reads_total", "ctlog_leaf_read_bytes_total",
 	} {
 		if got[name] != "0" {
 			t.Errorf("fresh log: %s = %q, want \"0\"", name, got[name])
 		}
 	}
-	if len(got) != 17 {
-		t.Errorf("fresh log serves %d series, want 17: %v", len(got), got)
+	if len(got) != 19 {
+		t.Errorf("fresh log serves %d series, want 19: %v", len(got), got)
 	}
 
 	for i := 0; i < 3; i++ {
@@ -155,9 +158,11 @@ func TestMetricsOldestStagedAgeIgnoresStagingOrder(t *testing.T) {
 	})
 }
 
-// On a durable log the seal, the page cache and the store show: a span-2
-// log sealing two tiles, read back through a cache that holds one leaf
-// page, moves every cache counter; a sticky store failure reads 1.
+// On a durable log the seal, the page cache, the leaf reads and the
+// store show: a span-2 log sealing two tiles, read back through a cache
+// that holds one offsets page, moves every cache counter, and each
+// sealed get-entries is one ranged leaf read (here of the whole file: a
+// page of both entries); a sticky store failure reads 1.
 func TestMetricsSealedCacheAndStoreFailure(t *testing.T) {
 	// sealed fills a fresh span-2 log with five entries (tiles 0 and 1
 	// sealed, one entry resident) and reads tile 0 twice.
@@ -174,7 +179,11 @@ func TestMetricsSealedCacheAndStoreFailure(t *testing.T) {
 	l := sealed(0)
 	page := l.CacheStats().Used
 	if page <= 0 {
-		t.Fatalf("one cached leaf page charges %d bytes", page)
+		t.Fatalf("one cached offsets page charges %d bytes", page)
+	}
+	leafFile, err := os.Stat(tilePath(l.store.Dir(), 0, storage.TileExtLeaf))
+	if err != nil {
+		t.Fatal(err)
 	}
 	wantSamples(t, l, map[string]string{
 		"ctlog_sth_tree_size":              "5",
@@ -184,6 +193,8 @@ func TestMetricsSealedCacheAndStoreFailure(t *testing.T) {
 		"ctlog_page_cache_evictions_total": "0",
 		"ctlog_page_cache_pages":           "1",
 		"ctlog_page_cache_bytes":           fmt.Sprint(page),
+		"ctlog_leaf_reads_total":           "2",
+		"ctlog_leaf_read_bytes_total":      fmt.Sprint(2 * leafFile.Size()),
 		"ctlog_store_failed":               "0",
 	})
 	if got := scrapeLog(l)["ctlog_seal_seconds_total"]; got == "0" || got == "" {
@@ -204,6 +215,7 @@ func TestMetricsSealedCacheAndStoreFailure(t *testing.T) {
 		"ctlog_page_cache_evictions_total": "1",
 		"ctlog_page_cache_pages":           "1",
 		"ctlog_page_cache_bytes":           fmt.Sprint(page),
+		"ctlog_leaf_reads_total":           "3",
 	})
 }
 

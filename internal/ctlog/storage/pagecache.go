@@ -6,8 +6,8 @@ import (
 )
 
 // PageKey identifies one cacheable tile page: the tile number plus a
-// caller-chosen kind (leaf / hash / index — the ctlog layer caches the
-// parsed form of each file as one page).
+// caller-chosen kind (the ctlog layer caches a decoded hash or index
+// file, or a leaf file's record offsets, as one page).
 type PageKey struct {
 	Kind uint8
 	Tile uint64
@@ -32,8 +32,8 @@ func (s PageCacheStats) HitRate() float64 {
 
 // PageCache is a byte-budget LRU over immutable tile pages. Values are
 // opaque; the caller supplies each page's loader and byte charge (what
-// the page pins in RAM: the ctlog layer charges the file image plus any
-// parsed form that does not alias it).
+// the page pins in RAM: the ctlog layer charges a hash or index page its
+// file bytes and an offsets page its offsets).
 // A page larger than the whole budget is served but never retained, so a
 // zero (or tiny) budget degrades to a pass-through cache — every read
 // goes to disk — rather than breaking reads.

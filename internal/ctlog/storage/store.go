@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -248,6 +249,33 @@ func (s *Store) ReadTile(tile uint64, ext string) ([]byte, error) {
 		return nil, fmt.Errorf("storage: reading tile %d.%s: %w", tile, ext, err)
 	}
 	return data, nil
+}
+
+// ReadTileRange reads two byte ranges of one tile file into buf, reusing
+// its memory, and returns it: the file's first head bytes, then its
+// bytes [off, end) (one read when they are contiguous). A file that
+// ends early is ErrCorrupt: the caller took the offsets from the file
+// itself, so it has been cut or replaced since. Other failures name the
+// tile file and, as in ReadTile, are not sticky.
+func (s *Store) ReadTileRange(tile uint64, ext string, buf []byte, head, off, end int64) ([]byte, error) {
+	buf = slices.Grow(buf[:0], int(head+end-off))[:head+end-off]
+	f, err := os.Open(s.TilePath(tile, ext))
+	if err != nil {
+		return buf, fmt.Errorf("storage: reading tile %d.%s: %w", tile, ext, err)
+	}
+	defer f.Close()
+	if off == head {
+		_, err = f.ReadAt(buf, 0)
+	} else if _, err = f.ReadAt(buf[:head], 0); err == nil {
+		_, err = f.ReadAt(buf[head:], off)
+	}
+	if err == io.EOF {
+		return buf, fmt.Errorf("%w: tile %d.%s ends before byte %d", ErrCorrupt, tile, ext, end)
+	}
+	if err != nil {
+		return buf, fmt.Errorf("storage: reading tile %d.%s: %w", tile, ext, err)
+	}
+	return buf, nil
 }
 
 // TileEquals reports whether one tile file holds exactly image: the

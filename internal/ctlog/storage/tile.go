@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -146,22 +147,76 @@ func DecodeLeafTile(data []byte) (*LeafTile, error) {
 	if span > uint64(len(data))/recordOverhead+1 {
 		return nil, fmt.Errorf("%w: leaf tile claims %d entries in %d bytes", ErrCorrupt, span, len(data))
 	}
-	t := &LeafTile{Tile: tile, Span: span, Leaves: make([][]byte, 0, span)}
-	for i := uint64(0); i < span; i++ {
-		rec, n, err := ReadRecord(data[off:])
+	leaves, err := decodeLeafRecords(data[off:], int(span), make([][]byte, 0, span))
+	if err != nil {
+		return nil, err
+	}
+	return &LeafTile{Tile: tile, Span: span, Leaves: leaves}, nil
+}
+
+// LeafTileHeaderLen is the length of every leaf tile file's header: its
+// magic and its meta record. A ranged read of a leaf tile reads it
+// together with the records it wants (DecodeLeafRange).
+const LeafTileHeaderLen = MagicLen + recordOverhead + 16
+
+// LeafTileOffsets returns where each of t's records starts in its file
+// image, plus the image's end: record i is bytes [offs[i], offs[i+1]).
+// They are the offsets of the image EncodeLeafTile lays out, so for a
+// tile DecodeLeafTile returned they are those of the file it decoded
+// (its framing is strict: no gap, no trailing byte). An image of 4 GiB
+// or more is refused, since the offsets are 32-bit.
+func LeafTileOffsets(t *LeafTile) ([]uint32, error) {
+	offs := make([]uint32, len(t.Leaves)+1)
+	off := uint64(LeafTileHeaderLen)
+	for i, leaf := range t.Leaves {
+		offs[i] = uint32(off)
+		off += recordOverhead + uint64(len(leaf))
+		if off > math.MaxUint32 {
+			return nil, fmt.Errorf("storage: leaf tile %d is over 4 GiB", t.Tile)
+		}
+	}
+	offs[len(t.Leaves)] = uint32(off)
+	return offs, nil
+}
+
+// DecodeLeafRange parses and validates a ranged read of the leaf tile
+// (tile, span): the file's header (LeafTileHeaderLen bytes: magic and
+// meta record) followed by exactly n entry records, nothing else. The
+// checks are DecodeLeafTile's, made on these bytes alone — magic, meta,
+// framing, per-record CRC32C, record type and count — and the header's
+// label, checked first: a file of another tile fails as such even
+// where its records happen to frame. The records' payloads are
+// appended to leaves, aliasing data.
+func DecodeLeafRange(data []byte, tile, span uint64, n int, leaves [][]byte) ([][]byte, error) {
+	gotTile, gotSpan, off, err := decodeTileHeader(data, TileLeafMagic)
+	if err != nil {
+		return nil, err
+	}
+	if gotTile != tile || gotSpan != span {
+		return nil, fmt.Errorf("%w: leaf tile %d labeled (%d, span %d)", ErrCorrupt, tile, gotTile, gotSpan)
+	}
+	return decodeLeafRecords(data[off:], n, leaves)
+}
+
+// decodeLeafRecords parses exactly n entry records that make up all of
+// data, appending their payloads (aliasing data) to leaves.
+func decodeLeafRecords(data []byte, n int, leaves [][]byte) ([][]byte, error) {
+	off := 0
+	for i := 0; i < n; i++ {
+		rec, size, err := ReadRecord(data[off:])
 		if err != nil {
 			return nil, err
 		}
 		if rec.Type != RecordEntry {
 			return nil, fmt.Errorf("%w: leaf tile entry %d has record type %d", ErrCorrupt, i, rec.Type)
 		}
-		t.Leaves = append(t.Leaves, rec.Payload)
-		off += n
+		leaves = append(leaves, rec.Payload)
+		off += size
 	}
 	if off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after leaf tile", ErrCorrupt, len(data)-off)
+		return nil, fmt.Errorf("%w: %d trailing bytes after leaf tile records", ErrCorrupt, len(data)-off)
 	}
-	return t, nil
+	return leaves, nil
 }
 
 // HashTile is the decoded form of a .hash file: every Merkle level of

@@ -1,8 +1,8 @@
 package ctlog
 
 import (
+	"errors"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -26,10 +26,12 @@ import (
 // edge (tail + staged batch + ~4 bloom bytes per sealed entry), plus
 // whatever pages reads and dedupe lookups asked for, up to the
 // page-cache budget — independent of tree size. Sealing itself leaves
-// nothing in the cache. A cached leaf page is the validated file image,
-// not parsed entries: get-entries base64-encodes its leaves straight
-// from it, and readers that want *Entry values parse only the ones they
-// return.
+// nothing in the cache. Leaf bytes are never cached: a leaf tile's
+// cached page is its offsets page, one 32-bit file offset per record,
+// and each sealed read reads the .leaf file's header and just the
+// records it serves into a buffer of its own, checking them on that
+// read (tileStore.readLeaves). The kernel's file cache is the only
+// cache that holds them.
 //
 // The resident blooms are bit-sliced (storage.SlicedBlooms): the same
 // bloom bytes the index files hold, transposed in blocks of 64 tiles, so
@@ -52,9 +54,11 @@ import (
 //     once (Store.SyncTiles), making every rename of the seal durable.
 //     Bytes equal to the images are the leaves and hashes the tree
 //     committed to, so the tile is trusted for the rest of the process:
-//     later leaf page-ins check CRC, framing, label and leaf syntax only
-//     (see tileStore.leafTile). A crash or a failed worker here leaves
-//     orphan tile files that the next seal rewrites and re-reads.
+//     its offsets page is built without a cross-check, and each leaf
+//     read checks CRC, framing, label, count and leaf syntax only (see
+//     tileStore.leafOffsets and readLeaves). A crash or a failed worker
+//     here leaves orphan tile files that the next seal rewrites and
+//     re-reads.
 //  2. Install: only after the directory fsync, and only if every worker
 //     succeeded, the tile roots + the blooms of the indexes the workers
 //     built register in the tileStore, in tile order; the tree prunes
@@ -70,11 +74,11 @@ import (
 //     beyond the WAL end, so recovery adopts it and re-anchors, exactly
 //     as it does for mid-file WAL corruption.
 
-// Page-cache kinds for the three tile file types.
+// Page-cache kinds: a hash tile, a leaf tile's offsets page, an index.
 const (
-	pageKindHash  uint8 = 1
-	pageKindLeaf  uint8 = 2
-	pageKindIndex uint8 = 3
+	pageKindHash    uint8 = 1
+	pageKindOffsets uint8 = 2
+	pageKindIndex   uint8 = 3
 )
 
 // tileStore serves sealed tiles: it implements merkle.NodeSource for the
@@ -98,21 +102,19 @@ type tileStore struct {
 	ids, leaves *storage.SlicedBlooms
 	// checked[tile] records that this process trusts the tile's leaf
 	// file: its seal's verify found the written bytes on disk, or the
-	// first leaf page-in of a tile installed by Open cross-checked it
+	// offsets-page build of a tile installed by Open cross-checked it
 	// against its hash tile and registered root. It is never persisted,
 	// so every restart re-earns it.
 	checked []bool
+
+	// leafReads and leafReadBytes count readLeaves' ranged reads and the
+	// bytes they read (ctlog_leaf_reads_total, ctlog_leaf_read_bytes_total).
+	leafReads, leafReadBytes atomic.Uint64
 }
 
 // verifyChunk is the size of a seal worker's read-back buffer: how much
 // of a tile file verify reads per call.
 const verifyChunk = 256 << 10
-
-// leafHeaderBytes is what a cached leaf page pins per leaf beside the
-// file image its leaves alias: one []byte header (pointer, length,
-// capacity). Config.PageCacheBytes is a promise about RAM, so leaf pages
-// are charged for it.
-const leafHeaderBytes = 3 * bits.UintSize / 8
 
 func newTileStore(st *storage.Store, span uint64, cacheBytes int64) *tileStore {
 	tlvl := uint(0)
@@ -160,9 +162,9 @@ func (ts *tileStore) register(tile uint64, root merkle.Hash, ix *storage.TileInd
 }
 
 // isChecked reports whether this process trusts the tile's leaf file.
-// Only leafTile asks, and only about registered tiles: a tile sealed by
-// this process registers checked, a tile installed by Open starts
-// unchecked until its first leaf page-in.
+// Only leafOffsets asks, and only about registered tiles: a tile sealed
+// by this process registers checked, a tile installed by Open starts
+// unchecked until its first offsets-page build.
 func (ts *tileStore) isChecked(tile uint64) bool {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
@@ -195,7 +197,7 @@ func (ts *tileStore) rootsImage() [][32]byte {
 // so a tile whose index cannot be read or validated fails Open loudly.
 // Leaf and hash files are not opened here — Open stays O(index files) —
 // so every installed tile starts unchecked and is cross-checked by its
-// first leaf page-in.
+// first offsets-page build.
 func (ts *tileStore) install(roots [][32]byte) error {
 	ts.mu.Lock()
 	ts.roots = make([]merkle.Hash, len(roots))
@@ -228,22 +230,16 @@ func (ts *tileStore) read(tile uint64, ext string) ([]byte, error) {
 	return data, nil
 }
 
-// load runs one tile file through the page cache: read, then decode —
-// one of the decodeX functions below, which validate as they go; their
-// failures stay storage.ErrCorrupt. The page is charged its file bytes
-// (the decoded forms alias or mirror them) plus whatever decode reports
-// the parsed page pins beyond them.
-func (ts *tileStore) load(kind uint8, tile uint64, ext string, decode func([]byte) (v any, extra int64, err error)) (any, error) {
+// load runs one tile file through the page cache: read, then decode
+// into the cached page and its byte charge. The decoders validate as
+// they go; their failures stay storage.ErrCorrupt.
+func (ts *tileStore) load(kind uint8, tile uint64, ext string, decode func([]byte) (v any, charge int64, err error)) (any, error) {
 	return ts.cache.Get(storage.PageKey{Kind: kind, Tile: tile}, func() (any, int64, error) {
 		data, err := ts.read(tile, ext)
 		if err != nil {
 			return nil, 0, err
 		}
-		v, extra, err := decode(data)
-		if err != nil {
-			return nil, 0, err
-		}
-		return v, int64(len(data)) + extra, nil
+		return decode(data)
 	})
 }
 
@@ -274,12 +270,9 @@ func (ts *tileStore) decodeHash(tile uint64, root merkle.Hash, data []byte) (*st
 	return ht, nil
 }
 
-// decodeLeaf decodes and validates one tile's .leaf file: per-record
+// decodeLeaf decodes and validates one tile's whole .leaf file: per-record
 // CRC32C and strict framing (DecodeLeafTile), the tile/span label, and
-// that each record parses as a MerkleTreeLeaf. The parse goes into one
-// throwaway Entry: a page keeps the leaves as file bytes, and readers
-// parse only the entries they return (parseLeaves), so a leaf that
-// passed here parses there too.
+// that each record parses as a MerkleTreeLeaf (checkLeaves).
 func (ts *tileStore) decodeLeaf(tile uint64, data []byte) (*storage.LeafTile, error) {
 	lt, err := storage.DecodeLeafTile(data)
 	if err != nil {
@@ -288,14 +281,25 @@ func (ts *tileStore) decodeLeaf(tile uint64, data []byte) (*storage.LeafTile, er
 	if err := ts.labelErr(tile, storage.TileExtLeaf, lt.Tile, lt.Span); err != nil {
 		return nil, err
 	}
-	var e Entry
-	for i, leaf := range lt.Leaves {
-		e = Entry{}
-		if err := e.parseLeaf(leaf); err != nil {
-			return nil, fmt.Errorf("%w: tile %d entry %d: %v", storage.ErrCorrupt, tile, i, err)
-		}
+	if err := checkLeaves(tile*ts.span, lt.Leaves); err != nil {
+		return nil, err
 	}
 	return lt, nil
+}
+
+// checkLeaves requires each of entries first, first+1, … to parse as a
+// MerkleTreeLeaf. The parse goes into one throwaway Entry: readers that
+// want entries parse the leaves they return again (parseLeaves), so a
+// leaf that passed here parses there too.
+func checkLeaves(first uint64, leaves [][]byte) error {
+	var e Entry
+	for i, leaf := range leaves {
+		e = Entry{}
+		if err := e.parseLeaf(leaf); err != nil {
+			return fmt.Errorf("%w: entry %d: %v", storage.ErrCorrupt, first+uint64(i), err)
+		}
+	}
+	return nil
 }
 
 // decodeIndex decodes and validates one tile's .idx file.
@@ -320,7 +324,7 @@ func (ts *tileStore) hashTile(tile uint64) (*storage.HashTile, error) {
 	}
 	v, err := ts.load(pageKindHash, tile, storage.TileExtHash, func(data []byte) (any, int64, error) {
 		ht, err := ts.decodeHash(tile, root, data)
-		return ht, 0, err
+		return ht, int64(len(data)), err
 	})
 	if err != nil {
 		return nil, err
@@ -328,24 +332,22 @@ func (ts *tileStore) hashTile(tile uint64) (*storage.HashTile, error) {
 	return v.(*storage.HashTile), nil
 }
 
-// leafTile pages in one registered tile's leaves; it is never asked for
-// a tile the seal has not registered (the seal verifies straight from
-// disk). The cached page is the decoded tile, whose leaves alias the
-// file image: no parsed entries are kept, and the page is charged the
-// file bytes plus one slice header per leaf. Every page-in runs
-// decodeLeaf — what the leaf file can say about itself. What only the
-// tree can say — that these are the leaves it committed to — is
-// crossCheck, which runs on the first page-in of a tile installed by
-// Open and not again (a tile this process sealed is trusted from its
-// seal's byte-compare read-back): the files are immutable, so repeating
-// it on every cache miss would cost a hash-tile page-in and a SHA-256
-// per leaf to learn nothing new. A failed check leaves the tile
-// unchecked, so the next read fails the same way. Concurrent first
-// touches may both check; none serves before a check has passed. The
-// returned tile is immutable and shared by every reader of the cached
-// page.
-func (ts *tileStore) leafTile(tile uint64) (*storage.LeafTile, error) {
-	v, err := ts.load(pageKindLeaf, tile, storage.TileExtLeaf, func(data []byte) (any, int64, error) {
+// leafOffsets pages in one registered tile's offsets page: where each
+// record of its .leaf file starts, plus the file's end ((span+1) × 4
+// bytes, charged as such). It is never asked for a tile the seal has
+// not registered (the seal verifies straight from disk). The page is
+// built from one read of the whole file, which must pass decodeLeaf —
+// what the leaf file can say about itself. What only the tree can say —
+// that these are the leaves it committed to — is crossCheck, which runs
+// on the first build for a tile installed by Open and not again (a tile
+// this process sealed is trusted from its seal's byte-compare
+// read-back): the files are immutable, so repeating it on every build
+// would cost a hash-tile page-in and a SHA-256 per leaf to learn
+// nothing new. A failed check leaves the tile unchecked and caches
+// nothing, so the next read fails the same way. Concurrent first
+// touches may both check; none serves before a check has passed.
+func (ts *tileStore) leafOffsets(tile uint64) ([]uint32, error) {
+	v, err := ts.load(pageKindOffsets, tile, storage.TileExtLeaf, func(data []byte) (any, int64, error) {
 		lt, err := ts.decodeLeaf(tile, data)
 		if err != nil {
 			return nil, 0, err
@@ -360,19 +362,64 @@ func (ts *tileStore) leafTile(tile uint64) (*storage.LeafTile, error) {
 			}
 			ts.markChecked(tile)
 		}
-		return lt, int64(len(lt.Leaves)) * leafHeaderBytes, nil
+		offs, err := storage.LeafTileOffsets(lt)
+		return offs, 4 * int64(len(offs)), err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*storage.LeafTile), nil
+	return v.([]uint32), nil
+}
+
+// leafPage is one sealed read: the .leaf file's header and the records
+// read, in buf, and the records' leaves, which alias buf. The handler's
+// pages come from leafPagePool and go back once written; the other
+// readers return entries that alias buf, so each read gets a page of
+// its own.
+type leafPage struct {
+	buf    []byte
+	leaves [][]byte
+}
+
+// readLeaves reads entries [lo, hi) of one registered tile (positions
+// in the tile, lo < hi ≤ span) into pg: one ranged read of the .leaf
+// file's header and the records' bytes, located by the tile's offsets
+// page (leafOffsets), checked on that read — label, framing, CRC32C,
+// record type and exact count (storage.DecodeLeafRange) and leaf
+// syntax (checkLeaves). Only the bytes served are checked, so damage
+// elsewhere in the tile surfaces when that record is read, not on
+// every read of the tile. A file that ends early is storage.ErrCorrupt,
+// like every failed check; other read failures are ErrPersistence.
+func (ts *tileStore) readLeaves(tile, lo, hi uint64, pg *leafPage) error {
+	offs, err := ts.leafOffsets(tile)
+	if err != nil {
+		return err
+	}
+	pg.buf, err = ts.st.ReadTileRange(tile, storage.TileExtLeaf, pg.buf, storage.LeafTileHeaderLen, int64(offs[lo]), int64(offs[hi]))
+	if errors.Is(err, storage.ErrCorrupt) {
+		return err
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrPersistence, err)
+	}
+	ts.leafReads.Add(1)
+	ts.leafReadBytes.Add(uint64(len(pg.buf)))
+	leaves, err := storage.DecodeLeafRange(pg.buf, tile, ts.span, int(hi-lo), pg.leaves[:0])
+	if err != nil {
+		return fmt.Errorf("tile %d.%s: %w", tile, storage.TileExtLeaf, err)
+	}
+	if err := checkLeaves(tile*ts.span+lo, leaves); err != nil {
+		return err
+	}
+	pg.leaves = leaves
+	return nil
 }
 
 // crossCheck ties a decoded leaf tile to the tree: every leaf must hash
 // to the leaf level of ht, a hash tile its decoder has already pinned
 // to the tree's root for the tile. This is the check a CRC cannot make:
 // a well-framed leaf file holding the wrong leaves. Its one caller is
-// leafTile, on the first page-in of a tile installed by Open.
+// leafOffsets, on the first build for a tile installed by Open.
 func crossCheck(lt *storage.LeafTile, ht *storage.HashTile) error {
 	for i, leaf := range lt.Leaves {
 		if [32]byte(merkle.HashLeaf(leaf)) != ht.Levels[0][i] {
@@ -386,7 +433,7 @@ func crossCheck(lt *storage.LeafTile, ht *storage.HashTile) error {
 func (ts *tileStore) index(tile uint64) (*storage.TileIndex, error) {
 	v, err := ts.load(pageKindIndex, tile, storage.TileExtIndex, func(data []byte) (any, int64, error) {
 		ix, err := ts.decodeIndex(tile, data)
-		return ix, 0, err
+		return ix, int64(len(data)), err
 	})
 	if err != nil {
 		return nil, err
@@ -457,10 +504,11 @@ func (ts *tileStore) probe(h merkle.Hash, which int, from, to uint64) []uint64 {
 
 // lookupID searches sealed tiles [from, to) for an entry with the given
 // identity hash: bloom probe first, then the binary-searched index file
-// of each candidate, then the entry itself, parsed from its leaf tile's
-// page. Returns nil when not present. It reads the page directly rather
-// than through publishedState.leafRange: the seal-race re-probe asks
-// about tiles registered before the published state routes to them.
+// of each candidate, then the entry itself, read alone (readLeaves) and
+// parsed; the entry aliases a buffer of its own. Returns nil when not
+// present. It reads the tile directly rather than through
+// publishedState.leafRange: the seal-race re-probe asks about tiles
+// registered before the published state routes to them.
 func (ts *tileStore) lookupID(h merkle.Hash, from, to uint64) (*Entry, error) {
 	for _, tile := range ts.probe(h, storage.TileIndexID, from, to) {
 		ix, err := ts.index(tile)
@@ -471,11 +519,11 @@ func (ts *tileStore) lookupID(h merkle.Hash, from, to uint64) (*Entry, error) {
 		if !ok {
 			continue // bloom false positive
 		}
-		lt, err := ts.leafTile(idx / ts.span)
-		if err != nil {
+		var pg leafPage
+		if err := ts.readLeaves(idx/ts.span, idx%ts.span, idx%ts.span+1, &pg); err != nil {
 			return nil, err
 		}
-		ents, err := parseLeaves(idx, lt.Leaves[idx%ts.span:][:1])
+		ents, err := parseLeaves(idx, pg.leaves)
 		if err != nil {
 			return nil, err
 		}
@@ -591,9 +639,9 @@ func (l *Log) compactLocked(sealed []*Entry) error {
 	return nil
 }
 
-// sealWorker is one of the seal's concurrent workers. Its buffers are
-// kept between seals (Log.sealWorkers), so sealing a tile allocates no
-// leaf image and no read-back buffer once they have grown.
+// sealWorker is one of the seal's concurrent workers. Its buffers live
+// for one seal: a worker reuses them from tile to tile, and an idle log
+// keeps none.
 type sealWorker struct {
 	leafImage []byte // the tile's encoded leaf file
 	readBuf   []byte // verify's read-back buffer, verifyChunk bytes
@@ -605,19 +653,16 @@ type sealWorker struct {
 // a failure the workers take no further tile, and the error returned is
 // that of the lowest failed tile.
 func (l *Log) writeTilesLocked(first uint64, roots []merkle.Hash) ([]*storage.TileIndex, error) {
-	workers := min(len(roots), runtime.GOMAXPROCS(0))
-	for len(l.sealWorkers) < workers {
-		l.sealWorkers = append(l.sealWorkers, &sealWorker{readBuf: make([]byte, verifyChunk)})
-	}
 	ixs := make([]*storage.TileIndex, len(roots))
 	errs := make([]error, len(roots))
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for _, w := range l.sealWorkers[:workers] {
+	for range min(len(roots), runtime.GOMAXPROCS(0)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := &sealWorker{readBuf: make([]byte, verifyChunk)}
 			for !failed.Load() {
 				i := int(next.Add(1) - 1)
 				if i >= len(roots) {

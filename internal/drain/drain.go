@@ -12,6 +12,7 @@ package drain
 import (
 	"context"
 	"log"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -62,6 +63,18 @@ func (b *Bucket) Take(now time.Time) bool {
 func (b *Bucket) Full(now time.Time) bool {
 	b.refill(now)
 	return b.tokens >= b.burst
+}
+
+// FullAt reports when the bucket will have refilled to its burst if
+// nothing takes from it (its refill anchor once it is full), rounded up
+// to the nanosecond so that Full holds from then on. Refilling leaves it
+// where it is and Take only moves it later, so the earliest FullAt over
+// a set of buckets bounds when any of them can next be Full.
+func (b *Bucket) FullAt() time.Time {
+	if b.tokens >= b.burst {
+		return b.at
+	}
+	return b.at.Add(time.Duration(math.Ceil((b.burst - b.tokens) / b.rate * float64(time.Second))))
 }
 
 // Refuse answers a request the server will not serve now — 429 for a

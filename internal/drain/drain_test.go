@@ -164,6 +164,40 @@ func TestBucket(t *testing.T) {
 	}
 }
 
+// TestBucketFullAt holds FullAt to Full: after takes at t0 (and at a
+// later instant, so the anchor moves), the bucket is Full at FullAt and
+// not a nanosecond before, for whole and fractional rates and bursts;
+// a bucket that has refilled reports its anchor.
+func TestBucketFullAt(t *testing.T) {
+	t0 := time.Date(2018, 3, 8, 0, 0, 0, 0, time.UTC)
+	for _, c := range []struct {
+		rate, burst float64
+		takes       int
+	}{
+		{1, 1, 1}, {0.5, 1, 1}, {3, 2, 2}, {1000, 7, 5}, {0.3, 3, 3}, {1, 4, 1},
+	} {
+		b := NewBucket(c.rate, c.burst)
+		for i := 0; i < c.takes; i++ {
+			if !b.Take(t0) {
+				t.Fatalf("rate %v burst %v: take %d at t0 refused", c.rate, c.burst, i)
+			}
+		}
+		b.Take(t0.Add(time.Millisecond))
+		at := b.FullAt()
+		if early := *b; early.Full(at.Add(-time.Nanosecond)) {
+			t.Errorf("rate %v burst %v: Full a nanosecond before FullAt %v", c.rate, c.burst, at.Sub(t0))
+		}
+		if on := *b; !on.Full(at) {
+			t.Errorf("rate %v burst %v: not Full at FullAt %v", c.rate, c.burst, at.Sub(t0))
+		}
+		later := at.Add(time.Hour)
+		b.Full(later)
+		if got := b.FullAt(); !got.Equal(later) {
+			t.Errorf("rate %v burst %v: refilled bucket FullAt %v, want its anchor %v", c.rate, c.burst, got, later)
+		}
+	}
+}
+
 // TestRefuseRetryAfter pins Refuse's header: whole seconds, rounded up,
 // never below 1.
 func TestRefuseRetryAfter(t *testing.T) {
