@@ -287,9 +287,12 @@ func newTiledBenchLog(b *testing.B) (*Log, string, Config) {
 // tile's offsets page is built from the whole file, cross-checked
 // against its hash tile on its first build after Open and from then on
 // read + CRC + parse, before the ranged read, so after the first lap of
-// 64 tiles entries-cold measures exactly that. entries-first-touch
-// reopens the log every lap to keep every page-in a checking one: leaf
-// read + hash-tile read and decode + 256 leaf hashes.
+// 64 tiles entries-cold measures exactly that: every page reads its leaf
+// file twice, whole for the offsets page and then its own range, and
+// is not comparable with runs from before offsets pages, which read it
+// once. entries-first-touch reopens the log every lap to keep every
+// page-in a checking one: leaf read + hash-tile read and decode + 256
+// leaf hashes.
 func BenchmarkLogReadTiled(b *testing.B) {
 	const span, total = benchTileSpan, benchTiledEntries
 	l, dir, base := newTiledBenchLog(b)

@@ -239,9 +239,9 @@ func (l *Log) handleGetProofByHash(w http.ResponseWriter, r *http.Request) {
 // published tree size and a sealed page's tile) and the response carries
 // the resulting partial page, from which clients are expected to page
 // the remainder (ctclient.Monitor.StreamEntries does). A sealed page is
-// read into a pooled leafPage and encoded straight from its leaf bytes,
-// parsing no entry into an Entry; the page goes back to the pool once
-// written.
+// read into a pooled leafPage, syntax-checked (checkLeaves) and encoded
+// straight from its leaf bytes, parsing no entry into an Entry of its
+// own; the page goes back to the pool once written.
 func (l *Log) handleGetEntries(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	start, err1 := strconv.ParseUint(q.Get("start"), 10, 64)
@@ -252,10 +252,12 @@ func (l *Log) handleGetEntries(w http.ResponseWriter, r *http.Request) {
 	}
 	pg := leafPagePool.Get().(*leafPage)
 	tail, err := l.pub.Load().leafRange(start, end, uint64(l.cfg.MaxGetEntries), pg)
-	if err == nil {
-		if tail != nil {
-			err = WriteGetEntries(w, tail)
-		} else {
+	switch {
+	case err != nil:
+	case tail != nil:
+		err = WriteGetEntries(w, tail)
+	default:
+		if err = checkLeaves(start, pg.leaves); err == nil {
 			writeLeaves(w, pg.leaves)
 		}
 	}

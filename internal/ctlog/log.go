@@ -230,6 +230,10 @@ type Log struct {
 	published SignedTreeHead
 	// treeSize mirrors tree.Size() for TreeSize, which takes no lock.
 	treeSize atomic.Uint64
+	// sealWorkers is the most workers one seal has run: writeTilesLocked
+	// starts min(tiles, GOMAXPROCS), each with buffers of its own for
+	// that seal only. Only tests read it, to pin the seal's fan-out.
+	sealWorkers int
 	// sealNanos is the wall time spent sealing tiles
 	// (ctlog_seal_seconds_total).
 	sealNanos atomic.Uint64
@@ -389,7 +393,8 @@ func (l *Log) STH() SignedTreeHead {
 // start. A range in the resident tail comes back as its entries, which
 // alias immutable shared state; a sealed range is read from its tile
 // into pg (tileStore.readLeaves), which then holds its MerkleTreeLeaf
-// bytes, and tail is nil. start's tile is complete (tailStart is
+// bytes, checked but for their syntax (the caller parses them or runs
+// checkLeaves), and tail is nil. start's tile is complete (tailStart is
 // tile-aligned), so the tile clamp never clips below a valid page.
 func (ps *publishedState) leafRange(start, end, limit uint64, pg *leafPage) (tail []*Entry, err error) {
 	size := ps.sth.TreeHead.TreeSize
@@ -413,8 +418,9 @@ func (ps *publishedState) leafRange(start, end, limit uint64, pg *leafPage) (tai
 // parseLeaves parses sealed leaves into entries first, first+1, … — one
 // Entry slab for the lot, not an allocation each. The entries' byte
 // fields alias the leaves. leafHash is not stamped (nothing reads it off
-// a sealed entry; LeafHash() computes from fields). The leaves passed
-// checkLeaves on their read, so an error here means a bug.
+// a sealed entry; LeafHash() computes from fields). The parse is these
+// readers' leaf-syntax check (readLeaves leaves it to them): a leaf
+// that does not parse is storage.ErrCorrupt.
 func parseLeaves(first uint64, leaves [][]byte) ([]*Entry, error) {
 	slab := make([]Entry, len(leaves))
 	ents := make([]*Entry, len(leaves))

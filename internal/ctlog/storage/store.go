@@ -251,31 +251,42 @@ func (s *Store) ReadTile(tile uint64, ext string) ([]byte, error) {
 	return data, nil
 }
 
-// ReadTileRange reads two byte ranges of one tile file into buf, reusing
-// its memory, and returns it: the file's first head bytes, then its
-// bytes [off, end) (one read when they are contiguous). A file that
-// ends early is ErrCorrupt: the caller took the offsets from the file
+// ReadLeafRange reads records [lo, hi) of the leaf tile (tile, span)
+// from its .leaf file into buf, reusing its memory, and returns buf and
+// the records' payloads, appended to leaves[:0] and aliasing buf. offs
+// are the file's record offsets (LeafTileOffsets of its decoded image),
+// which locate the range: one read of the file's header and the
+// records when they follow it directly, else two. The read is checked
+// on these bytes alone, with DecodeLeafTile's checks: the header's
+// tile/span label first (a file of another tile fails as such even
+// where its records happen to frame), then framing, per-record CRC32C,
+// record type and exactly hi-lo records. A file that ends early is
+// ErrCorrupt, like every failed check: the offsets came from the file
 // itself, so it has been cut or replaced since. Other failures name the
 // tile file and, as in ReadTile, are not sticky.
-func (s *Store) ReadTileRange(tile uint64, ext string, buf []byte, head, off, end int64) ([]byte, error) {
-	buf = slices.Grow(buf[:0], int(head+end-off))[:head+end-off]
-	f, err := os.Open(s.TilePath(tile, ext))
+func (s *Store) ReadLeafRange(tile, span uint64, offs []uint32, lo, hi int, buf []byte, leaves [][]byte) ([]byte, [][]byte, error) {
+	off, end := int64(offs[lo]), int64(offs[hi])
+	buf = slices.Grow(buf[:0], int(leafTileHeaderLen+end-off))[:leafTileHeaderLen+end-off]
+	f, err := os.Open(s.TilePath(tile, TileExtLeaf))
 	if err != nil {
-		return buf, fmt.Errorf("storage: reading tile %d.%s: %w", tile, ext, err)
+		return buf, nil, fmt.Errorf("storage: reading tile %d.%s: %w", tile, TileExtLeaf, err)
 	}
 	defer f.Close()
-	if off == head {
+	if off == leafTileHeaderLen {
 		_, err = f.ReadAt(buf, 0)
-	} else if _, err = f.ReadAt(buf[:head], 0); err == nil {
-		_, err = f.ReadAt(buf[head:], off)
+	} else if _, err = f.ReadAt(buf[:leafTileHeaderLen], 0); err == nil {
+		_, err = f.ReadAt(buf[leafTileHeaderLen:], off)
 	}
 	if err == io.EOF {
-		return buf, fmt.Errorf("%w: tile %d.%s ends before byte %d", ErrCorrupt, tile, ext, end)
+		return buf, nil, fmt.Errorf("%w: tile %d.%s ends before byte %d", ErrCorrupt, tile, TileExtLeaf, end)
 	}
 	if err != nil {
-		return buf, fmt.Errorf("storage: reading tile %d.%s: %w", tile, ext, err)
+		return buf, nil, fmt.Errorf("storage: reading tile %d.%s: %w", tile, TileExtLeaf, err)
 	}
-	return buf, nil
+	if leaves, err = decodeLeafRange(buf, tile, span, hi-lo, leaves[:0]); err != nil {
+		return buf, nil, fmt.Errorf("tile %d.%s: %w", tile, TileExtLeaf, err)
+	}
+	return buf, leaves, nil
 }
 
 // TileEquals reports whether one tile file holds exactly image: the

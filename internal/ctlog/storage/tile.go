@@ -154,10 +154,10 @@ func DecodeLeafTile(data []byte) (*LeafTile, error) {
 	return &LeafTile{Tile: tile, Span: span, Leaves: leaves}, nil
 }
 
-// LeafTileHeaderLen is the length of every leaf tile file's header: its
+// leafTileHeaderLen is the length of every leaf tile file's header: its
 // magic and its meta record. A ranged read of a leaf tile reads it
-// together with the records it wants (DecodeLeafRange).
-const LeafTileHeaderLen = MagicLen + recordOverhead + 16
+// together with the records it wants (Store.ReadLeafRange).
+const leafTileHeaderLen = MagicLen + recordOverhead + 16
 
 // LeafTileOffsets returns where each of t's records starts in its file
 // image, plus the image's end: record i is bytes [offs[i], offs[i+1]).
@@ -167,7 +167,7 @@ const LeafTileHeaderLen = MagicLen + recordOverhead + 16
 // or more is refused, since the offsets are 32-bit.
 func LeafTileOffsets(t *LeafTile) ([]uint32, error) {
 	offs := make([]uint32, len(t.Leaves)+1)
-	off := uint64(LeafTileHeaderLen)
+	off := uint64(leafTileHeaderLen)
 	for i, leaf := range t.Leaves {
 		offs[i] = uint32(off)
 		off += recordOverhead + uint64(len(leaf))
@@ -179,15 +179,12 @@ func LeafTileOffsets(t *LeafTile) ([]uint32, error) {
 	return offs, nil
 }
 
-// DecodeLeafRange parses and validates a ranged read of the leaf tile
-// (tile, span): the file's header (LeafTileHeaderLen bytes: magic and
-// meta record) followed by exactly n entry records, nothing else. The
-// checks are DecodeLeafTile's, made on these bytes alone — magic, meta,
-// framing, per-record CRC32C, record type and count — and the header's
-// label, checked first: a file of another tile fails as such even
-// where its records happen to frame. The records' payloads are
-// appended to leaves, aliasing data.
-func DecodeLeafRange(data []byte, tile, span uint64, n int, leaves [][]byte) ([][]byte, error) {
+// decodeLeafRange parses and validates Store.ReadLeafRange's read of the
+// leaf tile (tile, span): the file's header (magic and meta record)
+// followed by exactly n entry records, nothing else. The header's label
+// is checked first. The records' payloads are appended to leaves,
+// aliasing data.
+func decodeLeafRange(data []byte, tile, span uint64, n int, leaves [][]byte) ([][]byte, error) {
 	gotTile, gotSpan, off, err := decodeTileHeader(data, TileLeafMagic)
 	if err != nil {
 		return nil, err

@@ -69,7 +69,7 @@ func TestEncodeLeafTileAppends(t *testing.T) {
 
 // TestLeafTileRanges holds the ranged read path to the whole-file one:
 // every range [lo, hi) of an encoded tile with leaves of varying
-// lengths, cut out as Store.ReadTileRange cuts it (header plus
+// lengths, cut out as Store.ReadLeafRange cuts it (header plus
 // [offs[lo], offs[hi])), decodes to exactly the leaves DecodeLeafTile
 // gives, and the offsets LeafTileOffsets reports are where those
 // records sit. A wrong label, a count the bytes do not hold, a flipped
@@ -88,15 +88,15 @@ func TestLeafTileRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(offs) != 9 || offs[0] != LeafTileHeaderLen || offs[8] != uint32(len(image)) {
+	if len(offs) != 9 || offs[0] != leafTileHeaderLen || offs[8] != uint32(len(image)) {
 		t.Fatalf("offsets %v for an image of %d bytes", offs, len(image))
 	}
 	read := func(lo, hi int) []byte {
-		return append(slices.Clone(image[:LeafTileHeaderLen]), image[offs[lo]:offs[hi]]...)
+		return append(slices.Clone(image[:leafTileHeaderLen]), image[offs[lo]:offs[hi]]...)
 	}
 	for lo := 0; lo < 8; lo++ {
 		for hi := lo + 1; hi <= 8; hi++ {
-			got, err := DecodeLeafRange(read(lo, hi), 5, 8, hi-lo, nil)
+			got, err := decodeLeafRange(read(lo, hi), 5, 8, hi-lo, nil)
 			if err != nil || !reflect.DeepEqual(got, lt.Leaves[lo:hi]) {
 				t.Fatalf("range [%d, %d): %q, %v", lo, hi, got, err)
 			}
@@ -117,7 +117,7 @@ func TestLeafTileRanges(t *testing.T) {
 		"flipped byte":       {flipped, 5, 8, 3},
 		"no header":          {image[offs[2]:offs[5]], 5, 8, 3},
 	} {
-		if _, err := DecodeLeafRange(c.data, c.tile, c.span, c.n, nil); !errors.Is(err, ErrCorrupt) {
+		if _, err := decodeLeafRange(c.data, c.tile, c.span, c.n, nil); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err=%v, want ErrCorrupt", name, err)
 		}
 	}
@@ -468,10 +468,11 @@ func TestStoreWriteReadTile(t *testing.T) {
 	if _, err := st.TileEquals(99, TileExtLeaf, image, buf); err == nil || !strings.Contains(err.Error(), "tile 99.leaf") {
 		t.Fatalf("TileEquals of a missing file: err=%v, want one naming tile 99.leaf", err)
 	}
-	// ReadTileRange: the header and a later range (two reads), the
-	// header and the records right behind it (one), into a reused
-	// buffer; a file cut short of the range is ErrCorrupt, a missing one
-	// an error naming the tile file.
+	// ReadLeafRange: the header and a later range (two reads), the
+	// header and the records right behind it (one), into a reused buffer
+	// and leaves slice, come back as exactly those leaves; a file cut
+	// short of the range is ErrCorrupt, a missing one an error naming the
+	// tile file.
 	if err := os.WriteFile(path, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -479,22 +480,23 @@ func TestStoreWriteReadTile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var read [][]byte
 	for _, r := range [][2]int{{2, 4}, {0, 1}, {0, 4}, {3, 4}} {
-		got, err := st.ReadTileRange(0, TileExtLeaf, buf, LeafTileHeaderLen, int64(offs[r[0]]), int64(offs[r[1]]))
-		want := append(slices.Clone(image[:LeafTileHeaderLen]), image[offs[r[0]]:offs[r[1]]]...)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("ReadTileRange of entries [%d, %d): %v", r[0], r[1], err)
+		var err error
+		buf, read, err = st.ReadLeafRange(lt.Tile, lt.Span, offs, r[0], r[1], buf, read)
+		want := append(slices.Clone(image[:leafTileHeaderLen]), image[offs[r[0]]:offs[r[1]]]...)
+		if err != nil || !bytes.Equal(buf, want) || !reflect.DeepEqual(read, lt.Leaves[r[0]:r[1]]) {
+			t.Fatalf("ReadLeafRange of entries [%d, %d): %q, %v", r[0], r[1], read, err)
 		}
-		buf = got
 	}
 	if err := os.WriteFile(path, image[:offs[3]+2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ReadTileRange(0, TileExtLeaf, buf, LeafTileHeaderLen, int64(offs[2]), int64(offs[4])); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ReadTileRange past the end of a cut file: err=%v, want ErrCorrupt", err)
+	if _, _, err := st.ReadLeafRange(lt.Tile, lt.Span, offs, 2, 4, buf, read); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadLeafRange past the end of a cut file: err=%v, want ErrCorrupt", err)
 	}
-	if _, err := st.ReadTileRange(99, TileExtLeaf, buf, LeafTileHeaderLen, int64(offs[2]), int64(offs[4])); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "tile 99.leaf") {
-		t.Fatalf("ReadTileRange of a missing file: err=%v, want one naming tile 99.leaf", err)
+	if _, _, err := st.ReadLeafRange(99, lt.Span, offs, 2, 4, buf, read); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "tile 99.leaf") {
+		t.Fatalf("ReadLeafRange of a missing file: err=%v, want one naming tile 99.leaf", err)
 	}
 	// Reading a tile that does not exist is an error, not sticky failure.
 	if _, err := st.ReadTile(99, TileExtLeaf); err == nil {

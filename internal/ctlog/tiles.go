@@ -288,9 +288,9 @@ func (ts *tileStore) decodeLeaf(tile uint64, data []byte) (*storage.LeafTile, er
 }
 
 // checkLeaves requires each of entries first, first+1, … to parse as a
-// MerkleTreeLeaf. The parse goes into one throwaway Entry: readers that
-// want entries parse the leaves they return again (parseLeaves), so a
-// leaf that passed here parses there too.
+// MerkleTreeLeaf, failing as parseLeaves does. The parse goes into one
+// throwaway Entry: it is the syntax check of the readers that build no
+// entries, the offsets-page build and the get-entries handler.
 func checkLeaves(first uint64, leaves [][]byte) error {
 	var e Entry
 	for i, leaf := range leaves {
@@ -384,9 +384,11 @@ type leafPage struct {
 // readLeaves reads entries [lo, hi) of one registered tile (positions
 // in the tile, lo < hi ≤ span) into pg: one ranged read of the .leaf
 // file's header and the records' bytes, located by the tile's offsets
-// page (leafOffsets), checked on that read — label, framing, CRC32C,
-// record type and exact count (storage.DecodeLeafRange) and leaf
-// syntax (checkLeaves). Only the bytes served are checked, so damage
+// page (leafOffsets) and checked on that read — label, framing, CRC32C,
+// record type and exact count (storage.Store.ReadLeafRange). The leaf
+// syntax check is the caller's: the readers that return entries parse
+// them (parseLeaves), and the get-entries handler, which parses none,
+// runs checkLeaves. Only the bytes served are checked, so damage
 // elsewhere in the tile surfaces when that record is read, not on
 // every read of the tile. A file that ends early is storage.ErrCorrupt,
 // like every failed check; other read failures are ErrPersistence.
@@ -395,7 +397,7 @@ func (ts *tileStore) readLeaves(tile, lo, hi uint64, pg *leafPage) error {
 	if err != nil {
 		return err
 	}
-	pg.buf, err = ts.st.ReadTileRange(tile, storage.TileExtLeaf, pg.buf, storage.LeafTileHeaderLen, int64(offs[lo]), int64(offs[hi]))
+	pg.buf, pg.leaves, err = ts.st.ReadLeafRange(tile, ts.span, offs, int(lo), int(hi), pg.buf, pg.leaves)
 	if errors.Is(err, storage.ErrCorrupt) {
 		return err
 	}
@@ -404,14 +406,6 @@ func (ts *tileStore) readLeaves(tile, lo, hi uint64, pg *leafPage) error {
 	}
 	ts.leafReads.Add(1)
 	ts.leafReadBytes.Add(uint64(len(pg.buf)))
-	leaves, err := storage.DecodeLeafRange(pg.buf, tile, ts.span, int(hi-lo), pg.leaves[:0])
-	if err != nil {
-		return fmt.Errorf("tile %d.%s: %w", tile, storage.TileExtLeaf, err)
-	}
-	if err := checkLeaves(tile*ts.span+lo, leaves); err != nil {
-		return err
-	}
-	pg.leaves = leaves
 	return nil
 }
 
@@ -658,7 +652,9 @@ func (l *Log) writeTilesLocked(first uint64, roots []merkle.Hash) ([]*storage.Ti
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for range min(len(roots), runtime.GOMAXPROCS(0)) {
+	workers := min(len(roots), runtime.GOMAXPROCS(0))
+	l.sealWorkers = max(l.sealWorkers, workers)
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -1592,6 +1592,9 @@ func TestTiledConcurrentSealFailureIsSticky(t *testing.T) {
 	if _, err := clean.PublishSTH(); err != nil {
 		t.Fatal(err)
 	}
+	if got := clean.sealWorkers; got != 4 {
+		t.Fatalf("a seal of %d tiles at GOMAXPROCS 4 ran %d workers, want 4", tiles, got)
+	}
 	clean.Close()
 
 	dir := t.TempDir()
@@ -1693,6 +1696,9 @@ func TestTiledSealWorkersByteIdentical(t *testing.T) {
 		}
 		add(3*span + 5)
 		add(10*span + 2)
+		if got, want := l.sealWorkers, min(10, procs); got != want {
+			t.Fatalf("GOMAXPROCS %d: %d seal workers, want %d", procs, got, want)
+		}
 		size := l.STH().TreeHead.TreeSize
 		ref, err := merkle.NewTiled(span, nil)
 		if err != nil {
