@@ -55,8 +55,11 @@
 // (ctlog_seal_seconds_total), the tile page cache's hits, misses, evictions,
 // pages and bytes (ctlog_page_cache_*), the ranged reads of sealed leaf
 // files and the bytes they read (ctlog_leaf_reads_total,
-// ctlog_leaf_read_bytes_total), and ctlog_store_failed, 1 once
-// the durable store has failed and refuses writes.
+// ctlog_leaf_read_bytes_total), the write-ahead log's records, buffer
+// writes and fsyncs (ctlog_wal_records_total, ctlog_wal_writes_total,
+// ctlog_wal_fsyncs_total; records divided by fsyncs is the group-commit
+// fan-in), and ctlog_store_failed, 1 once the durable store has failed
+// and refuses writes.
 package main
 
 import (

@@ -85,9 +85,9 @@
 // log's Merkle tree independent of the staging interleaving (the Nimbus
 // overload and final-certificate logging use the coupled commit, each
 // issuance's full CA flow in (CA, plan) order on one worker); and the
-// Section 3.3 scan (scanner.BuildPopulation/Scan/DetectInvalidSCTs)
-// chunks sites over workers — serials from per-CA blocks — with private
-// statistics partials merged additively.
+// Section 3.3 scan (scanner.BuildPopulation, ScanParallel and
+// DetectInvalidSCTsParallel) chunks sites over workers — serials from
+// per-CA blocks — with private statistics partials merged additively.
 //
 // One knob — Parallelism, on ecosystem.Config, experiments.Options,
 // tlsmon.GenConfig, scanner.PopConfig, and the subenum configs — bounds

@@ -1,9 +1,8 @@
 // Package asn models the autonomous-system layer the paper's analyses
-// need: an AS registry with operator metadata and scanning-hygiene
-// attributes, IP-prefix to AS mapping, and the border-router routing-table
-// membership test Section 4.3 uses to discard answers pointing at
-// unrouted space ("we disregard IP addresses not part of our border
-// router's routing table").
+// need: an AS registry with operator metadata, IP-prefix to AS mapping,
+// and the border-router routing-table membership test Section 4.3 uses
+// to discard answers pointing at unrouted space ("we disregard IP
+// addresses not part of our border router's routing table").
 package asn
 
 import (
@@ -13,24 +12,11 @@ import (
 	"sync"
 )
 
-// Hygiene captures the scanning best practices of Section 6.2: informative
-// rDNS names, project websites, and whois/abuse contacts. The paper notes
-// no inbound scanner followed any of them.
-type Hygiene struct {
-	InformativeRDNS bool
-	Website         bool
-	AbuseContact    bool
-}
-
-// Clean reports whether all hygiene practices are followed.
-func (h Hygiene) Clean() bool { return h.InformativeRDNS && h.Website && h.AbuseContact }
-
 // AS describes an autonomous system.
 type AS struct {
 	Number  uint32
 	Name    string
 	Country string
-	Hygiene Hygiene
 	// IgnoresAbuse marks networks known to drop abuse reports (Quasi
 	// Networks in the paper).
 	IgnoresAbuse bool
@@ -113,13 +99,6 @@ func (r *Registry) InRoutingTable(ip net.IP) bool {
 	return ok
 }
 
-// ASCount returns the number of registered ASes.
-func (r *Registry) ASCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.ases)
-}
-
 // Well-known AS numbers from the paper's Table 4 and Section 6.2.
 const (
 	ASGoogle       = 15169
@@ -142,23 +121,22 @@ const (
 // (the 76 ASes that queried one or two honeypot domains).
 func DefaultRegistry() *Registry {
 	r := NewRegistry()
-	clean := Hygiene{} // none of the observed scanners were hygienic
 	known := []struct {
 		as     AS
 		prefix string
 	}{
-		{AS{Number: ASGoogle, Name: "Google", Country: "US", Hygiene: clean}, "10.15.0.0/16"},
-		{AS{Number: ASOneAndOne, Name: "1&1", Country: "DE", Hygiene: clean}, "10.85.0.0/16"},
-		{AS{Number: ASAmazon, Name: "Amazon", Country: "US", Hygiene: clean}, "10.16.0.0/16"},
-		{AS{Number: ASAmazonAES, Name: "Amazon AES", Country: "US", Hygiene: clean}, "10.17.0.0/16"},
-		{AS{Number: ASDigitalOcean, Name: "DigitalOcean", Country: "US", Hygiene: clean}, "10.14.0.0/16"},
-		{AS{Number: ASDeteque, Name: "Deteque (Spamhaus)", Country: "US", Hygiene: clean}, "10.54.0.0/16"},
-		{AS{Number: ASOpenDNS, Name: "OpenDNS", Country: "US", Hygiene: clean}, "10.36.0.0/16"},
-		{AS{Number: ASPetersburg, Name: "Petersburg Internet", Country: "RU", Hygiene: clean}, "10.44.0.0/16"},
-		{AS{Number: ASHetzner, Name: "Hetzner", Country: "DE", Hygiene: clean}, "10.24.0.0/16"},
-		{AS{Number: ASOnlineSAS, Name: "Online SAS", Country: "FR", Hygiene: clean}, "10.12.0.0/16"},
-		{AS{Number: ASACN, Name: "ACN", Country: "US", Hygiene: clean}, "10.19.0.0/16"},
-		{AS{Number: ASQuasi, Name: "Quasi Networks", Country: "SC", Hygiene: clean, IgnoresAbuse: true}, "10.29.0.0/16"},
+		{AS{Number: ASGoogle, Name: "Google", Country: "US"}, "10.15.0.0/16"},
+		{AS{Number: ASOneAndOne, Name: "1&1", Country: "DE"}, "10.85.0.0/16"},
+		{AS{Number: ASAmazon, Name: "Amazon", Country: "US"}, "10.16.0.0/16"},
+		{AS{Number: ASAmazonAES, Name: "Amazon AES", Country: "US"}, "10.17.0.0/16"},
+		{AS{Number: ASDigitalOcean, Name: "DigitalOcean", Country: "US"}, "10.14.0.0/16"},
+		{AS{Number: ASDeteque, Name: "Deteque (Spamhaus)", Country: "US"}, "10.54.0.0/16"},
+		{AS{Number: ASOpenDNS, Name: "OpenDNS", Country: "US"}, "10.36.0.0/16"},
+		{AS{Number: ASPetersburg, Name: "Petersburg Internet", Country: "RU"}, "10.44.0.0/16"},
+		{AS{Number: ASHetzner, Name: "Hetzner", Country: "DE"}, "10.24.0.0/16"},
+		{AS{Number: ASOnlineSAS, Name: "Online SAS", Country: "FR"}, "10.12.0.0/16"},
+		{AS{Number: ASACN, Name: "ACN", Country: "US"}, "10.19.0.0/16"},
+		{AS{Number: ASQuasi, Name: "Quasi Networks", Country: "SC", IgnoresAbuse: true}, "10.29.0.0/16"},
 	}
 	for _, k := range known {
 		r.AddAS(k.as)

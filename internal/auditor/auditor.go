@@ -88,15 +88,13 @@ type Config struct {
 	OnEntry func(log string, e *ctlog.Entry)
 }
 
-// Auditor follows many logs concurrently and accumulates typed alerts.
+// Auditor follows many logs concurrently and reports typed alerts
+// through Config.OnAlert and its metrics.
 // All exported methods are safe for concurrent use.
 type Auditor struct {
 	cfg   Config
 	names []string
 	logs  map[string]*logAuditor
-
-	mu     sync.Mutex
-	alerts []Alert
 }
 
 // New builds an Auditor and, when Config.StateDir is set, loads each
@@ -244,31 +242,6 @@ func (a *Auditor) Run(ctx context.Context, interval time.Duration) error {
 	}
 }
 
-// Alerts returns a copy of every alert raised so far, in detection
-// order.
-func (a *Auditor) Alerts() []Alert {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]Alert(nil), a.alerts...)
-}
-
-// AlertCounts returns per-log, per-class alert counters (deduplicated:
-// a persistent fault re-observed on every poll counts once).
-func (a *Auditor) AlertCounts() map[string]map[AlertClass]uint64 {
-	out := make(map[string]map[AlertClass]uint64, len(a.names))
-	for _, name := range a.names {
-		la := a.logs[name]
-		la.mu.Lock()
-		m := make(map[AlertClass]uint64, len(la.alertCount))
-		for c, n := range la.alertCount {
-			m[c] = n
-		}
-		la.mu.Unlock()
-		out[name] = m
-	}
-	return out
-}
-
 // VerifiedSTH returns the head of a log's verified chain, or false if
 // nothing has been verified yet.
 func (a *Auditor) VerifiedSTH(log string) (ctlog.SignedTreeHead, bool) {
@@ -285,18 +258,6 @@ func (a *Auditor) VerifiedSTH(log string) (ctlog.SignedTreeHead, bool) {
 	return *sth, true
 }
 
-// EntriesSeen reports how many entries have streamed from a log since
-// this process started (restart-resumed entries are not re-counted).
-func (a *Auditor) EntriesSeen(log string) uint64 {
-	la, ok := a.logs[log]
-	if !ok {
-		return 0
-	}
-	la.mu.Lock()
-	defer la.mu.Unlock()
-	return la.entries
-}
-
 // record registers an alert, deduplicating exact repeats (same log,
 // class, and detail) so a fault that persists across polls yields one
 // alert, and notifies Config.OnAlert for new ones.
@@ -311,12 +272,8 @@ func (a *Auditor) record(la *logAuditor, class AlertClass, size uint64, detail s
 	la.alertCount[class]++
 	la.mu.Unlock()
 
-	alert := Alert{Log: la.name, Class: class, TreeSize: size, Time: a.cfg.Clock(), Detail: detail}
-	a.mu.Lock()
-	a.alerts = append(a.alerts, alert)
-	a.mu.Unlock()
 	if a.cfg.OnAlert != nil {
-		a.cfg.OnAlert(alert)
+		a.cfg.OnAlert(Alert{Log: la.name, Class: class, TreeSize: size, Time: a.cfg.Clock(), Detail: detail})
 	}
 }
 

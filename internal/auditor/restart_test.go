@@ -48,7 +48,7 @@ func TestAuditorRestartResumesFromChain(t *testing.T) {
 	var streamed []uint64
 	var mu sync.Mutex
 	client := ctclient.New(w.srv.URL, sct.NewFastVerifier(logName))
-	a2, err := auditor.New(auditor.Config{
+	a2, err := newTestAuditor(auditor.Config{
 		Logs:           []auditor.LogConfig{{Name: logName, Client: client, MMD: time.Hour}},
 		StateDir:       stateDir,
 		SpotCheckEvery: 1,
@@ -146,8 +146,8 @@ func TestDurableLogKilledMidSequencingAuditsClean(t *testing.T) {
 	defer srv.Close()
 
 	client := ctclient.New(srv.URL, sct.NewFastVerifier(logName))
-	newAuditor := func() *auditor.Auditor {
-		a, err := auditor.New(auditor.Config{
+	newAuditor := func() *testAuditor {
+		a, err := newTestAuditor(auditor.Config{
 			Logs:           []auditor.LogConfig{{Name: logName, Client: client, MMD: time.Hour}},
 			StateDir:       stateDir,
 			SpotCheckEvery: 1,
@@ -379,7 +379,7 @@ func TestAuditorRejectsChainNameCollision(t *testing.T) {
 	for _, lc := range []auditor.LogConfig{argonA, argonB} {
 		dir := t.TempDir()
 		for life := 0; life < 2; life++ {
-			a, err := auditor.New(auditor.Config{Logs: []auditor.LogConfig{lc}, StateDir: dir})
+			a, err := newTestAuditor(auditor.Config{Logs: []auditor.LogConfig{lc}, StateDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -136,12 +136,6 @@ func New(cfg Config) (*CA, error) {
 	}, nil
 }
 
-// Name returns the issuer common name.
-func (c *CA) Name() string { return c.cfg.Name }
-
-// Org returns the operator organization.
-func (c *CA) Org() string { return c.cfg.Org }
-
 // IssuerKeyHash returns the hash RFC 6962 places in precert entries.
 func (c *CA) IssuerKeyHash() [32]byte { return c.issuerKeyHash }
 

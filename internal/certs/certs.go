@@ -41,7 +41,6 @@ const (
 var (
 	ErrMalformed    = errors.New("certs: malformed certificate encoding")
 	ErrNoSCTList    = errors.New("certs: certificate has no SCT list extension")
-	ErrNotPrecert   = errors.New("certs: certificate is not a precertificate")
 	ErrFieldTooLong = errors.New("certs: field exceeds encodable length")
 )
 
@@ -130,17 +129,6 @@ func (c *Certificate) AddPoison() {
 	}
 }
 
-// RemovePoison removes the poison extension, preserving the order of the
-// remaining extensions. It fails if the certificate is not a precert.
-func (c *Certificate) RemovePoison() error {
-	i := c.findExtension(OIDPoison)
-	if i < 0 {
-		return ErrNotPrecert
-	}
-	c.Extensions = append(c.Extensions[:i:i], c.Extensions[i+1:]...)
-	return nil
-}
-
 // Names returns every DNS name the certificate asserts: the subject CN (if
 // it looks like a DNS name, i.e. non-empty) followed by the SANs, without
 // deduplication. Section 4's leakage analysis consumes this.
@@ -214,15 +202,6 @@ func (c *Certificate) Encode() ([]byte, error) {
 	return b.Bytes()
 }
 
-// MustEncode is Encode for certificates known to fit the codec limits.
-func (c *Certificate) MustEncode() []byte {
-	enc, err := c.Encode()
-	if err != nil {
-		panic(err)
-	}
-	return enc
-}
-
 func addString16(b *tlsenc.Builder, s string) error {
 	if len(s) > 0xffff {
 		return fmt.Errorf("%w: %d bytes", ErrFieldTooLong, len(s))
@@ -286,11 +265,6 @@ func (c *Certificate) TBSForSCT() ([]byte, error) {
 	}
 	stripped.Extensions = kept
 	return stripped.Encode()
-}
-
-// ValidAt reports whether t falls within the certificate validity window.
-func (c *Certificate) ValidAt(t time.Time) bool {
-	return !t.Before(c.NotBefore) && !t.After(c.NotAfter)
 }
 
 // String renders a compact human-readable summary.

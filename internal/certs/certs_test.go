@@ -27,6 +27,16 @@ func sampleCert() *Certificate {
 	}
 }
 
+// sampleEncoding is sampleCert's encoding.
+func sampleEncoding(tb testing.TB) []byte {
+	tb.Helper()
+	enc, err := sampleCert().Encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return enc
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	c := sampleCert()
 	enc, err := c.Encode()
@@ -43,7 +53,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	enc := sampleCert().MustEncode()
+	enc := sampleEncoding(t)
 	for cut := 0; cut < len(enc); cut += 7 {
 		if _, err := Decode(enc[:cut]); err == nil {
 			t.Fatalf("Decode accepted truncation at %d", cut)
@@ -52,14 +62,14 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailing(t *testing.T) {
-	enc := sampleCert().MustEncode()
+	enc := sampleEncoding(t)
 	if _, err := Decode(append(enc, 0xff)); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
 	}
 }
 
 func TestDecodeRejectsBadVersion(t *testing.T) {
-	enc := sampleCert().MustEncode()
+	enc := sampleEncoding(t)
 	enc[0] = 99
 	if _, err := Decode(enc); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
@@ -84,15 +94,6 @@ func TestPoisonLifecycle(t *testing.T) {
 	}
 	if count != 1 {
 		t.Fatalf("poison extensions = %d, want 1", count)
-	}
-	if err := c.RemovePoison(); err != nil {
-		t.Fatal(err)
-	}
-	if c.IsPrecert() {
-		t.Fatal("RemovePoison did not take")
-	}
-	if err := c.RemovePoison(); !errors.Is(err, ErrNotPrecert) {
-		t.Fatalf("err = %v, want ErrNotPrecert", err)
 	}
 }
 
@@ -201,25 +202,6 @@ func TestNames(t *testing.T) {
 	c.Subject.CommonName = ""
 	if got := c.Names(); len(got) != 3 {
 		t.Fatalf("Names without CN = %v", got)
-	}
-}
-
-func TestValidAt(t *testing.T) {
-	c := sampleCert()
-	cases := []struct {
-		t    time.Time
-		want bool
-	}{
-		{time.Date(2018, 2, 28, 23, 59, 59, 0, time.UTC), false},
-		{c.NotBefore, true},
-		{time.Date(2018, 4, 15, 0, 0, 0, 0, time.UTC), true},
-		{c.NotAfter, true},
-		{c.NotAfter.Add(time.Second), false},
-	}
-	for _, tc := range cases {
-		if got := c.ValidAt(tc.t); got != tc.want {
-			t.Errorf("ValidAt(%v) = %v, want %v", tc.t, got, tc.want)
-		}
 	}
 }
 
@@ -389,7 +371,7 @@ func BenchmarkSyntheticEncode(b *testing.B) {
 }
 
 func BenchmarkSyntheticDecode(b *testing.B) {
-	enc := sampleCert().MustEncode()
+	enc := sampleEncoding(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(enc); err != nil {

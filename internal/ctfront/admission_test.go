@@ -167,7 +167,7 @@ func TestFrontendHTTPDrainRefusesSubmissionsServesReads(t *testing.T) {
 	if resp := postRaw(t, front.URL, [32]byte{35}, testTBS(t, 1, lifetime)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("pre-drain request: status %d, want 200", resp.StatusCode)
 	}
-	f.BeginDrain()
+	f.drainGate().BeginDrain()
 	resp := postRaw(t, front.URL, [32]byte{35}, testTBS(t, 2, lifetime))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining request: status %d, want 503", resp.StatusCode)

@@ -89,7 +89,7 @@ func TestFrontendChaosTransportFailoverAcrossPasses(t *testing.T) {
 		t.Fatalf("submission lost to a transient 503 wave: %v", err)
 	}
 	if !policy.SetCompliant(bundleCandidates(f, bundle), lifetime) {
-		t.Fatalf("bundle %v not compliant", bundle.LogNames())
+		t.Fatalf("bundle %v not compliant", logNames(bundle))
 	}
 	if len(bundle.SCTs) != 2 {
 		t.Fatalf("bundle has %d SCTs, want 2", len(bundle.SCTs))
@@ -170,9 +170,9 @@ func TestFrontendChaosDelayedTransportTimesOut(t *testing.T) {
 		t.Fatalf("caller's ctx ended (%v); the attempt must time out on its own", ctx.Err())
 	}
 	if !policy.SetCompliant(bundleCandidates(f, bundle), lifetime) {
-		t.Fatalf("bundle %v not compliant", bundle.LogNames())
+		t.Fatalf("bundle %v not compliant", logNames(bundle))
 	}
-	if names := bundle.LogNames(); !slices.Contains(names, "c-log") || slices.Contains(names, "b-log") {
+	if names := logNames(bundle); !slices.Contains(names, "c-log") || slices.Contains(names, "b-log") {
 		t.Fatalf("bundle %v, want the spare c-log in place of the timed-out b-log", names)
 	}
 	if n := transports[1].Counts()[chaos.PlanDelay]; n != 1 {

@@ -196,15 +196,6 @@ type Bundle struct {
 	SCTs []BundleSCT
 }
 
-// LogNames returns the bundle's log names in collection order.
-func (b *Bundle) LogNames() []string {
-	out := make([]string, len(b.SCTs))
-	for i, s := range b.SCTs {
-		out[i] = s.LogName
-	}
-	return out
-}
-
 // candidates converts the bundle to the policy view.
 func (b *Bundle) candidates(f *Frontend) []policy.Candidate {
 	out := make([]policy.Candidate, len(b.SCTs))

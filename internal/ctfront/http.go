@@ -57,7 +57,7 @@ type BackendHealthResponse struct {
 // POST /ctfront/v1/add-chain and /ctfront/v1/add-pre-chain (admission-
 // controlled), GET /ctfront/v1/health, and GET /metrics (Prometheus
 // text, written by internal/metrics). The whole chain sits behind a drain
-// gate: after BeginDrain, new submissions get 503 + Retry-After while
+// gate: once Shutdown begins, new submissions get 503 + Retry-After while
 // in-flight ones finish, and the reads stay available so a rolling
 // restart can be watched from outside.
 func (f *Frontend) Handler() http.Handler {
@@ -79,13 +79,6 @@ func (f *Frontend) drainGate() *drain.Gate {
 	f.Handler()
 	return f.gate
 }
-
-// BeginDrain stops admitting new HTTP submissions: they are refused
-// with 503 + Retry-After (a failover signal, not an error) while
-// requests already executing run to completion. Reads stay served.
-// Idempotent; in-process submissions (AddChain/AddPreChain callers)
-// are not gated.
-func (f *Frontend) BeginDrain() { f.drainGate().BeginDrain() }
 
 // Shutdown drains srv, which serves Handler: new HTTP submissions are
 // refused, the admitted ones get up to timeout to finish, then srv

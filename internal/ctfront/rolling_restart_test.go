@@ -238,7 +238,7 @@ func TestFrontendRollingRestartZeroLoss(t *testing.T) {
 				}
 				submitted.Add(1)
 				if !policy.SetCompliant(bundle.candidates(f), lifetime) {
-					report(fmt.Errorf("serial %d: bundle %v not compliant", serial, bundle.LogNames()))
+					report(fmt.Errorf("serial %d: bundle %v not compliant", serial, logNames(bundle)))
 					return
 				}
 				entry := sct.PrecertEntry(ikh, tbs)

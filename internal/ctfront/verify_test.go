@@ -36,7 +36,7 @@ func TestFrontendQuarantinesWrongKeyBackend(t *testing.T) {
 			t.Fatalf("serial %d: %v", serial, err)
 		}
 		if !policy.SetCompliant(bundleCandidates(f, bundle), lifetime) {
-			t.Fatalf("serial %d: bundle %v not compliant", serial, bundle.LogNames())
+			t.Fatalf("serial %d: bundle %v not compliant", serial, logNames(bundle))
 		}
 		entry := sct.PrecertEntry(ikh, tbs)
 		for _, s := range bundle.SCTs {
@@ -170,7 +170,7 @@ func TestFrontendCommittedWeightsShiftRouting(t *testing.T) {
 			if err != nil {
 				t.Fatalf("serial %d: %v", serial, err)
 			}
-			names = append(names, bundle.LogNames())
+			names = append(names, logNames(bundle))
 		}
 		return names
 	}
@@ -283,7 +283,7 @@ func TestFrontendMultiPassRidesOutRestart(t *testing.T) {
 		t.Fatalf("multi-pass submission failed: %v", err)
 	}
 	if !policy.SetCompliant(bundleCandidates(multi, bundle), lifetime) {
-		t.Fatalf("bundle %v not compliant", bundle.LogNames())
+		t.Fatalf("bundle %v not compliant", logNames(bundle))
 	}
 	if flaky.calls != 2 {
 		t.Fatalf("restarting backend called %d times, want 2 (one failed pass, one recovery)", flaky.calls)

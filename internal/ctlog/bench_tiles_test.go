@@ -70,7 +70,7 @@ func TestWriteBenchTiles(t *testing.T) {
 			if _, err := l.GetEntries(start, start+span-1); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := l.GetInclusionProof(rng.Uint64()%size, size); err != nil {
+			if _, err := l.pub.Load().tree.InclusionProof(rng.Uint64()%size, size); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := l.GetConsistencyProof(1+rng.Uint64()%(size-1), size); err != nil {

@@ -293,8 +293,8 @@ func TestCapacityOverload(t *testing.T) {
 	if _, err := l.AddChain([]byte("c")); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
-	if l.Rejected() != 1 {
-		t.Fatalf("rejected = %d", l.Rejected())
+	if l.rejected != 1 {
+		t.Fatalf("rejected = %d", l.rejected)
 	}
 	// Refill after a second of virtual time.
 	clk.Advance(time.Second)
@@ -326,8 +326,8 @@ func TestCapacityBelowOnePerSecond(t *testing.T) {
 	if _, err := l.AddChain([]byte("b")); err != nil {
 		t.Fatalf("add 2s after the first: %v", err)
 	}
-	if l.Rejected() != 1 {
-		t.Fatalf("rejected = %d, want 1", l.Rejected())
+	if l.rejected != 1 {
+		t.Fatalf("rejected = %d, want 1", l.rejected)
 	}
 }
 
@@ -382,13 +382,9 @@ func TestParseLeafRejectsGarbage(t *testing.T) {
 }
 
 func TestMetadataAccessors(t *testing.T) {
-	incl := time.Date(2014, 6, 1, 0, 0, 0, 0, time.UTC)
-	l, _ := newTestLog(t, Config{Name: "Google Pilot log", Operator: "Google", ChromeInclusionDate: incl})
+	l, _ := newTestLog(t, Config{Name: "Google Pilot log", Operator: "Google"})
 	if l.Name() != "Google Pilot log" || l.Operator() != "Google" {
 		t.Fatal("metadata accessors")
-	}
-	if !l.ChromeInclusionDate().Equal(incl) {
-		t.Fatal("inclusion date")
 	}
 	if l.LogID() == (sct.LogID{}) {
 		t.Fatal("zero log ID")

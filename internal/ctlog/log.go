@@ -75,7 +75,7 @@
 // # Lock-free reads: the published-snapshot contract
 //
 // Every read endpoint — GetSTH, GetEntries, StreamEntries,
-// GetInclusionProof, GetConsistencyProof, GetProofByHash — is answered
+// GetConsistencyProof, GetProofByHash — is answered
 // from the publishedState snapshot behind an atomic pointer and
 // acquires no log mutex. PublishSTH installs the snapshot atomically:
 // the STH, the frozen entry prefix, a merkle.PrefixView frozen at the
@@ -189,9 +189,6 @@ type Config struct {
 	// read pages in from disk, the offsets page too — useful for
 	// cold-cache measurement). Ignored by in-memory logs.
 	PageCacheBytes int64
-	// ChromeInclusionDate records when the log was accepted into Chrome's
-	// log list (Table 1 annotates logs with it). Informational.
-	ChromeInclusionDate time.Time
 }
 
 // DefaultTileSpan is the sealed-tile span used when Config.TileSpan is 0.
@@ -348,9 +345,6 @@ func (l *Log) LogID() sct.LogID { return l.cfg.Signer.LogID() }
 
 // Verifier returns a verifier for this log's signatures.
 func (l *Log) Verifier() sct.SCTVerifier { return l.cfg.Signer.Verifier() }
-
-// ChromeInclusionDate returns when the log joined Chrome's list.
-func (l *Log) ChromeInclusionDate() time.Time { return l.cfg.ChromeInclusionDate }
 
 // TreeSize returns the current sequenced (but possibly unpublished) tree
 // size. Staged submissions are not counted until sequenced, nor is a

@@ -166,8 +166,10 @@ func TestMetricsOldestStagedAgeIgnoresStagingOrder(t *testing.T) {
 func TestMetricsSealedCacheAndStoreFailure(t *testing.T) {
 	// sealed fills a fresh span-2 log with five entries (tiles 0 and 1
 	// sealed, one entry resident) and reads tile 0 twice.
+	var dir string
 	sealed := func(pageCache int64) *Log {
-		l, clk := newDurableLog(t, t.TempDir(), Config{TileSpan: 2, PageCacheBytes: pageCache})
+		dir = t.TempDir()
+		l, clk := newDurableLog(t, dir, Config{TileSpan: 2, PageCacheBytes: pageCache})
 		fillAndPublish(t, l, clk, "metrics", 5)
 		for i := 0; i < 2; i++ {
 			if _, err := l.GetEntries(0, 1); err != nil {
@@ -181,7 +183,7 @@ func TestMetricsSealedCacheAndStoreFailure(t *testing.T) {
 	if page <= 0 {
 		t.Fatalf("one cached offsets page charges %d bytes", page)
 	}
-	leafFile, err := os.Stat(tilePath(l.store.Dir(), 0, storage.TileExtLeaf))
+	leafFile, err := os.Stat(tilePath(dir, 0, storage.TileExtLeaf))
 	if err != nil {
 		t.Fatal(err)
 	}

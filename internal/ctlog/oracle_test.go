@@ -208,12 +208,12 @@ func checkProofsAgainstOracle(t testing.TB, l *Log, o *proofOracle, par int, rng
 	runOne := func(q query) error {
 		switch q.kind {
 		case 0:
-			got, err := l.GetInclusionProof(q.a, q.b)
+			got, err := l.pub.Load().tree.InclusionProof(q.a, q.b)
 			if err != nil {
-				return fmt.Errorf("GetInclusionProof(%d, %d): %v", q.a, q.b, err)
+				return fmt.Errorf("inclusion proof (%d, %d): %v", q.a, q.b, err)
 			}
 			if want := o.inclusion(q.a, q.b); !sameHashes(got, want) {
-				return fmt.Errorf("GetInclusionProof(%d, %d) differs from oracle", q.a, q.b)
+				return fmt.Errorf("inclusion proof (%d, %d) differs from oracle", q.a, q.b)
 			}
 			if err := merkle.VerifyInclusion(o.leafHashes[q.a], q.a, q.b, got, o.root(q.b)); err != nil {
 				return fmt.Errorf("inclusion(%d, %d) fails against oracle root: %v", q.a, q.b, err)
@@ -249,7 +249,7 @@ func checkProofsAgainstOracle(t testing.TB, l *Log, o *proofOracle, par int, rng
 	// Error-class identity: the lock-free path must fail exactly like the
 	// RFC surface expects, not just succeed identically.
 	errChecks := func() error {
-		if _, err := l.GetInclusionProof(0, size+1); !errors.Is(err, merkle.ErrSizeOutOfRange) {
+		if _, err := l.pub.Load().tree.InclusionProof(0, size+1); !errors.Is(err, merkle.ErrSizeOutOfRange) {
 			return fmt.Errorf("inclusion above published head: err=%v, want ErrSizeOutOfRange", err)
 		}
 		if _, err := l.GetConsistencyProof(1, size+1); !errors.Is(err, merkle.ErrSizeOutOfRange) {
@@ -531,7 +531,7 @@ func FuzzProofEquivalence(f *testing.F) {
 
 		i, m, s := uint64(index), uint64(first), uint64(second)
 		for _, l := range []*Log{mem, dur} {
-			got, err := l.GetInclusionProof(i, s)
+			got, err := l.pub.Load().tree.InclusionProof(i, s)
 			switch {
 			case s > n:
 				if !errors.Is(err, merkle.ErrSizeOutOfRange) {

@@ -76,7 +76,7 @@ func TestMassFinalCertSubmissionOverwhelmsLog(t *testing.T) {
 	if _, err := l.AddPreChain(ikh, []byte("post-recovery")); err != nil {
 		t.Fatalf("log did not recover: %v", err)
 	}
-	if l.Rejected() == 0 {
+	if l.rejected == 0 {
 		t.Fatal("rejection counter not maintained")
 	}
 }

@@ -16,6 +16,16 @@ import (
 	"ctrise/internal/sct"
 )
 
+// decodeWAL splits a WAL image into its valid records and the length of
+// its valid prefix, header included; a wrong magic is an error.
+func decodeWAL(data []byte) ([]storage.Record, int, error) {
+	if !bytes.HasPrefix(data, storage.WALMagic) {
+		return nil, 0, fmt.Errorf("WAL header %q, want %q", data[:min(len(data), storage.MagicLen)], storage.WALMagic)
+	}
+	recs, valid := storage.ScanRecords(data[storage.MagicLen:])
+	return recs, storage.MagicLen + valid, nil
+}
+
 func verifyInclusionForTest(lh merkle.Hash, idx uint64, sth SignedTreeHead, proof []merkle.Hash) error {
 	return merkle.VerifyInclusion(lh, idx, sth.TreeHead.TreeSize, proof, merkle.Hash(sth.TreeHead.RootHash))
 }
@@ -315,7 +325,7 @@ func TestSigningFailureEntrySurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, valid, err := storage.DecodeWAL(wal)
+	recs, valid, err := decodeWAL(wal)
 	if err != nil || valid != len(wal) {
 		t.Fatalf("WAL: valid %d of %d bytes, err %v", valid, len(wal), err)
 	}
@@ -626,7 +636,7 @@ func TestDivergedSealFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, valid, err := storage.DecodeWAL(data)
+	recs, valid, err := decodeWAL(data)
 	if err != nil || valid != len(data) {
 		t.Fatalf("unexpected WAL shape: valid=%d len=%d err=%v", valid, len(data), err)
 	}
@@ -744,7 +754,7 @@ func TestDurableRecoveryWithAddsRacingSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := storage.DecodeWAL(data)
+	recs, _, err := decodeWAL(data)
 	if err != nil {
 		t.Fatal(err)
 	}

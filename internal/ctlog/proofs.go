@@ -57,15 +57,6 @@ func (ix *leafIndex) get(h merkle.Hash) (uint64, bool) {
 	return v.(uint64), true
 }
 
-// GetInclusionProof returns the proof for an entry index at a tree size.
-// It is served lock-free from the published snapshot: treeSize may be at
-// most the published tree size (the live tree can run ahead of the head
-// by up to one sequence step, but proofs over unpublished state would
-// pin the log to an STH it never signed).
-func (l *Log) GetInclusionProof(index, treeSize uint64) ([]merkle.Hash, error) {
-	return l.pub.Load().tree.InclusionProof(index, treeSize)
-}
-
 // GetConsistencyProof returns the proof that the tree of size first is a
 // prefix of the tree of size second. Like the other proof endpoints it
 // is served lock-free from the published snapshot, so second may be at
@@ -80,7 +71,9 @@ func (l *Log) GetConsistencyProof(first, second uint64) ([]merkle.Hash, error) {
 // The resident range resolves through the leafIndex, sealed leaves
 // through the per-tile bloom + index files; proof construction may page
 // sealed hash tiles in from disk through the page cache. treeSize may
-// be at most the published tree size.
+// be at most the published tree size: the live tree can run ahead of
+// the head by up to one sequence step, but proofs over unpublished
+// state would pin the log to an STH it never signed.
 func (l *Log) GetProofByHash(leafHash merkle.Hash, treeSize uint64) (uint64, []merkle.Hash, error) {
 	ps := l.pub.Load()
 	idx, ok := l.byLeafHash.get(leafHash)

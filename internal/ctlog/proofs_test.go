@@ -53,8 +53,8 @@ func TestProofServingHoldsNoLogMutex(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			if _, err := l.GetInclusionProof(3, size); err != nil {
-				t.Errorf("GetInclusionProof under held write lock: %v", err)
+			if _, err := l.pub.Load().tree.InclusionProof(3, size); err != nil {
+				t.Errorf("inclusion proof under held write lock: %v", err)
 			}
 			if _, err := l.GetConsistencyProof(1, size); err != nil {
 				t.Errorf("GetConsistencyProof under held write lock: %v", err)
@@ -67,7 +67,7 @@ func TestProofServingHoldsNoLogMutex(t *testing.T) {
 				t.Errorf("proof served under held write lock does not verify: %v", err)
 			}
 			// The error paths must be lock-free too, not just the successes.
-			if _, err := l.GetInclusionProof(0, size+1); !errors.Is(err, merkle.ErrSizeOutOfRange) {
+			if _, err := l.pub.Load().tree.InclusionProof(0, size+1); !errors.Is(err, merkle.ErrSizeOutOfRange) {
 				t.Errorf("above-head error under held write lock: %v", err)
 			}
 			if _, _, err := l.GetProofByHash(merkle.Hash{0xAB}, size); !errors.Is(err, ErrNotFound) {
@@ -130,7 +130,7 @@ func TestProofServingLockFree(t *testing.T) {
 	}
 	probe := func() time.Duration {
 		t0 := time.Now()
-		if _, err := l.GetInclusionProof(7, size); err != nil {
+		if _, err := l.pub.Load().tree.InclusionProof(7, size); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := l.GetConsistencyProof(64, size); err != nil {
@@ -236,20 +236,20 @@ func TestProofErrorPathsOverSnapshot(t *testing.T) {
 
 	// Sizes above the published head are rejected even though the live
 	// tree covers them — proofs are only served against published STHs.
-	if _, err := l.GetInclusionProof(0, published+1); !errors.Is(err, merkle.ErrSizeOutOfRange) {
+	if _, err := l.pub.Load().tree.InclusionProof(0, published+1); !errors.Is(err, merkle.ErrSizeOutOfRange) {
 		t.Errorf("inclusion above head: err=%v, want ErrSizeOutOfRange", err)
 	}
-	if _, err := l.GetInclusionProof(0, 15); !errors.Is(err, merkle.ErrSizeOutOfRange) {
+	if _, err := l.pub.Load().tree.InclusionProof(0, 15); !errors.Is(err, merkle.ErrSizeOutOfRange) {
 		t.Errorf("inclusion at live size: err=%v, want ErrSizeOutOfRange", err)
 	}
 	if _, err := l.GetConsistencyProof(5, 15); !errors.Is(err, merkle.ErrSizeOutOfRange) {
 		t.Errorf("consistency above head: err=%v, want ErrSizeOutOfRange", err)
 	}
 	// Size 0 / index ≥ size / inverted ranges.
-	if _, err := l.GetInclusionProof(0, 0); !errors.Is(err, merkle.ErrIndexOutOfRange) {
+	if _, err := l.pub.Load().tree.InclusionProof(0, 0); !errors.Is(err, merkle.ErrIndexOutOfRange) {
 		t.Errorf("inclusion in empty tree: err=%v, want ErrIndexOutOfRange", err)
 	}
-	if _, err := l.GetInclusionProof(published, published); !errors.Is(err, merkle.ErrIndexOutOfRange) {
+	if _, err := l.pub.Load().tree.InclusionProof(published, published); !errors.Is(err, merkle.ErrIndexOutOfRange) {
 		t.Errorf("inclusion index == size: err=%v, want ErrIndexOutOfRange", err)
 	}
 	if _, err := l.GetConsistencyProof(0, published); !errors.Is(err, merkle.ErrEmptyRange) {
@@ -290,10 +290,10 @@ func TestProofErrorPathsOverSnapshot(t *testing.T) {
 // or block.
 func TestProofErrorPathsEmptyLog(t *testing.T) {
 	l, _ := newTestLog(t, Config{})
-	if _, err := l.GetInclusionProof(0, 0); !errors.Is(err, merkle.ErrIndexOutOfRange) {
+	if _, err := l.pub.Load().tree.InclusionProof(0, 0); !errors.Is(err, merkle.ErrIndexOutOfRange) {
 		t.Errorf("inclusion on empty log: err=%v, want ErrIndexOutOfRange", err)
 	}
-	if _, err := l.GetInclusionProof(0, 1); !errors.Is(err, merkle.ErrSizeOutOfRange) {
+	if _, err := l.pub.Load().tree.InclusionProof(0, 1); !errors.Is(err, merkle.ErrSizeOutOfRange) {
 		t.Errorf("inclusion above empty head: err=%v, want ErrSizeOutOfRange", err)
 	}
 	if _, err := l.GetConsistencyProof(0, 0); !errors.Is(err, merkle.ErrEmptyRange) {

@@ -13,13 +13,6 @@ import (
 // batch under the staging mutex, which — with the WAL barrier — is all a
 // submitter ever waits on.
 
-// Rejected returns the number of submissions rejected due to overload.
-func (l *Log) Rejected() uint64 {
-	l.stageMu.Lock()
-	defer l.stageMu.Unlock()
-	return l.rejected
-}
-
 // AddChain submits a final certificate (x509_entry) and returns its SCT.
 // The entry is staged, not yet integrated: it enters the Merkle tree at
 // the next Sequence/PublishSTH, within the MMD.

@@ -190,14 +190,6 @@ func ScanRecords(data []byte) (recs []Record, valid int) {
 	return recs, off
 }
 
-// DecodeWAL validates a WAL image: the AppendLog decoder with the WAL
-// magic. It returns the valid records and the byte offset (including
-// the header) where the valid prefix ends; a missing or wrong magic is
-// ErrCorrupt, a torn record stream only shortens the prefix.
-func DecodeWAL(data []byte) ([]Record, int, error) {
-	return decodeAppendLog(data, WALMagic)
-}
-
 // SealRecord is the decoded form of RecordSeal.
 type SealRecord struct {
 	TreeSize uint64

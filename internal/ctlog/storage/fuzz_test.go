@@ -52,7 +52,7 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(corrupt) // checksum failure in first record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, valid, err := DecodeWAL(data)
+		recs, valid, err := decodeAppendLog(data, WALMagic)
 		if err != nil {
 			if len(recs) != 0 || valid != 0 {
 				t.Fatalf("error with partial results: %d records, valid=%d", len(recs), valid)

@@ -69,10 +69,10 @@ func TestScanRecordsTornAndCorrupt(t *testing.T) {
 
 func TestDecodeWALRejectsBadMagic(t *testing.T) {
 	data := append([]byte("NOTAWAL!"), AppendRecord(nil, RecordEntry, []byte("x"))...)
-	if _, _, err := DecodeWAL(data); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := decodeAppendLog(data, WALMagic); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err=%v, want ErrCorrupt", err)
 	}
-	if _, _, err := DecodeWAL([]byte("CT")); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := decodeAppendLog([]byte("CT"), WALMagic); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short header err=%v, want ErrCorrupt", err)
 	}
 }

@@ -68,9 +68,6 @@ func removeOrphanTemps(dir string) {
 	}
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Err returns the sticky write failure, ErrClosed after Close, or nil.
 func (s *Store) Err() error { return s.wal.Err() }
 

@@ -530,21 +530,6 @@ func (b Bloom) Add(h [32]byte) {
 	}
 }
 
-// Test reports whether h may have been added (false positives possible,
-// false negatives not).
-func (b Bloom) Test(h [32]byte) bool {
-	if len(b.Bits) == 0 {
-		return false
-	}
-	pos := b.positions(h)
-	for i := 0; i < b.K; i++ {
-		if b.Bits[pos[i]/8]&(1<<(pos[i]%8)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // SlicedBlooms holds one bloom of a kind for every sealed tile, all of
 // NewBloom(span)'s shape, transposed in blocks of 64 tiles: word p of
 // block b has bit t set when tile 64b+t's bloom has bit p set. A probe
@@ -585,8 +570,9 @@ func (s *SlicedBlooms) Add(tile uint64, b Bloom) {
 }
 
 // Probe returns, in ascending order, the tiles in [from, to) whose bloom
-// may hold h: exactly those whose Bloom.Test(h) is true. to is clamped
-// to the tiles added.
+// may hold h: exactly those whose bloom has every bit h sets (false
+// positives possible, false negatives not). to is clamped to the tiles
+// added.
 func (s *SlicedBlooms) Probe(h [32]byte, from, to uint64) []uint64 {
 	to = min(to, s.n)
 	if from >= to {

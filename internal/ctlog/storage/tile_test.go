@@ -136,7 +136,7 @@ func TestHashTileBuildVerifyAndCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, l := range leaves {
-		ref.AppendData(l)
+		ref.AppendLeafHash(merkle.HashLeaf(l))
 	}
 	want, err := ref.Root()
 	if err != nil {
@@ -183,7 +183,7 @@ func TestTileIndexSearchAndValidation(t *testing.T) {
 		t.Fatal("index tile encoding is not canonical")
 	}
 	for i, h := range idHashes {
-		if !dec.IDBloom.Test(h) {
+		if !bloomHas(dec.IDBloom, h) {
 			t.Fatalf("bloom false negative for id hash %d", i)
 		}
 		idx, ok := SearchIndexRows(dec.ID, h)
@@ -192,7 +192,7 @@ func TestTileIndexSearchAndValidation(t *testing.T) {
 		}
 	}
 	for i, h := range leafHashes {
-		if !dec.LeafBloom.Test(h) {
+		if !bloomHas(dec.LeafBloom, h) {
 			t.Fatalf("bloom false negative for leaf hash %d", i)
 		}
 		idx, ok := SearchIndexRows(dec.Leaf, h)
@@ -294,7 +294,7 @@ func TestBloomSizing(t *testing.T) {
 	}
 	fp := 0
 	for i := n; i < 11*n; i++ {
-		if b.Test(key(i)) {
+		if bloomHas(b, key(i)) {
 			fp++
 		}
 	}
@@ -311,19 +311,35 @@ func randomHash(rng *rand.Rand) (h [32]byte) {
 	return h
 }
 
+// bloomHas reports whether h may have been added to b (false positives
+// possible, false negatives not): the one-bloom test that
+// SlicedBlooms.Probe answers for many tiles at once.
+func bloomHas(b Bloom, h [32]byte) bool {
+	if len(b.Bits) == 0 {
+		return false
+	}
+	pos := b.positions(h)
+	for i := 0; i < b.K; i++ {
+		if b.Bits[pos[i]/8]&(1<<(pos[i]%8)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // probeEachTile is the reference SlicedBlooms.Probe must equal: a
-// Bloom.Test per tile of [from, to).
+// bloomHas per tile of [from, to).
 func probeEachTile(blooms []Bloom, h [32]byte, from, to uint64) []uint64 {
 	var hits []uint64
 	for tile := from; tile < min(to, uint64(len(blooms))); tile++ {
-		if blooms[tile].Test(h) {
+		if bloomHas(blooms[tile], h) {
 			hits = append(hits, tile)
 		}
 	}
 	return hits
 }
 
-// TestSlicedBloomsProbeMatchesTest holds Probe to the per-tile Bloom.Test
+// TestSlicedBloomsProbeMatchesTest holds Probe to the per-tile bloomHas
 // loop over 200 random blooms — empty ones, sparse ones and ones filled
 // past their sizing, so probes hit often — on ranges that start and end
 // at and around the 64-tile block edges, past the last tile, and empty
@@ -374,7 +390,7 @@ func TestSlicedBloomsProbeMatchesTest(t *testing.T) {
 }
 
 // BenchmarkSealedProbe probes every sealed tile's leaf bloom for one hash
-// held by one tile, the lookup a get-proof-by-hash makes: a Bloom.Test
+// held by one tile, the lookup a get-proof-by-hash makes: a bloomHas
 // per tile against one SlicedBlooms probe, at span 1024 (1024 keys per
 // tile).
 func BenchmarkSealedProbe(b *testing.B) {

@@ -1350,7 +1350,7 @@ func TestTiledSealCachesNothing(t *testing.T) {
 	}
 	// An inclusion proof by index into tile 1 reads its hash tile only.
 	if got := misses("inclusion proof into tile 1", func() error {
-		_, err := l.GetInclusionProof(5, 16)
+		_, err := l.pub.Load().tree.InclusionProof(5, 16)
 		return err
 	}); got != 1 {
 		t.Fatalf("first inclusion proof into a freshly sealed tile: %d page-ins, want 1 (.hash)", got)
@@ -1522,7 +1522,7 @@ func TestTiledSealWriteFailureIsSticky(t *testing.T) {
 		t.Fatalf("published head covers %d entries, want %d", head.TreeHead.TreeSize, span+2)
 	}
 	want := collectLeaves(t, l, span+2)
-	if _, err := l.GetInclusionProof(1, span+2); err != nil {
+	if _, err := l.pub.Load().tree.InclusionProof(1, span+2); err != nil {
 		t.Fatalf("inclusion proof from the tail: %v", err)
 	}
 
@@ -1617,7 +1617,7 @@ func TestTiledConcurrentSealFailureIsSticky(t *testing.T) {
 		t.Fatalf("published head covers %d entries, want %d", head.TreeHead.TreeSize, size)
 	}
 	want := collectLeaves(t, l, size)
-	if _, err := l.GetInclusionProof(bad*span+1, size); err != nil {
+	if _, err := l.pub.Load().tree.InclusionProof(bad*span+1, size); err != nil {
 		t.Fatalf("inclusion proof into the failed tile, from the tail: %v", err)
 	}
 	srv := httptest.NewServer(l.Handler())

@@ -25,10 +25,6 @@ func Normalize(name string) string {
 	return name
 }
 
-// IsWildcard reports whether the name starts with the "*." wildcard label
-// (common in certificate SANs).
-func IsWildcard(name string) bool { return strings.HasPrefix(name, "*.") }
-
 // TrimWildcard removes one leading "*." label if present.
 func TrimWildcard(name string) string { return strings.TrimPrefix(name, "*.") }
 
@@ -88,30 +84,9 @@ func isAllDigits(s string) bool {
 	return len(s) > 0
 }
 
-// Labels splits a normalized name into its labels.
-func Labels(name string) []string {
-	if name == "" {
-		return nil
-	}
-	return strings.Split(name, ".")
-}
-
-// Join assembles labels into a name.
-func Join(labels ...string) string { return strings.Join(labels, ".") }
-
 // Prepend adds a label in front of a name, as subdomain construction does
 // in the paper's Section 4.3 (e.g. "mail" + "example.de" = "mail.example.de").
 func Prepend(label, name string) string { return label + "." + name }
-
-// Parent strips the first label: Parent("a.b.c") = "b.c". It returns ""
-// once fewer than two labels remain.
-func Parent(name string) string {
-	i := strings.IndexByte(name, '.')
-	if i < 0 {
-		return ""
-	}
-	return name[i+1:]
-}
 
 // randAlphabet is the character set for random honeypot labels: LDH
 // letters and digits, starting alphabetic.

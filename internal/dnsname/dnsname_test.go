@@ -62,12 +62,6 @@ func TestIsValidFQDN(t *testing.T) {
 }
 
 func TestWildcardHandling(t *testing.T) {
-	if !IsWildcard("*.example.com") {
-		t.Error("IsWildcard(*.example.com)")
-	}
-	if IsWildcard("www.example.com") {
-		t.Error("IsWildcard(www.example.com)")
-	}
 	if got := TrimWildcard("*.example.com"); got != "example.com" {
 		t.Errorf("TrimWildcard = %q", got)
 	}
@@ -77,33 +71,8 @@ func TestWildcardHandling(t *testing.T) {
 }
 
 func TestLabelsJoinPrepend(t *testing.T) {
-	labels := Labels("a.b.c")
-	if len(labels) != 3 || labels[0] != "a" || labels[2] != "c" {
-		t.Fatalf("Labels = %v", labels)
-	}
-	if Labels("") != nil {
-		t.Fatal("Labels(\"\") should be nil")
-	}
-	if got := Join("www", "example", "com"); got != "www.example.com" {
-		t.Errorf("Join = %q", got)
-	}
 	if got := Prepend("mail", "example.de"); got != "mail.example.de" {
 		t.Errorf("Prepend = %q", got)
-	}
-}
-
-func TestParent(t *testing.T) {
-	cases := map[string]string{
-		"a.b.c":       "b.c",
-		"b.c":         "c",
-		"c":           "",
-		"":            "",
-		"x.y.z.w.com": "y.z.w.com",
-	}
-	for in, want := range cases {
-		if got := Parent(in); got != want {
-			t.Errorf("Parent(%q) = %q, want %q", in, got, want)
-		}
 	}
 }
 
@@ -139,8 +108,8 @@ func TestRandomLabelDeterministic(t *testing.T) {
 	}
 }
 
-// Property: every valid FQDN survives Normalize unchanged, and
-// Join(Labels(x)) == x.
+// Property: every name joined from random labels is a valid FQDN that
+// survives Normalize unchanged.
 func TestQuickLabelRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := func() bool {
@@ -149,23 +118,11 @@ func TestQuickLabelRoundTrip(t *testing.T) {
 		for i := range labels {
 			labels[i] = RandomLabel(rng, 1+rng.Intn(10))
 		}
-		name := Join(labels...)
+		name := strings.Join(labels, ".")
 		if !IsValidFQDN(name) {
 			return false
 		}
-		if Normalize(name) != name {
-			return false
-		}
-		got := Labels(name)
-		if len(got) != n {
-			return false
-		}
-		for i := range got {
-			if got[i] != labels[i] {
-				return false
-			}
-		}
-		return true
+		return Normalize(name) == name
 	}
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(func(struct{}) bool { return f() }, cfg); err != nil {

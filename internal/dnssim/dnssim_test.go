@@ -152,7 +152,7 @@ func TestUniverseMostSpecificZone(t *testing.T) {
 	if !res.Records[0].A.Equal(net.IPv4(10, 0, 0, 2)) {
 		t.Fatalf("delegation: %v", res.Records[0].A)
 	}
-	if u.ZoneCount() != 2 || u.Zone("sub.example.com") != specific {
+	if len(u.zones) != 2 || u.zones["sub.example.com"] != specific {
 		t.Fatal("zone registry")
 	}
 }

@@ -13,14 +13,6 @@ type Result struct {
 	Records []dnsmsg.Record
 }
 
-// Resolver answers single-step DNS questions. Both the in-memory Universe
-// and the UDP client implement it, so measurement code is transport-
-// agnostic (the gopacket-style "decode the same way regardless of source"
-// idiom).
-type Resolver interface {
-	Resolve(name string, qtype dnsmsg.Type) Result
-}
-
 // Universe is the simulated global DNS: a set of zones indexed by origin.
 // It is safe for concurrent use and is the backend for the massdns-like
 // bulk verifier in Section 4.3.
@@ -40,20 +32,6 @@ func (u *Universe) AddZone(z *Zone) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.zones[z.Origin] = z
-}
-
-// Zone returns the zone with the given origin, or nil.
-func (u *Universe) Zone(origin string) *Zone {
-	u.mu.RLock()
-	defer u.mu.RUnlock()
-	return u.zones[strings.ToLower(origin)]
-}
-
-// ZoneCount returns the number of registered zones.
-func (u *Universe) ZoneCount() int {
-	u.mu.RLock()
-	defer u.mu.RUnlock()
-	return len(u.zones)
 }
 
 // findZone locates the most specific zone containing name.

@@ -49,13 +49,6 @@ func (c *Clock) Now() time.Time {
 	return c.now
 }
 
-// Advance moves the clock forward by d.
-func (c *Clock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
 // Set jumps the clock to t (used when replaying sparse timelines).
 func (c *Clock) Set(t time.Time) {
 	c.mu.Lock()

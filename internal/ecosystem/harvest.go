@@ -1,7 +1,6 @@
 package ecosystem
 
 import (
-	"sync"
 	"time"
 
 	"ctrise/internal/certs"
@@ -27,13 +26,10 @@ type Harvest struct {
 	// NameSet holds all FQDNs extracted from certificate CN and SAN
 	// fields, deduplicated in the crawl workers' sharded set — the
 	// Section 4 input corpus. Consumers that fan out (the census) read
-	// the shards in place; use Names for a plain map view.
+	// the shards in place.
 	NameSet *stats.StringSet
 	// HeatmapFrom/To bound the Figure 1c window.
 	HeatmapFrom, HeatmapTo time.Time
-
-	namesOnce sync.Once
-	names     map[string]struct{}
 }
 
 // NewHarvest returns an empty harvest for the given Figure 1c heat
@@ -47,16 +43,6 @@ func NewHarvest(heatFrom, heatTo time.Time) *Harvest {
 		HeatmapFrom:      heatFrom,
 		HeatmapTo:        heatTo,
 	}
-}
-
-// Names returns the deduplicated FQDN corpus as a plain map,
-// materializing it from NameSet on first use. Prefer iterating NameSet
-// (ForEach/ForEachShard) where a map is not required — the corpus is the
-// largest artifact of a harvest, and the sharded set is the zero-copy
-// handoff into the census.
-func (h *Harvest) Names() map[string]struct{} {
-	h.namesOnce.Do(func() { h.names = h.NameSet.Snapshot() })
-	return h.names
 }
 
 // harvestChunk is the entry-range granularity of one work unit. Small

@@ -48,7 +48,8 @@ func TestHarvestToleratesForeignEntries(t *testing.T) {
 	}
 	// The foreign precert is counted but attributed to no organization:
 	// per-org day series only contain the simulation's six CAs.
-	for _, org := range h.PrecertsByOrgDay.SeriesNames() {
+	_, orgs, _ := h.PrecertsByOrgDay.Table()
+	for _, org := range orgs {
 		switch org {
 		case CALetsEncrypt, CADigiCert, CAComodo, CAGlobalSign, CAStartCom, CAOther:
 		default:

@@ -2,7 +2,6 @@ package ecosystem
 
 import (
 	"path/filepath"
-	"time"
 
 	"ctrise/internal/ctfront"
 	"ctrise/internal/ctlog"
@@ -34,26 +33,25 @@ const (
 type logSpec struct {
 	name     string
 	operator string
-	chrome   time.Time // Chrome inclusion date (Table 1 annotation)
 }
 
-// logSpecs lists the Table 1 logs with their Chrome inclusion dates.
+// logSpecs lists the Table 1 logs and their operators.
 var logSpecs = []logSpec{
-	{LogGooglePilot, "Google", Date(2014, 6, 1)},
-	{LogSymantec, "Symantec", Date(2015, 9, 1)},
-	{LogGoogleRocketeer, "Google", Date(2015, 4, 1)},
-	{LogDigiCert, "DigiCert", Date(2015, 1, 1)},
-	{LogGoogleSkydiver, "Google", Date(2016, 11, 1)},
-	{LogGoogleAviator, "Google", Date(2014, 6, 1)},
-	{LogVenafi, "Venafi", Date(2015, 10, 1)},
-	{LogDigiCert2, "DigiCert", Date(2017, 6, 1)},
-	{LogSymantecVega, "Symantec", Date(2016, 2, 1)},
-	{LogComodoMammoth, "Comodo", Date(2017, 7, 1)},
-	{LogNimbus2018, "Cloudflare", Date(2018, 3, 1)},
-	{LogGoogleIcarus, "Google", Date(2016, 11, 1)},
-	{LogNimbus2020, "Cloudflare", Date(2018, 3, 1)},
-	{LogComodoSabre, "Comodo", Date(2017, 7, 1)},
-	{LogCertlyIO, "Certly", Date(2015, 4, 1)},
+	{LogGooglePilot, "Google"},
+	{LogSymantec, "Symantec"},
+	{LogGoogleRocketeer, "Google"},
+	{LogDigiCert, "DigiCert"},
+	{LogGoogleSkydiver, "Google"},
+	{LogGoogleAviator, "Google"},
+	{LogVenafi, "Venafi"},
+	{LogDigiCert2, "DigiCert"},
+	{LogSymantecVega, "Symantec"},
+	{LogComodoMammoth, "Comodo"},
+	{LogNimbus2018, "Cloudflare"},
+	{LogGoogleIcarus, "Google"},
+	{LogNimbus2020, "Cloudflare"},
+	{LogComodoSabre, "Comodo"},
+	{LogCertlyIO, "Certly"},
 }
 
 // buildLogs instantiates the named logs on the shared clock. Logs use the
@@ -66,12 +64,11 @@ func buildLogs(clock *Clock, nimbusCapacity float64, dataDir string, tileSpan in
 	out := make(map[string]*ctlog.Log, len(logSpecs))
 	for _, spec := range logSpecs {
 		cfg := ctlog.Config{
-			Name:                spec.name,
-			Operator:            spec.operator,
-			Signer:              sct.NewFastSigner(spec.name),
-			Clock:               clock.Now,
-			MaxGetEntries:       1000,
-			ChromeInclusionDate: spec.chrome,
+			Name:          spec.name,
+			Operator:      spec.operator,
+			Signer:        sct.NewFastSigner(spec.name),
+			Clock:         clock.Now,
+			MaxGetEntries: 1000,
 		}
 		if spec.name == LogNimbus2018 && nimbusCapacity > 0 {
 			cfg.CapacityPerSecond = nimbusCapacity

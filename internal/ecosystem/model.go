@@ -19,10 +19,6 @@ const (
 	CAOther       = "Other CAs"
 )
 
-// ChromeDeadline is the date Chrome began enforcing CT for new
-// certificates (Section 1/2).
-var ChromeDeadline = Date(2018, 4, 18)
-
 // RateModel gives a CA's precertificate-logging rate in certificates per
 // day over the simulated timeline. The shapes are calibrated to
 // Figures 1a/1b: DigiCert logging early and steadily, Comodo and

@@ -31,9 +31,6 @@ type Range struct {
 	Lo, Hi int
 }
 
-// Len returns the number of indices in the range.
-func (r Range) Len() int { return r.Hi - r.Lo }
-
 // Ranges splits [0, n) into contiguous chunks of at most chunk indices.
 // The split depends only on n and chunk, never on the worker count.
 func Ranges(n, chunk int) []Range {

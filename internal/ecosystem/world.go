@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"ctrise/internal/ca"
@@ -521,27 +520,4 @@ func (w *World) Verifiers() map[sct.LogID]sct.SCTVerifier {
 		out[l.LogID()] = l.Verifier()
 	}
 	return out
-}
-
-// TotalEntries sums the tree sizes of all logs.
-func (w *World) TotalEntries() uint64 {
-	var total uint64
-	for _, l := range w.Logs {
-		total += l.TreeSize()
-	}
-	return total
-}
-
-// LogsBySize returns log names sorted by tree size, largest first —
-// useful for assertions about load concentration.
-func (w *World) LogsBySize() []string {
-	names := append([]string(nil), w.LogNames...)
-	sort.Slice(names, func(i, j int) bool {
-		si, sj := w.Logs[names[i]].TreeSize(), w.Logs[names[j]].TreeSize()
-		if si != sj {
-			return si > sj
-		}
-		return names[i] < names[j]
-	})
-	return names
 }

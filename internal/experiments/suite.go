@@ -56,9 +56,6 @@ func NewSuite(opts Options) *Suite {
 	return &Suite{opts: opts}
 }
 
-// Seed returns the suite's seed.
-func (s *Suite) Seed() int64 { return s.opts.Seed }
-
 // worldScale is the base issuance scale factor at Scale=1.
 const worldScale = 1e-4
 

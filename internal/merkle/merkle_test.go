@@ -94,7 +94,7 @@ func (s rfcShape) build(t *testing.T, n int) *TiledTree {
 
 func (s rfcShape) append(t *testing.T, tr *TiledTree, data []byte) {
 	t.Helper()
-	tr.AppendData(data)
+	tr.AppendLeafHash(HashLeaf(data))
 	if s.seal {
 		if err := tr.Seal(tr.Size() / s.span * s.span); err != nil {
 			t.Fatalf("Seal at size %d: %v", tr.Size(), err)
@@ -110,7 +110,7 @@ func errorTrees(t *testing.T, n int) map[string]*TiledTree {
 	span2 := rfcShape{span: 2, seal: true}
 	sealed := span2.build(t, n)
 	live := span2.build(t, n)
-	live.AppendData(rfcLeaves[n])
+	live.AppendLeafHash(HashLeaf(rfcLeaves[n]))
 	view, err := live.PrefixView(uint64(n))
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestConsistencyRejectsForkedTree(t *testing.T) {
 	// A forked tree shares the first 4 leaves, then diverges.
 	forked := buildRFC(t, 4)
 	for i := 4; i < 8; i++ {
-		forked.AppendData([]byte(fmt.Sprintf("divergent-%d", i)))
+		forked.AppendLeafHash(HashLeaf([]byte(fmt.Sprintf("divergent-%d", i))))
 	}
 	root1, _ := tr.RootAt(6) // not a prefix of forked at size 6
 	root2 := mustRoot(t, forked)
@@ -342,22 +342,21 @@ func TestConsistencyErrors(t *testing.T) {
 	}
 }
 
+// TestLeafHash: the leaf level resolves every leaf's hash, whether it is
+// resident, sealed behind the node source, or under a frozen view.
 func TestLeafHash(t *testing.T) {
-	if idx := newUnsealed(t).AppendData([]byte("hello")); idx != 0 {
+	if idx := newUnsealed(t).AppendLeafHash(HashLeaf([]byte("hello"))); idx != 0 {
 		t.Fatalf("first index = %d", idx)
 	}
 	for name, tr := range errorTrees(t, 3) {
 		for i := uint64(0); i < 3; i++ {
-			got, err := tr.LeafHash(i)
-			if err != nil {
-				t.Fatalf("%s: LeafHash(%d): %v", name, i, err)
+			got, ok, err := tr.node(0, i)
+			if err != nil || !ok {
+				t.Fatalf("%s: leaf %d: ok=%v err=%v", name, i, ok, err)
 			}
 			if got != HashLeaf(rfcLeaves[i]) {
-				t.Fatalf("%s: LeafHash(%d) mismatch", name, i)
+				t.Fatalf("%s: leaf %d hash mismatch", name, i)
 			}
-		}
-		if _, err := tr.LeafHash(3); !errors.Is(err, ErrIndexOutOfRange) {
-			t.Errorf("%s: out-of-range leaf hash: err=%v, want ErrIndexOutOfRange", name, err)
 		}
 	}
 }
@@ -393,7 +392,7 @@ func TestPropertyInclusionRandomTrees(t *testing.T) {
 		for i := range data {
 			data[i] = make([]byte, rng.Intn(50))
 			rng.Read(data[i])
-			tr.AppendData(data[i])
+			tr.AppendLeafHash(HashLeaf(data[i]))
 		}
 		root := mustRoot(t, tr)
 		i := uint64(rng.Intn(n))
@@ -421,7 +420,7 @@ func TestPropertyConsistencyRandomTrees(t *testing.T) {
 		for i := 0; i < n; i++ {
 			buf := make([]byte, 8+rng.Intn(16))
 			rng.Read(buf)
-			tr.AppendData(buf)
+			tr.AppendLeafHash(HashLeaf(buf))
 		}
 		m := uint64(1 + rng.Intn(n))
 		root1, _ := tr.RootAt(m)
@@ -445,7 +444,7 @@ func TestQuickRootMatchesNaive(t *testing.T) {
 		}
 		tr := newUnsealed(t)
 		for _, l := range raw {
-			tr.AppendData(l)
+			tr.AppendLeafHash(HashLeaf(l))
 		}
 		return mustRoot(t, tr) == newRef(raw).root(uint64(len(raw)))
 	}
@@ -459,14 +458,14 @@ func BenchmarkAppend(b *testing.B) {
 	leaf := []byte("benchmark leaf data: some certificate bytes")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.AppendData(leaf)
+		tr.AppendLeafHash(HashLeaf(leaf))
 	}
 }
 
 func BenchmarkInclusionProof(b *testing.B) {
 	tr := newUnsealed(b)
 	for i := 0; i < 1<<16; i++ {
-		tr.AppendData([]byte{byte(i), byte(i >> 8)})
+		tr.AppendLeafHash(HashLeaf([]byte{byte(i), byte(i >> 8)}))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

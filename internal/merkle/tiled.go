@@ -113,10 +113,6 @@ func (t *TiledTree) PrefixView(n uint64) (*TiledTree, error) {
 // Size returns the number of leaves.
 func (t *TiledTree) Size() uint64 { return t.size }
 
-// Sealed returns the size of the span-aligned prefix whose sub-tile
-// nodes have been (or may have been) pruned from RAM.
-func (t *TiledTree) Sealed() uint64 { return t.sealed }
-
 // Span returns the configured tile span.
 func (t *TiledTree) Span() uint64 { return t.span }
 
@@ -132,11 +128,6 @@ func (t *TiledTree) ensureLevel(lvl int) {
 		}
 		t.base = append(t.base, b)
 	}
-}
-
-// AppendData hashes data as a leaf and appends it, returning the leaf index.
-func (t *TiledTree) AppendData(data []byte) uint64 {
-	return t.AppendLeafHash(HashLeaf(data))
 }
 
 // AppendLeafHash appends a precomputed leaf hash, returning the leaf
@@ -255,22 +246,6 @@ func (t *TiledTree) node(lvl int, pos uint64) (Hash, bool, error) {
 		return h, true, nil
 	}
 	return Hash{}, false, nil
-}
-
-// LeafHash returns the hash of leaf i, loading it from the NodeSource if
-// the leaf's tile has been sealed.
-func (t *TiledTree) LeafHash(i uint64) (Hash, error) {
-	if i >= t.size {
-		return Hash{}, fmt.Errorf("%w: index %d, size %d", ErrIndexOutOfRange, i, t.size)
-	}
-	h, ok, err := t.node(0, i)
-	if err != nil {
-		return Hash{}, err
-	}
-	if !ok {
-		return Hash{}, fmt.Errorf("merkle: leaf %d not materialized", i)
-	}
-	return h, nil
 }
 
 // TileRoot returns the root of tile number `tile` — MTH over leaves

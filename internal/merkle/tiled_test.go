@@ -64,9 +64,9 @@ func requireSameProofs(t *testing.T, ref refTree, tt *TiledTree, n uint64) {
 				t.Fatalf("InclusionProof(%d, %d)[%d] differs", i, n, j)
 			}
 		}
-		lh, err := tt.LeafHash(i)
+		lh, _, err := tt.node(0, i)
 		if err != nil {
-			t.Fatalf("tiled.LeafHash(%d): %v", i, err)
+			t.Fatalf("tiled leaf %d: %v", i, err)
 		}
 		if err := VerifyInclusion(lh, i, n, got, wantRoot); err != nil {
 			t.Fatalf("tiled proof (%d, %d) does not verify: %v", i, n, err)
@@ -141,11 +141,11 @@ func TestTiledSealedMatchesTree(t *testing.T) {
 					t.Fatalf("Seal at size %d: %v", tt.Size(), err)
 				}
 			}
-			if want := uint64(n) / span * span; tt.Sealed() != want {
-				t.Fatalf("Sealed() = %d, want %d", tt.Sealed(), want)
+			if want := uint64(n) / span * span; tt.sealed != want {
+				t.Fatalf("Sealed() = %d, want %d", tt.sealed, want)
 			}
 			requireSameProofs(t, ref, tt, n)
-			if tt.Sealed() > 0 && src.lookups == 0 {
+			if tt.sealed > 0 && src.lookups == 0 {
 				t.Fatal("no NodeSource lookups: sealed region was not actually pruned")
 			}
 			// Tile roots must match the reference subtree roots.
@@ -181,8 +181,8 @@ func TestTiledAppendSealedTile(t *testing.T) {
 			t.Fatalf("AppendSealedTile(%d): %v", tile, err)
 		}
 	}
-	if tt.Size() != tiles*span || tt.Sealed() != tiles*span {
-		t.Fatalf("size/sealed = %d/%d, want %d", tt.Size(), tt.Sealed(), tiles*span)
+	if tt.Size() != tiles*span || tt.sealed != tiles*span {
+		t.Fatalf("size/sealed = %d/%d, want %d", tt.Size(), tt.sealed, tiles*span)
 	}
 	for i := tiles * span; i < n; i++ {
 		tt.AppendLeafHash(ref[i])
@@ -211,7 +211,7 @@ func TestTiledSealValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		tt.AppendData(testLeaf(i))
+		tt.AppendLeafHash(HashLeaf(testLeaf(i)))
 	}
 	if err := tt.Seal(3); err == nil {
 		t.Fatal("misaligned seal succeeded")
@@ -255,8 +255,8 @@ func TestTiledSourceErrorPropagates(t *testing.T) {
 	if _, err := tt.InclusionProof(0, n); !errors.Is(err, srcErr) {
 		t.Fatalf("InclusionProof error = %v, want wrapped source error", err)
 	}
-	if _, err := tt.LeafHash(2); !errors.Is(err, srcErr) {
-		t.Fatalf("LeafHash error = %v, want wrapped source error", err)
+	if _, _, err := tt.node(0, 2); !errors.Is(err, srcErr) {
+		t.Fatalf("leaf node error = %v, want wrapped source error", err)
 	}
 	// The spine is resident: the full root must still compute. (Root over
 	// the whole sealed tree touches only spine nodes.)
@@ -373,7 +373,7 @@ func TestPrefixViewFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt.AppendData(testLeaf(0))
+	tt.AppendLeafHash(HashLeaf(testLeaf(0)))
 	v, err := tt.PrefixView(1)
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,8 @@ type LogInfo struct {
 // LogSet maps log IDs to their metadata.
 type LogSet map[sct.LogID]LogInfo
 
-// Errors returned by the checker, all wrapped in ErrNonCompliant.
+// Errors the checker reports in Result.Reasons, and ErrNonCompliant,
+// which ErrUnsatisfiable wraps.
 var (
 	ErrNonCompliant    = errors.New("policy: certificate is not CT compliant")
 	ErrNoSCTs          = errors.New("policy: no SCTs")
@@ -132,12 +133,4 @@ func CheckEmbedded(cert *certs.Certificate, issuerKeyHash [32]byte, logs LogSet)
 	}
 	res.Compliant = len(res.Reasons) == 0
 	return res, nil
-}
-
-// Err flattens the failure reasons into a single wrapped error, or nil.
-func (r Result) Err() error {
-	if r.Compliant {
-		return nil
-	}
-	return fmt.Errorf("%w: %v", ErrNonCompliant, r.Reasons)
 }

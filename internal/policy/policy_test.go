@@ -95,9 +95,6 @@ func TestCompliantCertificate(t *testing.T) {
 	if res.ValidSCTs != 2 || len(res.Operators) != 2 {
 		t.Fatalf("res = %+v", res)
 	}
-	if res.Err() != nil {
-		t.Fatal("Err on compliant result")
-	}
 }
 
 func TestGoogleOnlyFails(t *testing.T) {
@@ -166,9 +163,6 @@ func TestInvalidSignatureFailsPolicy(t *testing.T) {
 	}
 	if res.Compliant || !hasReason(res, ErrBadSignature) {
 		t.Fatalf("res = %+v", res)
-	}
-	if !errors.Is(res.Err(), ErrNonCompliant) {
-		t.Fatalf("Err = %v", res.Err())
 	}
 }
 

@@ -75,9 +75,6 @@ func Default() *List { return defaultList }
 
 var defaultList = MustParse(embeddedList)
 
-// Len returns the number of parsed rules.
-func (l *List) Len() int { return len(l.rules) }
-
 // PublicSuffix returns the public suffix of a normalized name following
 // the publicsuffix.org algorithm:
 //

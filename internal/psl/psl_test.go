@@ -132,8 +132,8 @@ func TestParseIgnoresCommentsAndBlank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Len() != 2 {
-		t.Fatalf("rules = %d, want 2", l.Len())
+	if len(l.rules) != 2 {
+		t.Fatalf("rules = %d, want 2", len(l.rules))
 	}
 	if got := l.PublicSuffix("x.co.uk"); got != "co.uk" {
 		t.Fatalf("suffix = %q", got)

@@ -60,19 +60,6 @@ func (t *Table) Render() string {
 	return sb.String()
 }
 
-// CSV returns the table as CSV (naive quoting: cells are expected not to
-// contain commas; experiment outputs are numeric and label-like).
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	sb.WriteString(strings.Join(t.Headers, ","))
-	sb.WriteByte('\n')
-	for _, row := range t.Rows {
-		sb.WriteString(strings.Join(row, ","))
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
 // Series is one named time series for a Figure.
 type Series struct {
 	Name   string

@@ -26,15 +26,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tbl := &Table{Headers: []string{"a", "b"}}
-	tbl.AddRow("1", "2")
-	want := "a,b\n1,2\n"
-	if got := tbl.CSV(); got != want {
-		t.Fatalf("CSV = %q", got)
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	if Sparkline(nil) != "" {
 		t.Fatal("empty sparkline")

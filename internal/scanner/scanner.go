@@ -322,18 +322,13 @@ type scanPartial struct {
 	ipsWithSCT map[string]bool
 }
 
-// Scan walks the population like the zmap+TLS scanner pipeline: one
-// certificate grab per site, deduplicated IP accounting, per-log
+// ScanParallel walks the population like the zmap+TLS scanner pipeline:
+// one certificate grab per site, deduplicated IP accounting, per-log
 // attribution by decoding each certificate's SCT list. logNames maps log
-// IDs to display names. It is ScanParallel at GOMAXPROCS.
-func Scan(sites []*Site, logNames map[sct.LogID]string) (*ScanStats, error) {
-	return ScanParallel(sites, logNames, 0)
-}
-
-// ScanParallel is Scan with an explicit worker bound (0 means GOMAXPROCS,
-// 1 runs the sweep inline). Sites are chunked; workers build private
-// partial statistics and IP sets, and the additive merge makes the
-// result identical at every parallelism setting.
+// IDs to display names. parallelism bounds the workers (0 means
+// GOMAXPROCS, 1 runs the sweep inline). Sites are chunked; workers build
+// private partial statistics and IP sets, and the additive merge makes
+// the result identical at every parallelism setting.
 func ScanParallel(sites []*Site, logNames map[sct.LogID]string, parallelism int) (*ScanStats, error) {
 	chunks := ecosystem.Ranges(len(sites), scanChunk)
 	partials := make([]*scanPartial, len(chunks))
@@ -417,18 +412,12 @@ type InvalidCert struct {
 	Problems []ca.SCTProblem
 }
 
-// DetectInvalidSCTs runs the embedded-SCT validator over every site
-// certificate, returning the misissued ones grouped like Section 3.4
-// reports them. It is DetectInvalidSCTsParallel at GOMAXPROCS.
-func DetectInvalidSCTs(sites []*Site, verifiers map[sct.LogID]sct.SCTVerifier) ([]InvalidCert, error) {
-	return DetectInvalidSCTsParallel(sites, verifiers, 0)
-}
-
-// DetectInvalidSCTsParallel is DetectInvalidSCTs with an explicit worker
-// bound (0 means GOMAXPROCS, 1 runs inline). Site chunks are validated
-// concurrently into private finding lists which concatenate in chunk
-// order, so findings come back in site order at every parallelism
-// setting.
+// DetectInvalidSCTsParallel runs the embedded-SCT validator over every
+// site certificate, returning the misissued ones grouped like Section
+// 3.4 reports them. parallelism bounds the workers (0 means GOMAXPROCS,
+// 1 runs inline). Site chunks are validated concurrently into private
+// finding lists which concatenate in chunk order, so findings come back
+// in site order at every parallelism setting.
 func DetectInvalidSCTsParallel(sites []*Site, verifiers map[sct.LogID]sct.SCTVerifier, parallelism int) ([]InvalidCert, error) {
 	chunks := ecosystem.Ranges(len(sites), scanChunk)
 	found := make([][]InvalidCert, len(chunks))

@@ -48,7 +48,7 @@ func TestPopulationSize(t *testing.T) {
 func TestScanMatchesSection33Shape(t *testing.T) {
 	w := testWorld(t)
 	sites := buildPop(t, w, PopConfig{Seed: 2, NumSites: 4000})
-	st, err := Scan(sites, logNames(w))
+	st, err := ScanParallel(sites, logNames(w), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestScanMatchesSection33Shape(t *testing.T) {
 func TestSection34DetectorFindsExactlyTheFaulty(t *testing.T) {
 	w := testWorld(t)
 	sites := buildPop(t, w, PopConfig{Seed: 3, NumSites: 1500})
-	findings, err := DetectInvalidSCTs(sites, w.Verifiers())
+	findings, err := DetectInvalidSCTsParallel(sites, w.Verifiers(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestDetectorZeroFalsePositives(t *testing.T) {
 		FaultySANReorder: -1,
 	})
 	// -1 means "no faulty sites" (loop runs zero times).
-	findings, err := DetectInvalidSCTs(sites, w.Verifiers())
+	findings, err := DetectInvalidSCTsParallel(sites, w.Verifiers(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestBuildPopulationDeterministic(t *testing.T) {
 	count := func() uint64 {
 		w := testWorld(t)
 		sites := buildPop(t, w, PopConfig{Seed: 6, NumSites: 300})
-		st, err := Scan(sites, logNames(w))
+		st, err := ScanParallel(sites, logNames(w), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

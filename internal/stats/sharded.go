@@ -82,15 +82,6 @@ func (s *StringSet) Add(key string) bool {
 	return !dup
 }
 
-// Has reports membership.
-func (s *StringSet) Has(key string) bool {
-	sh := &s.shards[Shard(key, len(s.shards))]
-	sh.mu.Lock()
-	_, ok := sh.m[key]
-	sh.mu.Unlock()
-	return ok
-}
-
 // Len returns the number of distinct keys.
 func (s *StringSet) Len() int {
 	n := 0
@@ -126,18 +117,4 @@ func (s *StringSet) ForEach(fn func(key string)) {
 	for i := range s.shards {
 		s.ForEachShard(i, fn)
 	}
-}
-
-// Snapshot materializes the set as a plain map, sized exactly.
-func (s *StringSet) Snapshot() map[string]struct{} {
-	out := make(map[string]struct{}, s.Len())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k := range sh.m {
-			out[k] = struct{}{}
-		}
-		sh.mu.Unlock()
-	}
-	return out
 }

@@ -54,17 +54,10 @@ func TestCounterMerge(t *testing.T) {
 	if got, want := merged.Get("k0"), 2*direct.Get("k0"); got != want {
 		t.Fatalf("self-merge k0 = %d, want %d", got, want)
 	}
-	// Self-merge on DaySeries must not deadlock either.
-	ds := NewDaySeries()
-	ds.Add("s", time.Date(2018, 4, 1, 12, 0, 0, 0, time.UTC), 1)
-	ds.Merge(ds)
-	if v := ds.Value("s", "2018-04-01"); v != 2 {
-		t.Fatalf("self-merge day value = %v, want 2", v)
-	}
 }
 
-// DaySeries.Merge/MergeTable must reproduce a directly-fed series, and
-// Table must agree with the per-cell accessors.
+// DaySeries.MergeTable must reproduce a directly-fed series, and Table
+// must agree with the per-cell accessors.
 func TestDaySeriesMergeAndTable(t *testing.T) {
 	day := func(d int) time.Time { return time.Date(2018, 4, d, 12, 0, 0, 0, time.UTC) }
 	direct := NewDaySeries()
@@ -72,20 +65,21 @@ func TestDaySeriesMergeAndTable(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		series := fmt.Sprintf("org%d", i%3)
 		t := day(1 + i%9)
-		direct.Add(series, t, float64(i))
+		direct.AddKey(series, DayKey(t), float64(i))
 		if i%2 == 0 {
-			part1.Add(series, t, float64(i))
+			part1.AddKey(series, DayKey(t), float64(i))
 		} else {
-			part2.Add(series, t, float64(i))
+			part2.AddKey(series, DayKey(t), float64(i))
 		}
 	}
 	merged := NewDaySeries()
-	merged.Merge(part1)
+	_, _, table1 := part1.Table()
+	merged.MergeTable(table1)
 	_, _, table2 := part2.Table()
 	merged.MergeTable(table2)
 
 	days, names, table := merged.Table()
-	wantDays, wantNames := direct.Days(), direct.SeriesNames()
+	wantDays, wantNames, _ := direct.Table()
 	if !reflect.DeepEqual(days, wantDays) || !reflect.DeepEqual(names, wantNames) {
 		t.Fatalf("days/names mismatch: %v/%v vs %v/%v", days, names, wantDays, wantNames)
 	}
@@ -94,9 +88,6 @@ func TestDaySeriesMergeAndTable(t *testing.T) {
 			if table[name][d] != direct.Value(name, d) {
 				t.Fatalf("(%s,%s) = %v, want %v", name, d, table[name][d], direct.Value(name, d))
 			}
-		}
-		if !reflect.DeepEqual(merged.Cumulative(name), direct.Cumulative(name)) {
-			t.Fatalf("cumulative mismatch for %s", name)
 		}
 	}
 }
@@ -127,11 +118,15 @@ func TestStringSetConcurrent(t *testing.T) {
 	if total != 200 || set.Len() != 200 {
 		t.Fatalf("added=%d len=%d, want 200", total, set.Len())
 	}
-	snap := set.Snapshot()
+	snap := make(map[string]struct{})
+	set.ForEach(func(k string) { snap[k] = struct{}{} })
 	if len(snap) != 200 {
 		t.Fatalf("snapshot len = %d", len(snap))
 	}
-	if !set.Has("name-0") || set.Has("missing") {
+	if _, ok := snap["name-0"]; !ok {
+		t.Fatal("membership")
+	}
+	if _, ok := snap["missing"]; ok {
 		t.Fatal("membership")
 	}
 }

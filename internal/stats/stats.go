@@ -63,17 +63,6 @@ func (c *Counter) Len() int {
 	return len(c.m)
 }
 
-// Total returns the sum over all keys.
-func (c *Counter) Total() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var t uint64
-	for _, v := range c.m {
-		t += v
-	}
-	return t
-}
-
 // KV is a key with its count.
 type KV struct {
 	Key   string
@@ -140,16 +129,11 @@ func NewDaySeries() *DaySeries {
 // DayKey formats t as its UTC date.
 func DayKey(t time.Time) string { return t.UTC().Format("2006-01-02") }
 
-// Add accumulates v into (series, day of t).
-func (s *DaySeries) Add(series string, t time.Time, v float64) {
-	s.AddKey(series, DayKey(t), v)
-}
-
-// AddKey accumulates v into (series, day) with the day already formatted
-// — the hot-path form for callers that observe many events on the same
-// day and memoize the DayKey formatting (the traffic monitor adds up to
-// four series values per connection; formatting the same date four times
-// per event dominated its allocation profile).
+// AddKey accumulates v into (series, day), the day formatted by DayKey.
+// Callers that observe many events on the same day memoize that
+// formatting (the traffic monitor adds up to four series values per
+// connection; formatting the same date four times per event dominated
+// its allocation profile).
 func (s *DaySeries) AddKey(series, day string, v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -174,36 +158,11 @@ func (s *DaySeries) Days() []string {
 	return out
 }
 
-// SeriesNames returns all series names, sorted.
-func (s *DaySeries) SeriesNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.values))
-	for name := range s.values {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Value returns the accumulated value for (series, day).
 func (s *DaySeries) Value(series, day string) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.values[series][day]
-}
-
-// Series returns a copy of one series' day→value map under a single lock
-// acquisition, for bulk consumers that would otherwise call Value once
-// per cell.
-func (s *DaySeries) Series(name string) map[string]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]float64, len(s.values[name]))
-	for d, v := range s.values[name] {
-		out[d] = v
-	}
-	return out
 }
 
 // Table returns sorted days, sorted series names, and a deep copy of the
@@ -232,17 +191,9 @@ func (s *DaySeries) Table() (days, names []string, values map[string]map[string]
 	return days, names, values
 }
 
-// Merge accumulates every (series, day) value of o into s — the
-// reduction step matching Counter.Merge. o is snapshotted first so the
-// two locks are never held together (see Counter.Merge).
-func (s *DaySeries) Merge(o *DaySeries) {
-	_, _, table := o.Table()
-	s.MergeTable(table)
-}
-
 // MergeTable accumulates a plain (series, day) value table into s under
-// one lock acquisition — the bulk form of Add that parallel workers use
-// to fold lock-free private aggregates into a shared series.
+// one lock acquisition — the bulk form of AddKey that parallel workers
+// use to fold lock-free private aggregates into a shared series.
 func (s *DaySeries) MergeTable(values map[string]map[string]float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -257,18 +208,4 @@ func (s *DaySeries) MergeTable(values map[string]map[string]float64) {
 			s.days[d] = true
 		}
 	}
-}
-
-// Cumulative returns the running sum of a series over all days, aligned
-// with Days().
-func (s *DaySeries) Cumulative(series string) []float64 {
-	days := s.Days()
-	row := s.Series(series)
-	out := make([]float64, len(days))
-	var sum float64
-	for i, d := range days {
-		sum += row[d]
-		out[i] = sum
-	}
-	return out
 }

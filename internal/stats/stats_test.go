@@ -15,8 +15,8 @@ func TestCounterBasics(t *testing.T) {
 	if c.Get("www") != 2 || c.Get("mail") != 5 || c.Get("absent") != 0 {
 		t.Fatal("counts")
 	}
-	if c.Len() != 2 || c.Total() != 7 {
-		t.Fatalf("len=%d total=%d", c.Len(), c.Total())
+	if c.Len() != 2 {
+		t.Fatalf("len=%d", c.Len())
 	}
 }
 
@@ -77,26 +77,19 @@ func TestDaySeries(t *testing.T) {
 	s := NewDaySeries()
 	d1 := time.Date(2018, 3, 1, 10, 0, 0, 0, time.UTC)
 	d2 := time.Date(2018, 3, 2, 5, 0, 0, 0, time.UTC)
-	s.Add("le", d1, 10)
-	s.Add("le", d1.Add(2*time.Hour), 5) // same day accumulates
-	s.Add("le", d2, 20)
-	s.Add("digicert", d2, 7)
+	s.AddKey("le", DayKey(d1), 10)
+	s.AddKey("le", DayKey(d1.Add(2*time.Hour)), 5) // same day accumulates
+	s.AddKey("le", DayKey(d2), 20)
+	s.AddKey("digicert", DayKey(d2), 7)
 
 	if days := s.Days(); !reflect.DeepEqual(days, []string{"2018-03-01", "2018-03-02"}) {
 		t.Fatalf("Days = %v", days)
 	}
-	if names := s.SeriesNames(); !reflect.DeepEqual(names, []string{"digicert", "le"}) {
-		t.Fatalf("SeriesNames = %v", names)
+	if _, names, _ := s.Table(); !reflect.DeepEqual(names, []string{"digicert", "le"}) {
+		t.Fatalf("series names = %v", names)
 	}
 	if v := s.Value("le", "2018-03-01"); v != 15 {
 		t.Fatalf("value = %v", v)
-	}
-	if cum := s.Cumulative("le"); !reflect.DeepEqual(cum, []float64{15, 35}) {
-		t.Fatalf("cumulative = %v", cum)
-	}
-	// Series absent on a day contributes zero to its cumulative slot.
-	if cum := s.Cumulative("digicert"); !reflect.DeepEqual(cum, []float64{0, 7}) {
-		t.Fatalf("digicert cumulative = %v", cum)
 	}
 }
 

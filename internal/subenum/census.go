@@ -122,7 +122,7 @@ func RunCensusParallel(names map[string]struct{}, list *psl.List, parallelism in
 // intermediate map[string]struct{}, workers consume the dedup set's
 // shards in place (each key lives in exactly one shard, so shards
 // partition the corpus). parallelism 0 means GOMAXPROCS; output is
-// identical to RunCensusParallel over a snapshot of the same set.
+// identical to RunCensusParallel over the same names in a map.
 func RunCensusSet(names *stats.StringSet, list *psl.List, parallelism int) *Census {
 	shards := names.NumShards()
 	partials := make([]*censusPartial, shards)

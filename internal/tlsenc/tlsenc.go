@@ -56,9 +56,6 @@ func (b *Builder) MustBytes() []byte {
 	return out
 }
 
-// Len reports the number of bytes written so far.
-func (b *Builder) Len() int { return len(b.buf) }
-
 // AddUint8 appends a single byte.
 func (b *Builder) AddUint8(v uint8) { b.buf = append(b.buf, v) }
 
@@ -77,11 +74,6 @@ func (b *Builder) AddUint24(v uint32) {
 	b.buf = append(b.buf, byte(v>>16), byte(v>>8), byte(v))
 }
 
-// AddUint32 appends a big-endian 32-bit integer.
-func (b *Builder) AddUint32(v uint32) {
-	b.buf = append(b.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
 // AddUint64 appends a big-endian 64-bit integer.
 func (b *Builder) AddUint64(v uint64) {
 	b.buf = append(b.buf,
@@ -91,16 +83,6 @@ func (b *Builder) AddUint64(v uint64) {
 
 // AddBytes appends raw bytes with no length prefix.
 func (b *Builder) AddBytes(p []byte) { b.buf = append(b.buf, p...) }
-
-// AddUint8Vector appends an opaque<0..2^8-1> vector.
-func (b *Builder) AddUint8Vector(p []byte) {
-	if len(p) > 0xff {
-		b.setErr(fmt.Errorf("%w: %d bytes in uint8 vector", ErrOversizedVector, len(p)))
-		return
-	}
-	b.AddUint8(uint8(len(p)))
-	b.AddBytes(p)
-}
 
 // AddUint16Vector appends an opaque<0..2^16-1> vector.
 func (b *Builder) AddUint16Vector(p []byte) {
@@ -197,15 +179,6 @@ func (r *Reader) Uint24() uint32 {
 	return uint32(p[0])<<16 | uint32(p[1])<<8 | uint32(p[2])
 }
 
-// Uint32 reads a big-endian 32-bit integer.
-func (r *Reader) Uint32() uint32 {
-	p := r.take(4)
-	if p == nil {
-		return 0
-	}
-	return uint32(p[0])<<24 | uint32(p[1])<<16 | uint32(p[2])<<8 | uint32(p[3])
-}
-
 // Uint64 reads a big-endian 64-bit integer.
 func (r *Reader) Uint64() uint64 {
 	p := r.take(8)
@@ -218,9 +191,6 @@ func (r *Reader) Uint64() uint64 {
 
 // Bytes reads n raw bytes.
 func (r *Reader) Bytes(n int) []byte { return r.take(n) }
-
-// Uint8Vector reads an opaque<0..2^8-1> vector.
-func (r *Reader) Uint8Vector() []byte { return r.take(int(r.Uint8())) }
 
 // Uint16Vector reads an opaque<0..2^16-1> vector.
 func (r *Reader) Uint16Vector() []byte { return r.take(int(r.Uint16())) }

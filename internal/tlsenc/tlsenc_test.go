@@ -13,7 +13,6 @@ func TestBuilderFixedWidths(t *testing.T) {
 	b.AddUint8(0xab)
 	b.AddUint16(0x0102)
 	b.AddUint24(0x030405)
-	b.AddUint32(0x06070809)
 	b.AddUint64(0x0a0b0c0d0e0f1011)
 	got, err := b.Bytes()
 	if err != nil {
@@ -23,7 +22,6 @@ func TestBuilderFixedWidths(t *testing.T) {
 		0xab,
 		0x01, 0x02,
 		0x03, 0x04, 0x05,
-		0x06, 0x07, 0x08, 0x09,
 		0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f, 0x10, 0x11,
 	}
 	if !bytes.Equal(got, want) {
@@ -36,7 +34,6 @@ func TestReaderFixedWidths(t *testing.T) {
 		0xab,
 		0x01, 0x02,
 		0x03, 0x04, 0x05,
-		0x06, 0x07, 0x08, 0x09,
 		0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f, 0x10, 0x11,
 	}
 	r := NewReader(in)
@@ -49,9 +46,6 @@ func TestReaderFixedWidths(t *testing.T) {
 	if v := r.Uint24(); v != 0x030405 {
 		t.Errorf("Uint24 = %#x", v)
 	}
-	if v := r.Uint32(); v != 0x06070809 {
-		t.Errorf("Uint32 = %#x", v)
-	}
 	if v := r.Uint64(); v != 0x0a0b0c0d0e0f1011 {
 		t.Errorf("Uint64 = %#x", v)
 	}
@@ -63,13 +57,12 @@ func TestReaderFixedWidths(t *testing.T) {
 func TestVectorRoundTrip(t *testing.T) {
 	payload := []byte("certificate transparency")
 	b := NewBuilder(0)
-	b.AddUint8Vector(payload)
 	b.AddUint16Vector(payload)
 	b.AddUint24Vector(payload)
 	enc := b.MustBytes()
 
 	r := NewReader(enc)
-	for i, got := range [][]byte{r.Uint8Vector(), r.Uint16Vector(), r.Uint24Vector()} {
+	for i, got := range [][]byte{r.Uint16Vector(), r.Uint24Vector()} {
 		if !bytes.Equal(got, payload) {
 			t.Errorf("vector %d = %q, want %q", i, got, payload)
 		}
@@ -81,17 +74,13 @@ func TestVectorRoundTrip(t *testing.T) {
 
 func TestEmptyVectors(t *testing.T) {
 	b := NewBuilder(0)
-	b.AddUint8Vector(nil)
 	b.AddUint16Vector(nil)
 	b.AddUint24Vector(nil)
 	enc := b.MustBytes()
-	if want := []byte{0, 0, 0, 0, 0, 0}; !bytes.Equal(enc, want) {
+	if want := []byte{0, 0, 0, 0, 0}; !bytes.Equal(enc, want) {
 		t.Fatalf("encoded = %x, want %x", enc, want)
 	}
 	r := NewReader(enc)
-	if v := r.Uint8Vector(); len(v) != 0 {
-		t.Errorf("Uint8Vector = %x", v)
-	}
 	if v := r.Uint16Vector(); len(v) != 0 {
 		t.Errorf("Uint16Vector = %x", v)
 	}
@@ -100,14 +89,6 @@ func TestEmptyVectors(t *testing.T) {
 	}
 	if err := r.ExpectEmpty(); err != nil {
 		t.Errorf("ExpectEmpty: %v", err)
-	}
-}
-
-func TestOversizedUint8Vector(t *testing.T) {
-	b := NewBuilder(0)
-	b.AddUint8Vector(make([]byte, 256))
-	if _, err := b.Bytes(); !errors.Is(err, ErrOversizedVector) {
-		t.Fatalf("err = %v, want ErrOversizedVector", err)
 	}
 }
 
@@ -129,7 +110,7 @@ func TestOversizedUint24(t *testing.T) {
 
 func TestBuilderErrorSticks(t *testing.T) {
 	b := NewBuilder(0)
-	b.AddUint8Vector(make([]byte, 300))
+	b.AddUint16Vector(make([]byte, 1<<16))
 	b.AddUint8(1) // after the error; must not clear it
 	if _, err := b.Bytes(); err == nil {
 		t.Fatal("expected sticky error")
@@ -138,8 +119,8 @@ func TestBuilderErrorSticks(t *testing.T) {
 
 func TestReaderShortBuffer(t *testing.T) {
 	r := NewReader([]byte{0x01})
-	if v := r.Uint32(); v != 0 {
-		t.Errorf("Uint32 on short buffer = %d, want 0", v)
+	if v := r.Uint24(); v != 0 {
+		t.Errorf("Uint24 on short buffer = %d, want 0", v)
 	}
 	if !errors.Is(r.Err(), ErrShortBuffer) {
 		t.Fatalf("Err = %v, want ErrShortBuffer", r.Err())
@@ -147,9 +128,9 @@ func TestReaderShortBuffer(t *testing.T) {
 }
 
 func TestReaderErrorSticks(t *testing.T) {
-	r := NewReader([]byte{0x05, 0x01}) // uint8 vector claims 5 bytes, 1 present
-	if v := r.Uint8Vector(); v != nil {
-		t.Errorf("Uint8Vector = %x, want nil", v)
+	r := NewReader([]byte{0x00, 0x05, 0x01}) // uint16 vector claims 5 bytes, 1 present
+	if v := r.Uint16Vector(); v != nil {
+		t.Errorf("Uint16Vector = %x, want nil", v)
 	}
 	if r.Err() == nil {
 		t.Fatal("expected error")
@@ -182,12 +163,8 @@ func TestMustBytesPanics(t *testing.T) {
 
 // Property: any sequence of vectors round-trips.
 func TestVectorRoundTripProperty(t *testing.T) {
-	f := func(a, b, c []byte) bool {
-		if len(a) > 0xff {
-			a = a[:0xff]
-		}
+	f := func(b, c []byte) bool {
 		bld := NewBuilder(0)
-		bld.AddUint8Vector(a)
 		bld.AddUint16Vector(b)
 		bld.AddUint24Vector(c)
 		enc, err := bld.Bytes()
@@ -195,9 +172,8 @@ func TestVectorRoundTripProperty(t *testing.T) {
 			return false
 		}
 		r := NewReader(enc)
-		ra, rb, rc := r.Uint8Vector(), r.Uint16Vector(), r.Uint24Vector()
-		return r.ExpectEmpty() == nil &&
-			bytes.Equal(ra, a) && bytes.Equal(rb, b) && bytes.Equal(rc, c)
+		rb, rc := r.Uint16Vector(), r.Uint24Vector()
+		return r.ExpectEmpty() == nil && bytes.Equal(rb, b) && bytes.Equal(rc, c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -206,17 +182,16 @@ func TestVectorRoundTripProperty(t *testing.T) {
 
 // Property: fixed-width integers round-trip.
 func TestIntegerRoundTripProperty(t *testing.T) {
-	f := func(v8 uint8, v16 uint16, v24 uint32, v32 uint32, v64 uint64) bool {
+	f := func(v8 uint8, v16 uint16, v24 uint32, v64 uint64) bool {
 		v24 &= 0xffffff
 		b := NewBuilder(0)
 		b.AddUint8(v8)
 		b.AddUint16(v16)
 		b.AddUint24(v24)
-		b.AddUint32(v32)
 		b.AddUint64(v64)
 		r := NewReader(b.MustBytes())
 		return r.Uint8() == v8 && r.Uint16() == v16 && r.Uint24() == v24 &&
-			r.Uint32() == v32 && r.Uint64() == v64 && r.ExpectEmpty() == nil
+			r.Uint64() == v64 && r.ExpectEmpty() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -234,13 +209,13 @@ func TestReaderNeverOverreads(t *testing.T) {
 		for r.Err() == nil && r.Remaining() > 0 {
 			switch rng.Intn(4) {
 			case 0:
-				r.Uint8Vector()
+				r.Uint8()
 			case 1:
 				r.Uint16Vector()
 			case 2:
 				r.Uint24Vector()
 			case 3:
-				r.Uint32()
+				r.Uint24()
 			}
 		}
 	}

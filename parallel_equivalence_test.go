@@ -49,8 +49,11 @@ func TestParallelPipelineEquivalence(t *testing.T) {
 			seq.TotalPrecerts, seq.TotalFinal, par.TotalPrecerts, par.TotalFinal)
 	}
 	// Name sets.
-	if len(seq.Names()) == 0 || !reflect.DeepEqual(seq.Names(), par.Names()) {
-		t.Fatalf("name sets differ: seq=%d par=%d", len(seq.Names()), len(par.Names()))
+	seqNames, parNames := map[string]struct{}{}, map[string]struct{}{}
+	seq.NameSet.ForEach(func(n string) { seqNames[n] = struct{}{} })
+	par.NameSet.ForEach(func(n string) { parNames[n] = struct{}{} })
+	if len(seqNames) == 0 || !reflect.DeepEqual(seqNames, parNames) {
+		t.Fatalf("name sets differ: seq=%d par=%d", len(seqNames), len(parNames))
 	}
 	// Day series, cell by cell.
 	seqDays, seqOrgs, seqTable := seq.PrecertsByOrgDay.Table()
@@ -87,7 +90,7 @@ func TestParallelPipelineEquivalence(t *testing.T) {
 	// sequential side materializes a map; the parallel side consumes the
 	// sharded set zero-copy — both must agree.
 	list := psl.Default()
-	seqCensus := subenum.RunCensusParallel(seq.Names(), list, 1)
+	seqCensus := subenum.RunCensusParallel(seqNames, list, 1)
 	parCensus := subenum.RunCensusSet(par.NameSet, list, 8)
 	if seqCensus.ValidFQDNs == 0 {
 		t.Fatal("census saw no valid FQDNs")
