@@ -59,7 +59,8 @@ func TestCheckDurableFlags(t *testing.T) {
 }
 
 // TestLoadOrCreateSigner pins the lifecycle of the log's identity key,
-// DIR/key.der: created once (mode 0600, no temp file left behind),
+// DIR/key.der: created once (mode 0600, through
+// storage.WriteFileExclusive, no temp file left behind),
 // reloaded as the same log, converged on by racing first starts, and
 // never regenerated over a file that does not parse.
 func TestLoadOrCreateSigner(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -76,11 +77,7 @@ var configFieldAllowlist = map[string]string{
 // an entry whose name gains a caller or disappears fails too.
 func TestExportedNamesHaveCallers(t *testing.T) {
 	m := loadModule(t)
-	unused, err := m.unusedExported()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead, stale := againstAllowlist(unused, exportedCallerAllowlist)
+	dead, stale := againstAllowlist(m.unusedNames(true), exportedCallerAllowlist)
 	unset, staleFields := againstAllowlist(m.unsetConfigFields(), configFieldAllowlist)
 	report := func(what string, keys []string) {
 		if len(keys) == 0 {
@@ -93,6 +90,21 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	report("allowlisted names that now have a caller or no longer exist; drop their allowlist lines", stale)
 	report("…Config fields in internal/ that no non-test file sets; delete them or allowlist them with a reason", unset)
 	report("allowlisted …Config fields that are now set or no longer exist; drop their allowlist lines", staleFields)
+}
+
+// TestUnexportedNamesHaveCallers fails on any unexported package-level
+// func, type, var or const, and any unexported method, in internal/ or
+// cmd/ that no non-test file references. Uses and exclusions are those
+// of TestExportedNamesHaveCallers; main, init and _ are exempt. A key is
+// the package path below internal/, or below the module for cmd/, then
+// the name: "phish.normalizeJoin", "cmd/ctlogd.checkFlags". There
+// is no allowlist: only the name's own package can call it, so delete it.
+func TestUnexportedNamesHaveCallers(t *testing.T) {
+	unused := loadModule(t).unusedNames(false)
+	if len(unused) > 0 {
+		sort.Strings(unused)
+		t.Errorf("unexported names in internal/ and cmd/ that no non-test file references; delete them (%d):\n\t%s", len(unused), strings.Join(unused, "\n\t"))
+	}
 }
 
 // againstAllowlist splits found into the keys allow lacks, and returns
@@ -136,14 +148,24 @@ type moduleTypes struct {
 	pkgs   map[string]*checkedPackage
 	order  []string
 	std    types.Importer
+	used   map[types.Object]bool // what findUses found
 }
 
-// loadModule lists the module's packages and type-checks them all.
+// loadModule returns the module's packages, listed and type-checked
+// once per test binary.
 func loadModule(t *testing.T) *moduleTypes {
 	t.Helper()
+	m, err := moduleOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+var moduleOnce = sync.OnceValues(func() (*moduleTypes, error) {
 	out, err := exec.Command("go", "list", "-json", "./...").Output()
 	if err != nil {
-		t.Fatalf("go list: %v", err)
+		return nil, fmt.Errorf("go list: %w", err)
 	}
 	m := &moduleTypes{
 		fset:   token.NewFileSet(),
@@ -156,7 +178,7 @@ func loadModule(t *testing.T) *moduleTypes {
 		if err := dec.Decode(&lp); err == io.EOF {
 			break
 		} else if err != nil {
-			t.Fatalf("decode go list output: %v", err)
+			return nil, fmt.Errorf("decode go list output: %w", err)
 		}
 		m.listed[lp.ImportPath] = &lp
 	}
@@ -167,11 +189,14 @@ func loadModule(t *testing.T) *moduleTypes {
 	sort.Strings(paths)
 	for _, path := range paths {
 		if _, err := m.check(path); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
-	return m
-}
+	if m.used, err = m.findUses(); err != nil {
+		return nil, err
+	}
+	return m, nil
+})
 
 // Import type-checks a module package on first use and takes every
 // other package from the standard library's export data.
@@ -214,10 +239,13 @@ func (m *moduleTypes) check(path string) (*checkedPackage, error) {
 	return cp, nil
 }
 
-// audited reports whether path is an internal/ package the checker
-// audits, and its key prefix.
-func audited(path string) (string, bool) {
+// audited reports whether path is a package the checker audits, and its
+// key prefix: internal/ packages, and with withCmd the cmd/ packages too.
+func audited(path string, withCmd bool) (string, bool) {
 	rel, ok := strings.CutPrefix(path, "ctrise/internal/")
+	if !ok && withCmd && strings.HasPrefix(path, "ctrise/cmd/") {
+		rel, ok = strings.TrimPrefix(path, "ctrise/"), true
+	}
 	if !ok {
 		return "", false
 	}
@@ -241,9 +269,10 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// unusedExported returns the keys of the audited exported names that
-// nothing references.
-func (m *moduleTypes) unusedExported() ([]string, error) {
+// findUses returns every object that a non-test file references from
+// outside the object's own declaration, or through which a type
+// satisfies an interface.
+func (m *moduleTypes) findUses() (map[types.Object]bool, error) {
 	// own maps each object to the source ranges where naming it is not a
 	// use: its own declaration, and for a type its methods' receivers.
 	type span struct{ pos, end token.Pos }
@@ -291,17 +320,29 @@ func (m *moduleTypes) unusedExported() ([]string, error) {
 	if err := m.markInterfaceMethods(used); err != nil {
 		return nil, err
 	}
+	return used, nil
+}
 
+// unusedNames returns the keys of the audited names that nothing
+// references: the exported ones in internal/, or the unexported ones in
+// internal/ and cmd/.
+func (m *moduleTypes) unusedNames(exported bool) []string {
+	audit := func(obj types.Object) bool {
+		if exported {
+			return obj.Exported() && !m.used[obj]
+		}
+		return !obj.Exported() && !m.used[obj] && obj.Name() != "main" && obj.Name() != "init" && obj.Name() != "_"
+	}
 	var keys []string
 	for _, path := range m.order {
-		rel, ok := audited(path)
+		rel, ok := audited(path, !exported)
 		if !ok {
 			continue
 		}
 		scope := m.pkgs[path].pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() && !used[obj] {
+			if audit(obj) {
 				keys = append(keys, rel+"."+name)
 			}
 			tn, ok := obj.(*types.TypeName)
@@ -313,13 +354,13 @@ func (m *moduleTypes) unusedExported() ([]string, error) {
 				continue
 			}
 			for i := 0; i < named.NumMethods(); i++ {
-				if meth := named.Method(i); meth.Exported() && !used[meth] {
+				if meth := named.Method(i); audit(meth) {
 					keys = append(keys, rel+"."+name+"."+meth.Name())
 				}
 			}
 		}
 	}
-	return keys, nil
+	return keys
 }
 
 // receiverNamed returns the generic origin of method fn's receiver type,
@@ -454,7 +495,7 @@ func (m *moduleTypes) unsetConfigFields() []string {
 	}
 	var keys []string
 	for _, path := range m.order {
-		rel, ok := audited(path)
+		rel, ok := audited(path, false)
 		if !ok {
 			continue
 		}

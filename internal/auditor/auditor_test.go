@@ -347,6 +347,10 @@ var faultScenarios = []struct {
 	},
 }
 
+// TestFaultMatrix requires each injected fault class to raise exactly
+// its expected typed alerts: rollback, fork, same-size and split-view
+// equivocation, bad STH signatures, MMD violations and corrupt entry
+// bodies; an honest log behind scripted network chaos raises none.
 func TestFaultMatrix(t *testing.T) {
 	for _, sc := range faultScenarios {
 		t.Run(sc.name, func(t *testing.T) {

@@ -39,6 +39,8 @@ func TestGossipHTTPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCrossCheckPeerDetectsSplitViewOverHTTP: a gossip cross-check over
+// real HTTP detects a split view as one equivocation.
 func TestCrossCheckPeerDetectsSplitViewOverHTTP(t *testing.T) {
 	w := newChaosWorld(t, 3)
 	w.chaos.SetFault(chaos.FaultSplitView)
@@ -59,6 +61,8 @@ func TestCrossCheckPeerDetectsSplitViewOverHTTP(t *testing.T) {
 	}
 }
 
+// TestCrossCheckRejectsForgedPeerSTH: a gossip cross-check rejects peer
+// evidence the log never signed.
 func TestCrossCheckRejectsForgedPeerSTH(t *testing.T) {
 	w := newChaosWorld(t, 3)
 	a := w.NewAuditor("", nil)

@@ -82,6 +82,8 @@ func fastRetryMonitor(c *Client) *Monitor {
 	return m
 }
 
+// TestMonitorRetriesTransient5xx: a monitor rides out transient 5xx
+// answers by retrying.
 func TestMonitorRetriesTransient5xx(t *testing.T) {
 	l := newMonitoredLog(t, 10)
 	flaky := newFlakyHandler(l.Handler(), http.StatusServiceUnavailable, 2)
@@ -103,6 +105,8 @@ func TestMonitorRetriesTransient5xx(t *testing.T) {
 	}
 }
 
+// TestMonitorRetryGivesUpAfterMaxRetries: the retry is bounded; after
+// MaxRetries retries the server's StatusError surfaces.
 func TestMonitorRetryGivesUpAfterMaxRetries(t *testing.T) {
 	l := newMonitoredLog(t, 4)
 	// More failures than the budget allows: 1 attempt + 3 retries < 10.

@@ -247,6 +247,9 @@ func newFaultyPool(t *testing.T, clock *testClock, n int, googles ...int) ([]Bac
 	return specs, faulty
 }
 
+// TestFrontendFailoverRoutesAroundDeadBackend kills two backends: every
+// bundle routes around them and stays policy-compliant, backoff freezes
+// them out of planning, and once revived and past backoff they rejoin.
 func TestFrontendFailoverRoutesAroundDeadBackend(t *testing.T) {
 	clock := newTestClock()
 	specs, faulty := newFaultyPool(t, clock, 5, 0, 1)

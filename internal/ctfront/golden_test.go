@@ -18,7 +18,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/counters.golden 
 // TestTamperedSCTCountersGolden pins the frontend's entire metrics
 // surface for a fixed tampered-key scenario: a wrong-key backend
 // quarantined mid-run, a deterministic seed, a virtual clock, and one
-// weight commit. Any drift in the per-backend counters — a bad SCT
+// weight commit: every per-backend family, with bad_scts, failures and
+// healthy moving. Any drift in the per-backend counters — a bad SCT
 // silently counted as a success, a quarantine that stops firing, a
 // renamed series — fails against the golden file even if every
 // behavioral test was updated to match.

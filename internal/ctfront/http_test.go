@@ -127,6 +127,9 @@ func TestFrontendHTTPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrontendHTTPBadRequests: both submission paths answer a malformed
+// body 400 and an over-cap body 413, from ctlog's add-chain parser
+// (ctlog.ReadAddChain, ReadAddPreChain).
 func TestFrontendHTTPBadRequests(t *testing.T) {
 	clock := newTestClock()
 	specs, _ := newRemotePool(t, clock, 2, 0)

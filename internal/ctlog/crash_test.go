@@ -337,7 +337,9 @@ func TestCrashRecoveryAtEveryByteOffset(t *testing.T) {
 
 // TestCrashRecoveryWithByteCorruption flips every single byte of the
 // WAL image (one at a time) and requires recovery to either fail loudly
-// or land prefix-consistent — never serve a diverged STH.
+// or land prefix-consistent — never serve a diverged STH. Every byte flip
+// of a sealed log's snapshot must fail Open with storage.ErrCorrupt: the
+// WAL behind a seal is reset, so there is nothing to fall back to.
 func TestCrashRecoveryWithByteCorruption(t *testing.T) {
 	t.Run("walOnly", func(t *testing.T) {
 		wal, _, _, oracle := buildCrashImage(t, Config{}, false)

@@ -117,6 +117,9 @@ func TestHTTPGetEntriesErrorPaths(t *testing.T) {
 	}
 }
 
+// TestHTTPProofAndConsistencyErrorPaths pins the proof endpoints' error
+// classes through HTTP: a malformed or out-of-range query is 400, an
+// unknown hash 404.
 func TestHTTPProofAndConsistencyErrorPaths(t *testing.T) {
 	l, srv := newHTTPTestLog(t, Config{})
 	for i := 0; i < 4; i++ {

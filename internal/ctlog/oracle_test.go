@@ -334,7 +334,9 @@ func differentialSchedule(t *testing.T, l *Log, clk *virtualClock, par int, seed
 // in-memory, durable untiled (span larger than the log), and durable
 // tiled (small span, so proofs cross the RAM/tile boundary) logs driven
 // through randomized schedules at read parallelism 1, 4, and 13, with
-// durable variants closed and reopened mid-history.
+// durable variants closed and reopened mid-history. Every inclusion,
+// consistency and by-hash proof served from the published snapshot must
+// equal the oracle's.
 func TestProofOracleDifferential(t *testing.T) {
 	for _, par := range []int{1, 4, 13} {
 		par := par

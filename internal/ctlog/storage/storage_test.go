@@ -312,6 +312,8 @@ func TestStoreExclusiveLock(t *testing.T) {
 	st2.Close()
 }
 
+// TestStoreClosedIsSticky: a closed store refuses writes with ErrClosed,
+// and closing it again is not an error.
 func TestStoreClosedIsSticky(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {

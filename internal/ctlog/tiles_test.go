@@ -478,9 +478,9 @@ func TestTiledDedupeAcrossSealAndReopen(t *testing.T) {
 // fsyncs every submission, and requires every submitter and reader path
 // to finish while it is parked: add-chain with a new identity and with a
 // duplicate of a sealing entry, get-sth, get-entries and
-// get-proof-by-hash, all through the HTTP handler. A seal writes and
-// verifies its tiles under the sequencer lock alone, so none of them may
-// wait on it.
+// get-proof-by-hash, all through the HTTP handler, each within 2 s. A
+// seal writes and verifies its tiles under the sequencer lock alone, so
+// none of them may wait on it. CI runs it with -race -count=5.
 func TestTiledParkedSealBlocksNoOne(t *testing.T) {
 	l, clk := newDurableLog(t, t.TempDir(), Config{TileSpan: 8})
 	defer l.Close()
@@ -737,7 +737,9 @@ func TestTiledWALBounded(t *testing.T) {
 // image as if the process had been killed there. Every stage must
 // recover exactly the state the live log held, because every stage's
 // on-disk image is self-consistent by construction: tiles before
-// snapshot, snapshot before truncate, re-anchor after truncate.
+// snapshot, snapshot before truncate, re-anchor after truncate. Each
+// recovered log must then keep growing: its next publish seals and is
+// consistent with the recovered head.
 func TestTiledSealCrashAtEveryStage(t *testing.T) {
 	dir := t.TempDir()
 	l, clk := newDurableLog(t, dir, Config{TileSpan: 4})
@@ -1194,7 +1196,9 @@ func TestTiledConcurrentGetEntriesOwnBuffers(t *testing.T) {
 // counted miss, so the misses one GetEntries costs say exactly which
 // files it read. A tile sealed by this process costs one (the leaf
 // file) from the start; after a reopen a tile's first page-in costs two
-// (leaf + hash: the cross-check) and every later one costs one.
+// (leaf + hash: the cross-check) and every later one costs one. Eight
+// readers racing the first touches of a reopened tile are all served when
+// the tile is good, and none is ever served when it is forged.
 func TestTiledPageInChecksOnce(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{TileSpan: 4, PageCacheBytes: -1}
@@ -1396,7 +1400,11 @@ func writeTileFixture(t *testing.T, l *Log, tile uint64, prefix string) tileImag
 // directly on tile files written the way a seal writes them, one kind of
 // damage per row. Every row must fail with the right error class naming
 // the tile and file (or, for the good tile, pass), leave the tile
-// unregistered, and leave the page cache untouched.
+// unregistered, and leave the page cache untouched. The rows flip, swap,
+// forge and remove files. verify decodes nothing and cross-checks
+// nothing: it requires each of the three files on disk to equal byte for
+// byte the image the seal wrote, whose hash tile was built from the
+// stamped leaf hashes and root-pinned before the write.
 func TestTiledVerifyChecksDisk(t *testing.T) {
 	copyFrom1 := func(ext string) func(t *testing.T, dir string) {
 		return func(t *testing.T, dir string) {
@@ -1673,7 +1681,9 @@ func TestTiledConcurrentSealFailureIsSticky(t *testing.T) {
 // under GOMAXPROCS 1 and 4, so its seals run on one worker and on four.
 // The second publish covers 10 tiles, more than the workers. Tile roots
 // must register in tile order (each equal to a reference tree's), and
-// the tiles directory and snapshot.ct must come out byte-identical.
+// the tiles directory and snapshot.ct must come out byte-identical. CI
+// runs it with -race -count=5, so the workers race on their tiles under
+// the detector.
 func TestTiledSealWorkersByteIdentical(t *testing.T) {
 	const span = 16
 	build := func(procs int) string {

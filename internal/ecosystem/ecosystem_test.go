@@ -310,6 +310,8 @@ func coupledReplayConfig(parallelism int, nimbusCapacity float64) Config {
 	}
 }
 
+// TestNimbusOverloadDropsSubmissions replays the coupled timeline with
+// an overloaded Nimbus and pins every log's head at parallelism 1 and 4.
 func TestNimbusOverloadDropsSubmissions(t *testing.T) {
 	// With a tiny Nimbus capacity, the timeline still completes and the
 	// log records rejections (the Section 2 incident shape). The per-log
@@ -346,8 +348,8 @@ func TestNimbusOverloadDropsSubmissions(t *testing.T) {
 
 // A CA that also logs its final certificates (Let's Encrypt's
 // post-disclosure behaviour) couples each final certificate to the SCTs
-// its precertificate collected. The per-log heads are pinned at every
-// Parallelism.
+// its precertificate collected. The per-log heads are pinned, the same
+// at parallelism 1 and 4.
 func TestFinalCertLoggingReplayPinned(t *testing.T) {
 	want := []string{
 		"Google Pilot log 278 460f1035 0",

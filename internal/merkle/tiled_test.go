@@ -122,7 +122,7 @@ func TestTiledUnsealedMatchesTree(t *testing.T) {
 
 // TestTiledSealedMatchesTree: sealing at every reachable boundary while
 // appending must not change any root or proof against the reference
-// tree, across several spans and both aligned and ragged final sizes.
+// tree, at spans 2 to 32 and both aligned and ragged final sizes.
 func TestTiledSealedMatchesTree(t *testing.T) {
 	const n = 73
 	ref := buildRef(n)
@@ -274,7 +274,8 @@ func (s *funcSource) Node(level int, index uint64) (Hash, error) { return s.fn(l
 // TestPrefixViewMatchesLiveTree: a view frozen at size n answers roots
 // and proofs exactly as the live tree did at that moment — and keeps
 // answering them unchanged while the live tree appends and seals past
-// it. This is the property lock-free proof serving rests on.
+// it, every answer held to the reference recursion. This is the property
+// lock-free proof serving rests on.
 func TestPrefixViewMatchesLiveTree(t *testing.T) {
 	const n = 73
 	const span = 8

@@ -10,7 +10,6 @@ package phish
 
 import (
 	"regexp"
-	"strings"
 
 	"ctrise/internal/dnsname"
 	"ctrise/internal/psl"
@@ -195,10 +194,4 @@ func (r *Report) SuffixShare(service string, suffixes ...string) float64 {
 		hit += sc.Get(s)
 	}
 	return stats.Percent(hit, r.PerService.Get(service))
-}
-
-// normalizeJoin glues name fragments with the given separator, keeping
-// the result a valid label sequence.
-func normalizeJoin(sep string, parts ...string) string {
-	return strings.Join(parts, sep)
 }

@@ -163,6 +163,9 @@ func TestFaultKindsRecorded(t *testing.T) {
 	}
 }
 
+// TestBuildPopulationDeterministic requires the scan population to be a
+// function of its seed: every site's certificate, serial included, is
+// byte-identical at parallelism 1, 4 and 13.
 func TestBuildPopulationDeterministic(t *testing.T) {
 	count := func() uint64 {
 		w := testWorld(t)

@@ -80,7 +80,8 @@ func TestConstructParallelEquivalence(t *testing.T) {
 	}
 }
 
-// Verify must produce the identical funnel at any resolver fan-out.
+// Verify must produce the identical funnel (Section 4.3) at any resolver
+// fan-out.
 func TestVerifyParallelEquivalence(t *testing.T) {
 	u := buildVerifyUniverse(t)
 	rng := rand.New(rand.NewSource(7))
