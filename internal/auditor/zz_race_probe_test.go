@@ -14,6 +14,12 @@ import (
 	"ctrise/internal/sct"
 )
 
+// TestConcurrentMetricsScrapeRaceProbe scrapes /metrics and gossips the
+// auditor's heads in a loop while it polls a growing log. Both read the
+// monitor's cursor and head (ctclient.Monitor.NextIndex, LastSTH) while
+// Poll advances them, so under -race it fails unless the monitor orders
+// those reads with its own writes. One run can miss the interleaving;
+// CI runs it 50 times under -race.
 func TestConcurrentMetricsScrapeRaceProbe(t *testing.T) {
 	signer := sct.NewFastSigner("racelog")
 	lg, err := ctlog.New(ctlog.Config{Name: "racelog", Signer: signer})

@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"ctrise/internal/ctlog"
@@ -384,6 +385,11 @@ type Monitor struct {
 	// lockstep. NewMonitor defaults to 100ms.
 	RetryBase time.Duration
 
+	// mu guards the cursor, head and entry count below, so the accessors
+	// are safe to call while a Poll runs (an auditor's /metrics scrape or
+	// gossip beside its poll loop). Poll itself is not reentrant: one
+	// caller polls a Monitor at a time.
+	mu      sync.Mutex
 	lastSTH *ctlog.SignedTreeHead
 	nextIdx uint64
 	entries uint64
@@ -477,12 +483,20 @@ func NewMonitorAt(client *Client, next uint64) *Monitor {
 
 // NextIndex returns the first entry index the monitor has not yet
 // delivered — the cursor the auditor persists in its verified-STH chain.
-func (m *Monitor) NextIndex() uint64 { return m.nextIdx }
+func (m *Monitor) NextIndex() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.nextIdx
+}
 
 // LastSTH returns the most recently verified signed tree head, or nil if
 // no Poll has completed yet. Auditors persist it (with NextIndex) as
 // their verified-chain head.
-func (m *Monitor) LastSTH() *ctlog.SignedTreeHead { return m.lastSTH }
+func (m *Monitor) LastSTH() *ctlog.SignedTreeHead {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lastSTH
+}
 
 // SetLastSTH seeds the monitor with a previously verified tree head —
 // the head of a persisted verified-STH chain — so the first Poll after a
@@ -490,11 +504,17 @@ func (m *Monitor) LastSTH() *ctlog.SignedTreeHead { return m.lastSTH }
 // of blindly adopting whatever the log serves now. Cross-restart fork
 // and rollback detection both hang off this anchor.
 func (m *Monitor) SetLastSTH(sth ctlog.SignedTreeHead) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.lastSTH = &sth
 }
 
 // EntriesSeen reports how many entries the monitor has consumed.
-func (m *Monitor) EntriesSeen() uint64 { return m.entries }
+func (m *Monitor) EntriesSeen() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.entries
+}
 
 // StreamEntries fetches entries [start, end] (inclusive) over HTTP and
 // delivers them to fn strictly in index order, mirroring
@@ -571,8 +591,11 @@ func (m *Monitor) Poll(ctx context.Context, fn func(*ctlog.Entry) error) error {
 	}); err != nil {
 		return err
 	}
-	if m.lastSTH != nil {
-		last := m.lastSTH.TreeHead
+	m.mu.Lock()
+	lastSTH, nextIdx := m.lastSTH, m.nextIdx
+	m.mu.Unlock()
+	if lastSTH != nil {
+		last := lastSTH.TreeHead
 		switch {
 		case sth.TreeHead.TreeSize < last.TreeSize:
 			return fmt.Errorf("%w: had size %d, got %d", ErrRollback, last.TreeSize, sth.TreeHead.TreeSize)
@@ -604,22 +627,28 @@ func (m *Monitor) Poll(ctx context.Context, fn func(*ctlog.Entry) error) error {
 			}
 		}
 	}
-	if sth.TreeHead.TreeSize > m.nextIdx {
-		next, err := m.StreamEntries(ctx, m.nextIdx, sth.TreeHead.TreeSize-1, func(e *ctlog.Entry) error {
+	if sth.TreeHead.TreeSize > nextIdx {
+		next, err := m.StreamEntries(ctx, nextIdx, sth.TreeHead.TreeSize-1, func(e *ctlog.Entry) error {
 			if err := fn(e); err != nil {
 				return err
 			}
+			m.mu.Lock()
 			m.entries++
+			m.mu.Unlock()
 			return nil
 		})
 		// Record progress even on error so a retried Poll resumes from
 		// the first undelivered entry instead of re-fetching.
+		m.mu.Lock()
 		m.nextIdx = next
+		m.mu.Unlock()
 		if err != nil {
 			return err
 		}
 	}
+	m.mu.Lock()
 	m.lastSTH = &sth
+	m.mu.Unlock()
 	return nil
 }
 

@@ -277,14 +277,17 @@ func newTiledBenchLog(b *testing.B) (*Log, string, Config) {
 // BenchmarkLogReadTiled measures the sealed-region read path of a
 // tile-backed log: get-entries pages and inclusion proofs served from
 // immutable tile files. The hot variant runs with the default page-cache
-// budget, so after the first pass every hash, index and offsets page is
+// budget, so after the first pass every hash and offsets page is
 // a RAM hit and a get-entries page is one ranged read of its records
 // (read + CRC + parse); the cold variant disables the cache
 // (PageCacheBytes < 0, pass-through), so every operation pages its tile
 // files in from the store — the spread between the two is what the LRU
-// cache buys. What a cold page-in is differs by file: a hash or index
-// tile is read and fully re-verified every time (proof-cold); a leaf
-// tile's offsets page is built from the whole file, cross-checked
+// cache buys. What a cold page-in is differs by file: a hash tile is
+// read, fully re-verified and its leaf keys sorted every time, and
+// proof-cold pages it in once for the leaf lookup and once more for each
+// of the 8 audit-path nodes below the tile level, reading no index file
+// (before the lookup searched the hash page, one of those 9 reads was
+// of the .idx); a leaf tile's offsets page is built from the whole file, cross-checked
 // against its hash tile on its first build after Open and from then on
 // read + CRC + parse, before the ranged read, so after the first lap of
 // 64 tiles entries-cold measures exactly that: every page reads its leaf
@@ -440,7 +443,8 @@ func BenchmarkHandlerGetEntries(b *testing.B) {
 // the process: get-proof-by-hash at the head for leaves spread over all
 // 64 sealed tiles, through Handler().ServeHTTP into a recorder, with the
 // page cache hot — mux, query parsing, the leaf-bloom probe over every
-// tile, one index search, the audit path and the wire encoding.
+// tile, one leaf-key search of a hash page, the audit path and the wire
+// encoding.
 func BenchmarkHandlerProofByHash(b *testing.B) {
 	l, _, _ := newTiledBenchLog(b)
 	defer l.Close()

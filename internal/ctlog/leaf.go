@@ -33,7 +33,7 @@ type Entry struct {
 	// as a cheap sort key, leafHash the Merkle leaf hash. All are
 	// meaningless on client-parsed entries, and unset on entries read
 	// from sealed tiles: sealed dedupe and proof lookups go through the
-	// tile index files, not these fields.
+	// tiles' blooms, index and hash files, not these fields.
 	idHash   merkle.Hash
 	idKey    uint64
 	leafHash merkle.Hash

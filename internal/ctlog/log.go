@@ -181,10 +181,13 @@ type Config struct {
 	// resident and never seal — tree bytes are identical either way).
 	TileSpan int
 	// PageCacheBytes bounds the RAM the tile page cache may hold (decoded
-	// tile pages, LRU-evicted): hash and index pages, each charged its
-	// file bytes, and leaf tiles' offsets pages, each charged its
-	// (span+1) 32-bit offsets. Leaf bytes are never cached; each sealed
-	// read reads its own records from the tile file. 0 means the default
+	// tile pages, LRU-evicted, only ever the ones reads ask for — Open
+	// and sealing cache none): hash pages, each charged its file bytes
+	// plus 8 bytes of leaf key per entry; index pages, which hold a
+	// tile's identity rows for dedupe and are charged 40 bytes per
+	// entry; and leaf tiles' offsets pages, each charged its (span+1)
+	// 32-bit offsets. Leaf bytes are never cached; each sealed read
+	// reads its own records from the tile file. 0 means the default
 	// (64 MiB); negative disables retention entirely (every sealed-tile
 	// read pages in from disk, the offsets page too — useful for
 	// cold-cache measurement). Ignored by in-memory logs.

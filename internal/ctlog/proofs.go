@@ -42,7 +42,7 @@ import (
 // lock-free.
 // Indices are immutable once assigned, so a racing read can never
 // observe a wrong value — only a hash's presence moves, and only from
-// this map into the sealed tiles' index files.
+// this map into the sealed tiles' hash files.
 type leafIndex struct{ m sync.Map }
 
 func (ix *leafIndex) set(h merkle.Hash, idx uint64) { ix.m.Store(h, idx) }
@@ -69,8 +69,10 @@ func (l *Log) GetConsistencyProof(first, second uint64) ([]merkle.Hash, error) {
 // GetProofByHash returns the inclusion proof and index for a leaf hash
 // at the given tree size, served lock-free from the published snapshot.
 // The resident range resolves through the leafIndex, sealed leaves
-// through the per-tile bloom + index files; proof construction may page
-// sealed hash tiles in from disk through the page cache. treeSize may
+// through the per-tile leaf blooms and the sorted leaf keys of each
+// candidate's hash tile — the root-pinned page the audit path is read
+// from next, so a sealed proof by hash pages in the .hash file only and
+// never reads the .idx file. Both go through the page cache. treeSize may
 // be at most the published tree size: the live tree can run ahead of
 // the head by up to one sequence step, but proofs over unpublished
 // state would pin the log to an STH it never signed.

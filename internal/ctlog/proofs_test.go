@@ -20,7 +20,7 @@ import (
 // log's locks are HELD by the test. An endpoint that took either would
 // deadlock here and the watchdog fires. Run over both an in-memory log
 // and a durable tiled one (whose proof-by-hash path additionally walks
-// the tile blooms and index files).
+// the tile blooms and hash pages).
 func TestProofServingHoldsNoLogMutex(t *testing.T) {
 	run := func(t *testing.T, l *Log, clk *virtualClock) {
 		for i := 0; i < 40; i++ {

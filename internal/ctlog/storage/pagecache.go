@@ -6,8 +6,9 @@ import (
 )
 
 // PageKey identifies one cacheable tile page: the tile number plus a
-// caller-chosen kind (the ctlog layer caches a decoded hash or index
-// file, or a leaf file's record offsets, as one page).
+// caller-chosen kind (the ctlog layer caches a decoded hash file with
+// its leaf keys, an index file's identity rows, or a leaf file's record
+// offsets, as one page).
 type PageKey struct {
 	Kind uint8
 	Tile uint64
@@ -32,8 +33,9 @@ func (s PageCacheStats) HitRate() float64 {
 
 // PageCache is a byte-budget LRU over immutable tile pages. Values are
 // opaque; the caller supplies each page's loader and byte charge (what
-// the page pins in RAM: the ctlog layer charges a hash or index page its
-// file bytes and an offsets page its offsets).
+// the page pins in RAM: the ctlog layer charges a hash page its file
+// bytes plus its leaf keys, an index page its identity rows and an
+// offsets page its offsets).
 // A page larger than the whole budget is served but never retained, so a
 // zero (or tiny) budget degrades to a pass-through cache — every read
 // goes to disk — rather than breaking reads.

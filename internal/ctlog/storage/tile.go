@@ -23,8 +23,7 @@ import (
 //	NNNNNNNNNNNNNNNN.hash  — every Merkle level of the tile's subtree,
 //	                         leaves up to the single tile root
 //	NNNNNNNNNNNNNNNN.idx   — bloom filters + sorted (hash, index) rows
-//	                         for identity-hash dedupe and
-//	                         leaf-hash → index lookups
+//	                         by identity hash and by leaf hash
 //
 // where NNNNNNNNNNNNNNNN is the zero-padded hex tile number, so
 // lexicographic directory order is tile order. Decoders are strict
@@ -328,10 +327,13 @@ type IndexRow struct {
 }
 
 // TileIndex is the decoded form of an .idx file: for one sealed tile,
-// bloom-fronted sorted indexes by identity hash (dedupe) and by Merkle
-// leaf hash (get-proof-by-hash). The blooms are small enough (~2 bytes
-// per entry each) to stay resident for every sealed tile; the row arrays
-// are only paged in when a bloom reports a possible hit.
+// bloom-fronted sorted indexes by identity hash and by Merkle leaf hash.
+// The blooms are small enough (~2 bytes per entry each) to stay
+// resident for every sealed tile; the ctlog layer keeps both. Of the
+// row arrays it reads only ID, paged in when the identity bloom reports
+// a possible hit on a dedupe lookup. Leaf is written and validated with
+// the rest of the file but has no reader: get-proof-by-hash finds a
+// sealed leaf in the tile's root-pinned hash file instead.
 type TileIndex struct {
 	Tile      uint64
 	Span      uint64
@@ -480,9 +482,11 @@ func DecodeTileIndex(data []byte) (*TileIndex, error) {
 
 // Bloom is a fixed-size bloom filter over 32-byte hashes. The probe
 // positions are carved directly out of the (already uniform) hash bytes,
-// so Test costs K masked loads and no extra hashing. Sized at ~16 bits
-// per key with K=4 the false-positive rate is ≈0.24%: a dedupe miss
-// costs one needless index-tile page-in per ~400 lookups.
+// so a probe costs K masked loads and no extra hashing. Sized at ~16 bits
+// per key with K=4 the false-positive rate is ≈0.24% per tile probed: a
+// new submission's identity probe pages in a needless index page, and a
+// proof by hash's leaf probe a needless hash page, once per ~400 tiles
+// probed.
 type Bloom struct {
 	K    int
 	Bits []byte

@@ -1,9 +1,11 @@
 package ctlog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,20 +20,33 @@ import (
 // Merkle subtree hashes, and a bloom-fronted lookup index per tile — see
 // storage/tile.go for the formats) and evicted from RAM. From then on
 // get-entries, get-proof-by-hash, and get-consistency are served from
-// the tiles through a byte-budget LRU page cache, the dedupe check and
-// the leaf-hash lookup for sealed entries go through per-tile blooms +
-// binary-searched index files, and — because the snapshot now carries
-// the tile roots instead of the sealed entries — the WAL is truncated
-// behind the seal. RAM and WAL therefore stay bounded by the mutable
-// edge (tail + staged batch + ~4 bloom bytes per sealed entry), plus
-// whatever pages reads and dedupe lookups asked for, up to the
-// page-cache budget — independent of tree size. Sealing itself leaves
-// nothing in the cache. Leaf bytes are never cached: a leaf tile's
-// cached page is its offsets page, one 32-bit file offset per record,
-// and each sealed read reads the .leaf file's header and just the
-// records it serves into a buffer of its own, checking them on that
-// read (tileStore.readLeaves). The kernel's file cache is the only
-// cache that holds them.
+// the tiles through a byte-budget LRU page cache. The dedupe check for
+// sealed entries goes through per-tile identity blooms + binary-searched
+// index files, the leaf-hash lookup through per-tile leaf blooms + the
+// sorted leaf keys of the hash tile the proof reads anyway, and —
+// because the snapshot now carries the tile roots instead of the sealed
+// entries — the WAL is truncated behind the seal. RAM and WAL therefore
+// stay bounded by the mutable edge (tail + staged batch + ~4 bloom bytes
+// per sealed entry), plus whatever pages reads and dedupe lookups asked
+// for, up to the page-cache budget — independent of tree size. Neither
+// sealing nor Open leaves anything in the cache.
+//
+// Each kind of cached page holds only what its readers use:
+//
+//   - a hash page (hashTile) holds the tile's root-pinned Merkle levels,
+//     read by proofs and the offsets page's cross-check, and its leaf
+//     hashes as sorted uint64 keys (leafKeys), read by get-proof-by-hash;
+//     it is charged its file bytes plus 8 bytes a leaf;
+//   - an offsets page (leafOffsets) holds one 32-bit file offset per leaf
+//     record, read by every sealed leaf read, charged 4 × (span+1). Leaf
+//     bytes are never cached: each sealed read reads the .leaf file's
+//     header and just the records it serves into a buffer of its own,
+//     checking them on that read (tileStore.readLeaves). The kernel's
+//     file cache is the only cache that holds them;
+//   - an index page (idRows) holds the .idx file's identity rows, read by
+//     a dedupe lookup whose identity bloom hit the tile, charged 40 ×
+//     span. The file's leaf rows are validated when it is decoded and
+//     dropped: no reader uses them.
 //
 // The resident blooms are bit-sliced (storage.SlicedBlooms): the same
 // bloom bytes the index files hold, transposed in blocks of 64 tiles, so
@@ -74,7 +89,8 @@ import (
 //     beyond the WAL end, so recovery adopts it and re-anchors, exactly
 //     as it does for mid-file WAL corruption.
 
-// Page-cache kinds: a hash tile, a leaf tile's offsets page, an index.
+// Page-cache kinds: a hash tile with its leaf keys, a leaf tile's
+// offsets page, an index's identity rows.
 const (
 	pageKindHash    uint8 = 1
 	pageKindOffsets uint8 = 2
@@ -195,9 +211,11 @@ func (ts *tileStore) rootsImage() [][32]byte {
 // tile's blooms from its index file. The blooms must be resident before
 // the first submission (they are the sealed half of the dedupe index),
 // so a tile whose index cannot be read or validated fails Open loudly.
-// Leaf and hash files are not opened here — Open stays O(index files) —
-// so every installed tile starts unchecked and is cross-checked by its
-// first offsets-page build.
+// Each index file is read and fully decoded, every check of decodeIndex
+// included, but only its blooms are kept: nothing goes into the page
+// cache, which holds what reads ask for. Leaf and hash files are not
+// opened here — Open stays O(index files) — so every installed tile
+// starts unchecked and is cross-checked by its first offsets-page build.
 func (ts *tileStore) install(roots [][32]byte) error {
 	ts.mu.Lock()
 	ts.roots = make([]merkle.Hash, len(roots))
@@ -208,7 +226,11 @@ func (ts *tileStore) install(roots [][32]byte) error {
 	ts.checked = make([]bool, len(roots))
 	ts.mu.Unlock()
 	for tile := uint64(0); tile < uint64(len(roots)); tile++ {
-		ix, err := ts.index(tile)
+		data, err := ts.read(tile, storage.TileExtIndex)
+		var ix *storage.TileIndex
+		if err == nil {
+			ix, err = ts.decodeIndex(tile, data)
+		}
 		if err != nil {
 			return fmt.Errorf("loading sealed tile %d index: %w", tile, err)
 		}
@@ -314,22 +336,67 @@ func (ts *tileStore) decodeIndex(tile uint64, data []byte) (*storage.TileIndex, 
 	return ix, nil
 }
 
+// hashPage is a cached hash tile: its Merkle levels, root-pinned, and
+// its leaf hashes as sorted lookup keys (leafKeys), which is how
+// get-proof-by-hash finds a leaf in the tile (find).
+type hashPage struct {
+	*storage.HashTile
+	keys []uint64
+}
+
+// leafKeys returns one key per leaf hash of a tile (span of them, a
+// power of two), sorted: the hash's first 8 bytes read big-endian, with
+// the low log2(span) bits replaced by the leaf's position in the tile. At span 1024 that is a 54-bit
+// hash prefix and a 10-bit position, 8 bytes a leaf. The keys sort as
+// plain integers, one slices.Sort, several times faster than sorting the
+// 32-byte hashes; a prefix shared by two leaves only costs find a second
+// full-hash compare.
+func leafKeys(leaves [][32]byte) []uint64 {
+	mask := uint64(len(leaves) - 1)
+	keys := make([]uint64, len(leaves))
+	for pos, h := range leaves {
+		keys[pos] = binary.BigEndian.Uint64(h[:8])&^mask | uint64(pos)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// find returns the position in the tile of the leaf whose hash is h.
+// Each key sharing h's prefix names a candidate position, and only a
+// leaf whose full 32-byte hash equals h matches.
+func (p *hashPage) find(h [32]byte) (uint64, bool) {
+	mask := uint64(len(p.keys) - 1)
+	prefix := binary.BigEndian.Uint64(h[:8]) &^ mask
+	i, _ := slices.BinarySearch(p.keys, prefix)
+	for ; i < len(p.keys) && p.keys[i]&^mask == prefix; i++ {
+		if pos := p.keys[i] & mask; p.Levels[0][pos] == h {
+			return pos, true
+		}
+	}
+	return 0, false
+}
+
 // hashTile pages in one registered tile's Merkle levels, root-pinned to
 // the root registered at seal time, so every node served to a proof is
-// covered.
-func (ts *tileStore) hashTile(tile uint64) (*storage.HashTile, error) {
+// covered, and the leaf keys built from them. The page is charged its
+// file bytes plus its keys.
+func (ts *tileStore) hashTile(tile uint64) (*hashPage, error) {
 	root, ok := ts.rootAt(tile)
 	if !ok {
 		return nil, fmt.Errorf("ctlog: hash tile %d is not sealed", tile)
 	}
 	v, err := ts.load(pageKindHash, tile, storage.TileExtHash, func(data []byte) (any, int64, error) {
 		ht, err := ts.decodeHash(tile, root, data)
-		return ht, int64(len(data)), err
+		if err != nil {
+			return nil, 0, err
+		}
+		p := &hashPage{HashTile: ht, keys: leafKeys(ht.Levels[0])}
+		return p, int64(len(data)) + 8*int64(len(p.keys)), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*storage.HashTile), nil
+	return v.(*hashPage), nil
 }
 
 // leafOffsets pages in one registered tile's offsets page: where each
@@ -357,7 +424,7 @@ func (ts *tileStore) leafOffsets(tile uint64) ([]uint32, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			if err := crossCheck(lt, ht); err != nil {
+			if err := crossCheck(lt, ht.HashTile); err != nil {
 				return nil, 0, err
 			}
 			ts.markChecked(tile)
@@ -423,16 +490,22 @@ func crossCheck(lt *storage.LeafTile, ht *storage.HashTile) error {
 	return nil
 }
 
-// index pages in one tile's lookup index.
-func (ts *tileStore) index(tile uint64) (*storage.TileIndex, error) {
+// idRows pages in one tile's identity rows: its .idx file, decoded and
+// validated whole, of which the page keeps the identity rows only,
+// charged 40 bytes a row. The leaf rows have no reader (the leaf-hash
+// lookup searches the hash page), so they are not kept.
+func (ts *tileStore) idRows(tile uint64) ([]storage.IndexRow, error) {
 	v, err := ts.load(pageKindIndex, tile, storage.TileExtIndex, func(data []byte) (any, int64, error) {
 		ix, err := ts.decodeIndex(tile, data)
-		return ix, int64(len(data)), err
+		if err != nil {
+			return nil, 0, err
+		}
+		return ix.ID, 40 * int64(len(ix.ID)), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*storage.TileIndex), nil
+	return v.([]storage.IndexRow), nil
 }
 
 // tileImages are one tile's three encoded files, as the seal hands them
@@ -497,19 +570,19 @@ func (ts *tileStore) probe(h merkle.Hash, which int, from, to uint64) []uint64 {
 }
 
 // lookupID searches sealed tiles [from, to) for an entry with the given
-// identity hash: bloom probe first, then the binary-searched index file
-// of each candidate, then the entry itself, read alone (readLeaves) and
+// identity hash: bloom probe first, then the binary-searched identity
+// rows of each candidate, then the entry itself, read alone (readLeaves) and
 // parsed; the entry aliases a buffer of its own. Returns nil when not
 // present. It reads the tile directly rather than through
 // publishedState.leafRange: the seal-race re-probe asks about tiles
 // registered before the published state routes to them.
 func (ts *tileStore) lookupID(h merkle.Hash, from, to uint64) (*Entry, error) {
 	for _, tile := range ts.probe(h, storage.TileIndexID, from, to) {
-		ix, err := ts.index(tile)
+		rows, err := ts.idRows(tile)
 		if err != nil {
 			return nil, err
 		}
-		idx, ok := storage.SearchIndexRows(ix.ID, [32]byte(h))
+		idx, ok := storage.SearchIndexRows(rows, [32]byte(h))
 		if !ok {
 			continue // bloom false positive
 		}
@@ -527,15 +600,19 @@ func (ts *tileStore) lookupID(h merkle.Hash, from, to uint64) (*Entry, error) {
 }
 
 // lookupLeafIndex searches every sealed tile for a Merkle leaf hash and
-// returns its entry index.
+// returns its entry index: leaf-bloom probe first, then the leaf keys of
+// each candidate's hash page — the page the inclusion proof reads next,
+// so a proof by hash pages in no file but the .hash. The index comes
+// from root-pinned hash data, not from the .idx file's leaf rows, which
+// only their CRC and order vouch for.
 func (ts *tileStore) lookupLeafIndex(h merkle.Hash) (uint64, bool, error) {
 	for _, tile := range ts.probe(h, storage.TileIndexLeaf, 0, ^uint64(0)) {
-		ix, err := ts.index(tile)
+		p, err := ts.hashTile(tile)
 		if err != nil {
 			return 0, false, err
 		}
-		if idx, ok := storage.SearchIndexRows(ix.Leaf, [32]byte(h)); ok {
-			return idx, true, nil
+		if pos, ok := p.find([32]byte(h)); ok {
+			return tile*ts.span + pos, true, nil
 		}
 	}
 	return 0, false, nil

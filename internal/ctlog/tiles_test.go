@@ -93,16 +93,15 @@ func TestTiledSealAndServe(t *testing.T) {
 	size := sth.TreeHead.TreeSize
 
 	// Tile files exist for the sealed prefix only.
-	var tileFileBytes, leafFileBytes int64
+	var hashFileBytes int64
 	for tile := uint64(0); tile < 3; tile++ {
 		for _, ext := range []string{storage.TileExtLeaf, storage.TileExtHash, storage.TileExtIndex} {
 			fi, err := os.Stat(tilePath(dir, tile, ext))
 			if err != nil {
 				t.Fatalf("sealed tile file missing: %v", err)
 			}
-			tileFileBytes += fi.Size()
-			if ext == storage.TileExtLeaf {
-				leafFileBytes += fi.Size()
+			if ext == storage.TileExtHash {
+				hashFileBytes += fi.Size()
 			}
 		}
 	}
@@ -147,7 +146,7 @@ func TestTiledSealAndServe(t *testing.T) {
 	}
 
 	// Proofs: every entry — sealed and resident — proves into the head,
-	// located by leaf hash through the tile indexes.
+	// located by leaf hash through the tile blooms and hash pages.
 	for _, e := range paged {
 		lh, err := e.LeafHash()
 		if err != nil {
@@ -179,12 +178,14 @@ func TestTiledSealAndServe(t *testing.T) {
 	if s.Hits == 0 || s.Misses == 0 {
 		t.Fatalf("page cache never exercised: %+v", s)
 	}
-	// Everything fits the default budget, so all nine pages the reads
-	// asked for are resident (the seals left none): each tile's hash and
-	// index pages, charged their file bytes, and its offsets page, charged
-	// (span+1) 32-bit offsets. No leaf byte is cached.
-	if want := tileFileBytes - leafFileBytes + 3*(4+1)*4; s.Pages != 9 || s.Used != want {
-		t.Fatalf("cache holds %d pages charged %d bytes, want 9 pages charged %d (hash and index files %d + 3 offsets pages of 20)", s.Pages, s.Used, want, tileFileBytes-leafFileBytes)
+	// Everything fits the default budget, so all six pages the reads
+	// asked for are resident (the seals left none): each tile's hash
+	// page, charged its file bytes plus span 8-byte leaf keys, and its
+	// offsets page, charged (span+1) 32-bit offsets. Proofs by hash find
+	// their leaves in the hash page, so no index page is read; no leaf
+	// byte is cached.
+	if want := hashFileBytes + 3*4*8 + 3*(4+1)*4; s.Pages != 6 || s.Used != want {
+		t.Fatalf("cache holds %d pages charged %d bytes, want 6 pages charged %d (hash files %d + 3 × 32 of leaf keys + 3 offsets pages of 20)", s.Pages, s.Used, want, hashFileBytes)
 	}
 }
 
@@ -1340,8 +1341,8 @@ func TestTiledSealCachesNothing(t *testing.T) {
 			t.Fatalf("get-entries %d of a freshly sealed tile: %d page-ins, want %d", read, got, want)
 		}
 	}
-	// A proof by hash into tile 3 reads the .idx its leaf-hash lookup
-	// searches and the .hash its audit path needs — nothing else.
+	// A proof by hash into tile 3 reads the .hash its leaf-hash lookup
+	// searches and its audit path needs — nothing else.
 	lh, err := page[1].LeafHash()
 	if err != nil {
 		t.Fatal(err)
@@ -1349,8 +1350,8 @@ func TestTiledSealCachesNothing(t *testing.T) {
 	if got := misses("proof by hash into tile 3", func() error {
 		_, _, err := l.GetProofByHash(lh, 16)
 		return err
-	}); got != 2 {
-		t.Fatalf("first proof by hash into a freshly sealed tile: %d page-ins, want 2 (.idx + .hash)", got)
+	}); got != 1 {
+		t.Fatalf("first proof by hash into a freshly sealed tile: %d page-ins, want 1 (.hash)", got)
 	}
 	// An inclusion proof by index into tile 1 reads its hash tile only.
 	if got := misses("inclusion proof into tile 1", func() error {
